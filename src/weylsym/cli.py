@@ -7,9 +7,9 @@ limit profile; `moyal-check` spot-checks the direct star product against the
 exact composition route.
 
 Exit codes: 0 success (all verdicts pass), 1 a verdict failed (report still
-written), 2 invalid configuration, 3 I/O failure.  Outputs are byte-stable
-under re-runs of the same command line: fixed summation orders, fixed seeds,
-no timestamps.
+written), 2 invalid configuration, 3 I/O failure, 4 a numerical method did
+not converge.  Outputs are byte-stable under re-runs of the same command
+line: fixed summation orders, fixed seeds, no timestamps.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ _EXIT_OK = 0
 _EXIT_VERDICT = 1
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
+_EXIT_NUMERIC = 4
 
 
 class ConfigError(Exception):
@@ -110,8 +111,8 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
             fld = momentum_symbol_field(N, hbar, L, grid)
     else:
         raise ConfigError(
-            "field rendering is closed-form only and therefore box-only; "
-            "oscillator symbols are quadrature spot values"
+            "field rendering is box-only; oscillator projection values come "
+            "from weyl.symbol_oscillator_projection"
         )
     if args.format == "csv":
         fld.to_csv(args.output)
@@ -174,28 +175,24 @@ def _cmd_edge(args: argparse.Namespace, argv: list[str]) -> int:
     mu = _positive(args.mu, "mu")
     L = _positive(args.L, "L")
     hbar = mu / N
-    rows = []
     if args.kind == "x":
-        us = _parse_section(args.u)
-        if np.any(us < 0):
+        coords = _parse_section(args.u)
+        if np.any(coords < 0):
             raise ConfigError("u must be >= 0")
         p0 = args.p
-        for u in us:
-            fin = symbol_projection_box(N, hbar, L, L - hbar * float(u), p0)
-            lim = edge_profile_x(float(u), p0, mu, L)
-            rows.append((float(u), fin, lim, abs(fin - lim)))
+        fins = symbol_projection_box(N, hbar, L, L - hbar * coords, p0)
+        lims = [edge_profile_x(float(u), p0, mu, L) for u in coords]
         coord = "u"
     else:
-        vs = _parse_section(args.v)
-        if np.any(vs <= -1) or np.any(vs == 0):
+        coords = _parse_section(args.v)
+        if np.any(coords <= -1) or np.any(coords == 0):
             raise ConfigError("v must satisfy v > -1 and v != 0")
         x0 = args.x
-        for v in vs:
-            p0 = math.pi * mu / (2.0 * L) + hbar * math.pi * float(v) / (2.0 * L)
-            fin = symbol_projection_box(N, hbar, L, x0, p0)
-            lim = edge_profile_p(x0, float(v), mu, L, tol=args.tol)
-            rows.append((float(v), fin, lim, abs(fin - lim)))
+        p0s = math.pi * mu / (2.0 * L) + hbar * math.pi * coords / (2.0 * L)
+        fins = symbol_projection_box(N, hbar, L, x0, p0s)
+        lims = [edge_profile_p(x0, float(v), mu, L, tol=args.tol) for v in coords]
         coord = "v"
+    rows = [(float(c), fin, lim, abs(fin - lim)) for c, fin, lim in zip(coords, fins, lims)]
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(f"{coord},finite_N_value,limit_value,abs_error\n")
         for r in rows:
@@ -349,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Coefficient matrices of truncated observables in the eigenbasis.
 
-Oscillator observables (a x + b p)^n are built from lattice-path sums over
-the ladder algebra; the box supplies the tridiagonal multiplication operator
-and the truncated momentum in closed form.  A quadrature builder doubles as
-the slow oracle for all of them.
+Oscillator observables (a x + b p)^n are banded powers of the ladder
+matrix, whose entries are the lattice-path sums that `enumerate_paths` and
+`path_weight` spell out path by path; the box supplies the tridiagonal
+multiplication operator and the truncated momentum in closed form.  A
+quadrature builder doubles as the slow oracle for all of them.
 
 Ladder convention: with 1-based levels (u_1 = ground state) the raising
 matrix element is <u_{k+1}| x |u_k> = sqrt(hbar k / 2), pinned by quadrature
@@ -15,12 +16,10 @@ at the k ~ 1 boundary.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -187,46 +186,17 @@ def ladder_matrices(
     return OperatorMatrix(entries=X, basis=basis), OperatorMatrix(entries=P, basis=basis)
 
 
-@lru_cache(maxsize=64)
-def _sign_sequences(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """All +-1 step sequences of length n with sum d, plus their exclusive
-    prefix sums.  Shapes (m, n); m = binom(n, (n+d)/2)."""
-    if n == 0:
-        z = np.zeros((1, 0), dtype=np.int64)
-        return z, z
-    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
-    signs = signs[signs.sum(axis=1) == d]
-    prefix = np.zeros_like(signs)
-    prefix[:, 1:] = np.cumsum(signs[:, :-1], axis=1)
-    return signs, prefix
-
-
-def _path_weight_sum(n: int, k: int, d: int, a: float, b: float) -> complex:
-    """Sum of ladder path weights over n-step paths from k to k + d.
-
-    Per step from level j, the ladder factor is sqrt(j) going up and
-    sqrt(j - 1) going down, i.e. sqrt(min of the two levels); clamping at
-    zero makes below-ground excursions vanish identically, which is exactly
-    the exclusion of paths touching level 0.
-    """
-    signs, prefix = _sign_sequences(n, d)
-    if signs.shape[0] == 0:
-        return 0.0j
-    levels = k + prefix  # level before each step
-    ladder = np.maximum(levels + (signs - 1) // 2, 0).astype(float)
-    radical = float(np.sum(np.sqrt(np.prod(ladder, axis=1))) if n else 1.0)
-    s_up = (n + d) // 2
-    return (a + 1j * b) ** s_up * (a - 1j * b) ** (n - s_up) * radical
-
-
 def matrix_linear_power(
     a: float, b: float, n: int, scale: SemiclassicalScale, N: int
 ) -> OperatorMatrix:
-    """Matrix of (a x + b p)^n on levels 1..N via the lattice-path sum.
+    """Matrix of (a x + b p)^n on levels 1..N as a banded power.
 
-    Entries are (hbar/2)^(n/2) * sum of ladder path weights over paths from
-    k to l; the band |k - l| <= n is exact including the corner k, l <= n,
-    because excluded below-ground paths carry zero ladder weight anyway.
+    Every n-step path from level k to l = k + d climbs (n + d)/2 times, so
+    entry (l, k) is (hbar/2)^(n/2) (a + ib)^((n+d)/2) (a - ib)^((n-d)/2)
+    times entry (l, k) of J^n, J the real ladder matrix with
+    <k+1|J|k> = sqrt(k).  J^n is built column by column on its 2n + 1
+    diagonals, which reach level N + n: exactly the power on N + n levels
+    truncated to N x N, with the corner k, l <= n included.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -235,13 +205,25 @@ def matrix_linear_power(
     if N < 1:
         raise ValueError("N must be >= 1")
     hbar = scale.hbar
+    rows = np.arange(N)[None, :] + np.arange(-n, n + 1)[:, None]  # 0-based level of entry (d, k)
+    # J couples 0-based levels j and j + 1 with sqrt(j + 1); nothing below level 0
+    up = np.sqrt(np.maximum(rows, 0.0))  # <l|J|l-1>
+    down = np.sqrt(np.maximum(rows + 1.0, 0.0))  # <l|J|l+1>
+    band = np.zeros((2 * n + 1, N))
+    band[n] = 1.0
+    for _ in range(n):
+        nxt = np.zeros_like(band)
+        nxt[1:] = up[1:] * band[:-1]
+        nxt[:-1] += down[:-1] * band[1:]
+        band = nxt
     pref = (hbar / 2.0) ** (n / 2.0)
     M = np.zeros((N, N), dtype=complex)
-    for k in range(1, N + 1):
-        for l in range(max(1, k - n), min(N, k + n) + 1):
-            if (l - k + n) % 2 != 0:
-                continue
-            M[l - 1, k - 1] = pref * _path_weight_sum(n, k, l - k, a, b)
+    k = np.arange(N)
+    for d in range(-n, n + 1, 2):
+        cols = k[(k + d >= 0) & (k + d < N)]
+        s_up = (n + d) // 2
+        weight = pref * (a + 1j * b) ** s_up * (a - 1j * b) ** (n - s_up)
+        M[cols + d, cols] = weight * band[d + n, cols]
     basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
     return OperatorMatrix(entries=M, basis=basis)
 

@@ -1,9 +1,10 @@
-"""Weyl symbols: quadrature transform of kernels, and box closed forms.
+"""Weyl symbols: quadrature transform of kernels, and closed forms.
 
 The generic route integrates hbar * K(x - hbar y/2, x + hbar y/2) e^{ipy}
 over a Gauss-Legendre rule; the box model additionally has closed forms for
 rank-one symbols, the projection symbol and the truncated momentum symbol,
-built from singularity-safe sin(A d)/d quotients.
+built from singularity-safe sin(A d)/d quotients, and the oscillator
+projection symbol has Groenewold's Laguerre closed form.
 
 Every sin(A d)/d factor is evaluated through a 4-term Taylor sinc once
 |d| < 1e-8 max(1, A): the resonances d -> 0 land exactly on natural grid
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, Model, gauss_legendre
-from .kernel import EvalMode, KernelEval, projection_kernel
+from .basis import Model, gauss_legendre
+from .kernel import KernelEval, projection_kernel
 from .scale import PhaseGrid, SymbolField, worker_count
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _IM_TOL = 1e-9
+_LN2 = math.log(2.0)
 
 
 class CoverageWarning(UserWarning):
@@ -260,12 +262,45 @@ def rescaled_kernel_f2(eval: KernelEval, hbar: float, x, y) -> np.ndarray | floa
     return 2.0 * math.pi * hbar * projection_kernel(eval, x - hbar * np.asarray(y) / 2.0, x + hbar * np.asarray(y) / 2.0)
 
 
-def symbol_oscillator_projection(N: int, hbar: float, x: float, p: float) -> float:
-    """Oscillator projection symbol at a point, by quadrature (no closed form)."""
-    basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
-    ke = KernelEval(basis=basis, n_levels=N, mode=EvalMode.SUM)
-    spec = oscillator_quadrature_spec(hbar, N, p)
-    return symbol_from_kernel(ke, hbar, spec, x, p)
+def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | float:
+    """Closed-form symbol of the rank-N oscillator projection (Groenewold).
+
+    sigma_N = 2 e^{-z/2} sum_{n<N} (-1)^n L_n(z) with z = 2 (x^2 + p^2) / hbar,
+    by the three-term recurrence (n+1) L_{n+1} = (2n+1-z) L_n - n L_{n-1}
+    run on e^{-z/2} L_n(z) as a mantissa with a carried binary exponent,
+    renormalized every step, so e^{-z/2} never underflows on its own: large
+    z gives exact zeros, never NaNs.  O(N) vector operations per call;
+    broadcasts x against p.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not hbar > 0:
+        raise ValueError("hbar must be positive")
+    scalar = np.ndim(x) == 0 and np.ndim(p) == 0
+    x_arr, p_arr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float))
+    )
+    # beyond z = 1e9 the symbol is below the smallest subnormal for any
+    # N < 10^7; the cap keeps the carried exponent a finite integer
+    with np.errstate(over="ignore"):
+        z = np.minimum(2.0 * (x_arr**2 + p_arr**2) / hbar, 1e9)
+
+    # e^{-z/2} L_0 = m0 * 2^expo and e^{-z/2} L_1 = m1 * 2^expo
+    expo = np.floor(-0.5 * z / _LN2)
+    m0 = np.exp(-0.5 * z - expo * _LN2)
+    expo = expo.astype(np.int64)
+    m1 = (1.0 - z) * m0
+    total = m0 - m1 if N > 1 else m0
+    for n in range(1, N - 1):
+        m2 = ((2 * n + 1 - z) * m1 - n * m0) / (n + 1)
+        m2, shift = np.frexp(m2)
+        m0 = np.ldexp(m1, -shift)
+        m1 = m2
+        total = np.ldexp(total, -shift)
+        total = total + m2 if n % 2 else total - m2
+        expo = expo + shift
+    out = 2.0 * np.ldexp(total, expo)
+    return float(out.ravel()[0]) if scalar else out
 
 
 def _field_rows(N: int, hbar: float, L: float, xs: np.ndarray, ps: np.ndarray, fn) -> np.ndarray:

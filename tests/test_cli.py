@@ -1,9 +1,13 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
 
+import weylsym.cli
 from weylsym.cli import main
+from weylsym.weyl import symbol_projection_box
 
 
 def run(args):
@@ -155,6 +159,41 @@ class TestEdgeCommand:
         assert run([
             "edge", "--kind", "x", "--N", "10", "-o", str(tmp_path / "e.csv"),
         ]) == 2
+
+    @pytest.mark.parametrize("kind", ["x", "p"])
+    def test_finite_column_matches_pointwise_calls(self, tmp_path, kind):
+        # one broadcast call per section gives the same doubles as one call per point
+        out = tmp_path / "e.csv"
+        N, mu, L = 60, 1.1, 0.9
+        hbar = mu / N
+        section = "0:7:29" if kind == "x" else "-0.6:2.4:29"
+        assert run([
+            "edge", "--kind", kind, f"--{'u' if kind == 'x' else 'v'}", section,
+            "--p", "0.3", "--x", "0.2", "--N", str(N), "--mu", str(mu), "--L", str(L),
+            "-o", str(out),
+        ]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        for c, fin in rows[:, :2]:
+            if kind == "x":
+                want = symbol_projection_box(N, hbar, L, L - hbar * c, 0.3)
+            else:
+                want = symbol_projection_box(
+                    N, hbar, L, 0.2, math.pi * mu / (2.0 * L) + hbar * math.pi * c / (2.0 * L)
+                )
+            assert fin == want
+
+    def test_non_convergence_exits_four(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise RuntimeError("series truncation did not reach the requested tol")
+
+        monkeypatch.setattr(weylsym.cli, "edge_profile_p", fail)
+        out = tmp_path / "e.csv"
+        code = run([
+            "edge", "--kind", "p", "--x", "0.999", "--v", "0.5", "--N", "1000", "-o", str(out),
+        ])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: series truncation")
+        assert not out.exists()
 
 
 class TestMoyalCheckCommand:

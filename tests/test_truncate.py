@@ -30,6 +30,48 @@ from weylsym.truncate import (
 )
 
 
+def sign_sequences(n, d):
+    """All +-1 step sequences of length n with sum d, plus their exclusive
+    prefix sums.  Shapes (m, n); m = binom(n, (n+d)/2)."""
+    if n == 0:
+        z = np.zeros((1, 0), dtype=np.int64)
+        return z, z
+    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
+    signs = signs[signs.sum(axis=1) == d]
+    prefix = np.zeros_like(signs)
+    prefix[:, 1:] = np.cumsum(signs[:, :-1], axis=1)
+    return signs, prefix
+
+
+def path_weight_sum(n, k, d, a, b):
+    """Sum of ladder path weights over n-step paths from k to k + d.
+
+    Per step from level j, the ladder factor is sqrt(j) going up and
+    sqrt(j - 1) going down, i.e. sqrt(min of the two levels); clamping at
+    zero makes below-ground excursions vanish identically, which is exactly
+    the exclusion of paths touching level 0.
+    """
+    signs, prefix = sign_sequences(n, d)
+    if signs.shape[0] == 0:
+        return 0.0j
+    levels = k + prefix  # level before each step
+    ladder = np.maximum(levels + (signs - 1) // 2, 0).astype(float)
+    radical = float(np.sum(np.sqrt(np.prod(ladder, axis=1))) if n else 1.0)
+    s_up = (n + d) // 2
+    return (a + 1j * b) ** s_up * (a - 1j * b) ** (n - s_up) * radical
+
+
+def path_sum_matrix(a, b, n, hbar, N):
+    """(a x + b p)^n on levels 1..N entry by entry from the sign-sequence sums."""
+    pref = (hbar / 2.0) ** (n / 2.0)
+    M = np.zeros((N, N), dtype=complex)
+    for k in range(1, N + 1):
+        for l in range(max(1, k - n), min(N, k + n) + 1):
+            if (l - k + n) % 2 == 0:
+                M[l - 1, k - 1] = pref * path_weight_sum(n, k, l - k, a, b)
+    return M
+
+
 def brute_force_path_count(n, k, l):
     cnt = 0
     for steps in itertools.product((1, -1), repeat=n):
@@ -224,6 +266,18 @@ class TestMatrixLinearPower:
                     for p in enumerate_paths(n, k, l)
                 )
                 assert M[l - 1, k - 1] == pytest.approx(pref * tot, abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_sign_sequence_path_sums(self, n):
+        # banded power against the 2^n sign-sequence enumeration, including
+        # the ground-state corner and N smaller than the band
+        a, b = 0.6, -0.8
+        for N in (1, 2, 5, 40):
+            scale = SemiclassicalScale.from_mu(N, 1.3)
+            got = matrix_linear_power(a, b, n, scale, N).entries
+            want = path_sum_matrix(a, b, n, scale.hbar, N)
+            np.testing.assert_array_equal(got == 0, want == 0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_finite_band_exact(self):
         scale = SemiclassicalScale.from_mu(10, 1.0)

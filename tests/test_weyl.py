@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
 from weylsym.kernel import EvalMode, KernelEval, dirichlet_kernel
@@ -298,6 +300,74 @@ class TestOscillatorQuadratureSymbol:
         hbar = 1.0 / N
         got = symbol_oscillator_projection(N, hbar, 0.0, 0.0)
         assert got == pytest.approx(1.0 + (-1.0) ** (N + 1), abs=1e-6)
+
+
+def oscillator_quadrature_oracle(N, hbar, x, p):
+    """Oscillator projection symbol by quadrature of the eigenfunction-sum kernel."""
+    ke = KernelEval(
+        basis=EigenBasis(model=Model.OSCILLATOR, hbar=hbar), n_levels=N, mode=EvalMode.SUM
+    )
+    return symbol_from_kernel(ke, hbar, oscillator_quadrature_spec(hbar, N, p), x, p)
+
+
+coord = st.floats(-2.0, 2.0)
+osc_settings = settings(deadline=None, derandomize=True, max_examples=40)
+
+
+class TestOscillatorLaguerreSymbol:
+    @osc_settings
+    @given(N=st.integers(1, 24), mu=st.floats(0.5, 2.0), x=coord, p=coord)
+    def test_matches_quadrature_oracle(self, N, mu, x, p):
+        hbar = mu / N
+        got = symbol_oscillator_projection(N, hbar, x, p)
+        assert abs(got - oscillator_quadrature_oracle(N, hbar, x, p)) <= 1e-10
+
+    @osc_settings
+    @given(
+        N=st.integers(1, 64), mu=st.floats(0.5, 2.0), r=st.floats(0.0, 2.5),
+        theta=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_radial(self, N, mu, r, theta):
+        hbar = mu / N
+        x, p = r * math.cos(theta), r * math.sin(theta)
+        val = symbol_oscillator_projection(N, hbar, x, p)
+        for xm, pm in ((-x, p), (x, -p), (p, x), (-p, -x)):
+            assert symbol_oscillator_projection(N, hbar, xm, pm) == val
+        assert val == pytest.approx(symbol_oscillator_projection(N, hbar, r, 0.0), abs=1e-10)
+
+    def test_origin_is_exactly_zero_or_two(self):
+        for N in range(1, 301):
+            for mu in (0.5, 1.0, 1.7):
+                assert symbol_oscillator_projection(N, mu / N, 0.0, 0.0) == (2.0 if N % 2 else 0.0)
+
+    def test_large_rank_far_tail_is_finite(self):
+        N = 4096
+        hbar = 1.0 / N
+        for r in (1.0, 1.5, 3.0, 10.0, 1e200):  # z = 2 r^2 / hbar up to far beyond 4N
+            val = symbol_oscillator_projection(N, hbar, r, 0.0)
+            assert math.isfinite(val)
+            assert abs(val) <= 2.0
+        assert symbol_oscillator_projection(N, hbar, 10.0, 0.0) == 0.0
+        inside = symbol_oscillator_projection(N, hbar, 0.5, 0.5)  # deep in the disk
+        assert inside == pytest.approx(1.0, abs=0.05)
+
+    @osc_settings
+    @given(
+        N=st.integers(1, 40), mu=st.floats(0.5, 2.0),
+        xs=st.lists(coord, min_size=1, max_size=7), ps=st.lists(coord, min_size=1, max_size=5),
+    )
+    def test_broadcast_is_bit_identical_to_scalar_calls(self, N, mu, xs, ps):
+        hbar = mu / N
+        grid = symbol_oscillator_projection(N, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
+        assert grid.shape == (len(xs), len(ps))
+        scalar = [[symbol_oscillator_projection(N, hbar, x, p) for p in ps] for x in xs]
+        assert all(isinstance(v, float) for row in scalar for v in row)
+        np.testing.assert_array_equal(grid, np.array(scalar))
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_rejects_rank_below_one(self, N):
+        with pytest.raises(ValueError):
+            symbol_oscillator_projection(N, 0.1, 0.0, 0.0)
 
 
 class TestFields:
