@@ -311,7 +311,7 @@ def _sweep_box_edge_p(config: SweepConfig) -> SweepReport:
     x_list = (0.0, 0.5 * L)
     v_list = (0.25, 0.5, 1.5)
     prof = {
-        (x0, v): edge_profile_p(x0, v, mu, L, tol=1e-6) for x0 in x_list for v in v_list
+        (x0, v): edge_profile_p(x0, v, mu, L) for x0 in x_list for v in v_list
     }
     rows = []
     for N in config.n_levels:

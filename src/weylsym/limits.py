@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
+from .basis import _leggauss
 from .kernel import sine_kernel
-from .scale import pairwise_sum
 
 __all__ = [
     "RegionKind",
@@ -124,43 +125,6 @@ def bulk_sup_constant(mu: float, L: float, c_u: float, c_v: float) -> float:
 
 _SI_SWITCH = 6.0
 
-# Gauss-Kronrod 15/7 on [-1, 1]: Kronrod nodes/weights plus embedded Gauss weights.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
-    -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
-    0.864864423359769, 0.949107912342759, 0.991455371120813,
-])
-_GK_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
-
-
-def _sinc_t(t: np.ndarray) -> np.ndarray:
-    small = np.abs(t) < 1e-8
-    safe = np.where(small, 1.0, t)
-    return np.where(small, 1.0 - t * t / 6.0, np.sin(safe) / safe)
-
-
-def _gk_panel(a: float, b: float, depth: int = 0) -> float:
-    """Adaptive G7/K15 on one panel of sin(t)/t."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    t = mid + half * _GK_NODES
-    f = _sinc_t(t)
-    k15 = half * float(np.sum(_GK_WEIGHTS * f))
-    g7 = half * float(np.sum(_G7_WEIGHTS * f[1::2]))
-    if abs(k15 - g7) < 1e-14 * (1.0 + abs(k15)) or depth >= 20:
-        return k15
-    return _gk_panel(a, mid, depth + 1) + _gk_panel(mid, b, depth + 1)
-
 
 def _si_series(x: float) -> float:
     # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!), terms until < 1e-16
@@ -175,20 +139,33 @@ def _si_series(x: float) -> float:
     return total
 
 
+def _e1_imaginary(x: float) -> complex:
+    """E1(ix) from E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))
+    (DLMF 6.9) by modified Lentz; under 40 steps for x >= 6."""
+    b = complex(1.0, x)
+    h = d = 1.0 / b
+    c = math.inf  # Lentz's 1/tiny start: the first step sets c = b
+    for k in range(1, 200):
+        b += 2.0
+        d = 1.0 / (b - k * k * d)
+        c = b - k * k / c
+        h *= c * d
+        if abs(c * d - 1.0) <= 1e-16:
+            return h * complex(math.cos(x), -math.sin(x))
+    raise RuntimeError(f"E1 continued fraction did not converge at x = {x!r}")
+
+
 def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt; odd, series below |x| = 6,
-    pi-width adaptive Gauss-Kronrod panels beyond."""
+    """Sine integral Si(x) = int_0^x sin(t)/t dt; odd.
+
+    Power series for |x| <= 6; beyond, Si(x) = pi/2 + Im E1(ix) (DLMF 6.5),
+    with E1 from its continued fraction, in a cost that does not grow with x.
+    """
     if x < 0:
         return -si(-x)
     if x <= _SI_SWITCH:
         return _si_series(x)
-    total = _si_series(_SI_SWITCH)
-    a = _SI_SWITCH
-    while a < x:
-        b = min(a + math.pi, x)
-        total += _gk_panel(a, b)
-        a = b
-    return total
+    return 0.5 * math.pi + _e1_imaginary(x).imag
 
 
 # --- microscopic edge profiles ----------------------------------------------
@@ -218,38 +195,59 @@ def edge_profile_x(u: float, p: float, mu: float, L: float) -> float:
     ) / math.pi
 
 
-def edge_profile_p(x: float, v: float, mu: float, L: float, tol: float = 1e-6) -> float:
+_EDGE_P_SWITCH = 64.0  # c |v - 1/2| above which the Laplace form takes over
+
+
+@lru_cache(maxsize=1)
+def _laguerre48() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.laguerre.laggauss(48)
+
+
+def _edge_p_legendre(c: float, w: float) -> float:
+    """(1/pi) int_0^c -sin(w s) / (2 sin(s/2)) ds by 32-node Gauss-Legendre on
+    ceil(c (|w| + 1) / 8) panels: at most ~8 radians of sin(w s) per panel,
+    and the integrand is analytic on |s| < 2 pi."""
+    panels = math.ceil(c * (abs(w) + 1.0) / 8.0)
+    t, wt = _leggauss(32)
+    h = c / panels
+    s = (np.arange(panels)[:, None] + 0.5 * (t + 1.0)) * h
+    return -0.25 * h * float(np.sum(wt * (np.sin(w * s) / np.sin(0.5 * s)))) / math.pi
+
+
+def _edge_p_laguerre(c: float, v: float) -> float:
+    """F(c, v) / pi for v > 0 by 48-node Gauss-Laguerre on the Laplace form
+    F = (1/v) int_0^inf e^{-u} Im[e^{icv} / (1 - e^{ic - u/v})] du, whose
+    nearest pole lies c v from the real u axis."""
+    u, wt = _laguerre48()
+    # 1 - e^{ic - u/v} by expm1, which keeps its digits as c, u/v -> 0
+    vals = (-complex(math.cos(c * v), math.sin(c * v)) / np.expm1(1j * c - u / v)).imag
+    return float(np.sum(wt * vals)) / (v * math.pi)
+
+
+def edge_profile_p(x: float, v: float, mu: float, L: float) -> float:
     """Momentum-edge profile: limit of the symbol at p = pi mu/2L + hbar pi v/2L.
 
-    (1/2L) sum_{j>=0} sin(2 (L-|x|) (pi/2L)(j+v)) / ((pi/2L)(j+v)), summed in
-    consecutive-j pairs and truncated once the alternating-sandwich tail
-    bound drops below tol.  Valid for v > -1, v != 0: the j = 0 term is
-    singular at v = 0, and below v = -1 a denominator crosses zero, so no
-    extrapolation is attempted there.
+    With c = pi (L - |x|)/L in (0, pi], it is F(c, v) / pi for the series
+    F(c, v) = sum_{j>=0} sin(c (j+v)) / (j+v).  F tends to pi/2 as c -> 0+
+    and its c-derivative is Re[e^{icv} / (1 - e^{ic})], so
+
+        F / pi = 1/2 + (1/pi) int_0^c g(s) ds,
+        g(s) = [cos(sv) - sin(sv) cot(s/2)] / 2 = -sin((v - 1/2) s) / (2 sin(s/2)),
+
+    with g analytic on |s| < 2 pi (g(0) = 1/2 - v).  It is continuous in v,
+    so every finite v is allowed.  O(1) per call: Gauss-Legendre panels for
+    c |v - 1/2| <= 64, else the Gauss-Laguerre Laplace form for v > 0 and
+    the reflection F(c, v) + F(c, 1 - v) = pi (exact: g_v + g_{1-v} = 0)
+    for v < 0.  At v = 1/2, g = 0 and the profile is exactly 1/2.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if v <= -1 or v == 0:
-        raise ValueError(f"v must satisfy v > -1 and v != 0, got {v}")
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
     if abs(x) >= L:
         return 0.0
-    c = math.pi * (L - abs(x)) / L  # phase step per j, in (0, pi]
-    d = math.pi / (2.0 * L)
-    # Dirichlet-kernel bound on the oscillatory tail; for c = pi this is the
-    # exact Leibniz alternating remainder.
-    denom = math.sin(0.5 * c)
-    total = 0.0
-    j0 = 0
-    block = 1 << 15
-    while True:
-        j = np.arange(j0, j0 + block, dtype=float)
-        terms = np.sin(c * (j + v)) / (d * (j + v))
-        pairs = terms[0::2] + terms[1::2]
-        total += pairwise_sum(pairs)
-        j0 += block
-        tail_bound = 1.0 / (d * (j0 + v) * denom)
-        if tail_bound < tol:
-            break
-        if j0 > 1 << 28:
-            raise RuntimeError("series truncation did not reach the requested tol")
-    return total / (2.0 * L)
+    c = math.pi * (L - abs(x)) / L
+    w = v - 0.5
+    if c * abs(w) <= _EDGE_P_SWITCH:
+        return 0.5 + _edge_p_legendre(c, w)
+    if w > 0:
+        return _edge_p_laguerre(c, v)
+    return 1.0 - _edge_p_laguerre(c, 1.0 - v)

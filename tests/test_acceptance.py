@@ -176,7 +176,7 @@ def test_ac7_p_edge_profile():
     """Momentum-edge series matches the N=1000 symbol within 0.05, improving on N=250."""
     mu, L = 1.0, 1.0
     cases = [(x0, v) for x0 in (0.0, 0.5) for v in (0.25, 0.5, 1.5)]
-    prof = {c: edge_profile_p(c[0], c[1], mu, L, tol=1e-6) for c in cases}
+    prof = {c: edge_profile_p(c[0], c[1], mu, L) for c in cases}
     worst = {}
     for N in (250, 1000):
         hbar = mu / N

@@ -138,11 +138,30 @@ class TestEdgeCommand:
         assert len(lines) == 1 + 121
 
     def test_p_edge_forbidden_v(self, tmp_path):
-        code = run([
-            "edge", "--kind", "p", "--x", "0", "--v", "-1.5", "--N", "100",
-            "--mu", "1", "--L", "1", "-o", str(tmp_path / "e.csv"),
-        ])
-        assert code == 2
+        # every finite v has a limit; a non-finite one has none
+        for v in ("nan", "inf", "0:inf:5"):
+            code = run([
+                "edge", "--kind", "p", "--x", "0", "--v", v, "--N", "100",
+                "--mu", "1", "--L", "1", "-o", str(tmp_path / "e.csv"),
+            ])
+            assert code == 2
+            assert not (tmp_path / "e.csv").exists()
+
+    def test_p_edge_near_wall(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run([
+            "edge", "--kind", "p", "--x", "0.999", "--v", "0.5", "--N", "1000", "-o", str(out),
+        ]) == 0
+        _, _, lim, err = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert lim == 0.5
+        assert err <= 0.05
+
+    @pytest.mark.parametrize("x, v", [("0.999999999", "0.5"), ("0", "1e9"), ("0.5", "-5:-1:9")])
+    def test_p_edge_extreme_sections_are_finite(self, tmp_path, x, v):
+        out = tmp_path / "p.csv"
+        assert run(["edge", "--kind", "p", "--x", x, "--v", v, "--N", "1000", "-o", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows))
 
     def test_p_edge_accuracy_column(self, tmp_path):
         out = tmp_path / "p.csv"

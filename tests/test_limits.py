@@ -1,11 +1,18 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylsym.limits import (
+    _EDGE_P_SWITCH,
     ClassicalRegion,
     RegionKind,
+    _edge_p_laguerre,
+    _edge_p_legendre,
+    _si_series,
     bulk_profile_box,
     bulk_sup_constant,
     edge_profile_p,
@@ -16,6 +23,76 @@ from weylsym.limits import (
 )
 from weylsym.diag import catalan_limit_value
 from weylsym.weyl import symbol_projection_box
+
+limit_settings = settings(deadline=None, derandomize=True, max_examples=60)
+
+
+# --- slow oracles: pi-wide Gauss-Kronrod panels for Si, the direct series for
+# the momentum-edge profile -----------------------------------------------------
+
+# Gauss-Kronrod 15/7 on [-1, 1]: Kronrod nodes/weights plus embedded Gauss weights.
+_GK_NODES = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
+    -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0,
+    0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
+    0.864864423359769, 0.949107912342759, 0.991455371120813,
+])
+_GK_WEIGHTS = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
+    0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
+    0.104790010322250, 0.063092092629979, 0.022935322010529,
+])
+_G7_WEIGHTS = np.array([
+    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
+    0.381830050505119, 0.279705391489277, 0.129484966168870,
+])
+
+
+def _gk_panel(a: float, b: float, depth: int = 0) -> float:
+    """Adaptive G7/K15 on one panel of sin(t)/t, t > 0."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    f = np.sin(mid + half * _GK_NODES) / (mid + half * _GK_NODES)
+    k15 = half * float(np.sum(_GK_WEIGHTS * f))
+    g7 = half * float(np.sum(_G7_WEIGHTS * f[1::2]))
+    if abs(k15 - g7) < 1e-14 * (1.0 + abs(k15)) or depth >= 20:
+        return k15
+    return _gk_panel(a, mid, depth + 1) + _gk_panel(mid, b, depth + 1)
+
+
+def si_panel_oracle(x: float) -> float:
+    """Si(x) for x >= 6: the series up to 6, then pi-wide G7/K15 panels."""
+    total = _si_series(6.0)
+    a = 6.0
+    while a < x:
+        b = min(a + math.pi, x)
+        total += _gk_panel(a, b)
+        a = b
+    return total
+
+
+def edge_p_series_oracle(x: float, v: float, L: float, terms: int = 4096) -> float:
+    """(1/pi) sum_{j>=0} sin(c (j+v)) / (j+v), c = pi (L - |x|)/L, v > -1, v != 0.
+
+    The first `terms` terms are summed directly.  Cut there, the series is
+    only good to its 1/(J sin(c/2)) tail; the tail is added by Euler's
+    transformation sum_{m>=0} z^m f(J+m) = sum_k (-z)^k k! / ((1-z)^{k+1}
+    (J+v)(J+v+1)...(J+v+k)) with z = e^{ic}, f(j) = 1/(j+v), whose terms
+    shrink like (k / (2 J sin(c/2)))^k.
+    """
+    c = math.pi * (L - abs(x)) / L
+    j = np.arange(terms) + v
+    head = math.fsum(np.sin(c * j) / j)
+    z = cmath.exp(1j * c)
+    ratio = -z / (1.0 - z)
+    term = 1.0 / (terms + v)
+    tail = 0.0
+    for k in range(12):
+        tail += term
+        term *= ratio * (k + 1) / (terms + v + k + 1)
+    tail *= cmath.exp(1j * c * (terms + v)) / (1.0 - z)
+    return (head + tail.imag) / math.pi
 
 
 class TestClassicalRegion:
@@ -130,6 +207,30 @@ class TestSineIntegral:
     def test_switchover_continuity(self):
         assert si(6.0 - 1e-12) == pytest.approx(si(6.0 + 1e-12), abs=1e-12)
 
+    @limit_settings
+    @given(d=st.floats(0.0, 1e-3))
+    def test_continuous_across_switch(self, d):
+        # Si(6 + d) - Si(6 - d) = 2 d sin(6)/6 + O(d^3)
+        jump = si(6.0 + d) - si(6.0 - d)
+        # the series carries ~1e-15 of rounding at 6 (terms up to ~30 cancel)
+        assert abs(jump - 2.0 * d * math.sin(6.0) / 6.0) <= 4e-15 + d**3
+
+    @limit_settings
+    @given(x=st.floats(0.0, 1e6))
+    def test_odd(self, x):
+        assert si(-x) == -si(x)
+
+    @limit_settings
+    @given(x=st.floats(6.0, 1000.0))
+    def test_matches_panel_oracle(self, x):
+        assert abs(si(x) - si_panel_oracle(x)) <= 1e-13
+
+    def test_large_argument_in_one_step(self):
+        # Si(x) = pi/2 - cos(x)/x - sin(x)/x^2 + O(x^-3)
+        for x in (1e6, 1e9, 1e15):
+            want = math.pi / 2 - math.cos(x) / x - math.sin(x) / x**2
+            assert abs(si(x) - want) <= 1e-15 + 2.0 / x**3
+
 
 class TestEdgeProfileX:
     def test_negative_u_is_zero(self):
@@ -166,7 +267,23 @@ class TestEdgeProfileP:
         assert edge_profile_p(-1.0, 0.5, 1.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("v", [0.0, -1.0, -2.0, -5.0])
-    def test_domain_errors(self, v):
+    def test_nonpositive_v_matches_finite_symbol(self, v):
+        # the integral form is continuous in v; at x = 0 the N = 4000 symbol
+        # already agrees to rounding, at x = L/2 the gap closes as O(1/N)
+        mu, L = 1.0, 1.0
+
+        def gap(x0, N):
+            hbar = mu / N
+            p = math.pi * mu / (2 * L) + hbar * math.pi * v / (2 * L)
+            return abs(symbol_projection_box(N, hbar, L, x0, p) - edge_profile_p(x0, v, mu, L))
+
+        assert gap(0.0, 4000) <= 1e-12
+        coarse, fine = gap(0.5, 1000), gap(0.5, 4000)
+        assert fine <= 1e-4
+        assert fine == pytest.approx(coarse / 4, rel=0.05)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_v_raises(self, v):
         with pytest.raises(ValueError):
             edge_profile_p(0.0, v, 1.0, 1.0)
 
@@ -174,7 +291,7 @@ class TestEdgeProfileP:
         # exactly half the plateau at v = 1/2, x = 0 (alternating series);
         # also the finite-N oracle agreement
         mu, L = 1.0, 1.0
-        val = edge_profile_p(0.0, 0.5, mu, L, tol=1e-7)
+        val = edge_profile_p(0.0, 0.5, mu, L)
         assert 0.0 < val < 1.0
         assert val == pytest.approx(0.5, abs=1e-5)
         N = 1000
@@ -186,7 +303,38 @@ class TestEdgeProfileP:
     def test_deep_outside_is_small(self):
         assert abs(edge_profile_p(0.0, 20.0, 1.0, 1.0)) <= 0.1
 
-    def test_tightening_tol_converges(self):
-        coarse = edge_profile_p(0.5, 0.25, 1.0, 1.0, tol=1e-4)
-        fine = edge_profile_p(0.5, 0.25, 1.0, 1.0, tol=1e-8)
-        assert coarse == pytest.approx(fine, abs=2e-4)
+    def test_near_wall_and_far_v_are_finite(self):
+        assert edge_profile_p(0.999, 0.5, 1.0, 1.0) == 0.5
+        for x, v in [(0.999999999, 0.7), (0.0, 1e9), (0.3, -1e9), (0.999999999, 1e12)]:
+            assert math.isfinite(edge_profile_p(x, v, 1.0, 1.0))
+
+    @limit_settings
+    @given(
+        x=st.floats(-0.9, 0.9), v=st.floats(-0.99, 40.0).filter(lambda v: v != 0.0),
+        L=st.floats(0.5, 2.0),
+    )
+    def test_agrees_with_series_oracle(self, x, v, L):
+        assert abs(edge_profile_p(x * L, v, 1.0, L) - edge_p_series_oracle(x * L, v, L)) <= 1e-12
+
+    @limit_settings
+    @given(x=st.floats(-1.0, 1.0), v=st.floats(-1e4, 1e4), L=st.floats(0.5, 2.0))
+    def test_reflection(self, x, v, L):
+        assume(abs(x * L) < L)
+        assert abs(edge_profile_p(x * L, v, 1.0, L) + edge_profile_p(x * L, 1.0 - v, 1.0, L) - 1.0) <= 1e-14
+
+    @limit_settings
+    @given(x=st.floats(-1.0, 1.0), L=st.floats(0.5, 2.0))
+    def test_exactly_half_at_v_half(self, x, L):
+        assume(abs(x * L) < L)
+        assert edge_profile_p(x * L, 0.5, 1.0, L) == 0.5
+
+    @limit_settings
+    @given(x=st.floats(-2.0, 2.0), v=st.floats(-1e4, 1e4))
+    def test_even_in_x(self, x, v):
+        assert edge_profile_p(x, v, 1.0, 1.0) == edge_profile_p(-x, v, 1.0, 1.0)
+
+    @limit_settings
+    @given(c=st.floats(1e-9, math.pi))
+    def test_branches_agree_at_switch(self, c):
+        w = _EDGE_P_SWITCH / c
+        assert abs(0.5 + _edge_p_legendre(c, w) - _edge_p_laguerre(c, w + 0.5)) <= 1e-14
