@@ -40,15 +40,11 @@ from .scale import (
     l2_norm_sq_grid,
 )
 from .truncate import (
-    LatticePath,
     OperatorMatrix,
     box_momentum_matrix,
     box_multiplication_matrix,
-    enumerate_paths,
-    generic_weyl_matrix,
     ladder_matrices,
     matrix_linear_power,
-    path_weight,
 )
 from .weyl import (
     WeylQuadratureSpec,
@@ -68,9 +64,8 @@ __all__ = [
     "WeylQuadratureSpec", "symbol_from_kernel", "symbol_rank_one_box",
     "symbol_projection_box", "symbol_truncated_momentum_box", "rescaled_kernel_f2",
     "FiniteRankOperator", "moyal_via_composition", "moyal_direct",
-    "OperatorMatrix", "LatticePath", "enumerate_paths", "path_weight",
-    "matrix_linear_power", "ladder_matrices", "box_multiplication_matrix",
-    "box_momentum_matrix", "generic_weyl_matrix",
+    "OperatorMatrix", "matrix_linear_power", "ladder_matrices",
+    "box_multiplication_matrix", "box_momentum_matrix",
     "ClassicalRegion", "RegionKind", "indicator", "limit_symbol",
     "bulk_profile_box", "si", "edge_profile_x", "edge_profile_p",
     "hs_norm_sq_symbol", "offdiag_block_norm_sq", "l2_distance_with_tail",

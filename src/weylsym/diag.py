@@ -130,13 +130,16 @@ def angular_integral(n: int, a: float, b: float) -> float:
     return 2.0 * math.pi * (a * a + b * b) ** n * math.comb(2 * n, n) / 4.0**n
 
 
-def box_momentum_tail_norm_sq(N: int, L: float, hbar: float, j_factor: int = 64) -> float:
+_TAIL_CUTOFF = 64
+
+
+def box_momentum_tail_norm_sq(N: int, L: float, hbar: float) -> float:
     """B(N): squared symbol norm of the momentum block coupling levels <= N
-    to levels > N, with the j-sum truncated at j_factor * N (relative
-    truncation error ~ 1 / (3 j_factor log N))."""
+    to levels > N, with the j-sum truncated at _TAIL_CUTOFF * N (relative
+    truncation error ~ 1 / (3 _TAIL_CUTOFF log N))."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    js = np.arange(N + 1, j_factor * N + 1, dtype=float)
+    js = np.arange(N + 1, _TAIL_CUTOFF * N + 1, dtype=float)
     total = 0.0
     for k in range(1, N + 1):
         c = box_momentum_entry(js, float(k), L, hbar)

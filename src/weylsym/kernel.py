@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import EigenBasis, Model
+from .scale import _point_arrays
 
 __all__ = [
     "EvalMode",
@@ -25,8 +26,8 @@ __all__ = [
     "truncated_operator_kernel",
 ]
 
-# Below this, sin(x/2) loses enough digits that the cosine-sum / Taylor
-# fallbacks are used instead of the quotient forms.
+# Below this, sin(x/2) loses enough digits that the Dirichlet kernel is
+# summed as cosines instead of taken as the quotient.
 _SINGULAR_EPS = 1e-8
 
 
@@ -72,28 +73,23 @@ def dirichlet_kernel(N: int, x) -> np.ndarray | float:
 
 
 def sine_kernel(x) -> np.ndarray | float:
-    """S(x) = sin(x/2) / (x/2) with S(0) = 1; 4-term Taylor below |x| = 1e-4."""
+    """S(x) = sin(x/2) / (x/2) with S(0) = 1."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     h = 0.5 * x_arr
-    small = np.abs(x_arr) < 1e-4
-    safe = np.where(small, 1.0, h)
-    h2 = h * h
-    taylor = 1.0 - h2 / 6.0 + h2 * h2 / 120.0 - h2 * h2 * h2 / 5040.0
-    out = np.where(small, taylor, np.sin(safe) / safe)
+    zero = h == 0
+    safe = np.where(zero, 1.0, h)
+    out = np.where(zero, 1.0, np.sin(safe) / safe)
     return out if np.ndim(x) else float(out[0])
 
 
 def projection_kernel(eval: KernelEval, x, y) -> np.ndarray | float:
     """Kernel of the rank-N projection at (x, y); broadcasts over arrays."""
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    x_arr, y_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    )
+    x_arr, y_arr, unwrap = _point_arrays(x, y)
     if eval.mode is EvalMode.CLOSED_FORM:
         out = _box_kernel_closed(eval.n_levels, eval.basis.L, x_arr, y_arr)
     else:
         out = _kernel_sum(eval.basis, eval.n_levels, x_arr, y_arr)
-    return float(out.ravel()[0]) if scalar else out
+    return unwrap(out)
 
 
 def _box_kernel_closed(N: int, L: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -120,12 +116,9 @@ def truncated_operator_kernel(matrix, basis: EigenBasis, x, y) -> np.ndarray | c
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("coefficient matrix must be square")
     N = entries.shape[0]
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    x_arr, y_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    )
+    x_arr, y_arr, unwrap = _point_arrays(x, y)
     shape = x_arr.shape
     ux = basis.wavefunctions(N, x_arr.ravel())
     uy = basis.wavefunctions(N, y_arr.ravel())
     out = np.einsum("jq,jk,kq->q", ux, entries, uy).reshape(shape)
-    return complex(out.ravel()[0]) if scalar else out
+    return unwrap(out)

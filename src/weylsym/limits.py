@@ -173,10 +173,7 @@ def si(x: float) -> float:
 
 def _sin2z_over_z(z: float) -> float:
     """sin(2z)/z with limit 2 at z = 0."""
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 2.0 - (4.0 / 3.0) * z2 + (4.0 / 15.0) * z2 * z2
-    return math.sin(2.0 * z) / z
+    return 2.0 if z == 0 else math.sin(2.0 * z) / z
 
 
 def edge_profile_x(u: float, p: float, mu: float, L: float) -> float:

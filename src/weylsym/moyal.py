@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis, Model
-from .scale import SymbolField
+from .kernel import truncated_operator_kernel
+from .scale import SymbolField, _point_arrays
 from .truncate import MAX_DIMENSION
 from .weyl import (
     CoverageWarning,
@@ -65,22 +66,22 @@ def operator_symbol_complex(basis: EigenBasis, coeff: np.ndarray, hbar: float, x
     """
     N = coeff.shape[0]
     if basis.model is Model.BOX:
-        scalar = np.ndim(x) == 0 and np.ndim(p) == 0
-        total = np.zeros(np.broadcast(np.asarray(x), np.asarray(p)).shape, dtype=complex)
+        x_arr, _, unwrap = _point_arrays(x, p)
+        total = np.zeros(x_arr.shape, dtype=complex)
         for j in range(1, N + 1):
             for k in range(1, N + 1):
                 c = coeff[j - 1, k - 1]
                 if c != 0:
+                    # x and p as given: at a scalar point the term stays a
+                    # scalar, whose complex product rounds unlike numpy's
+                    # array loop
                     total = total + c * symbol_rank_one_box_complex(j, k, hbar, basis.L, x, p)
-        return complex(total[()]) if scalar else total
-
-    def kernel(xa, ya):
-        ux = basis.wavefunctions(N, xa)
-        uy = basis.wavefunctions(N, ya)
-        return np.einsum("jq,jk,kq->q", ux, coeff, uy)
+        return unwrap(total)
 
     spec = oscillator_quadrature_spec(hbar, N, p)
-    return symbol_from_kernel_complex(kernel, hbar, spec, x, p)
+    return symbol_from_kernel_complex(
+        lambda xa, ya: truncated_operator_kernel(coeff, basis, xa, ya), hbar, spec, x, p
+    )
 
 
 def moyal_via_composition_complex(

@@ -25,6 +25,20 @@ __all__ = [
     "worker_count",
 ]
 
+
+def _point_arrays(x, y):
+    """Broadcast float arrays (at least 1-d) of two point coordinates, and the
+    function that hands a result on them back in the caller's form: the
+    single element (float or complex, from the dtype) when both coordinates
+    were scalars, else the array."""
+    x_arr, y_arr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    )
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return x_arr, y_arr, lambda out: out.item()
+    return x_arr, y_arr, lambda out: out
+
+
 def worker_count() -> int:
     """Worker-thread cap from the WEYL_THREADS environment variable (>= 1)."""
     raw = os.environ.get("WEYL_THREADS")

@@ -5,11 +5,6 @@ over a Gauss-Legendre rule; the box model additionally has closed forms for
 rank-one symbols, the projection symbol and the truncated momentum symbol,
 built from singularity-safe sin(A d)/d quotients, and the oscillator
 projection symbol has Groenewold's Laguerre closed form.
-
-Every sin(A d)/d factor is evaluated through a 4-term Taylor sinc once
-|d| < 1e-8 max(1, A): the resonances d -> 0 land exactly on natural grid
-choices (p = hbar pi k / 2L), so the fallback is load-bearing, not corner
-polish.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ import numpy as np
 
 from .basis import Model, gauss_legendre
 from .kernel import KernelEval, projection_kernel
-from .scale import PhaseGrid, SymbolField, worker_count
+from .scale import PhaseGrid, SymbolField, _point_arrays, worker_count
 
 __all__ = [
     "WeylQuadratureSpec",
@@ -145,19 +140,17 @@ def symbol_from_kernel(
 
 
 def _sin_ratio(amplitude, d):
-    """sin(A d) / d, with the 4-term Taylor sinc inside |d| < 1e-8 max(1, A).
+    """sin(A d) / d, and A at d = 0; amplitude and d broadcast, amplitude >= 0.
 
-    amplitude and d broadcast; amplitude >= 0.
+    The quotient is well conditioned at every nonzero float d, so only the
+    removable point needs its limit.  Resonances d = 0 land exactly on
+    natural grid choices (p = hbar pi k / 2L).
     """
     A = np.asarray(amplitude, dtype=float)
     d = np.asarray(d, dtype=float)
-    thresh = 1e-8 * np.maximum(1.0, A)
-    small = np.abs(d) < thresh
-    safe = np.where(small, 1.0, d)
-    direct = np.sin(A * safe) / safe
-    z2 = (A * d) ** 2
-    taylor = A * (1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0)
-    return np.where(small, taylor, direct)
+    zero = d == 0
+    safe = np.where(zero, 1.0, d)
+    return np.where(zero, A, np.sin(A * safe) / safe)
 
 
 def symbol_rank_one_box_complex(
@@ -170,10 +163,7 @@ def symbol_rank_one_box_complex(
     """
     if j < 1 or k < 1:
         raise ValueError("levels are 1-based")
-    scalar = np.ndim(x) == 0 and np.ndim(p) == 0
-    x_arr, p_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float))
-    )
+    x_arr, p_arr, unwrap = _point_arrays(x, p)
     A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
     out = np.zeros(x_arr.shape, dtype=complex)
     for eps1 in (1, -1):
@@ -183,7 +173,7 @@ def symbol_rank_one_box_complex(
             out += eps1 * np.exp(-1j * eps2 * phase) * _sin_ratio(A, gamma + eps2 * p_arr)
     out *= hbar / (2.0 * L)
     out[np.abs(x_arr) > L] = 0.0
-    return complex(out.ravel()[0]) if scalar else out
+    return unwrap(out)
 
 
 def symbol_rank_one_box(j: int, k: int, hbar: float, L: float, x, p) -> np.ndarray | float:
@@ -215,12 +205,9 @@ def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | f
     """Closed-form symbol of the rank-N box projection; 0 for |x| > L."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    scalar = np.ndim(x) == 0 and np.ndim(p) == 0
-    x_arr, p_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float))
-    )
+    x_arr, p_arr, unwrap = _point_arrays(x, p)
     out = _projection_symbol_values(N, hbar, L, x_arr, p_arr)
-    return float(out.ravel()[0]) if scalar else out
+    return unwrap(out)
 
 
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
@@ -232,10 +219,7 @@ def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.nda
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    scalar = np.ndim(x) == 0 and np.ndim(p) == 0
-    x_arr, p_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float))
-    )
+    x_arr, p_arr, unwrap = _point_arrays(x, p)
     A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
     tot = np.zeros(np.broadcast(x_arr, p_arr).shape)
     for jj in range(2, N + 1):
@@ -253,7 +237,7 @@ def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.nda
             tot = tot - c_im * bracket
     tot = tot * (hbar / (2.0 * L)) * 2.0
     out = np.where(np.abs(x_arr) > L, 0.0, tot)
-    return float(out.ravel()[0]) if scalar else out
+    return unwrap(out)
 
 
 def rescaled_kernel_f2(eval: KernelEval, hbar: float, x, y) -> np.ndarray | float:
@@ -276,10 +260,7 @@ def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | floa
         raise ValueError("N must be >= 1")
     if not hbar > 0:
         raise ValueError("hbar must be positive")
-    scalar = np.ndim(x) == 0 and np.ndim(p) == 0
-    x_arr, p_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(p, dtype=float))
-    )
+    x_arr, p_arr, unwrap = _point_arrays(x, p)
     # beyond z = 1e9 the symbol is below the smallest subnormal for any
     # N < 10^7; the cap keeps the carried exponent a finite integer
     with np.errstate(over="ignore"):
@@ -300,7 +281,7 @@ def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | floa
         total = total + m2 if n % 2 else total - m2
         expo = expo + shift
     out = 2.0 * np.ldexp(total, expo)
-    return float(out.ravel()[0]) if scalar else out
+    return unwrap(out)
 
 
 def _field_rows(N: int, hbar: float, L: float, xs: np.ndarray, ps: np.ndarray, fn) -> np.ndarray:

@@ -1,0 +1,25 @@
+"""Smoke test of the benchmark harness: one traced osc pass runs cleanly."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_osc_pass_runs(tmp_path):
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("WEYL_THREADS", None)  # the tracer assumes one thread
+    cmd = [sys.executable, str(ROOT / "perfbench" / "passrun.py"), "--workload", "osc",
+           "--seed", "0", "--t0", "0", "--record", str(record), "--trace"]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    assert Path(rec["weylsym_file"]).is_relative_to(ROOT / "src")
+    assert rec["wrapped_names"] > 0
+    assert rec["spans"]
+    assert rec["ops"]
+    assert [op["name"] for op in rec["ops"] if op["error"] is not None] == []

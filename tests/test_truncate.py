@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from weylsym.basis import (
-    EigenBasis,
-    Model,
     box_wavefunctions,
     gauss_legendre,
     hermite_wavefunctions,
@@ -15,18 +13,13 @@ from weylsym.basis import (
 )
 from weylsym.scale import SemiclassicalScale
 from weylsym.truncate import (
-    LatticePath,
-    MatrixQuadratureSpec,
     OperatorMatrix,
     box_momentum_entry,
     box_momentum_matrix,
     box_multiplication_matrix,
-    enumerate_paths,
-    generic_weyl_matrix,
     ladder_matrices,
     matrix_linear_power,
     matrix_to_json,
-    path_weight,
 )
 
 
@@ -72,107 +65,6 @@ def path_sum_matrix(a, b, n, hbar, N):
     return M
 
 
-def brute_force_path_count(n, k, l):
-    cnt = 0
-    for steps in itertools.product((1, -1), repeat=n):
-        pos, ok = k, True
-        for s in steps:
-            pos += s
-            if pos < 1:
-                ok = False
-                break
-        if ok and pos == l:
-            cnt += 1
-    return cnt
-
-
-class TestEnumeratePaths:
-    def test_unreachable_is_empty(self):
-        assert enumerate_paths(3, 2, 7) == []
-        assert enumerate_paths(2, 9, 2) == []
-
-    def test_zero_steps(self):
-        paths = enumerate_paths(0, 4, 4)
-        assert len(paths) == 1
-        assert paths[0].steps == ()
-
-    def test_interior_count_is_central_binomial(self):
-        # n-step counts away from the boundary: binom(n, (n + l - k)/2);
-        # the displacement-indexed form binom(n, l - k) printed alongside the
-        # path definition contradicts it and is corrected here (see the
-        # squared-count identity sum_j binom(n, j)^2 = binom(2n, n) that the
-        # norm computation relies on).
-        assert len(enumerate_paths(4, 10, 12)) == math.comb(4, 3) == 4
-        for (n, k, l) in [(2, 6, 6), (5, 9, 10), (6, 8, 4), (3, 20, 23)]:
-            got = len(enumerate_paths(n, k, l))
-            assert got == brute_force_path_count(n, k, l)
-            if (n + l - k) % 2 == 0:
-                assert got == math.comb(n, (n + l - k) // 2)
-
-    def test_boundary_exclusion(self):
-        # paths from 1 dipping to 0 are excluded
-        assert len(enumerate_paths(2, 1, 1)) == brute_force_path_count(2, 1, 1) == 1
-        for path in enumerate_paths(4, 1, 1):
-            assert all(min(a, b) >= 1 for (a, b) in path.steps)
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_paths(25, 1, 1)
-
-    def test_squared_counts_sum_to_central_binomial(self):
-        # sum over l of count^2 = binom(2n, n), the identity the limit norm uses
-        for n in (2, 3, 4):
-            k = 50
-            total = sum(len(enumerate_paths(n, k, l)) ** 2 for l in range(k - n, k + n + 1))
-            assert total == math.comb(2 * n, n)
-
-
-class TestPathWeight:
-    def test_single_up_step_literal(self):
-        for k in (1, 4, 9):
-            path = LatticePath(steps=((k, k + 1),))
-            w = path_weight(path, 0.0, 1.0, convention="literal")
-            assert w == pytest.approx(1j * math.sqrt(k + 1))
-
-    def test_single_up_step_ladder_matches_matrix(self):
-        scale = SemiclassicalScale.from_hbar(8, 1.0)
-        _, P = ladder_matrices(scale, 8)
-        for k in (1, 4, 7):
-            path = LatticePath(steps=((k, k + 1),))
-            w = path_weight(path, 0.0, 1.0, convention="ladder")
-            # (hbar/2)^(1/2) w = <u_{k+1}|p|u_k>
-            assert math.sqrt(0.5) * w == pytest.approx(P.entries[k, k - 1])
-
-    def test_real_line_case_positive(self):
-        path = LatticePath(steps=((3, 4), (4, 5), (5, 4)))
-        w = path_weight(path, 1.0, 0.0)
-        assert w.imag == 0.0
-        assert w.real > 0
-
-    def test_round_trip_literal(self):
-        k = 6
-        path = LatticePath(steps=((k, k + 1), (k + 1, k)))
-        w = path_weight(path, 1.0, 1.0, convention="literal")
-        assert w == pytest.approx(2.0 * (k + 1))
-
-    def test_round_trip_ladder(self):
-        k = 6
-        path = LatticePath(steps=((k, k + 1), (k + 1, k)))
-        assert path_weight(path, 1.0, 1.0, convention="ladder") == pytest.approx(2.0 * k)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            path_weight(LatticePath(steps=()), 1.0, 0.0, convention="max")
-
-    def test_invalid_paths_rejected(self):
-        with pytest.raises(ValueError):
-            LatticePath(steps=((2, 4),))
-        with pytest.raises(ValueError):
-            LatticePath(steps=((2, 3), (4, 5)))
-        with pytest.raises(ValueError):
-            LatticePath(steps=((1, 0),))
-
-
 class TestLadderMatrices:
     def test_position_element_pins_convention(self):
         # quadrature oracle: <u_2| x |u_1> = sqrt(hbar / 2), fixing the
@@ -199,6 +91,19 @@ class TestLadderMatrices:
             got = float(np.sum(ws * xs * U[k - 1] * U[k]))
             assert got == pytest.approx(math.sqrt(hbar * k / 2.0), abs=1e-10)
             assert Xm.entries[k, k - 1].real == pytest.approx(got, abs=1e-10)
+
+    def test_momentum_elements_match_derivative_quadrature(self):
+        # P[k, k-1] = <u_{k+1}| p |u_k> = -i hbar int u_{k+1} u_k' dx, with
+        # u_k' by central differences of the eigenfunctions
+        hbar, kmax, h = 0.5, 10, 1e-5
+        X = oscillator_support_halfwidth(hbar, kmax)
+        xs, ws = gauss_legendre(400, -X, X)
+        U = hermite_wavefunctions(kmax, hbar, xs)
+        dU = (hermite_wavefunctions(kmax, hbar, xs + h) - hermite_wavefunctions(kmax, hbar, xs - h)) / (2 * h)
+        _, P = ladder_matrices(SemiclassicalScale.from_hbar(kmax, hbar), kmax)
+        for k in range(1, kmax):
+            want = -1j * hbar * float(np.sum(ws * U[k] * dU[k - 1]))
+            assert P.entries[k, k - 1] == pytest.approx(want, abs=1e-8)
 
     def test_structure(self):
         scale = SemiclassicalScale.from_mu(6, 1.0)
@@ -252,20 +157,6 @@ class TestMatrixLinearPower:
         want = np.linalg.matrix_power(a * X.entries + b * P.entries, n)[:N, :N]
         got = matrix_linear_power(a, b, n, scale, N).entries
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
-
-    def test_matches_explicit_path_enumeration(self):
-        # the vectorized path sum equals the literal enumerate + weight route
-        scale = SemiclassicalScale.from_hbar(7, 0.5)
-        a, b, n = 0.7, -1.3, 4
-        M = matrix_linear_power(a, b, n, scale, 7).entries
-        pref = (scale.hbar / 2.0) ** (n / 2.0)
-        for k in range(1, 8):
-            for l in range(1, 8):
-                tot = sum(
-                    path_weight(p, a, b, convention="ladder")
-                    for p in enumerate_paths(n, k, l)
-                )
-                assert M[l - 1, k - 1] == pytest.approx(pref * tot, abs=1e-13)
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_sign_sequence_path_sums(self, n):
@@ -360,46 +251,6 @@ class TestBoxMomentumMatrix:
         vals = box_momentum_entry(js[:, None], js[None, :], 1.0, 1.0)
         assert vals.shape == (4, 4)
         assert vals[0, 1] == pytest.approx(4.0j / 3.0)
-
-
-class TestGenericWeylMatrix:
-    def test_constant_one_is_identity_oscillator(self):
-        basis = EigenBasis(model=Model.OSCILLATOR, hbar=0.5)
-        M = generic_weyl_matrix(lambda x, p: np.ones_like(x), basis, 5, 0.5, p_dependent=False)
-        np.testing.assert_allclose(M.entries, np.eye(5), atol=1e-8)
-
-    def test_constant_one_is_identity_box(self):
-        basis = EigenBasis(model=Model.BOX, hbar=1.0, box_half_width=1.0)
-        M = generic_weyl_matrix(lambda x, p: np.ones_like(x), basis, 5, 1.0, p_dependent=False)
-        np.testing.assert_allclose(M.entries, np.eye(5), atol=1e-8)
-
-    def test_momentum_function_matches_ladder(self):
-        hbar = 0.5
-        basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
-        N = 5
-        M = generic_weyl_matrix(
-            lambda x, p: p * np.ones_like(x), basis, N, hbar,
-            MatrixQuadratureSpec(n_position=128, n_momentum=128, n_transform=1024),
-        )
-        _, P = ladder_matrices(SemiclassicalScale.from_hbar(N, hbar), N)
-        np.testing.assert_allclose(M.entries, P.entries, atol=1e-8)
-
-    def test_position_squared_box(self):
-        # p-independent: generic route vs an independent position quadrature
-        # at a different node count
-        L, hbar, N = 1.0, 0.25, 4
-        basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
-        M = generic_weyl_matrix(lambda x, p: x**2, basis, N, hbar, p_dependent=False)
-        xs, ws = gauss_legendre(487, -L, L)
-        U = box_wavefunctions(N, L, xs)
-        want = np.einsum("q,q,jq,kq->jk", ws, xs**2, U, U)
-        np.testing.assert_allclose(M.entries.real, want, atol=1e-10)
-        np.testing.assert_allclose(M.entries, M.entries.conj().T, atol=1e-14)
-
-    def test_box_p_dependent_refused(self):
-        basis = EigenBasis(model=Model.BOX, hbar=1.0, box_half_width=1.0)
-        with pytest.raises(ValueError):
-            generic_weyl_matrix(lambda x, p: p, basis, 3, 1.0, p_dependent=True)
 
 
 class TestOperatorMatrix:

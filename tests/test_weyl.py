@@ -10,6 +10,7 @@ from weylsym.kernel import EvalMode, KernelEval, dirichlet_kernel
 from weylsym.scale import PhaseGrid, pairwise_sum
 from weylsym.weyl import (
     CoverageWarning,
+    _sin_ratio,
     WeylQuadratureSpec,
     box_quadrature_spec,
     momentum_symbol_field,
@@ -178,6 +179,38 @@ class TestProjectionSymbolBox:
         assert abs(float(np.mean(fld.values[np.broadcast_to(interior, fld.values.shape)])) - 1.0) < 0.05
         assert float(np.max(fld.values)) > 1.05  # Gibbs overshoot
         assert float(np.max(np.abs(fld.values[np.broadcast_to(exterior, fld.values.shape)]))) < 0.35
+
+
+def taylor_sin_ratio(A, d):
+    """4-term Taylor series of sin(A d) / d, exact to rounding for |A d| < 1e-3."""
+    z2 = (A * d) ** 2
+    return A * (1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0)
+
+
+class TestSinRatio:
+    def test_removable_point(self):
+        assert _sin_ratio(3.5, 0.0) == 3.5
+        np.testing.assert_array_equal(_sin_ratio(np.array([0.0, 2.0]), 0.0), [0.0, 2.0])
+
+    @pytest.mark.parametrize("N", [8000, 12000, 16000])
+    def test_plateau_at_large_amplitude(self, N):
+        # A = 2 (L - |x|) / hbar = 2N: the resonance quotients here have
+        # |d| < 1e-8 A but A d far beyond the range of a Taylor sinc
+        assert symbol_projection_box(N, 1.0 / N, 1.0, 0.0, 0.5) == pytest.approx(1.0, abs=1e-3)
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(
+        A=st.floats(1e-2, 1e6),
+        log_d=st.floats(-18.0, 1.0),
+        sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_matches_taylor_and_direct_quotient(self, A, log_d, sign):
+        d = sign * 10.0**log_d
+        got = float(_sin_ratio(A, d))
+        if abs(A * d) < 1e-3:
+            assert got == pytest.approx(taylor_sin_ratio(A, d), rel=1e-15, abs=0.0)
+        else:
+            assert got == pytest.approx(math.sin(A * d) / d, rel=1e-15, abs=0.0)
 
 
 class TestMomentumSymbolBox:
