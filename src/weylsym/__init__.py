@@ -14,10 +14,11 @@ from .diag import (
     SweepConfig,
     SweepReport,
     angular_integral,
+    box_projection_distance_sq,
     catalan_limit_value,
     hs_norm_sq_symbol,
-    l2_distance_with_tail,
     offdiag_block_norm_sq,
+    oscillator_disk_distance_sq,
     run_sweep,
 )
 from .kernel import EvalMode, KernelEval, dirichlet_kernel, projection_kernel, sine_kernel
@@ -68,6 +69,7 @@ __all__ = [
     "box_multiplication_matrix", "box_momentum_matrix",
     "ClassicalRegion", "RegionKind", "indicator", "limit_symbol",
     "bulk_profile_box", "si", "edge_profile_x", "edge_profile_p",
-    "hs_norm_sq_symbol", "offdiag_block_norm_sq", "l2_distance_with_tail",
+    "hs_norm_sq_symbol", "offdiag_block_norm_sq",
+    "box_projection_distance_sq", "oscillator_disk_distance_sq",
     "catalan_limit_value", "angular_integral", "SweepConfig", "SweepReport", "run_sweep",
 ]

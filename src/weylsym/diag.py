@@ -1,32 +1,31 @@
 """Norm and convergence diagnostics for the semiclassical limits.
 
-Absolute symbol norms always go through the trace identity (exact, no grid);
-grids only enter distances to compactly supported targets, where the
-outside-window symbol mass is restored through the tail trick.  A registry
-of named experiments drives the N-sweeps behind the acceptance criteria.
+Absolute symbol norms always go through the trace identity (exact, no grid).
+The L2 distances of the projection symbols to the indicators of their
+classical regions are the trace identity plus a 1-D integral on composite
+Gauss-Legendre panels: the momentum density for the box, the radial profile
+for the oscillator.  No phase grid enters them.  A registry of named
+experiments drives the N-sweeps behind the acceptance criteria.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import EigenBasis, Model
+from .basis import EigenBasis, Model, _leggauss
 from .kernel import EvalMode, KernelEval
 from .limits import (
-    ClassicalRegion,
     bulk_profile_box,
     bulk_sup_constant,
     edge_profile_p,
     edge_profile_x,
-    indicator,
 )
 from .moyal import moyal_direct
-from .scale import PhaseGrid, SemiclassicalScale, SymbolField, pairwise_sum
+from .scale import PhaseGrid, SemiclassicalScale, pairwise_sum
 from .truncate import (
     OperatorMatrix,
     box_momentum_entry,
@@ -34,6 +33,7 @@ from .truncate import (
     matrix_linear_power,
 )
 from .weyl import (
+    _sin_ratio,
     projection_symbol_field,
     rescaled_kernel_f2,
     symbol_oscillator_projection,
@@ -41,10 +41,10 @@ from .weyl import (
 )
 
 __all__ = [
-    "TailDeficitWarning",
     "hs_norm_sq_symbol",
     "offdiag_block_norm_sq",
-    "l2_distance_with_tail",
+    "box_projection_distance_sq",
+    "oscillator_disk_distance_sq",
     "catalan_limit_value",
     "angular_integral",
     "box_momentum_tail_norm_sq",
@@ -57,12 +57,12 @@ __all__ = [
     "run_sweep",
 ]
 
-# Largest N * nx * np a single sweep row may request.
+# Largest N * (points per N: grid cells or quadrature nodes) a sweep row may
+# request.
 _BUDGET = 2_000_000_000
 
-
-class TailDeficitWarning(UserWarning):
-    """Windowed mass exceeds the exact total norm by more than quadrature noise."""
+# Gauss-Legendre nodes per panel of the distance integrals.
+_PANEL_NODES = 8
 
 
 def hs_norm_sq_symbol(matrix: OperatorMatrix, hbar: float) -> float:
@@ -83,35 +83,77 @@ def offdiag_block_norm_sq(padded: OperatorMatrix, N: int, hbar: float) -> float:
     return 2.0 * math.pi * hbar * pairwise_sum(np.abs(block) ** 2)
 
 
-def l2_distance_with_tail(field: SymbolField, target, matrix: OperatorMatrix, hbar: float) -> float:
-    """Global squared L2 distance from the sampled symbol to a compactly
-    supported target: windowed distance plus the symbol mass outside the
-    window, recovered exactly from the trace identity.
+def _panel_rule(h: float, j0: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of _PANEL_NODES-point Gauss-Legendre on each of the
+    m panels [j h, (j + 1) h], j = j0 .. j0 + m - 1."""
+    t, w = _leggauss(_PANEL_NODES)
+    left = h * np.arange(j0, j0 + m, dtype=float)
+    nodes = (left[:, None] + 0.5 * h * (t[None, :] + 1.0)).ravel()
+    return nodes, np.tile(0.5 * h * w, m)
 
-    `target` is a broadcastable callable (x, p) -> values, supported strictly
-    inside the grid window (checked on the outermost cell ring).
+
+def _check_levels(N: int, hbar: float) -> None:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not hbar > 0:
+        raise ValueError("hbar must be positive")
+
+
+def box_projection_distance_sq(N: int, hbar: float, L: float) -> float:
+    """Squared L2 distance, over the whole phase plane, from the rank-N box
+    projection symbol to the indicator of |x| <= L, |p| <= P = pi hbar N / 2L.
+
+    Both have squared norm 2 pi mu (mu = hbar N): the symbol by the trace
+    identity, the indicator as the rectangle's area.  The symbol vanishes
+    for |x| > L, so its integral over x is the momentum density
+    sum_k |u^_k(p / hbar)|^2, where u^_k(w) = int u_k(x) e^{-iwx} dx is the
+    Fourier transform of the sine mode u_k.  Hence
+
+        d^2 = 4 pi mu - 2 hbar int_{-c}^{c} sum_{k<=N} |u^_k(w)|^2 dw,
+
+    with c = P / hbar = pi N / 2L and, for s(d) = sin(L d) / d and
+    kappa_k = k pi / 2L, |u^_k(w)|^2 = (s(kappa_k - w) - (-1)^k s(kappa_k + w))^2 / L.
+    The integrand is entire and turns by half a period per resonance
+    interval [j pi / 2L, (j + 1) pi / 2L], j = -N .. N - 1; 8 Gauss-Legendre
+    nodes on each interval give it to rounding.  O(N^2) work, O(N) memory.
     """
-    g = field.grid
-    x, p = g.meshgrid()
-    tvals = np.broadcast_to(np.asarray(target(x, p), dtype=float), (g.nx, g.np))
-    ring = np.zeros((g.nx, g.np), dtype=bool)
-    ring[0, :] = ring[-1, :] = True
-    ring[:, 0] = ring[:, -1] = True
-    if np.any(tvals[ring] != 0.0):
-        raise ValueError("target support exceeds window")
+    _check_levels(N, hbar)
+    if not L > 0:
+        raise ValueError("L must be positive")
+    h = math.pi / (2.0 * L)
+    w, wt = _panel_rule(h, -N, 2 * N)
+    density = np.zeros(w.size)
+    for k in range(1, N + 1):
+        kappa = k * h
+        f = _sin_ratio(L, kappa - w) - (-1) ** k * _sin_ratio(L, kappa + w)
+        density += f * f
+    cross = hbar * float(np.sum(wt * density)) / L
+    return 4.0 * math.pi * hbar * N - 2.0 * cross
 
-    cell = g.dx * g.dp
-    windowed_dist = pairwise_sum((field.values - tvals) ** 2) * cell
-    windowed_mass = pairwise_sum(field.values**2) * cell
-    total = hs_norm_sq_symbol(matrix, hbar)
-    tail = total - windowed_mass
-    if tail < -1e-3 * total:
-        warnings.warn(
-            f"windowed mass {windowed_mass:g} exceeds the exact norm {total:g}; "
-            "window or grid is inconsistent with the matrix",
-            TailDeficitWarning,
-        )
-    return windowed_dist + max(tail, 0.0)
+
+def oscillator_disk_distance_sq(N: int, hbar: float) -> float:
+    """Squared L2 distance, over the whole phase plane, from the rank-N
+    oscillator projection symbol to the indicator of the disk
+    x^2 + p^2 <= 2 mu (mu = hbar N).
+
+    Both have squared norm 2 pi mu, and the symbol is radial, so
+
+        d^2 = 4 pi mu - 4 pi int_0^R sigma_N(r) r dr,  R = sqrt(2 mu),
+
+    which is 4 pi mu - pi hbar int_0^{4N} sigma_N dz in the Laguerre variable
+    z = 2 r^2 / hbar.  The ripples of sigma_N keep a nearly constant
+    wavelength in r (in z it shrinks like sqrt(z) toward the origin), so the
+    rule is 8 Gauss-Legendre nodes on each of N + 2 equal panels in r, under
+    two thirds of a ripple each; the two extra panels resolve the Gaussian
+    of small N.  Doubling the panels moves d^2 by ~1e-14.  One broadcasting
+    symbol evaluation: O(N^2) work, O(N) memory.
+    """
+    _check_levels(N, hbar)
+    mu = hbar * N
+    radius = math.sqrt(2.0 * mu)
+    r, wt = _panel_rule(radius / (N + 2), 0, N + 2)
+    sigma = symbol_oscillator_projection(N, hbar, r, 0.0)
+    return 4.0 * math.pi * mu - 4.0 * math.pi * float(np.sum(wt * sigma * r))
 
 
 def catalan_limit_value(n: int, a: float, b: float, mu: float) -> float:
@@ -251,40 +293,77 @@ def _threshold_verdict(name: str, value: float, bound: float) -> Verdict:
     )
 
 
-def _check_budget(config: SweepConfig, nx: int, npts: int) -> None:
-    if max(config.n_levels) * nx * npts > _BUDGET:
-        raise ValueError("resource guard exceeded (N * grid budget)")
+def _check_budget(N: int, points: int) -> None:
+    if N * points > _BUDGET:
+        raise ValueError(f"resource guard exceeded (N * points budget) at N = {N}")
 
 
-def _chi_rectangle(mu: float, L: float):
-    region = ClassicalRegion.rectangle(mu, L)
-    return lambda x, p: np.asarray(indicator(region, x, p), dtype=float)
+def _ratio_band_verdict(name: str, n_levels, values: list[float], band) -> Verdict:
+    """Every ratio of successive values, taken per doubling of N as
+    (v2 / v1)^(log 2 / log(N2 / N1)), lies in [lo, hi]."""
+    lo, hi = band
+    ratios = [
+        (v2 / v1) ** (math.log(2.0) / math.log(n2 / n1))
+        for n1, n2, v1, v2 in zip(n_levels, n_levels[1:], values, values[1:])
+    ]
+    return Verdict(
+        name=name,
+        passed=all(lo <= r <= hi for r in ratios),
+        detail="ratios " + ", ".join(f"{r:.4f}" for r in ratios) + f" in [{lo:g}, {hi:g}]",
+    )
 
 
-def _identity_matrix(N: int) -> OperatorMatrix:
-    return OperatorMatrix(entries=np.eye(N, dtype=complex), basis=None)
+# Bands for the per-doubling ratio of d^2.  d^2 / mu depends on N alone (the
+# symbol is a fixed function of x / L and p / P at each N), so neither mu nor
+# L can move a ratio.
+# - Box: the ratio falls toward 1/2 from above (a rate of order log(N) / N):
+#   0.581 from N = 5 to 10, then 0.566, 0.556, 0.549 up to N = 80, and 0.534
+#   from 1280 to 2560.  The band is that limit and 0.6, above the largest.
+# - Oscillator: the Airy edge layer of width hbar^(2/3) gives d^2 ~ N^(-2/3),
+#   whose ratio 2^(-2/3) = 0.630 is approached from above: 0.645 from N = 5
+#   to 10, then 0.639, 0.636, 0.633 up to N = 80, and 0.6303 from 1280 to
+#   2560.  The band is that limit less 0.01, and 0.66.
+_BOX_L2_RATIO_BAND = (0.5, 0.6)
+_OSC_L2_RATIO_BAND = (0.62, 0.66)
 
 
-def _sweep_box_projection_l2(config: SweepConfig) -> SweepReport:
-    mu, L = config.mu, config.L
-    window = config.window or (-1.5 * L, 1.5 * L, -3.0, 3.0)
-    nx, npts = config.grid_shape or (800, 800)
-    _check_budget(config, nx, npts)
-    grid = PhaseGrid(window[0], window[1], window[2], window[3], nx, npts)
-    target = _chi_rectangle(mu, L)
+def _l2_sweep(
+    config: SweepConfig, distance, nodes_per_level: int, band
+) -> tuple[tuple[SweepRow, ...], tuple[Verdict, ...]]:
+    """distance_sq rows for every N and the three verdicts on them; refuses
+    before any quadrature if the largest N exceeds the budget."""
+    N_max = max(config.n_levels)
+    _check_budget(N_max, nodes_per_level * N_max)
     rows = []
     for N in config.n_levels:
-        hbar = mu / N
-        fld = projection_symbol_field(N, hbar, L, grid)
-        d2 = l2_distance_with_tail(fld, target, _identity_matrix(N), hbar)
-        rows.append(SweepRow(N=N, hbar=hbar, metric="distance_sq", value=d2))
+        hbar = config.mu / N
+        rows.append(SweepRow(N=N, hbar=hbar, metric="distance_sq", value=distance(N, hbar)))
     vals = [r.value for r in rows]
-    bound = config.threshold if config.threshold is not None else 0.35 * 2.0 * math.pi * mu
+    bound = config.threshold if config.threshold is not None else 0.35 * 2.0 * math.pi * config.mu
     verdicts = (
         _decrease_verdict("distance-decreasing", vals),
         _threshold_verdict("final-below-threshold", vals[-1], bound),
+        _ratio_band_verdict("ratio-band", config.n_levels, vals, band),
     )
-    return SweepReport("box-projection-l2", mu, "box", "projection", tuple(rows), verdicts)
+    return tuple(rows), verdicts
+
+
+def _sweep_box_projection_l2(config: SweepConfig) -> SweepReport:
+    L = config.L
+    rows, verdicts = _l2_sweep(
+        config,
+        lambda N, hbar: box_projection_distance_sq(N, hbar, L),
+        2 * _PANEL_NODES,
+        _BOX_L2_RATIO_BAND,
+    )
+    return SweepReport("box-projection-l2", config.mu, "box", "projection", rows, verdicts)
+
+
+def _sweep_osc_disk_l2(config: SweepConfig) -> SweepReport:
+    rows, verdicts = _l2_sweep(
+        config, oscillator_disk_distance_sq, _PANEL_NODES, _OSC_L2_RATIO_BAND
+    )
+    return SweepReport("osc-disk-l2", config.mu, "oscillator", "projection", rows, verdicts)
 
 
 def _sweep_box_edge_x(config: SweepConfig) -> SweepReport:
@@ -507,16 +586,16 @@ def _sweep_moyal_idempotency(config: SweepConfig) -> SweepReport:
     for N in config.n_levels:
         hbar = mu / N
         nx, npts = config.grid_shape or (24 * N, 24 * N)
-        _check_budget(config, nx, npts)
+        _check_budget(max(config.n_levels), nx * npts)
         grid = PhaseGrid(window[0], window[1], window[2], window[3], nx, npts)
         fld = projection_symbol_field(N, hbar, L, grid)
         acc = 0.0
         for x0 in ex:
-            for p0 in ep:
-                diff = moyal_direct(fld, fld, hbar, float(x0), float(p0)) - symbol_projection_box(
-                    N, hbar, L, float(x0), float(p0)
-                )
-                acc += diff * diff
+            diff = moyal_direct(fld, fld, hbar, float(x0), ep) - symbol_projection_box(
+                N, hbar, L, float(x0), ep
+            )
+            for d_p in diff:
+                acc += d_p * d_p
         d = acc * (ex[1] - ex[0]) * (ep[1] - ep[0])
         rows.append(SweepRow(N=N, hbar=hbar, metric="idempotency_defect_sq", value=d))
     vals = [r.value for r in rows]
@@ -534,6 +613,7 @@ EXPERIMENTS = {
     "osc-catalan": _sweep_osc_catalan,
     "osc-offdiag": _sweep_osc_offdiag,
     "osc-origin-parity": _sweep_osc_origin_parity,
+    "osc-disk-l2": _sweep_osc_disk_l2,
     "moyal-idempotency": _sweep_moyal_idempotency,
 }
 
@@ -547,6 +627,7 @@ _DEFAULT_N: dict[str, tuple[int, ...]] = {
     "osc-catalan": (64, 128, 256, 512),
     "osc-offdiag": (64, 128, 256),
     "osc-origin-parity": (4, 5, 6, 7),
+    "osc-disk-l2": (10, 20, 40, 80),
     "moyal-idempotency": (8, 16),
 }
 

@@ -139,27 +139,35 @@ def moyal_direct(
     sigma2: SymbolField,
     hbar: float,
     x: float,
-    p: float,
+    p,
     support: tuple[float, float, float, float] | None = None,
     pad: float = 0.0,
-) -> float:
-    """Star product at (x, p) by direct discretization of the 4-fold integral.
+):
+    """Star product at (x, p) by direct discretization of the 4-fold integral;
+    p may be an array of momenta at the one position x.
 
     The integral in its (y_i, p_i) form factorizes: the inner (y2, p1)
     pairing and the outer (y1, p2) pairing become two successive 2-fold
     midpoint sums.  Momentum shifts p - p_i are sampled on the grid's own
-    p-centers; the conjugate y-lattice has spacing 2 pi / (np dp), so the
+    p-centers q; the conjugate y-lattice has spacing 2 pi / (np dp), so the
     discrete phase sums act as the correct resolution-limited deltas.
     Interpolated arguments outside the window contribute zero.
 
+    With S_n[a, i] = sigma_n(x - hbar y_a / 2, q_i) and F[i, j] = e^{i q_i y_j}
+    the sum is  sum_{a,j} e^{ip (y_a - y_j)} (S1 F)[a, j] (S2 conj F)[j, a],
+    so a whole row of p at fixed x costs two M^3 products (one when sigma2
+    is sigma1, since then S2 conj F = conj(S1 F)) and O(M^2) per p.
+
     If `support` = (x_lo, x_hi, p_lo, p_hi) is given, the window is checked
     to contain it padded by `pad` on each side, else a CoverageWarning is
-    attached to the (still returned) value.
+    attached to the (still returned) value.  Returns a float for scalar p,
+    else an array shaped like p.
     """
     if sigma1.grid != sigma2.grid:
         raise ValueError("incompatible grids")
     g = sigma1.grid
-    if not g.contains(x, p):
+    p_arr = np.asarray(p, dtype=float)
+    if not all(g.contains(x, float(q)) for q in p_arr.ravel()):
         raise ValueError("point outside window")
     if support is not None:
         x_lo, x_hi, p_lo, p_hi = support
@@ -179,10 +187,15 @@ def moyal_direct(
     y = (np.arange(M) + 0.5 - M / 2.0) * dy
 
     shifted_x = x - hbar * y / 2.0
-    S1 = _bilinear(sigma1, shifted_x[:, None], q[None, :])  # (My, M)
-    S2 = _bilinear(sigma2, shifted_x[:, None], q[None, :])  # (My, M)
-    E1 = np.exp(-1j * (p - q)[:, None] * y[None, :])        # (M, My)
-    E2 = np.exp(1j * (p - q)[None, :] * y[:, None])         # (My, M)
-    G = (S1 @ E1) @ S2                                      # (My, M)
-    val = (dy * g.dp / (2.0 * math.pi)) ** 2 * np.sum(E2 * G)
-    return float(val.real)
+    F = np.exp(1j * q[:, None] * y[None, :])                       # (M, My)
+    A = _bilinear(sigma1, shifted_x[:, None], q[None, :]) @ F      # (My, My)
+    if sigma2 is sigma1:
+        B = A.conj()
+    else:
+        B = _bilinear(sigma2, shifted_x[:, None], q[None, :]) @ F.conj()
+    H = A * B.T
+    E = np.exp(1j * p_arr.reshape(-1)[:, None] * y[None, :])        # (P, My)
+    vals = (dy * g.dp / (2.0 * math.pi)) ** 2 * np.sum((E @ H) * E.conj(), axis=1)
+    if p_arr.ndim == 0:
+        return float(vals[0].real)
+    return vals.real.reshape(p_arr.shape)

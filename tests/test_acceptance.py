@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from grid_oracle import l2_distance_with_tail
 
 from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
 from weylsym.diag import (
@@ -17,7 +18,6 @@ from weylsym.diag import (
     catalan_limit_value,
     angular_integral,
     hs_norm_sq_symbol,
-    l2_distance_with_tail,
     offdiag_block_norm_sq,
     run_sweep,
 )
@@ -347,6 +347,32 @@ def test_ac12_moyal_layer():
             want = float(np.trapezoid(f, ts))
             assert abs(angular_integral(n, a, b) - want) <= 1e-9 * max(1.0, want)
     report(f"AC-12 Moyal layer (idempotency exact; direct vs composition {worst:.4f} <= 2%; angular 1e-9): PASS")
+
+
+def test_ac13_osc_disk_l2():
+    """Global distance^2 of the oscillator projection symbol to the disk
+    x^2 + p^2 <= 2 mu decreases at the N^(-2/3) rate: per-doubling ratios
+    within [0.62, 0.66] around 2^(-2/3), against a global z-space rule."""
+    mu = 1.0
+    rep = run_sweep(SweepConfig(experiment="osc-disk-l2", n_levels=(10, 20, 40, 80), mu=mu))
+    assert rep.passed
+    dist = dict(zip((10, 20, 40, 80), rep.values("distance_sq")))
+    for N, got in dist.items():
+        # 4 pi mu - pi hbar int_0^{4N} sigma_N dz on 8N + 128 Gauss-Legendre nodes
+        hbar = mu / N
+        t, w = np.polynomial.legendre.leggauss(8 * N + 128)
+        z = 2.0 * N * (t + 1.0)
+        sigma = symbol_oscillator_projection(N, hbar, np.sqrt(0.5 * hbar * z), 0.0)
+        want = 4 * math.pi * mu - math.pi * hbar * float(np.sum(2.0 * N * w * sigma))
+        assert abs(got - want) <= 1e-10
+    ratios = [dist[2 * N] / dist[N] for N in (10, 20, 40)]
+    assert all(0.62 <= r <= 0.66 for r in ratios)
+    assert dist[80] < 0.35 * 2 * math.pi * mu
+    report(
+        "AC-13 oscillator disk L2 convergence (distance^2 "
+        + " -> ".join(f"{dist[N]:.4f}" for N in (10, 20, 40, 80))
+        + ", ratios " + ", ".join(f"{r:.3f}" for r in ratios) + "): PASS"
+    )
 
 
 def test_registered_sweeps_mirror_acceptance():

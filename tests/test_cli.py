@@ -124,6 +124,28 @@ class TestSweepCommand:
         assert len(rel_rows) == 3
         assert rel_rows[-1]["value"] < 0.05
 
+    @pytest.mark.parametrize("exp", ["box-projection-l2", "osc-disk-l2"])
+    def test_l2_guard_refuses_before_quadrature(self, tmp_path, monkeypatch, capsys, exp):
+        import weylsym.diag
+
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(weylsym.diag, "box_projection_distance_sq", no_quadrature)
+        monkeypatch.setattr(weylsym.diag, "oscillator_disk_distance_sq", no_quadrature)
+        code = run(["sweep", "--exp", exp, "--N", "10,300000", "-o", str(tmp_path / "g")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: resource guard")
+        assert not (tmp_path / "g.json").exists()
+
+    def test_osc_disk_l2_sweep(self, tmp_path, capsys):
+        code = run(["sweep", "--exp", "osc-disk-l2", "--mu", "1.3", "-o", str(tmp_path / "d")])
+        assert code == 0
+        payload = json.loads((tmp_path / "d.json").read_text())
+        assert [r["N"] for r in payload["rows"]] == [10, 20, 40, 80]
+        assert payload["model"] == "oscillator"
+        assert "osc-disk-l2: ratio-band: pass" in capsys.readouterr().out
+
 
 class TestEdgeCommand:
     def test_x_edge_rows(self, tmp_path):

@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from grid_oracle import TailDeficitWarning, l2_distance_with_tail
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylsym.basis import box_wavefunctions
 from weylsym.diag import (
     SweepConfig,
-    TailDeficitWarning,
     angular_integral,
     box_momentum_tail_norm_sq,
+    box_projection_distance_sq,
     catalan_limit_value,
     default_n_levels,
     hs_norm_sq_symbol,
-    l2_distance_with_tail,
     offdiag_block_norm_sq,
+    oscillator_disk_distance_sq,
     run_sweep,
 )
 from weylsym.limits import ClassicalRegion, indicator
@@ -141,6 +145,100 @@ class TestDistanceWithTail:
             l2_distance_with_tail(fld, target, tiny, 1e-3)
 
 
+def box_distance_x_space(N, mu, L, nodes):
+    """The box distance from the x-space form of the cross term,
+    int_{|x|<L, |p|<P} sigma = 2 hbar int int sum_k u_k(a) u_k(b) sin(c(b-a))/(b-a),
+    c = P / hbar, on a global Gauss-Legendre rule (independent of the
+    Fourier route)."""
+    hbar = mu / N
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    a, wa = L * t, L * w
+    c = math.pi * N / (2.0 * L)
+    D = a[None, :] - a[:, None]
+    S = np.where(D == 0, c, np.sin(c * D) / np.where(D == 0, 1.0, D))
+    V = box_wavefunctions(N, L, a) * wa[None, :]
+    return 4.0 * math.pi * mu - 4.0 * hbar * float(np.sum((V @ S) * V))
+
+
+def osc_distance_z_space(N, hbar, nodes):
+    """The disk distance as 4 pi mu - pi hbar int_0^{4N} sigma_N dz on one
+    global Gauss-Legendre rule in z (independent of the panels in r)."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    z, wz = 2.0 * N * (t + 1.0), 2.0 * N * w
+    sigma = symbol_oscillator_projection(N, hbar, np.sqrt(0.5 * hbar * z), 0.0)
+    return 4.0 * math.pi * hbar * N - math.pi * hbar * float(np.sum(wz * sigma))
+
+
+class TestExactDistances:
+    @pytest.mark.parametrize("N", [1, 3, 10, 20, 40])
+    @pytest.mark.parametrize("L", [1.0, 0.37])
+    def test_box_matches_x_space_quadrature(self, N, L):
+        got = box_projection_distance_sq(N, 1.0 / N, L)
+        assert got == pytest.approx(box_distance_x_space(N, 1.0, L, 4 * N + 64), abs=1e-12)
+
+    @pytest.mark.parametrize("N", [2, 10, 40, 80])
+    def test_osc_matches_z_space_quadrature(self, N):
+        # the z-rule needs ~4N + 64 nodes for 1e-10 at N <= 80 (the ripples
+        # shorten toward z = 0), hence the looser tolerance
+        got = oscillator_disk_distance_sq(N, 1.0 / N)
+        assert got == pytest.approx(osc_distance_z_space(N, 1.0 / N, 8 * N + 128), abs=1e-10)
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 3.0])
+    def test_osc_rank_one_closed_form(self, hbar):
+        # sigma_1 = 2 e^{-z/2}: d^2 = 4 pi hbar - 4 pi hbar (1 - e^{-2})
+        want = 4.0 * math.pi * hbar * math.exp(-2.0)
+        assert oscillator_disk_distance_sq(1, hbar) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("N", [10, 20])
+    def test_box_against_grid_oracle(self, N):
+        # the grid route's error is first order in the cell size, within the
+        # bound 2 P dx + 2 L dp of the benchmark checks, and halves with it
+        mu, L = 1.0, math.sqrt(math.pi / 2.0)
+        hbar = mu / N
+        exact = box_projection_distance_sq(N, hbar, L)
+        region = ClassicalRegion.rectangle(mu, L)
+        target = lambda x, p: np.asarray(indicator(region, x, p), dtype=float)
+        P = math.pi * mu / (2.0 * L)
+        errs = []
+        for n in (800, 1600):
+            g = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, n, n)
+            fld = projection_symbol_field(N, hbar, L, g)
+            grid = l2_distance_with_tail(fld, target, identity_matrix(N), hbar)
+            errs.append(abs(grid - exact))
+            assert errs[-1] <= 2.0 * P * g.dx + 2.0 * L * g.dp
+        assert errs[1] < errs[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        N=st.sampled_from([1, 4, 10, 33]),
+        mu=st.floats(0.05, 20.0),
+        L=st.floats(0.05, 20.0),
+    )
+    def test_distance_over_mu_depends_on_N_alone(self, N, mu, L):
+        box = box_projection_distance_sq(N, mu / N, L) / mu
+        assert box == pytest.approx(box_projection_distance_sq(N, 1.0 / N, 1.0), abs=1e-12)
+        osc = oscillator_disk_distance_sq(N, mu / N) / mu
+        assert osc == pytest.approx(oscillator_disk_distance_sq(N, 1.0 / N), abs=1e-12)
+
+    def test_box_doubling_the_nodes_moves_nothing(self, monkeypatch):
+        import weylsym.diag as diag
+
+        vals = {}
+        for nodes in (8, 16):
+            monkeypatch.setattr(diag, "_PANEL_NODES", nodes)
+            vals[nodes] = [box_projection_distance_sq(N, 1.0 / N, 1.0) for N in (10, 80)]
+        assert np.max(np.abs(np.subtract(vals[8], vals[16]))) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [(0, 0.1, 1.0), (4, 0.0, 1.0), (4, 0.1, 0.0), (4, -1.0, 1.0)])
+    def test_domain_errors(self, bad):
+        N, hbar, L = bad
+        with pytest.raises(ValueError):
+            box_projection_distance_sq(N, hbar, L)
+        if L > 0:
+            with pytest.raises(ValueError):
+                oscillator_disk_distance_sq(N, hbar)
+
+
 class TestCatalanAndAngular:
     def test_catalan_base_case(self):
         for mu in (0.5, 1.0, 2.0):
@@ -219,10 +317,16 @@ class TestSweeps:
 
     def test_budget_guard(self):
         cfg = SweepConfig(
-            experiment="box-projection-l2",
+            experiment="moyal-idempotency",
             n_levels=(10, 20, 40, 20000),
             grid_shape=(20000, 20000),
         )
+        with pytest.raises(ValueError, match="resource guard"):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize("experiment", ["box-projection-l2", "osc-disk-l2"])
+    def test_l2_budget_guard(self, experiment):
+        cfg = SweepConfig(experiment=experiment, n_levels=(10, 300000))
         with pytest.raises(ValueError, match="resource guard"):
             run_sweep(cfg)
 
@@ -232,7 +336,6 @@ class TestSweeps:
             n_levels=(5, 10, 20),
             mu=1.0,
             L=math.sqrt(math.pi / 2.0),
-            grid_shape=(240, 240),
         )
         rep = run_sweep(cfg)
         assert rep.experiment == "box-projection-l2"
@@ -241,6 +344,27 @@ class TestSweeps:
         assert vals[2] < vals[0]
         names = [v.name for v in rep.verdicts]
         assert "distance-decreasing" in names and "final-below-threshold" in names
+
+    @pytest.mark.parametrize("experiment", ["box-projection-l2", "osc-disk-l2"])
+    def test_l2_sweeps_pass_at_defaults(self, experiment):
+        rep = run_sweep(SweepConfig(experiment=experiment, n_levels=default_n_levels(experiment)))
+        assert rep.passed
+        assert [v.name for v in rep.verdicts] == [
+            "distance-decreasing", "final-below-threshold", "ratio-band"]
+
+    def test_ratio_band_per_doubling(self):
+        # N = 10, 40 is two doublings: the verdict takes the square root of
+        # the ratio, which matches the two single-doubling ratios' range
+        rep = run_sweep(SweepConfig(experiment="box-projection-l2", n_levels=(10, 40)))
+        d10, d40 = rep.values("distance_sq")
+        band = rep.verdicts[2]
+        assert band.passed
+        assert f"{math.sqrt(d40 / d10):.4f}" in band.detail
+
+    def test_ratio_band_fails_off_rate(self):
+        # from N = 1 the first doubling is still far from the asymptotic rate
+        rep = run_sweep(SweepConfig(experiment="osc-disk-l2", n_levels=(1, 2, 4)))
+        assert not rep.verdicts[2].passed
 
     def test_tridiag_sweep_passes(self):
         rep = run_sweep(SweepConfig(experiment="box-tridiag-norm", n_levels=(16, 64, 256)))

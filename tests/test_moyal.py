@@ -6,6 +6,7 @@ import pytest
 from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import (
     FiniteRankOperator,
+    _bilinear,
     moyal_direct,
     moyal_via_composition,
     moyal_via_composition_complex,
@@ -18,6 +19,24 @@ from weylsym.weyl import (
     symbol_projection_box,
     symbol_truncated_momentum_box,
 )
+
+
+def moyal_direct_pointwise(sigma1, sigma2, hbar, x, p):
+    """The direct star product at one point in its unfactorized form: per
+    point, the two interpolated symbols S1, S2 and the two phase matrices
+    E1, E2, then sum(E2 * (S1 E1 S2)).  The oracle of the row form."""
+    g = sigma1.grid
+    M = g.np
+    q = g.p_centers()
+    dy = 2.0 * math.pi / (M * g.dp)
+    y = (np.arange(M) + 0.5 - M / 2.0) * dy
+    shifted_x = x - hbar * y / 2.0
+    S1 = _bilinear(sigma1, shifted_x[:, None], q[None, :])
+    S2 = _bilinear(sigma2, shifted_x[:, None], q[None, :])
+    E1 = np.exp(-1j * (p - q)[:, None] * y[None, :])
+    E2 = np.exp(1j * (p - q)[None, :] * y[:, None])
+    G = (S1 @ E1) @ S2
+    return float(((dy * g.dp / (2.0 * math.pi)) ** 2 * np.sum(E2 * G)).real)
 
 
 def box_basis(hbar, L=1.0):
@@ -153,6 +172,43 @@ class TestDirect:
         )
         got = moyal_direct(sig, sig, hbar, 0.0, 0.0)
         assert got == pytest.approx(2.0, rel=0.02)
+
+    @pytest.mark.parametrize("pair", ["proj-proj", "bump-bump", "proj-bump"])
+    def test_row_matches_pointwise_oracle(self, pair):
+        # the bump is not even in p, so (S F) is complex and the shortcut
+        # S conj(F) = conj(S F) of a symbol times itself is exercised
+        N, mu, L = 8, 1.0, 1.0
+        hbar = mu / N
+        grid = PhaseGrid(-1.5, 1.5, -6.0, 6.0, 96, 112)
+        fields = {
+            "proj": projection_symbol_field(N, hbar, L, grid),
+            "bump": SymbolField.sample(lambda x, p: np.exp(-(x**2 + (p - 0.3) ** 2)), grid),
+        }
+        first, second = (fields[k] for k in pair.split("-"))
+        ps = np.linspace(-1.2, 1.2, 7)
+        for x0 in (-0.45, 0.0, 0.3):
+            row = moyal_direct(first, second, hbar, x0, ps)
+            assert row.shape == ps.shape
+            want = [moyal_direct_pointwise(first, second, hbar, x0, float(p0)) for p0 in ps]
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-13)
+
+    def test_scalar_p_is_the_row_element(self):
+        N, hbar = 6, 1.0 / 6
+        grid = PhaseGrid(-1.5, 1.5, -6.0, 6.0, 64, 64)
+        fld = projection_symbol_field(N, hbar, 1.0, grid)
+        ps = np.array([[-0.5, 0.25], [0.0, 0.9]])
+        rows = moyal_direct(fld, fld, hbar, 0.2, ps)
+        assert rows.shape == (2, 2)
+        for idx in np.ndindex(ps.shape):
+            got = moyal_direct(fld, fld, hbar, 0.2, float(ps[idx]))
+            assert isinstance(got, float)
+            assert got == pytest.approx(rows[idx], abs=1e-14)
+
+    def test_row_point_outside_window_rejected(self):
+        grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 16, 16)
+        f = SymbolField.sample(lambda x, p: np.ones_like(x * p), grid)
+        with pytest.raises(ValueError, match="point outside window"):
+            moyal_direct(f, f, 0.5, 0.0, np.array([0.0, 1.5]))
 
     def test_point_outside_window_rejected(self):
         grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 16, 16)
