@@ -28,7 +28,6 @@ from .moyal import moyal_direct
 from .scale import PhaseGrid, SemiclassicalScale, pairwise_sum
 from .truncate import (
     OperatorMatrix,
-    box_momentum_entry,
     box_multiplication_matrix,
     matrix_linear_power,
 )
@@ -175,18 +174,67 @@ def angular_integral(n: int, a: float, b: float) -> float:
 _TAIL_CUTOFF = 64
 
 
+# The momentum norms below use, for j + k odd, |C_jk|^2 = (2 hbar / L)^2 (jk / (j^2 - k^2))^2
+# and (jk / (j^2 - k^2))^2 = (k^2 / 4) [1/(j-k)^2 + 1/(j+k)^2 + (1/k) (1/(j-k) - 1/(j+k))],
+# so for each level k the j-sum is a sum of 1/m^2 and 1/m over odd m in ranges.
+
+
+def _odd_inverse_square_sums(top: int):
+    """The function (lo, hi) -> sum of 1/m^2 over odd m in [lo, hi], for
+    1 <= lo and hi <= top: differences of suffix sums, each accumulated
+    smallest terms first."""
+    m = np.arange(1, top + 1, 2, dtype=float)
+    suffix = np.concatenate([np.cumsum(1.0 / (m * m)[::-1])[::-1], [0.0]])
+    return lambda lo, hi: suffix[lo // 2] - suffix[(hi + 1) // 2]
+
+
+def _odd_inverse_windows(centre: int, N: int) -> np.ndarray:
+    """Sums of 1/m over odd m in [centre + 1 - k, centre + k], k = 1..N, each
+    window grown from its centre outward."""
+    k = np.arange(1, N + 1)
+    lo, hi = centre + 1 - k, centre + k
+    return np.cumsum(np.where(lo % 2 == 1, 1.0 / lo, 0.0) + np.where(hi % 2 == 1, 1.0 / hi, 0.0))
+
+
+def _momentum_norm_sq(sq: np.ndarray, inv: np.ndarray, L: float, hbar: float) -> float:
+    """2 pi hbar (hbar / L)^2 sum_k (k^2 sq_k + k inv_k): the squared symbol
+    norm from each level's sums of 1/(j -+ k)^2 (sq) and of 1/(j-k) - 1/(j+k) (inv)."""
+    k = np.arange(1, sq.size + 1, dtype=float)
+    return 2.0 * math.pi * hbar * (hbar / L) ** 2 * float(np.sum(k * k * sq + k * inv))
+
+
+def _box_momentum_inner_norm_sq(N: int, L: float, hbar: float) -> float:
+    """2 pi hbar sum_{j,k<=N} |C_jk|^2: squared symbol norm of the truncated
+    box momentum; O(N).
+
+    For level k, j - k runs over odd values in [1 - k, N - k] and j + k over
+    [1 + k, N + k]; the 1/m difference telescopes to 1/k (k odd) less the
+    window [N + 1 - k, N + k].
+    """
+    k = np.arange(1, N + 1)
+    between = _odd_inverse_square_sums(2 * N)
+    sq = between(1, k - 1) + between(1, N - k) + between(k + 1, N + k)
+    inv = np.where(k % 2 == 1, 1.0 / k, 0.0) - _odd_inverse_windows(N, N)
+    return _momentum_norm_sq(sq, inv, L, hbar)
+
+
 def box_momentum_tail_norm_sq(N: int, L: float, hbar: float) -> float:
     """B(N): squared symbol norm of the momentum block coupling levels <= N
     to levels > N, with the j-sum truncated at _TAIL_CUTOFF * N (relative
-    truncation error ~ 1 / (3 _TAIL_CUTOFF log N))."""
+    truncation error ~ 1 / (3 _TAIL_CUTOFF log N)); O(N).
+
+    For level k, j - k runs over odd values in [N + 1 - k, c N - k] and
+    j + k over [N + 1 + k, c N + k] (c = _TAIL_CUTOFF); the 1/m difference
+    telescopes to the windows [N + 1 - k, N + k] and [c N - k + 1, c N + k].
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    js = np.arange(N + 1, _TAIL_CUTOFF * N + 1, dtype=float)
-    total = 0.0
-    for k in range(1, N + 1):
-        c = box_momentum_entry(js, float(k), L, hbar)
-        total += float(np.sum(np.abs(c) ** 2))
-    return 2.0 * math.pi * hbar * total
+    top = _TAIL_CUTOFF * N
+    k = np.arange(1, N + 1)
+    between = _odd_inverse_square_sums(top + N)
+    sq = between(N + 1 - k, top - k) + between(N + 1 + k, top + k)
+    inv = _odd_inverse_windows(N, N) - _odd_inverse_windows(top, N)
+    return _momentum_norm_sq(sq, inv, L, hbar)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -218,6 +266,12 @@ class SweepConfig:
             raise ValueError("N list must be strictly increasing")
         if not self.mu > 0 or not self.L > 0:
             raise ValueError("mu and L must be positive")
+        if self.window is not None and self.experiment != "moyal-idempotency":
+            raise ValueError(f"window is not used by {self.experiment!r}")
+        if self.grid_shape is not None and self.experiment not in (
+            "box-bulk-sup", "moyal-idempotency"
+        ):
+            raise ValueError(f"grid_shape is not used by {self.experiment!r}")
 
 
 @dataclass(frozen=True)
@@ -390,20 +444,15 @@ def _sweep_box_edge_x(config: SweepConfig) -> SweepReport:
 
 def _sweep_box_edge_p(config: SweepConfig) -> SweepReport:
     mu, L = config.mu, config.L
-    x_list = (0.0, 0.5 * L)
-    v_list = (0.25, 0.5, 1.5)
-    prof = {
-        (x0, v): edge_profile_p(x0, v, mu, L) for x0 in x_list for v in v_list
-    }
+    xs = np.repeat([0.0, 0.5 * L], 3)
+    vs = np.tile([0.25, 0.5, 1.5], 2)
+    prof = np.array([edge_profile_p(float(x0), float(v), mu, L) for x0, v in zip(xs, vs)])
     rows = []
     for N in config.n_levels:
         hbar = mu / N
-        worst = 0.0
-        for x0 in x_list:
-            for v in v_list:
-                p0 = math.pi * mu / (2.0 * L) + hbar * math.pi * v / (2.0 * L)
-                sym = symbol_projection_box(N, hbar, L, x0, p0)
-                worst = max(worst, abs(sym - prof[(x0, v)]))
+        p0 = math.pi * mu / (2.0 * L) + hbar * math.pi * vs / (2.0 * L)
+        sym = symbol_projection_box(N, hbar, L, xs, p0)
+        worst = float(np.max(np.abs(sym - prof)))
         rows.append(SweepRow(N=N, hbar=hbar, metric="max_abs_err", value=worst))
     vals = [r.value for r in rows]
     bound = config.threshold if config.threshold is not None else 0.05
@@ -479,9 +528,7 @@ def _sweep_box_momentum_norm(config: SweepConfig) -> SweepReport:
     bvals = []
     for N in config.n_levels:
         hbar = mu / N
-        j = np.arange(1, N + 1, dtype=float)
-        entries = box_momentum_entry(j[:, None], j[None, :], L, hbar)
-        val = 2.0 * math.pi * hbar * float(np.sum(np.abs(entries) ** 2))
+        val = _box_momentum_inner_norm_sq(N, L, hbar)
         B = box_momentum_tail_norm_sq(N, L, hbar)
         rels.append(abs(val - limit) / limit)
         bvals.append(B)

@@ -109,12 +109,13 @@ def moyal_via_composition(
 
 
 def _bilinear(field: SymbolField, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation on cell centers with zero extension outside."""
+    """Bilinear interpolation on cell centers with zero extension outside;
+    X and P broadcast, and the index and weight arrays keep their own shapes
+    (a column of x and a row of p cost O(rows + columns) before the gather)."""
     g = field.grid
     vals = field.values
-    X, P = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(P, dtype=float))
-    fx = (X - (g.x_min + 0.5 * g.dx)) / g.dx
-    fp = (P - (g.p_min + 0.5 * g.dp)) / g.dp
+    fx = (np.asarray(X, dtype=float) - (g.x_min + 0.5 * g.dx)) / g.dx
+    fp = (np.asarray(P, dtype=float) - (g.p_min + 0.5 * g.dp)) / g.dp
     i0 = np.floor(fx).astype(np.int64)
     j0 = np.floor(fp).astype(np.int64)
     tx = fx - i0
@@ -122,9 +123,7 @@ def _bilinear(field: SymbolField, X: np.ndarray, P: np.ndarray) -> np.ndarray:
 
     def corner(ii, jj):
         ok = (ii >= 0) & (ii < g.nx) & (jj >= 0) & (jj < g.np)
-        out = np.zeros(ok.shape)
-        out[ok] = vals[ii[ok], jj[ok]]
-        return out
+        return np.where(ok, vals[np.clip(ii, 0, g.nx - 1), np.clip(jj, 0, g.np - 1)], 0.0)
 
     return (
         (1 - tx) * (1 - tp) * corner(i0, j0)

@@ -26,14 +26,16 @@ __all__ = [
 ]
 
 
-def _point_arrays(x, y):
+def _point_arrays(x, y, broadcast: bool = True):
     """Broadcast float arrays (at least 1-d) of two point coordinates, and the
     function that hands a result on them back in the caller's form: the
     single element (float or complex, from the dtype) when both coordinates
-    were scalars, else the array."""
-    x_arr, y_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    )
+    were scalars, else the array.  With broadcast=False the arrays keep
+    their own shapes, for a caller that builds per-coordinate tables."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if broadcast:
+        x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return x_arr, y_arr, lambda out: out.item()
     return x_arr, y_arr, lambda out: out

@@ -187,17 +187,21 @@ def symbol_rank_one_box(j: int, k: int, hbar: float, L: float, x, p) -> np.ndarr
 
 
 def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
-    """Three-sum closed form, broadcasting x against p."""
+    """Three-sum closed form, broadcasting x against p.
+
+    The third sum is sin(A p)/p times sum_k cos(k pi (L + x) / L), which
+    depends on x alone, so the cosines are summed on x's own shape (a
+    field's x column) and the quotient is taken once.
+    """
     A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
-    tot = np.zeros(np.broadcast(x_arr, p_arr).shape)
+    cos_sum = np.zeros(x_arr.shape)
+    for k in range(1, N + 1):
+        cos_sum = cos_sum + np.cos(math.pi * k * (L + x_arr) / L)
+    tot = -2.0 * cos_sum * _sin_ratio(A, p_arr)
     for k in range(1, N + 1):
         m = hbar * math.pi * k / (2.0 * L)
-        tot = tot + (
-            _sin_ratio(A, m + p_arr)
-            + _sin_ratio(A, m - p_arr)
-            - 2.0 * np.cos(math.pi * k * (L + x_arr) / L) * _sin_ratio(A, p_arr)
-        )
-    tot = tot * (hbar / (2.0 * L))
+        tot += _sin_ratio(A, m + p_arr) + _sin_ratio(A, m - p_arr)
+    tot *= hbar / (2.0 * L)
     return np.where(np.abs(x_arr) > L, 0.0, tot)
 
 
@@ -205,39 +209,52 @@ def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | f
     """Closed-form symbol of the rank-N box projection; 0 for |x| > L."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    x_arr, p_arr, unwrap = _point_arrays(x, p)
-    out = _projection_symbol_values(N, hbar, L, x_arr, p_arr)
-    return unwrap(out)
+    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
+    return unwrap(_projection_symbol_values(N, hbar, L, x_arr, p_arr))
 
 
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
-    """Closed-form symbol of the truncated box momentum; odd in p, O(N^2) per point.
+    """Closed-form symbol of the truncated box momentum; odd in p, 0 for
+    |x| >= L, O(N) per point.
 
-    Reduced real form of the epsilon double sum: pairing (j, k) with (k, j)
-    turns the complex prefactors into 2 Im C_jk sin(...) factors, which is
-    what the defining quadrature reproduces.
+    Index the pairs j > k with j + k odd by s = j + k and d = j - k, both
+    odd, with d <= s - 2 and s + d <= 2N.  With theta = pi (x + L) / 2L,
+    g_m = pi hbar m / 4L, S(q) = sin(A q) / q, T(m) = S(p - g_m) - S(p + g_m),
+    and since j k / (j^2 - k^2) = (s/d - d/s) / 4,
+
+        sigma = (hbar^2 / 2L^2) sum_{s,d} (s/d - d/s) [sin(d theta) T(s) - sin(s theta) T(d)].
+
+    Collected by m (odd, m <= 2N - 1), T(m) is multiplied by
+
+        m sum_{d<=D} sin(d theta)/d - (1/m) sum_{d<=D} d sin(d theta)
+          + m sum_{s=m+2}^{2N-m} sin(s theta)/s - (1/m) sum_{s=m+2}^{2N-m} s sin(s theta),
+
+    D = min(m - 2, 2N - m), all sums over odd indices: differences of prefix
+    sums that depend on x alone.  The prefix tables take x's own shape (a
+    field's x column, never the cell block); the cells see 2N sin(A q)/q
+    passes.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    x_arr, p_arr, unwrap = _point_arrays(x, p)
+    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
     A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
+    m = np.arange(1, 2 * N, 2)  # m = 2i + 1
+    sines = np.sin(m * (math.pi * (x_arr[..., None] + L) / (2.0 * L)))
+    start = np.zeros(x_arr.shape + (1,))
+    # q[..., c]: sums over the first c odd indices
+    q1 = np.concatenate([start, np.cumsum(sines / m, axis=-1)], axis=-1)
+    q2 = np.concatenate([start, np.cumsum(sines * m, axis=-1)], axis=-1)
+    i = np.arange(N)
+    n_d = np.minimum(i, N - i)  # odd d <= D
+    hi, lo = N - i, np.minimum(i + 1, N - i)  # odd s in [m + 2, 2N - m], empty for m >= N
+    coef = m * (q1[..., n_d] + q1[..., hi] - q1[..., lo])
+    coef -= (q2[..., n_d] + q2[..., hi] - q2[..., lo]) / m
     tot = np.zeros(np.broadcast(x_arr, p_arr).shape)
-    for jj in range(2, N + 1):
-        for kk in range(1, jj):
-            if (jj + kk) % 2 == 0:
-                continue
-            c_im = -hbar / L * 2.0 * jj * kk / (jj**2 - kk**2)  # Im C_jk
-            g1 = math.pi * hbar * (jj + kk) / (4.0 * L)
-            g2 = math.pi * hbar * (jj - kk) / (4.0 * L)
-            ph1 = (math.pi / (2.0 * L)) * (jj - kk) * (x_arr + L)
-            ph2 = (math.pi / (2.0 * L)) * (jj + kk) * (x_arr + L)
-            bracket = np.sin(ph1) * (_sin_ratio(A, p_arr - g1) - _sin_ratio(A, p_arr + g1)) - np.sin(
-                ph2
-            ) * (_sin_ratio(A, p_arr - g2) - _sin_ratio(A, p_arr + g2))
-            tot = tot - c_im * bracket
-    tot = tot * (hbar / (2.0 * L)) * 2.0
-    out = np.where(np.abs(x_arr) > L, 0.0, tot)
-    return unwrap(out)
+    for ii in range(N):
+        g = math.pi * hbar * (2 * ii + 1) / (4.0 * L)
+        tot += coef[..., ii] * (_sin_ratio(A, p_arr - g) - _sin_ratio(A, p_arr + g))
+    tot *= hbar * hbar / (2.0 * L * L)
+    return unwrap(np.where(np.abs(x_arr) >= L, 0.0, tot))
 
 
 def rescaled_kernel_f2(eval: KernelEval, hbar: float, x, y) -> np.ndarray | float:

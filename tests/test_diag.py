@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from weylsym.basis import box_wavefunctions
 from weylsym.diag import (
+    _TAIL_CUTOFF,
+    EXPERIMENTS,
     SweepConfig,
+    _box_momentum_inner_norm_sq,
     angular_integral,
     box_momentum_tail_norm_sq,
     box_projection_distance_sq,
@@ -24,6 +27,7 @@ from weylsym.limits import ClassicalRegion, indicator
 from weylsym.scale import PhaseGrid, SemiclassicalScale
 from weylsym.truncate import (
     OperatorMatrix,
+    box_momentum_entry,
     box_momentum_matrix,
     box_multiplication_matrix,
     matrix_linear_power,
@@ -91,6 +95,45 @@ class TestOffdiagBlock:
             if prev is not None:
                 assert B / prev < 0.75
             prev = B
+
+
+def momentum_inner_oracle(N, L, hbar):
+    """Direct sum 2 pi hbar sum_{j,k<=N} |C_jk|^2 over the N x N momentum matrix."""
+    j = np.arange(1, N + 1, dtype=float)
+    entries = box_momentum_entry(j[:, None], j[None, :], L, hbar)
+    return 2.0 * math.pi * hbar * float(np.sum(np.abs(entries) ** 2))
+
+
+def momentum_tail_oracle(N, L, hbar):
+    """Direct sum 2 pi hbar sum_{k<=N} sum_{N<j<=_TAIL_CUTOFF N} |C_jk|^2, one
+    row of j per level k; only j of the parity opposite to k's, since C_jk
+    is zero for the other."""
+    js = np.arange(N + 1, _TAIL_CUTOFF * N + 1, dtype=float)
+    total = 0.0
+    for k in range(1, N + 1):
+        c = box_momentum_entry(js[(N + k) % 2 :: 2], float(k), L, hbar)
+        total += float(np.sum(np.abs(c) ** 2))
+    return 2.0 * math.pi * hbar * total
+
+
+class TestBoxMomentumNorms:
+    @pytest.mark.parametrize("N", list(range(1, 41)) + [128, 256, 512, 1024, 2048])
+    def test_prefix_sums_match_direct_sums(self, N):
+        mu, L = 1.01, 0.97
+        hbar = mu / N
+        inner = momentum_inner_oracle(N, L, hbar)  # exactly 0 for N = 1
+        assert _box_momentum_inner_norm_sq(N, L, hbar) == pytest.approx(inner, rel=1e-13, abs=0.0)
+        tail = momentum_tail_oracle(N, L, hbar)
+        assert box_momentum_tail_norm_sq(N, L, hbar) == pytest.approx(tail, rel=1e-13, abs=0.0)
+
+    def test_sweep_rows_are_the_norms(self):
+        mu, L = 1.0, 1.2
+        rep = run_sweep(SweepConfig(experiment="box-momentum-norm", n_levels=(16, 32), mu=mu, L=L))
+        for N in (16, 32):
+            row = {r.metric: r.value for r in rep.rows if r.N == N}
+            inner, tail = momentum_inner_oracle(N, L, mu / N), momentum_tail_oracle(N, L, mu / N)
+            assert row["hs_norm_sq"] == pytest.approx(inner, rel=1e-13)
+            assert row["offdiag_norm_sq"] == pytest.approx(tail, rel=1e-13)
 
 
 class TestDistanceWithTail:
@@ -323,6 +366,27 @@ class TestSweeps:
         )
         with pytest.raises(ValueError, match="resource guard"):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize(
+        "experiment", sorted(set(EXPERIMENTS) - {"moyal-idempotency"})
+    )
+    def test_window_only_for_moyal_idempotency(self, experiment):
+        with pytest.raises(ValueError, match="window is not used"):
+            SweepConfig(experiment=experiment, n_levels=(8, 16), window=(-1.0, 1.0, -2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "experiment", sorted(set(EXPERIMENTS) - {"box-bulk-sup", "moyal-idempotency"})
+    )
+    def test_grid_shape_only_where_a_grid_is_sampled(self, experiment):
+        with pytest.raises(ValueError, match="grid_shape is not used"):
+            SweepConfig(experiment=experiment, n_levels=(8, 16), grid_shape=(40, 40))
+
+    def test_grid_knobs_accepted_where_read(self):
+        SweepConfig(experiment="box-bulk-sup", n_levels=(50,), grid_shape=(11, 17))
+        SweepConfig(
+            experiment="moyal-idempotency", n_levels=(8,), window=(-1.5, 1.5, -6.0, 6.0),
+            grid_shape=(96, 96),
+        )
 
     @pytest.mark.parametrize("experiment", ["box-projection-l2", "osc-disk-l2"])
     def test_l2_budget_guard(self, experiment):

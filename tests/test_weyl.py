@@ -213,7 +213,88 @@ class TestSinRatio:
             assert got == pytest.approx(math.sin(A * d) / d, rel=1e-15, abs=0.0)
 
 
+def momentum_double_sum(N, hbar, L, x, p):
+    """Slow oracle of the truncated box momentum symbol: the reduced real
+    form of the epsilon double sum over pairs j > k with j + k odd, pairing
+    (j, k) with (k, j) so that the complex prefactors become 2 Im C_jk
+    sin(...) factors; O(N^2) sin(A d)/d passes."""
+    x_arr = np.asarray(x, dtype=float)
+    p_arr = np.asarray(p, dtype=float)
+    A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
+    tot = np.zeros(np.broadcast(x_arr, p_arr).shape)
+    for jj in range(2, N + 1):
+        for kk in range(1, jj):
+            if (jj + kk) % 2 == 0:
+                continue
+            c_im = -hbar / L * 2.0 * jj * kk / (jj**2 - kk**2)  # Im C_jk
+            g1 = math.pi * hbar * (jj + kk) / (4.0 * L)
+            g2 = math.pi * hbar * (jj - kk) / (4.0 * L)
+            ph1 = (math.pi / (2.0 * L)) * (jj - kk) * (x_arr + L)
+            ph2 = (math.pi / (2.0 * L)) * (jj + kk) * (x_arr + L)
+            bracket = np.sin(ph1) * (_sin_ratio(A, p_arr - g1) - _sin_ratio(A, p_arr + g1)) - np.sin(
+                ph2
+            ) * (_sin_ratio(A, p_arr - g2) - _sin_ratio(A, p_arr + g2))
+            tot = tot - c_im * bracket
+    tot = tot * (hbar / (2.0 * L)) * 2.0
+    return np.where(np.abs(x_arr) > L, 0.0, tot)
+
+
+momentum_settings = settings(deadline=None, derandomize=True, max_examples=60)
+momentum_case = dict(
+    N=st.integers(1, 64), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+    u=st.floats(-1.3, 1.3), v=st.floats(-3.0, 3.0),
+)
+
+
 class TestMomentumSymbolBox:
+    @momentum_settings
+    @given(**momentum_case)
+    def test_matches_double_sum_oracle(self, N, mu, L, u, v):
+        # x = u L, p = v P with P = pi mu / 2L, the classical momentum edge
+        hbar, x, p = mu / N, u * L, v * math.pi * mu / (2.0 * L)
+        got = symbol_truncated_momentum_box(N, hbar, L, x, p)
+        assert isinstance(got, float)
+        assert abs(got - float(momentum_double_sum(N, hbar, L, x, p))) <= 1e-12
+
+    @momentum_settings
+    @given(**momentum_case)
+    def test_odd_in_p_property(self, N, mu, L, u, v):
+        hbar, x, p = mu / N, u * L, v * math.pi * mu / (2.0 * L)
+        plus = symbol_truncated_momentum_box(N, hbar, L, x, p)
+        assert abs(symbol_truncated_momentum_box(N, hbar, L, x, -p) + plus) <= 1e-14
+
+    @momentum_settings
+    @given(
+        N=st.integers(1, 64), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        u=st.floats(1.0, 3.0), sign=st.sampled_from((1.0, -1.0)), v=st.floats(-3.0, 3.0),
+    )
+    def test_zero_for_x_outside_box(self, N, mu, L, u, sign, v):
+        hbar, p = mu / N, v * math.pi * mu / (2.0 * L)
+        assert symbol_truncated_momentum_box(N, hbar, L, sign * u * L, p) == 0.0
+        assert symbol_truncated_momentum_box(N, hbar, L, sign * L, p) == 0.0
+
+    @momentum_settings
+    @given(
+        N=st.integers(1, 64), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        u=st.floats(-0.99, 0.99), k=st.integers(0, 130), sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_resonant_momenta(self, N, mu, L, u, k, sign):
+        # p = hbar pi k / 4L puts p - g_m exactly on the removable point
+        hbar, x = mu / N, u * L
+        p = sign * math.pi * hbar * k / (4.0 * L)
+        got = symbol_truncated_momentum_box(N, hbar, L, x, p)
+        assert math.isfinite(got)
+        assert abs(got - float(momentum_double_sum(N, hbar, L, x, p))) <= 1e-12
+
+    def test_broadcast_matches_scalar_calls(self):
+        N, hbar, L = 9, 0.12, 1.1
+        xs = np.array([-1.2, -0.7, 0.0, 0.4, 1.1])
+        ps = np.array([-2.0, 0.0, 0.3, 1.7])
+        grid = symbol_truncated_momentum_box(N, hbar, L, xs[:, None], ps[None, :])
+        assert grid.shape == (5, 4)
+        scalar = [[symbol_truncated_momentum_box(N, hbar, L, x, p) for p in ps] for x in xs]
+        np.testing.assert_array_equal(grid, np.array(scalar))
+
     def test_odd_in_p(self):
         N, mu, L = 6, 1.0, 1.0
         hbar = mu / N
