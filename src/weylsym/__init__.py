@@ -2,9 +2,9 @@
 
 Truncate an observable onto the span of the first N eigenfunctions of an
 exactly solvable model (harmonic oscillator or hard-wall box), evaluate its
-Weyl symbol by closed form or quadrature, and measure convergence to the
-classical symbol cut off on the allowed region in the joint limit
-hbar -> 0, N -> infinity with hbar N = mu fixed.
+Weyl symbol in closed form, and measure convergence to the classical symbol
+cut off on the allowed region in the joint limit hbar -> 0, N -> infinity
+with hbar N = mu fixed.
 """
 
 __version__ = "0.1.0"
@@ -48,9 +48,7 @@ from .truncate import (
     matrix_linear_power,
 )
 from .weyl import (
-    WeylQuadratureSpec,
     rescaled_kernel_f2,
-    symbol_from_kernel,
     symbol_projection_box,
     symbol_rank_one_box,
     symbol_truncated_momentum_box,
@@ -62,7 +60,7 @@ __all__ = [
     "l2_norm_sq_grid", "l2_distance_sq_grid",
     "Model", "EigenBasis", "eval_hermite_wavefunction", "eval_box_wavefunction", "eigenvalue",
     "EvalMode", "KernelEval", "dirichlet_kernel", "sine_kernel", "projection_kernel",
-    "WeylQuadratureSpec", "symbol_from_kernel", "symbol_rank_one_box",
+    "symbol_rank_one_box",
     "symbol_projection_box", "symbol_truncated_momentum_box", "rescaled_kernel_f2",
     "FiniteRankOperator", "moyal_via_composition", "moyal_direct",
     "OperatorMatrix", "matrix_linear_power", "ladder_matrices",

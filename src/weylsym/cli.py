@@ -25,8 +25,13 @@ from . import __version__
 from .diag import SweepConfig, default_n_levels, run_sweep
 from .limits import edge_profile_p, edge_profile_x
 from .moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
-from .scale import PhaseGrid
-from .weyl import momentum_symbol_field, projection_symbol_field, symbol_projection_box
+from .scale import PhaseGrid, SymbolField
+from .weyl import (
+    momentum_symbol_field,
+    projection_symbol_field,
+    symbol_oscillator_projection,
+    symbol_projection_box,
+)
 
 _EXIT_OK = 0
 _EXIT_VERDICT = 1
@@ -112,11 +117,11 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
             fld = projection_symbol_field(N, hbar, L, grid)
         else:
             fld = momentum_symbol_field(N, hbar, L, grid)
+    elif args.observable == "projection":
+        xs, ps = grid.x_centers(), grid.p_centers()
+        fld = SymbolField(grid, symbol_oscillator_projection(N, hbar, xs[:, None], ps[None, :]))
     else:
-        raise ConfigError(
-            "field rendering is box-only; oscillator projection values come "
-            "from weyl.symbol_oscillator_projection"
-        )
+        raise ConfigError("the momentum field is box-only; --model osc renders the projection")
     if args.format == "csv":
         fld.to_csv(args.output)
     else:

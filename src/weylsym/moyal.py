@@ -1,11 +1,13 @@
 """Moyal (star) products: exact finite-rank composition vs direct quadrature.
 
 Composition is exact for finite-rank operators (matrix product of the
-coefficient matrices, then one symbol evaluation) and serves as ground
-truth.  The direct route discretizes the 4-fold star-product integral in its
-y/p pairing form by two successive 2-fold midpoint sums with bilinear,
-zero-extended interpolation of the sampled symbols; it exists to exercise
-that integral formula and is validated against composition.
+coefficient matrices, then one closed-form symbol evaluation: rank-one sums
+for the box, Groenewold's associated-Laguerre form for the oscillator) and
+serves as ground truth.  The direct route discretizes the 4-fold
+star-product integral in its y/p pairing form by two successive 2-fold
+midpoint sums with bilinear, zero-extended interpolation of the sampled
+symbols; it exists to exercise that integral formula and is validated
+against composition.
 """
 
 from __future__ import annotations
@@ -17,15 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis, Model
-from .kernel import truncated_operator_kernel
 from .scale import SymbolField, _point_arrays
 from .truncate import MAX_DIMENSION
-from .weyl import (
-    CoverageWarning,
-    oscillator_quadrature_spec,
-    symbol_from_kernel_complex,
-    symbol_rank_one_box_complex,
-)
+from .weyl import CoverageWarning, _oscillator_operator_symbol, symbol_rank_one_box_complex
 
 __all__ = [
     "FiniteRankOperator",
@@ -61,12 +57,16 @@ class FiniteRankOperator:
 def operator_symbol_complex(basis: EigenBasis, coeff: np.ndarray, hbar: float, x, p):
     """Symbol of sum M_jk |u_j><u_k|; complex for non-Hermitian M.
 
-    Box route broadcasts over arrays of points; the oscillator route is
-    quadrature per point and takes scalars.
+    Both models broadcast over arrays of points: the box as a sum of
+    rank-one closed forms, the oscillator by Groenewold's associated-Laguerre
+    form.  coeff must be a square matrix.
     """
+    coeff = np.asarray(coeff)
+    if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
+        raise ValueError(f"coeff must be a square matrix, got shape {coeff.shape}")
     N = coeff.shape[0]
+    x_arr, p_arr, unwrap = _point_arrays(x, p)
     if basis.model is Model.BOX:
-        x_arr, _, unwrap = _point_arrays(x, p)
         total = np.zeros(x_arr.shape, dtype=complex)
         for j in range(1, N + 1):
             for k in range(1, N + 1):
@@ -77,11 +77,7 @@ def operator_symbol_complex(basis: EigenBasis, coeff: np.ndarray, hbar: float, x
                     # array loop
                     total = total + c * symbol_rank_one_box_complex(j, k, hbar, basis.L, x, p)
         return unwrap(total)
-
-    spec = oscillator_quadrature_spec(hbar, N, p)
-    return symbol_from_kernel_complex(
-        lambda xa, ya: truncated_operator_kernel(coeff, basis, xa, ya), hbar, spec, x, p
-    )
+    return unwrap(_oscillator_operator_symbol(coeff, hbar, x_arr, p_arr))
 
 
 def moyal_via_composition_complex(

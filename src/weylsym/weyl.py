@@ -1,30 +1,25 @@
-"""Weyl symbols: quadrature transform of kernels, and closed forms.
+"""Weyl symbols in closed form.
 
-The generic route integrates hbar * K(x - hbar y/2, x + hbar y/2) e^{ipy}
-over a Gauss-Legendre rule; the box model additionally has closed forms for
-rank-one symbols, the projection symbol and the truncated momentum symbol,
-built from singularity-safe sin(A d)/d quotients, and the oscillator
-projection symbol has Groenewold's Laguerre closed form.
+The box model has closed forms for rank-one symbols, the projection symbol
+and the truncated momentum symbol, built from singularity-safe sin(A d)/d
+quotients.  The oscillator has Groenewold's associated-Laguerre form: one
+recurrence for the normalised Laguerre functions serves both the projection
+symbol and the symbol of any finite-rank operator (the oscillator branch of
+`moyal.operator_symbol_complex`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Model, gauss_legendre
 from .kernel import KernelEval, projection_kernel
 from .scale import PhaseGrid, SymbolField, _point_arrays, worker_count
 
 __all__ = [
-    "WeylQuadratureSpec",
     "CoverageWarning",
-    "symbol_from_kernel",
-    "symbol_from_kernel_complex",
     "symbol_rank_one_box",
     "symbol_rank_one_box_complex",
     "symbol_projection_box",
@@ -32,111 +27,14 @@ __all__ = [
     "symbol_truncated_momentum_box",
     "momentum_symbol_field",
     "rescaled_kernel_f2",
-    "oscillator_quadrature_spec",
-    "box_quadrature_spec",
     "symbol_oscillator_projection",
 ]
 
-_IM_TOL = 1e-9
 _LN2 = math.log(2.0)
 
 
 class CoverageWarning(UserWarning):
-    """Quadrature window does not cover the kernel's y-support."""
-
-
-@dataclass(frozen=True)
-class WeylQuadratureSpec:
-    """Gauss-Legendre budget for the y-integral: window [-Y, Y], n nodes."""
-
-    y_halfwidth: float
-    n_nodes: int
-
-    def __post_init__(self) -> None:
-        if not self.y_halfwidth > 0:
-            raise ValueError("y_halfwidth must be positive")
-        if self.n_nodes < 64:
-            raise ValueError("n_nodes must be >= 64")
-
-
-def box_quadrature_spec(hbar: float, L: float, x: float, p: float, mu: float) -> WeylQuadratureSpec:
-    """Spec matched to the box kernel: window equal to the exact y-support.
-
-    The integrand is trig-smooth inside the support and identically zero
-    outside, so putting the window edge exactly on the support corner keeps
-    Gauss-Legendre spectrally accurate.
-    """
-    Y = 2.0 * max(L - abs(x), 0.0) / hbar
-    if Y == 0.0:
-        Y = 1.0  # integrand identically zero; any window works
-    rate = math.pi * mu / (2.0 * L) + abs(p) + 1.0
-    n = max(64, math.ceil(4.0 * Y * rate / math.pi))
-    return WeylQuadratureSpec(y_halfwidth=Y, n_nodes=n)
-
-
-def oscillator_quadrature_spec(hbar: float, N: int, p: float) -> WeylQuadratureSpec:
-    """Spec covering the oscillator kernel support plus Gaussian tails.
-
-    Y = 2 (sqrt(2 hbar N) + 8 sqrt(hbar)) / hbar; nodes scale to keep at
-    least 4 nodes per period of e^{ipy} against the kernel oscillation.
-    """
-    mu = hbar * N
-    Y = 2.0 * (math.sqrt(2.0 * hbar * N) + 8.0 * math.sqrt(hbar)) / hbar
-    n = max(256, math.ceil(4.0 * Y * (abs(p) + math.sqrt(2.0 * mu)) / math.pi))
-    return WeylQuadratureSpec(y_halfwidth=Y, n_nodes=n)
-
-
-def _kernel_callable(kernel):
-    if isinstance(kernel, KernelEval):
-        ke = kernel
-        return lambda xa, ya: projection_kernel(ke, xa, ya)
-    if callable(kernel):
-        return kernel
-    raise TypeError("kernel must be a KernelEval or a callable K(x, y)")
-
-
-def _kernel_y_support(kernel, hbar: float, x: float) -> float | None:
-    if isinstance(kernel, KernelEval) and kernel.basis.model is Model.BOX:
-        return 2.0 * max(kernel.basis.L - abs(x), 0.0) / hbar
-    return None
-
-
-def symbol_from_kernel_complex(
-    kernel, hbar: float, spec: WeylQuadratureSpec, x: float, p: float
-) -> complex:
-    """Raw quadrature value of the symbol integral, no reality reduction."""
-    K = _kernel_callable(kernel)
-    ys, wy = gauss_legendre(spec.n_nodes, -spec.y_halfwidth, spec.y_halfwidth)
-    vals = np.asarray(K(x - hbar * ys / 2.0, x + hbar * ys / 2.0), dtype=complex)
-    return complex(hbar * np.sum(wy * vals * np.exp(1j * p * ys)))
-
-
-def symbol_from_kernel(
-    kernel,
-    hbar: float,
-    spec: WeylQuadratureSpec,
-    x: float,
-    p: float,
-    y_support: float | None = None,
-) -> float:
-    """Weyl symbol of a Hermitian kernel at (x, p) by Gauss-Legendre.
-
-    The kernel must be real-symmetric or complex-Hermitian so the symbol is
-    real; an imaginary residue above 1e-9 (1 + |Re|) raises.  For box
-    kernels the window must cover the y-support {y : |x +- hbar y/2| <= L},
-    otherwise a CoverageWarning is emitted.
-    """
-    support = y_support if y_support is not None else _kernel_y_support(kernel, hbar, x)
-    if support is not None and spec.y_halfwidth < support * (1.0 - 1e-12):
-        warnings.warn(
-            f"quadrature window {spec.y_halfwidth:g} does not cover the kernel "
-            f"y-support {support:g}",
-            CoverageWarning,
-        )
-    val = symbol_from_kernel_complex(kernel, hbar, spec, x, p)
-    if abs(val.imag) > _IM_TOL * (1.0 + abs(val.real)):
-        raise ValueError("non-Hermitian kernel")
-    return val.real
+    """An integration window does not cover the support it must contain."""
 
 
 def _sin_ratio(amplitude, d):
@@ -263,42 +161,107 @@ def rescaled_kernel_f2(eval: KernelEval, hbar: float, x, y) -> np.ndarray | floa
     return 2.0 * math.pi * hbar * projection_kernel(eval, x - hbar * np.asarray(y) / 2.0, x + hbar * np.asarray(y) / 2.0)
 
 
+def _oscillator_z(hbar: float, x_arr: np.ndarray, p_arr: np.ndarray) -> np.ndarray:
+    """z = 2 (x^2 + p^2) / hbar, capped at 1e9: beyond it every symbol here
+    is below the smallest subnormal for any rank < 10^7, and the cap keeps
+    the carried exponent a finite integer."""
+    with np.errstate(over="ignore"):
+        return np.minimum(2.0 * (x_arr**2 + p_arr**2) / hbar, 1e9)
+
+
+def _laguerre_functions(d: int, z: np.ndarray, count: int):
+    """Yield the normalised Laguerre functions
+    l_n(z) = sqrt(n! / (n+d)!) z^{d/2} e^{-z/2} L_n^(d)(z), n = 0..count-1,
+    as (mantissa, shift): l_n = mantissa * 2^e with e the sum of the shifts
+    yielded so far.  Each step renormalises the mantissa, so e^{-z/2} never
+    underflows on its own and large z gives exact zeros, never NaNs.
+
+    l_0 = z^{d/2} e^{-z/2} / sqrt(d!), l_1 = (1 + d - z) l_0 / sqrt(1 + d),
+    sqrt((n+1)(n+1+d)) l_{n+1} = (2n + 1 + d - z) l_n - sqrt(n (n+d)) l_{n-1}.
+    d stays a Python int, so at d = 0 the square roots are exact integers.
+    """
+    if d == 0:
+        expo = np.floor(-0.5 * z / _LN2)
+        m0 = np.exp(-0.5 * z - expo * _LN2)
+    else:
+        # at z = 0, l_0 = 0 for d > 0: no 0 log 0
+        pos = z > 0
+        log_l0 = 0.5 * d * np.log(np.where(pos, z, 1.0)) - 0.5 * z - 0.5 * math.lgamma(d + 1)
+        expo = np.floor(log_l0 / _LN2)
+        m0 = np.where(pos, np.exp(log_l0 - expo * _LN2), 0.0)
+    yield m0, expo.astype(np.int64)
+    if count == 1:
+        return
+    m1 = (1 + d - z) * m0 / math.sqrt(1 + d)
+    yield m1, 0
+    for n in range(1, count - 1):
+        m2 = ((2 * n + 1 + d - z) * m1 - math.sqrt(n * (n + d)) * m0) / math.sqrt(
+            (n + 1) * (n + 1 + d)
+        )
+        m2, shift = np.frexp(m2)
+        m0 = np.ldexp(m1, -shift)
+        m1 = m2
+        yield m2, shift
+
+
 def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the rank-N oscillator projection (Groenewold).
 
-    sigma_N = 2 e^{-z/2} sum_{n<N} (-1)^n L_n(z) with z = 2 (x^2 + p^2) / hbar,
-    by the three-term recurrence (n+1) L_{n+1} = (2n+1-z) L_n - n L_{n-1}
-    run on e^{-z/2} L_n(z) as a mantissa with a carried binary exponent,
-    renormalized every step, so e^{-z/2} never underflows on its own: large
-    z gives exact zeros, never NaNs.  O(N) vector operations per call;
-    broadcasts x against p.
+    sigma_N = 2 e^{-z/2} sum_{n<N} (-1)^n L_n(z) with z = 2 (x^2 + p^2) / hbar:
+    the d = 0 Laguerre functions, summed as mantissas at the recurrence's
+    carried binary exponent.  O(N) vector operations per call; broadcasts x
+    against p.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not hbar > 0:
         raise ValueError("hbar must be positive")
     x_arr, p_arr, unwrap = _point_arrays(x, p)
-    # beyond z = 1e9 the symbol is below the smallest subnormal for any
-    # N < 10^7; the cap keeps the carried exponent a finite integer
-    with np.errstate(over="ignore"):
-        z = np.minimum(2.0 * (x_arr**2 + p_arr**2) / hbar, 1e9)
-
-    # e^{-z/2} L_0 = m0 * 2^expo and e^{-z/2} L_1 = m1 * 2^expo
-    expo = np.floor(-0.5 * z / _LN2)
-    m0 = np.exp(-0.5 * z - expo * _LN2)
-    expo = expo.astype(np.int64)
-    m1 = (1.0 - z) * m0
-    total = m0 - m1 if N > 1 else m0
-    for n in range(1, N - 1):
-        m2 = ((2 * n + 1 - z) * m1 - n * m0) / (n + 1)
-        m2, shift = np.frexp(m2)
-        m0 = np.ldexp(m1, -shift)
-        m1 = m2
+    ells = _laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)
+    total, expo = next(ells)
+    for n, (m, shift) in enumerate(ells, start=1):
         total = np.ldexp(total, -shift)
-        total = total + m2 if n % 2 else total - m2
+        total = total - m if n % 2 else total + m
         expo = expo + shift
     out = 2.0 * np.ldexp(total, expo)
     return unwrap(out)
+
+
+def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) -> np.ndarray:
+    """Symbol of sum_{j,k} M_jk |u_j><u_k| for the oscillator (Groenewold),
+    with 0-based n, theta = atan2(p, x) and z = 2 (x^2 + p^2) / hbar:
+
+        sigma = 2 sum_{d>=0} sum_n (-1)^n l_n^(d)(z) [M_{n+d,n} e^{-i d theta} + M_{n,n+d} e^{i d theta}],
+
+    the d = 0 term counted once.  Diagonals of M that are all zero are
+    skipped, and each recurrence stops at its diagonal's last nonzero entry,
+    so a banded M costs O(bandwidth * M) steps.  x and p broadcast.
+    """
+    z = _oscillator_z(hbar, x_arr, p_arr)
+    theta = np.arctan2(p_arr, x_arr)
+    M = coeff.shape[0]
+    signs = np.where(np.arange(M) % 2, -2.0, 2.0)  # 2 (-1)^n
+    out = np.zeros(z.shape, dtype=complex)
+    for d in range(M):
+        below = signs[: M - d] * np.diagonal(coeff, -d)  # 2 (-1)^n M_{n+d,n}
+        above = signs[: M - d] * np.diagonal(coeff, d)  # 2 (-1)^n M_{n,n+d}
+        live = np.flatnonzero((below != 0) | (above != 0))
+        if live.size == 0:
+            continue
+        sum_below = sum_above = 0.0
+        expo = 0
+        for n, (m, shift) in enumerate(_laguerre_functions(d, z, int(live[-1]) + 1)):
+            expo = expo + shift
+            ell = np.ldexp(m, expo)
+            sum_below = sum_below + below[n] * ell
+            if d:
+                sum_above = sum_above + above[n] * ell
+        if d == 0:
+            out += sum_below
+        else:
+            phase = np.exp(-1j * d * theta)
+            out += sum_below * phase + sum_above * phase.conj()
+    return out
 
 
 def _field_rows(N: int, hbar: float, L: float, xs: np.ndarray, ps: np.ndarray, fn) -> np.ndarray:

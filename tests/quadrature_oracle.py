@@ -1,0 +1,123 @@
+"""The y-quadrature route to Weyl symbols, kept as the one slow oracle of the
+closed forms (`weyl.symbol_*`, and the oscillator branch of
+`moyal.operator_symbol_complex`).
+
+It integrates hbar * K(x - hbar y/2, x + hbar y/2) e^{ipy} over a
+Gauss-Legendre rule on a window [-Y, Y], one cold quadrature per point.
+"""
+
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from weylsym.basis import Model, gauss_legendre
+from weylsym.kernel import KernelEval, projection_kernel, truncated_operator_kernel
+from weylsym.weyl import CoverageWarning
+
+_IM_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class WeylQuadratureSpec:
+    """Gauss-Legendre budget for the y-integral: window [-Y, Y], n nodes."""
+
+    y_halfwidth: float
+    n_nodes: int
+
+    def __post_init__(self) -> None:
+        if not self.y_halfwidth > 0:
+            raise ValueError("y_halfwidth must be positive")
+        if self.n_nodes < 64:
+            raise ValueError("n_nodes must be >= 64")
+
+
+def box_quadrature_spec(hbar: float, L: float, x: float, p: float, mu: float) -> WeylQuadratureSpec:
+    """Spec matched to the box kernel: window equal to the exact y-support.
+
+    The integrand is trig-smooth inside the support and identically zero
+    outside, so putting the window edge exactly on the support corner keeps
+    Gauss-Legendre spectrally accurate.
+    """
+    Y = 2.0 * max(L - abs(x), 0.0) / hbar
+    if Y == 0.0:
+        Y = 1.0  # integrand identically zero; any window works
+    rate = math.pi * mu / (2.0 * L) + abs(p) + 1.0
+    n = max(64, math.ceil(4.0 * Y * rate / math.pi))
+    return WeylQuadratureSpec(y_halfwidth=Y, n_nodes=n)
+
+
+def oscillator_quadrature_spec(hbar: float, N: int, p: float) -> WeylQuadratureSpec:
+    """Spec covering the oscillator kernel support plus Gaussian tails.
+
+    Y = 2 (sqrt(2 hbar N) + 8 sqrt(hbar)) / hbar; nodes scale to keep at
+    least 4 nodes per period of e^{ipy} against the kernel oscillation.
+    """
+    mu = hbar * N
+    Y = 2.0 * (math.sqrt(2.0 * hbar * N) + 8.0 * math.sqrt(hbar)) / hbar
+    n = max(256, math.ceil(4.0 * Y * (abs(p) + math.sqrt(2.0 * mu)) / math.pi))
+    return WeylQuadratureSpec(y_halfwidth=Y, n_nodes=n)
+
+
+def _kernel_callable(kernel):
+    if isinstance(kernel, KernelEval):
+        ke = kernel
+        return lambda xa, ya: projection_kernel(ke, xa, ya)
+    if callable(kernel):
+        return kernel
+    raise TypeError("kernel must be a KernelEval or a callable K(x, y)")
+
+
+def _kernel_y_support(kernel, hbar: float, x: float) -> float | None:
+    if isinstance(kernel, KernelEval) and kernel.basis.model is Model.BOX:
+        return 2.0 * max(kernel.basis.L - abs(x), 0.0) / hbar
+    return None
+
+
+def symbol_from_kernel_complex(
+    kernel, hbar: float, spec: WeylQuadratureSpec, x: float, p: float
+) -> complex:
+    """Raw quadrature value of the symbol integral, no reality reduction."""
+    K = _kernel_callable(kernel)
+    ys, wy = gauss_legendre(spec.n_nodes, -spec.y_halfwidth, spec.y_halfwidth)
+    vals = np.asarray(K(x - hbar * ys / 2.0, x + hbar * ys / 2.0), dtype=complex)
+    return complex(hbar * np.sum(wy * vals * np.exp(1j * p * ys)))
+
+
+def symbol_from_kernel(
+    kernel,
+    hbar: float,
+    spec: WeylQuadratureSpec,
+    x: float,
+    p: float,
+    y_support: float | None = None,
+) -> float:
+    """Weyl symbol of a Hermitian kernel at (x, p) by Gauss-Legendre.
+
+    The kernel must be real-symmetric or complex-Hermitian so the symbol is
+    real; an imaginary residue above 1e-9 (1 + |Re|) raises.  For box
+    kernels the window must cover the y-support {y : |x +- hbar y/2| <= L},
+    otherwise a CoverageWarning is emitted.
+    """
+    support = y_support if y_support is not None else _kernel_y_support(kernel, hbar, x)
+    if support is not None and spec.y_halfwidth < support * (1.0 - 1e-12):
+        warnings.warn(
+            f"quadrature window {spec.y_halfwidth:g} does not cover the kernel "
+            f"y-support {support:g}",
+            CoverageWarning,
+        )
+    val = symbol_from_kernel_complex(kernel, hbar, spec, x, p)
+    if abs(val.imag) > _IM_TOL * (1.0 + abs(val.real)):
+        raise ValueError("non-Hermitian kernel")
+    return val.real
+
+
+def operator_symbol_quadrature(basis, coeff, hbar: float, x: float, p: float) -> complex:
+    """Symbol of sum M_jk |u_j><u_k| at one point by quadrature of the
+    truncated-operator kernel: the oscillator route `moyal.operator_symbol_complex`
+    took before its Laguerre closed form."""
+    spec = oscillator_quadrature_spec(hbar, coeff.shape[0], p)
+    return symbol_from_kernel_complex(
+        lambda xa, ya: truncated_operator_kernel(coeff, basis, xa, ya), hbar, spec, x, p
+    )

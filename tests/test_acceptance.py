@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from grid_oracle import l2_distance_with_tail
+from quadrature_oracle import box_quadrature_spec, symbol_from_kernel, symbol_from_kernel_complex
 
 from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
 from weylsym.diag import (
@@ -40,11 +41,8 @@ from weylsym.truncate import (
     matrix_linear_power,
 )
 from weylsym.weyl import (
-    box_quadrature_spec,
     projection_symbol_field,
     rescaled_kernel_f2,
-    symbol_from_kernel,
-    symbol_from_kernel_complex,
     symbol_oscillator_projection,
     symbol_projection_box,
     symbol_rank_one_box_complex,

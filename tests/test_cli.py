@@ -7,7 +7,7 @@ import pytest
 
 import weylsym.cli
 from weylsym.cli import main
-from weylsym.weyl import symbol_projection_box
+from weylsym.weyl import symbol_oscillator_projection, symbol_projection_box
 
 
 def run(args):
@@ -89,6 +89,33 @@ class TestFieldCommand:
             "--grid", "-1:1:8,-1:1:8", "-o", str(tmp_path / "no" / "such" / "dir" / "x.csv"),
         ])
         assert code == 3
+
+    def test_oscillator_projection_field(self, tmp_path):
+        # one broadcast call on the grid equals the pointwise calls bit for bit
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert run([
+                "field", "--model", "osc", "--N", "30", "--mu", "1.3",
+                "--grid", "-2.2:2.2:13,-2:2.4:9", "-o", str(out),
+            ]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        lines = a.read_text().strip().splitlines()
+        assert lines[0] == "x,p,value"
+        assert len(lines) == 1 + 13 * 9
+        for line in lines[1:]:
+            x, p, value = (float(t) for t in line.split(","))
+            assert value == symbol_oscillator_projection(30, 1.3 / 30, x, p)
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["model"] == "osc" and manifest["observable"] == "projection"
+
+    def test_oscillator_momentum_field_refused(self, tmp_path, capsys):
+        code = run([
+            "field", "--model", "osc", "--observable", "momentum", "--N", "8",
+            "--grid", "-1:1:8,-1:1:8", "-o", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "momentum field is box-only" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSweepCommand:

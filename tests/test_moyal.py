@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from quadrature_oracle import operator_symbol_quadrature
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import (
@@ -16,6 +19,7 @@ from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.truncate import box_momentum_matrix, box_multiplication_matrix
 from weylsym.weyl import (
     projection_symbol_field,
+    symbol_oscillator_projection,
     symbol_projection_box,
     symbol_truncated_momentum_box,
 )
@@ -229,3 +233,122 @@ class TestDirect:
         f = SymbolField.sample(lambda x, p: np.ones_like(x * p), grid)
         with pytest.warns(CoverageWarning):
             moyal_direct(f, f, 0.5, 0.0, 0.0, support=(-1.0, 1.0, -1.0, 1.0), pad=2.0)
+
+
+def osc_basis(hbar):
+    return EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
+
+
+osc_settings = settings(deadline=None, derandomize=True, max_examples=40)
+entry = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def complex_matrices(draw, max_dim=12):
+    n = draw(st.integers(1, max_dim))
+    re = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    im = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    return (np.array(re) + 1j * np.array(im)).reshape(n, n)
+
+
+osc_point = dict(hbar=st.floats(0.05, 1.0), x=st.floats(-2.5, 2.5), p=st.floats(-2.5, 2.5))
+
+
+class TestOscillatorOperatorSymbol:
+    @osc_settings
+    @given(m=complex_matrices(), **osc_point)
+    def test_matches_quadrature_oracle(self, m, hbar, x, p):
+        got = operator_symbol_complex(osc_basis(hbar), m, hbar, x, p)
+        assert isinstance(got, complex)
+        want = operator_symbol_quadrature(osc_basis(hbar), m, hbar, x, p)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @osc_settings
+    @given(m=complex_matrices(), **osc_point)
+    def test_hermitian_coeff_gives_real_symbol(self, m, hbar, x, p):
+        got = operator_symbol_complex(osc_basis(hbar), m + m.conj().T, hbar, x, p)
+        assert abs(got.imag) <= 1e-13 * max(1.0, abs(got.real))
+
+    @osc_settings
+    @given(m=complex_matrices(), **osc_point)
+    def test_adjoint_gives_conjugate(self, m, hbar, x, p):
+        got = operator_symbol_complex(osc_basis(hbar), m.conj().T, hbar, x, p)
+        want = operator_symbol_complex(osc_basis(hbar), m, hbar, x, p).conjugate()
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    @osc_settings
+    @given(N=st.integers(1, 300), **osc_point)
+    def test_identity_is_the_projection(self, N, hbar, x, p):
+        got = operator_symbol_complex(osc_basis(hbar), np.eye(N), hbar, x, p)
+        assert got.imag == 0.0
+        assert abs(got.real - symbol_oscillator_projection(N, hbar, x, p)) <= 1e-14
+
+    @osc_settings
+    @given(m=complex_matrices(), hbar=st.floats(0.05, 1.0))
+    def test_origin_is_alternating_trace(self, m, hbar):
+        # z = 0: l_n^(0) = L_n(0) = 1 and l_n^(d) = 0 for d > 0
+        got = operator_symbol_complex(osc_basis(hbar), m, hbar, 0.0, 0.0)
+        want = 2.0 * sum((-1) ** n * m[n, n] for n in range(m.shape[0]))
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    @osc_settings
+    @given(
+        m=complex_matrices(), hbar=st.floats(0.05, 1.0),
+        xs=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=6),
+        ps=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=4),
+    )
+    def test_broadcast_is_bit_identical_to_scalar_calls(self, m, hbar, xs, ps):
+        basis = osc_basis(hbar)
+        grid = operator_symbol_complex(basis, m, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
+        assert grid.shape == (len(xs), len(ps))
+        scalar = np.array([[operator_symbol_complex(basis, m, hbar, x, p) for p in ps] for x in xs])
+        assert grid.tobytes() == scalar.tobytes()
+
+    def test_large_rank_corners_finite_with_exact_zeros_far_out(self):
+        # |u_M><u_1| and |u_1><u_M| at M = 4096: a single d = M - 1 Laguerre
+        # function, l_0 = z^{d/2} e^{-z/2} / sqrt(d!), peaked at z = d.  An
+        # int8 matrix keeps the 4096^2 coefficients at 16 MB.
+        M = 4096
+        hbar = 1.0 / M
+        basis = osc_basis(hbar)
+        for corner in ((M - 1, 0), (0, M - 1)):
+            m = np.zeros((M, M), dtype=np.int8)
+            m[corner] = 1
+            peak = math.sqrt(0.5 * hbar * (M - 1))  # z = d
+            rs = np.array([0.0, 0.5 * peak, peak, 2.0 * peak, 10.0, 1e200])
+            vals = operator_symbol_complex(basis, m, hbar, rs, 0.0)
+            assert np.all(np.isfinite(vals))
+            assert np.all(np.abs(vals) <= 2.0)
+            assert vals[0] == 0.0  # l^(d)(0) = 0 for d > 0
+            assert 0.1 < abs(vals[2]) < 0.2  # 2 (2 pi d)^{-1/4} at the peak
+            np.testing.assert_array_equal(vals[3:], 0.0)
+        # the phase follows the corner: e^{-i d theta} for M_{d,0}
+        theta = 0.7
+        x, p = peak * math.cos(theta), peak * math.sin(theta)
+        m = np.zeros((M, M), dtype=np.int8)
+        m[M - 1, 0] = 1
+        low = operator_symbol_complex(basis, m, hbar, x, p)
+        m[M - 1, 0], m[0, M - 1] = 0, 1
+        high = operator_symbol_complex(basis, m, hbar, x, p)
+        assert high == pytest.approx(low.conjugate(), abs=1e-15)
+
+    def test_projection_star_projection_at_rank_256(self):
+        # one Laguerre recurrence per point; by quadrature this point took
+        # ~2 s and ~200 MB
+        N = 256
+        hbar = 1.0 / N
+        proj = FiniteRankOperator(basis=osc_basis(hbar), coeff=np.eye(N, dtype=complex))
+        got = moyal_via_composition(proj, proj, hbar, 0.2, 1.2)
+        assert abs(got - symbol_oscillator_projection(N, hbar, 0.2, 1.2)) <= 1e-13
+
+
+class TestOperatorSymbolValidation:
+    @pytest.mark.parametrize("coeff", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+    def test_box_rejects_non_square_coeff(self, coeff):
+        with pytest.raises(ValueError, match="square"):
+            operator_symbol_complex(box_basis(0.25), coeff, 0.25, 0.1, 0.2)
+
+    @pytest.mark.parametrize("coeff", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+    def test_oscillator_rejects_non_square_coeff(self, coeff):
+        with pytest.raises(ValueError, match="square"):
+            operator_symbol_complex(osc_basis(0.25), coeff, 0.25, np.zeros(3), np.ones(3))

@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quadrature_oracle import (
+    WeylQuadratureSpec,
+    box_quadrature_spec,
+    oscillator_quadrature_spec,
+    symbol_from_kernel,
+    symbol_from_kernel_complex,
+)
 
 from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
 from weylsym.kernel import EvalMode, KernelEval, dirichlet_kernel
@@ -11,14 +18,9 @@ from weylsym.scale import PhaseGrid, pairwise_sum
 from weylsym.weyl import (
     CoverageWarning,
     _sin_ratio,
-    WeylQuadratureSpec,
-    box_quadrature_spec,
     momentum_symbol_field,
-    oscillator_quadrature_spec,
     projection_symbol_field,
     rescaled_kernel_f2,
-    symbol_from_kernel,
-    symbol_from_kernel_complex,
     symbol_oscillator_projection,
     symbol_projection_box,
     symbol_rank_one_box,
@@ -497,3 +499,97 @@ class TestFields:
                     symbol_truncated_momentum_box(N, hbar, L, float(xs[i]), float(ps[j])),
                     abs=1e-14,
                 )
+
+
+box_settings = settings(deadline=None, derandomize=True, max_examples=40)
+
+
+class TestBoxWallsAndResonances:
+    @box_settings
+    @given(
+        N=st.integers(1, 64), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        u=st.floats(1.0, 3.0), sign=st.sampled_from((1.0, -1.0)), v=st.floats(-3.0, 3.0),
+        j=st.integers(1, 64), k=st.integers(1, 64),
+    )
+    def test_zero_for_x_outside_box(self, N, mu, L, u, sign, v, j, k):
+        hbar, p = mu / N, v * math.pi * mu / (2.0 * L)
+        for x in (sign * L, sign * u * L):
+            assert symbol_projection_box(N, hbar, L, x, p) == 0.0
+            assert symbol_rank_one_box_complex(j, k, hbar, L, x, p) == 0.0
+
+    @box_settings
+    @given(
+        N=st.integers(1, 8), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        u=st.floats(-0.95, 0.95), k=st.integers(0, 20), sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_projection_at_resonant_momenta(self, N, mu, L, u, k, sign):
+        # p = hbar pi k / 2L puts m -+ p exactly on the removable point
+        hbar, x = mu / N, u * L
+        p = sign * math.pi * hbar * k / (2.0 * L)
+        got = symbol_projection_box(N, hbar, L, x, p)
+        assert math.isfinite(got)
+        ke = box_eval(N, L, hbar, EvalMode.CLOSED_FORM)
+        want = symbol_from_kernel(ke, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
+        assert abs(got - want) <= 1e-8
+
+    @box_settings
+    @given(
+        j=st.integers(1, 8), k=st.integers(1, 8), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        u=st.floats(-0.95, 0.95), m=st.integers(0, 20), sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_rank_one_at_resonant_momenta(self, j, k, mu, L, u, m, sign):
+        # p = hbar pi m / 4L hits (pi hbar / 4L)(j -+ k) -+ p = 0 for either
+        # parity of j + k; hbar pi m / 2L are the even m
+        N = max(j, k)
+        hbar, x = mu / N, u * L
+        p = sign * math.pi * hbar * m / (4.0 * L)
+        got = symbol_rank_one_box_complex(j, k, hbar, L, x, p)
+        assert math.isfinite(got.real) and math.isfinite(got.imag)
+
+        def kernel(xa, ya):
+            return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
+
+        want = symbol_from_kernel_complex(kernel, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
+        assert abs(got - want) <= 1e-8
+
+    @box_settings
+    @given(
+        j=st.integers(1, 8), k=st.integers(1, 8), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        u=st.floats(-0.95, 0.95), v=st.floats(-3.0, 3.0),
+    )
+    def test_rank_one_matches_quadrature(self, j, k, mu, L, u, v):
+        N = max(j, k)
+        hbar, x, p = mu / N, u * L, v * math.pi * mu / (2.0 * L)
+
+        def kernel(xa, ya):
+            return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
+
+        want = symbol_from_kernel_complex(kernel, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
+        assert abs(symbol_rank_one_box_complex(j, k, hbar, L, x, p) - want) <= 1e-8
+
+
+class TestFieldThreads:
+    @settings(deadline=None, derandomize=True, max_examples=10)
+    @given(
+        N=st.integers(1, 24), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        nx=st.integers(6, 17), npts=st.integers(2, 9),
+    )
+    def test_fields_bit_identical_across_thread_counts(self, N, mu, L, nx, npts):
+        # field rows are independent, so chunking them over workers must not
+        # change a bit
+        hbar = mu / N
+        grid = PhaseGrid(-1.3 * L, 1.3 * L, -4.0, 4.0, nx, npts)
+        fields = []
+        for threads in (None, "1", "3"):
+            with pytest.MonkeyPatch.context() as mp:
+                if threads is None:
+                    mp.delenv("WEYL_THREADS", raising=False)
+                else:
+                    mp.setenv("WEYL_THREADS", threads)
+                fields.append((
+                    projection_symbol_field(N, hbar, L, grid).values,
+                    momentum_symbol_field(N, hbar, L, grid).values,
+                ))
+        for proj, mom in fields[1:]:
+            assert proj.tobytes() == fields[0][0].tobytes()
+            assert mom.tobytes() == fields[0][1].tobytes()
