@@ -126,9 +126,9 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
         fld.to_csv(args.output)
     else:
         payload = {
-            "x": [float(v) for v in grid.x_centers()],
-            "p": [float(v) for v in grid.p_centers()],
-            "values": [[float(v) for v in row] for row in fld.values],
+            "x": grid.x_centers().tolist(),
+            "p": grid.p_centers().tolist(),
+            "values": fld.values.tolist(),
         }
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)

@@ -183,12 +183,14 @@ def moyal_direct(
 
     shifted_x = x - hbar * y / 2.0
     F = np.exp(1j * q[:, None] * y[None, :])                       # (M, My)
-    A = _bilinear(sigma1, shifted_x[:, None], q[None, :]) @ F      # (My, My)
+    H = _bilinear(sigma1, shifted_x[:, None], q[None, :]) @ F      # (My, My)
+    # H[a, j] = (S1 F)[a, j] (S2 conj F)[j, a], built in place
     if sigma2 is sigma1:
-        B = A.conj()
+        H *= H.T.conj()
     else:
-        B = _bilinear(sigma2, shifted_x[:, None], q[None, :]) @ F.conj()
-    H = A * B.T
+        np.conjugate(F, out=F)
+        H *= (_bilinear(sigma2, shifted_x[:, None], q[None, :]) @ F).T
+    del F
     E = np.exp(1j * p_arr.reshape(-1)[:, None] * y[None, :])        # (P, My)
     vals = (dy * g.dp / (2.0 * math.pi)) ** 2 * np.sum((E @ H) * E.conj(), axis=1)
     if p_arr.ndim == 0:

@@ -181,12 +181,23 @@ class SymbolField:
         return cls(grid=grid, values=vals)
 
     def to_csv(self, path) -> None:
-        """Write rows `x,p,value`, x outer ascending, p inner ascending."""
-        g = self.grid
-        xs = np.repeat(g.x_centers(), g.np)
-        ps = np.tile(g.p_centers(), g.nx)
-        data = np.column_stack([xs, ps, self.values.ravel(order="C")])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,p,value", comments="")
+        """Write rows `x,p,value`, x outer ascending, p inner ascending, each
+        number as `%.17g` (the bytes `np.savetxt` writes for the same table).
+
+        The p centers are formatted once, into a template for one grid row;
+        each grid row then fills it with its x center and values in one
+        formatting call and is written as one string.
+        """
+        fmt = "%.17g".__mod__
+        n = self.grid.np
+        row_template = "".join(f"%s,{p},%.17g\n" for p in map(fmt, self.grid.p_centers().tolist()))
+        args = [None] * (2 * n)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,p,value\n")
+            for x, row in zip(self.grid.x_centers().tolist(), self.values):
+                args[0::2] = [fmt(x)] * n
+                args[1::2] = row.tolist()
+                fh.write(row_template % tuple(args))
 
 
 def l2_norm_sq_grid(field: SymbolField) -> float:

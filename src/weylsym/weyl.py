@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# cells per block of a grid field (256 KiB of doubles per temporary)
+_BLOCK_CELLS = 1 << 15
 
 
 class CoverageWarning(UserWarning):
@@ -85,20 +87,56 @@ def symbol_rank_one_box(j: int, k: int, hbar: float, L: float, x, p) -> np.ndarr
 
 
 def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
-    """Three-sum closed form, broadcasting x against p.
+    """Three-sum closed form, broadcasting x against p, with O(1)
+    transcendentals per cell.
 
-    The third sum is sin(A p)/p times sum_k cos(k pi (L + x) / L), which
-    depends on x alone, so the cosines are summed on x's own shape (a
-    field's x column) and the quotient is taken once.
+    With A = 2 (L - |x|) / hbar, S(t) = sin(A t) / t, q = |p| and the
+    resonances m_k = k g, g = pi hbar / 2L,
+
+        sigma = (hbar / 2L) [sum_k (S(m_k + q) + S(m_k - q)) - 2 S(q) sum_k cos(A m_k)],
+
+    since cos(k pi (L + x) / L) = cos(A m_k) for |x| <= L.  S is even, so
+    sigma is exactly even in p.  By angle addition
+
+        S(m + q) + S(m - q) = cos(Aq) sin(Am) [1/(m+q) + 1/(m-q)]
+                            + sin(Aq) cos(Am) [1/(m+q) - 1/(m-q)],
+
+    so per level sin(A m_k) and cos(A m_k) depend on x alone (a field's x
+    column) and the reciprocals on q alone (a p row); the cells see two
+    multiply-adds per level, in a fixed order of k, and then cos(Aq),
+    sin(Aq), S(q) and one resonance term.
+
+    Resonance: the split carries absolute errors eps / |m_k - q| that
+    cancel in exact arithmetic but not in floating point.  The nearest
+    level k* = rint(q / g), clipped to [1, N], is therefore left out of the
+    reciprocals and S(m_k* - q) is added directly.  Every other level has
+    |m_k - q| >= g / 2 > hbar / 2L, so its error is at most 2L eps / hbar,
+    O(eps) after the hbar / 2L prefactor.
     """
     A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
+    alpha = math.pi * (L - np.abs(x_arr)) / L  # A g
+    q = np.abs(p_arr)
+    g = math.pi * hbar / (2.0 * L)
+    k_star = np.clip(np.rint(q / g), 1, N)
     cos_sum = np.zeros(x_arr.shape)
+    shape = np.broadcast(x_arr, p_arr).shape
+    even = np.zeros(shape)  # sum_k sin(A m_k) [1/(m_k+q) + 1/(m_k-q)]
+    odd = np.zeros(shape)  # sum_k cos(A m_k) [1/(m_k+q) - 1/(m_k-q)]
     for k in range(1, N + 1):
-        cos_sum = cos_sum + np.cos(math.pi * k * (L + x_arr) / L)
-    tot = -2.0 * cos_sum * _sin_ratio(A, p_arr)
-    for k in range(1, N + 1):
-        m = hbar * math.pi * k / (2.0 * L)
-        tot += _sin_ratio(A, m + p_arr) + _sin_ratio(A, m - p_arr)
+        m = k * g
+        k_alpha = k * alpha  # A m_k
+        sin_k, cos_k = np.sin(k_alpha), np.cos(k_alpha)
+        cos_sum += cos_k
+        r_plus = 1.0 / (m + q)
+        d_minus = m - q
+        d_minus[k_star == k] = np.inf
+        r_minus = 1.0 / d_minus
+        even += sin_k * (r_plus + r_minus)
+        odd += cos_k * (r_plus - r_minus)
+    Aq = A * q
+    tot = np.cos(Aq) * even + np.sin(Aq) * odd
+    tot -= 2.0 * cos_sum * _sin_ratio(A, q)
+    tot += _sin_ratio(A, k_star * g - q)
     tot *= hbar / (2.0 * L)
     return np.where(np.abs(x_arr) > L, 0.0, tot)
 
@@ -265,22 +303,28 @@ def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) ->
 
 
 def _field_rows(N: int, hbar: float, L: float, xs: np.ndarray, ps: np.ndarray, fn) -> np.ndarray:
-    """Evaluate a closed-form symbol on xs x ps, chunked over rows of x.
+    """Evaluate a closed-form symbol on xs x ps in blocks of x rows.
 
-    Row results are independent, so assembling ordered chunks from worker
-    threads is bit-identical to the serial evaluation.
+    A block holds at most _BLOCK_CELLS cells (or one row), which bounds the
+    cell-sized temporaries of `fn`, and with WEYL_THREADS = k > 1 there are
+    at least k blocks.  Row results are independent, so walking the blocks
+    in order or handing them to worker threads is bit-identical to one call
+    on the whole grid.
     """
     workers = worker_count()
-    if workers <= 1 or xs.size < 2 * workers:
-        return fn(N, hbar, L, xs[:, None], ps[None, :])
-    chunks = np.array_split(np.arange(xs.size), workers)
+    rows = max(1, min(_BLOCK_CELLS // ps.size, -(-xs.size // workers)))
     out = np.empty((xs.size, ps.size))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(fn, N, hbar, L, xs[idx][:, None], ps[None, :]): idx for idx in chunks
-        }
-        for fut, idx in futures.items():
-            out[idx] = fut.result()
+
+    def block(start: int) -> None:
+        out[start : start + rows] = fn(N, hbar, L, xs[start : start + rows, None], ps[None, :])
+
+    starts = range(0, xs.size, rows)
+    if workers <= 1:
+        for start in starts:
+            block(start)
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, starts))
     return out
 
 

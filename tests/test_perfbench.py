@@ -1,5 +1,6 @@
 """Tier-1 checks through the benchmark harness: one traced osc pass runs
-cleanly, and one box-point pass stays within the reference tolerances."""
+cleanly, and one box-point pass and one box-grid pass stay within the
+reference tolerances."""
 
 import json
 import os
@@ -45,3 +46,25 @@ def test_box_point_pass_within_reference_tolerances(tmp_path, monkeypatch):
     chk = checks.check_pass(workloads.plan("box-point", 0), str(tmp_path), rec)
     assert chk.failures == []
     assert "momentum-norm" in chk.worst
+
+
+def test_box_grid_pass_within_reference_tolerances(tmp_path, monkeypatch):
+    # every box-grid output (projection and momentum fields, CSV and JSON, the
+    # L2 and idempotency sweeps, star squares) against the benchmark's
+    # independent references
+    record = tmp_path / "record.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("WEYL_THREADS", None)
+    cmd = [sys.executable, str(ROOT / "perfbench" / "passrun.py"), "--workload", "box-grid",
+           "--seed", "0", "--t0", "0", "--record", str(record)]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    assert [op["name"] for op in rec["ops"] if op["error"] is not None] == []
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+    import workloads
+
+    chk = checks.check_pass(workloads.plan("box-grid", 0), str(tmp_path), rec)
+    assert chk.failures == []
+    assert "box-symbol-projection" in chk.worst

@@ -86,6 +86,40 @@ class TestSymbolField:
         val = float(lines[1].split(",")[2])
         assert val == f.values[0, 0]
 
+    @pytest.mark.parametrize(
+        "grid, values",
+        [
+            (PhaseGrid(0.0, 1.0, 0.0, 1.0, 2, 2), [[-0.0, 5e-324], [1e300, -1e-300]]),
+            (PhaseGrid(-1.3, 1.7, -2.5, 0.5, 3, 4),
+             [[0.0, -0.0, 2.2250738585072014e-308, -4.9e-310],
+              [1e-300, -1e300, 1.7976931348623157e308, 0.1],
+              [1.0 / 3.0, -2.0 / 3.0, 123456789.0, 1e16]]),
+        ],
+    )
+    def test_csv_bytes_match_savetxt(self, tmp_path, grid, values):
+        # signed zeros, subnormals and extreme exponents format as savetxt does
+        f = SymbolField(grid=grid, values=np.array(values))
+        f.to_csv(tmp_path / "field.csv")
+        savetxt_oracle(f, tmp_path / "oracle.csv")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_csv_bytes_match_savetxt_on_a_projection_field(self, tmp_path):
+        grid = PhaseGrid(-1.2, 1.2, -2.0, 2.0, 23, 31)
+        f = projection_symbol_field(9, 1.0 / 9, 1.0, grid)
+        f.to_csv(tmp_path / "field.csv")
+        savetxt_oracle(f, tmp_path / "oracle.csv")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def savetxt_oracle(field, path):
+    """The CSV layout written through np.savetxt: one (x, p, value) row per
+    cell, x outer, p inner, %.17g."""
+    g = field.grid
+    xs = np.repeat(g.x_centers(), g.np)
+    ps = np.tile(g.p_centers(), g.nx)
+    data = np.column_stack([xs, ps, field.values.ravel(order="C")])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,p,value", comments="")
+
 
 class TestL2Norm:
     def test_zero_field(self):

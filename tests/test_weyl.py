@@ -27,6 +27,7 @@ from weylsym.weyl import (
     symbol_rank_one_box_complex,
     symbol_truncated_momentum_box,
 )
+from weylsym import weyl
 from weylsym.truncate import box_momentum_matrix
 from weylsym.kernel import truncated_operator_kernel
 
@@ -161,10 +162,13 @@ class TestProjectionSymbolBox:
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_even_in_p(self):
+        # the closed form reads p only through |p|, so evenness is exact,
+        # on resonances too
         N, hbar, L = 6, 1.0 / 6, 1.0
-        assert symbol_projection_box(N, hbar, L, 0.37, 1.3) == pytest.approx(
-            symbol_projection_box(N, hbar, L, 0.37, -1.3), abs=1e-13
-        )
+        g = math.pi * hbar / (2.0 * L)
+        for x in (0.37, -0.9, 0.0, 1.0 - 1e-9):
+            for p in (1.3, 0.0, 2 * g, 5 * g + 1e-13, 1e-300):
+                assert symbol_projection_box(N, hbar, L, x, p) == symbol_projection_box(N, hbar, L, x, -p)
 
     def test_plateau_and_gibbs(self):
         # Figure-style configuration: plateau near 1 inside the rectangle,
@@ -181,6 +185,81 @@ class TestProjectionSymbolBox:
         assert abs(float(np.mean(fld.values[np.broadcast_to(interior, fld.values.shape)])) - 1.0) < 0.05
         assert float(np.max(fld.values)) > 1.05  # Gibbs overshoot
         assert float(np.max(np.abs(fld.values[np.broadcast_to(exterior, fld.values.shape)]))) < 0.35
+
+
+def projection_direct_sum(N, hbar, L, x_arr, p_arr):
+    """Slow oracle of the box projection symbol: the three-sum closed form
+    with its 2N sin(A d)/d quotients taken directly, broadcasting x against
+    p.
+
+    The third sum is sin(A p)/p times sum_k cos(k pi (L + x) / L), which
+    depends on x alone, so the cosines are summed on x's own shape (a
+    field's x column) and the quotient is taken once.
+    """
+    A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
+    cos_sum = np.zeros(x_arr.shape)
+    for k in range(1, N + 1):
+        cos_sum = cos_sum + np.cos(math.pi * k * (L + x_arr) / L)
+    tot = -2.0 * cos_sum * _sin_ratio(A, p_arr)
+    for k in range(1, N + 1):
+        m = hbar * math.pi * k / (2.0 * L)
+        tot += _sin_ratio(A, m + p_arr) + _sin_ratio(A, m - p_arr)
+    tot *= hbar / (2.0 * L)
+    return np.where(np.abs(x_arr) > L, 0.0, tot)
+
+
+projection_settings = settings(deadline=None, derandomize=True, max_examples=80)
+projection_case = dict(
+    N=st.integers(1, 128), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0), u=st.floats(-1.3, 1.3),
+)
+
+
+def assert_matches_direct_sum(N, hbar, L, x, p):
+    got = symbol_projection_box(N, hbar, L, x, p)
+    assert isinstance(got, float)
+    want = float(projection_direct_sum(N, hbar, L, np.array([x]), np.array([p]))[0])
+    assert abs(got - want) <= 1e-12
+
+
+class TestProjectionAngleSplit:
+    """The angle-addition form of the projection sum against the direct
+    2N-quotient sum, away from and on the resonances m_k = k pi hbar / 2L."""
+
+    @projection_settings
+    @given(**projection_case, v=st.floats(-3.0, 3.0))
+    def test_matches_direct_sum_oracle(self, N, mu, L, u, v):
+        # x = u L, p = v P with P = pi mu / 2L, the classical momentum edge
+        hbar = mu / N
+        assert_matches_direct_sum(N, hbar, L, u * L, v * math.pi * mu / (2.0 * L))
+
+    @projection_settings
+    @given(
+        **projection_case, k=st.integers(0, 140), sign=st.sampled_from((1.0, -1.0)),
+        offset=st.sampled_from((0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)),
+    )
+    def test_matches_direct_sum_at_resonances(self, N, mu, L, u, k, sign, offset):
+        hbar = mu / N
+        g = math.pi * hbar / (2.0 * L)
+        assert_matches_direct_sum(N, hbar, L, u * L, sign * (g * k + offset))
+
+    @projection_settings
+    @given(**projection_case, v=st.floats(0.0, 3.0))
+    def test_exactly_even_in_p(self, N, mu, L, u, v):
+        hbar, x, p = mu / N, u * L, v * math.pi * mu / (2.0 * L)
+        assert symbol_projection_box(N, hbar, L, x, p) == symbol_projection_box(N, hbar, L, x, -p)
+
+    def test_field_equals_scalar_calls_for_any_block_size(self, monkeypatch):
+        N, mu, L = 13, 1.1, 0.9
+        hbar = mu / N
+        g = math.pi * hbar / (2.0 * L)
+        # p centers 0, +-g, +-2g, ...: every momentum sits on a resonance
+        grid = PhaseGrid(-1.2 * L, 1.2 * L, -9.5 * g, 9.5 * g, 11, 19)
+        xs, ps = grid.x_centers(), grid.p_centers()
+        scalar = np.array([[symbol_projection_box(N, hbar, L, x, p) for p in ps] for x in xs])
+        for cells in (1 << 15, 40, 1):
+            monkeypatch.setattr(weyl, "_BLOCK_CELLS", cells)
+            fld = projection_symbol_field(N, hbar, L, grid)
+            assert fld.values.tobytes() == scalar.tobytes()
 
 
 def taylor_sin_ratio(A, d):
