@@ -33,13 +33,7 @@ from .limits import (
     si,
 )
 from .moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
-from .scale import (
-    PhaseGrid,
-    SemiclassicalScale,
-    SymbolField,
-    l2_distance_sq_grid,
-    l2_norm_sq_grid,
-)
+from .scale import PhaseGrid, SemiclassicalScale, SymbolField
 from .truncate import (
     OperatorMatrix,
     box_momentum_matrix,
@@ -57,7 +51,6 @@ from .weyl import (
 __all__ = [
     "__version__",
     "SemiclassicalScale", "PhaseGrid", "SymbolField",
-    "l2_norm_sq_grid", "l2_distance_sq_grid",
     "Model", "EigenBasis", "eval_hermite_wavefunction", "eval_box_wavefunction", "eigenvalue",
     "EvalMode", "KernelEval", "dirichlet_kernel", "sine_kernel", "projection_kernel",
     "symbol_rank_one_box",

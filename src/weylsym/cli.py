@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .diag import SweepConfig, default_n_levels, run_sweep
 from .limits import edge_profile_p, edge_profile_x
-from .moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
+from .moyal import FiniteRankOperator, direct_grid, moyal_direct, moyal_via_composition
 from .scale import PhaseGrid, SymbolField
 from .weyl import (
     momentum_symbol_field,
@@ -217,7 +217,7 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
     mu = _positive(args.mu, "mu")
     L = _positive(args.L, "L")
     hbar = mu / N
-    grid = _parse_grid(args.grid) if args.grid else PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 192, 192)
+    grid = _parse_grid(args.grid) if args.grid else direct_grid(N, L)
     fld = projection_symbol_field(N, hbar, L, grid)
     from .basis import EigenBasis, Model
 
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--N", type=int, default=10)
     m.add_argument("--mu", type=float, default=1.0)
     m.add_argument("--L", type=float, default=1.0)
-    m.add_argument("--grid", help="x0:x1:nx,p0:p1:np")
+    m.add_argument("--grid", help="x0:x1:nx,p0:p1:np (default -1.5L:1.5L:24N,-6:6:24N)")
     m.add_argument("--points", type=int, default=10)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--tol", type=float, default=0.02)

@@ -24,8 +24,8 @@ from .limits import (
     edge_profile_p,
     edge_profile_x,
 )
-from .moyal import moyal_direct
-from .scale import PhaseGrid, SemiclassicalScale, pairwise_sum
+from .moyal import direct_grid, moyal_direct
+from .scale import SemiclassicalScale, pairwise_sum
 from .truncate import (
     OperatorMatrix,
     box_multiplication_matrix,
@@ -242,10 +242,12 @@ def box_momentum_tail_norm_sq(N: int, L: float, hbar: float) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One registered experiment plus its numeric knobs.
+    """One registered experiment and its physical parameters.
 
-    Every field has an experiment-appropriate default except the N list,
-    which must be nonempty and strictly increasing.
+    mu and L set the scale, powers, a and b the linear-power observables
+    (a x + b p)^n; every field has a default except the N list, which must
+    be nonempty and strictly increasing.  Grids, windows and verdict
+    bounds are fixed per experiment.
     """
 
     experiment: str
@@ -255,9 +257,6 @@ class SweepConfig:
     powers: tuple[int, ...] = (1, 2, 3)
     a: float = 0.0
     b: float = 1.0
-    window: tuple[float, float, float, float] | None = None
-    grid_shape: tuple[int, int] | None = None
-    threshold: float | None = None
 
     def __post_init__(self) -> None:
         if not self.n_levels:
@@ -266,12 +265,6 @@ class SweepConfig:
             raise ValueError("N list must be strictly increasing")
         if not self.mu > 0 or not self.L > 0:
             raise ValueError("mu and L must be positive")
-        if self.window is not None and self.experiment != "moyal-idempotency":
-            raise ValueError(f"window is not used by {self.experiment!r}")
-        if self.grid_shape is not None and self.experiment not in (
-            "box-bulk-sup", "moyal-idempotency"
-        ):
-            raise ValueError(f"grid_shape is not used by {self.experiment!r}")
 
 
 @dataclass(frozen=True)
@@ -393,10 +386,9 @@ def _l2_sweep(
         hbar = config.mu / N
         rows.append(SweepRow(N=N, hbar=hbar, metric="distance_sq", value=distance(N, hbar)))
     vals = [r.value for r in rows]
-    bound = config.threshold if config.threshold is not None else 0.35 * 2.0 * math.pi * config.mu
     verdicts = (
         _decrease_verdict("distance-decreasing", vals),
-        _threshold_verdict("final-below-threshold", vals[-1], bound),
+        _threshold_verdict("final-below-threshold", vals[-1], 0.35 * 2.0 * math.pi * config.mu),
         _ratio_band_verdict("ratio-band", config.n_levels, vals, band),
     )
     return tuple(rows), verdicts
@@ -434,10 +426,9 @@ def _sweep_box_edge_x(config: SweepConfig) -> SweepReport:
             worst = max(worst, float(np.max(np.abs(sym - prof))))
         rows.append(SweepRow(N=N, hbar=hbar, metric="max_abs_err", value=worst))
     vals = [r.value for r in rows]
-    bound = config.threshold if config.threshold is not None else 0.05
     verdicts = (
         _decrease_verdict("error-decreasing", vals),
-        _threshold_verdict("final-below-threshold", vals[-1], bound),
+        _threshold_verdict("final-below-threshold", vals[-1], 0.05),
     )
     return SweepReport("box-edge-x", mu, "box", "projection", tuple(rows), verdicts)
 
@@ -455,10 +446,9 @@ def _sweep_box_edge_p(config: SweepConfig) -> SweepReport:
         worst = float(np.max(np.abs(sym - prof)))
         rows.append(SweepRow(N=N, hbar=hbar, metric="max_abs_err", value=worst))
     vals = [r.value for r in rows]
-    bound = config.threshold if config.threshold is not None else 0.05
     verdicts = (
         _decrease_verdict("error-decreasing", vals),
-        _threshold_verdict("final-below-threshold", vals[-1], bound),
+        _threshold_verdict("final-below-threshold", vals[-1], 0.05),
     )
     return SweepReport("box-edge-p", mu, "box", "projection", tuple(rows), verdicts)
 
@@ -466,11 +456,10 @@ def _sweep_box_edge_p(config: SweepConfig) -> SweepReport:
 def _sweep_box_bulk_sup(config: SweepConfig) -> SweepReport:
     mu, L = config.mu, config.L
     c_u, c_v = 0.5 * L, 4.0
-    nx, ny = config.grid_shape or (101, 161)
     C = bulk_sup_constant(mu, L, c_u, c_v)
     hbar0 = (L - c_u) / c_v
-    xs = np.linspace(-c_u, c_u, nx)[:, None]
-    ys = np.linspace(-c_v, c_v, ny)[None, :]
+    xs = np.linspace(-c_u, c_u, 101)[:, None]
+    ys = np.linspace(-c_v, c_v, 161)[None, :]
     bulk = bulk_profile_box(mu, L, ys) * np.ones_like(xs)
     rows = []
     all_ok = True
@@ -535,11 +524,10 @@ def _sweep_box_momentum_norm(config: SweepConfig) -> SweepReport:
         rows.append(SweepRow(N=N, hbar=hbar, metric="hs_norm_sq", value=val))
         rows.append(SweepRow(N=N, hbar=hbar, metric="rel_err", value=rels[-1]))
         rows.append(SweepRow(N=N, hbar=hbar, metric="offdiag_norm_sq", value=B))
-    bound = config.threshold if config.threshold is not None else 0.05
     ratios = [b2 / b1 for b1, b2 in zip(bvals, bvals[1:])]
     verdicts = (
         _decrease_verdict("rel-err-decreasing", rels),
-        _threshold_verdict("final-rel-err", rels[-1], bound),
+        _threshold_verdict("final-rel-err", rels[-1], 0.05),
         Verdict(
             "offdiag-halving",
             all(r < 0.75 for r in ratios),
@@ -553,7 +541,6 @@ def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
     mu, a, b = config.mu, config.a, config.b
     rows = []
     verdicts = []
-    bound = config.threshold if config.threshold is not None else 0.05
     for n in config.powers:
         limit = catalan_limit_value(n, a, b, mu)
         rels = []
@@ -565,7 +552,7 @@ def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
             rels.append(rel)
             rows.append(SweepRow(N=N, hbar=scale.hbar, metric=f"rel_err_n{n}", value=rel))
         verdicts.append(_decrease_verdict(f"rel-err-decreasing-n{n}", rels))
-        verdicts.append(_threshold_verdict(f"final-rel-err-n{n}", rels[-1], bound))
+        verdicts.append(_threshold_verdict(f"final-rel-err-n{n}", rels[-1], 0.05))
     return SweepReport("osc-catalan", mu, "oscillator", "linear-power", tuple(rows), tuple(verdicts))
 
 
@@ -602,7 +589,6 @@ def _sweep_osc_offdiag(config: SweepConfig) -> SweepReport:
 def _sweep_osc_origin_parity(config: SweepConfig) -> SweepReport:
     mu = config.mu
     rows = []
-    bound = config.threshold if config.threshold is not None else 1e-4
     worst = 0.0
     for N in config.n_levels:
         hbar = mu / N
@@ -610,21 +596,24 @@ def _sweep_osc_origin_parity(config: SweepConfig) -> SweepReport:
         dev = abs(val - (1.0 + (-1.0) ** (N + 1)))
         worst = max(worst, dev)
         rows.append(SweepRow(N=N, hbar=hbar, metric="origin_parity_dev", value=dev))
-    verdicts = (_threshold_verdict("parity-within-tolerance", worst, bound),)
+    verdicts = (_threshold_verdict("parity-within-tolerance", worst, 1e-4),)
     return SweepReport("osc-origin-parity", mu, "oscillator", "projection", tuple(rows), verdicts)
 
 
 def _sweep_moyal_idempotency(config: SweepConfig) -> SweepReport:
     """Distance of the direct star square of the projection symbol from the
-    symbol itself, on a fixed window and evaluation lattice.
+    symbol itself, on a fixed evaluation lattice.
 
     The defect is entirely a property of the direct-quadrature scheme (the
     composition is exact), so the sampling grid must resolve the symbol's
-    1/hbar oscillation at each N: the default grid scales with N while the
-    window and the evaluation lattice stay fixed.
+    1/hbar oscillation at each N: it is `moyal.direct_grid`, whose cells
+    scale with N while the window and the evaluation lattice stay fixed.
+    The budget is checked once, at the largest N, before any work.
     """
     mu, L = config.mu, config.L
-    window = config.window or (-1.5 * L, 1.5 * L, -6.0, 6.0)
+    N_max = max(config.n_levels)
+    largest = direct_grid(N_max, L)
+    _check_budget(N_max, largest.nx * largest.np)
     # fixed interior evaluation lattice, well inside the rectangle
     ex = np.linspace(-0.6 * L, 0.6 * L, 10)
     p_half = math.pi * mu / (2.0 * L)
@@ -632,10 +621,7 @@ def _sweep_moyal_idempotency(config: SweepConfig) -> SweepReport:
     rows = []
     for N in config.n_levels:
         hbar = mu / N
-        nx, npts = config.grid_shape or (24 * N, 24 * N)
-        _check_budget(max(config.n_levels), nx * npts)
-        grid = PhaseGrid(window[0], window[1], window[2], window[3], nx, npts)
-        fld = projection_symbol_field(N, hbar, L, grid)
+        fld = projection_symbol_field(N, hbar, L, direct_grid(N, L))
         acc = 0.0
         for x0 in ex:
             diff = moyal_direct(fld, fld, hbar, float(x0), ep) - symbol_projection_box(

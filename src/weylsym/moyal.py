@@ -5,29 +5,31 @@ coefficient matrices, then one closed-form symbol evaluation: rank-one sums
 for the box, Groenewold's associated-Laguerre form for the oscillator) and
 serves as ground truth.  The direct route discretizes the 4-fold
 star-product integral in its y/p pairing form by two successive 2-fold
-midpoint sums with bilinear, zero-extended interpolation of the sampled
-symbols; it exists to exercise that integral formula and is validated
-against composition.
+midpoint sums.  Its momentum shifts fall on the grid's own p-centres, so
+the sampled symbols are interpolated along x only: linearly between whole
+grid rows, zero outside the grid.  It exists to exercise that integral
+formula and is validated against composition; `direct_grid` is the grid
+that resolves a rank-N box symbol for it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import EigenBasis, Model
-from .scale import SymbolField, _point_arrays
+from .scale import PhaseGrid, SymbolField, _point_arrays
 from .truncate import MAX_DIMENSION
-from .weyl import CoverageWarning, _oscillator_operator_symbol, symbol_rank_one_box_complex
+from .weyl import _oscillator_operator_symbol, symbol_rank_one_box_complex
 
 __all__ = [
     "FiniteRankOperator",
     "moyal_via_composition",
     "moyal_via_composition_complex",
     "moyal_direct",
+    "direct_grid",
     "operator_symbol_complex",
 ]
 
@@ -104,40 +106,35 @@ def moyal_via_composition(
     return moyal_via_composition_complex(A, B, hbar, x, p).real
 
 
-def _bilinear(field: SymbolField, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation on cell centers with zero extension outside;
-    X and P broadcast, and the index and weight arrays keep their own shapes
-    (a column of x and a row of p cost O(rows + columns) before the gather)."""
+def direct_grid(N: int, L: float) -> PhaseGrid:
+    """The sampling grid of `moyal_direct` for a rank-N box symbol of half
+    width L: the window [-1.5 L, 1.5 L] x [-6, 6] with 24 N cells per axis,
+    enough to resolve the symbol's 1/hbar oscillation at every N."""
+    return PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 24 * N, 24 * N)
+
+
+def _rows_at(field: SymbolField, X: np.ndarray) -> np.ndarray:
+    """Whole grid rows at the positions X (1-d): linear interpolation between
+    the rows on either side of each position, zero outside the grid;
+    shape (X.size, np)."""
     g = field.grid
-    vals = field.values
     fx = (np.asarray(X, dtype=float) - (g.x_min + 0.5 * g.dx)) / g.dx
-    fp = (np.asarray(P, dtype=float) - (g.p_min + 0.5 * g.dp)) / g.dp
     i0 = np.floor(fx).astype(np.int64)
-    j0 = np.floor(fp).astype(np.int64)
-    tx = fx - i0
-    tp = fp - j0
-
-    def corner(ii, jj):
-        ok = (ii >= 0) & (ii < g.nx) & (jj >= 0) & (jj < g.np)
-        return np.where(ok, vals[np.clip(ii, 0, g.nx - 1), np.clip(jj, 0, g.np - 1)], 0.0)
-
-    return (
-        (1 - tx) * (1 - tp) * corner(i0, j0)
-        + tx * (1 - tp) * corner(i0 + 1, j0)
-        + (1 - tx) * tp * corner(i0, j0 + 1)
-        + tx * tp * corner(i0 + 1, j0 + 1)
-    )
+    t = fx - i0
+    # a row index outside the grid gets weight zero on a clipped gather
+    w0 = np.where((i0 >= 0) & (i0 < g.nx), 1 - t, 0.0)
+    w1 = np.where((i0 >= -1) & (i0 < g.nx - 1), t, 0.0)
+    vals = field.values
+    # in place: one (X.size, np) temporary beside the result
+    rows = vals[np.clip(i0, 0, g.nx - 1)]
+    rows *= w0[:, None]
+    upper = vals[np.clip(i0 + 1, 0, g.nx - 1)]
+    upper *= w1[:, None]
+    rows += upper
+    return rows
 
 
-def moyal_direct(
-    sigma1: SymbolField,
-    sigma2: SymbolField,
-    hbar: float,
-    x: float,
-    p,
-    support: tuple[float, float, float, float] | None = None,
-    pad: float = 0.0,
-):
+def moyal_direct(sigma1: SymbolField, sigma2: SymbolField, hbar: float, x: float, p):
     """Star product at (x, p) by direct discretization of the 4-fold integral;
     p may be an array of momenta at the one position x.
 
@@ -145,18 +142,16 @@ def moyal_direct(
     pairing and the outer (y1, p2) pairing become two successive 2-fold
     midpoint sums.  Momentum shifts p - p_i are sampled on the grid's own
     p-centers q; the conjugate y-lattice has spacing 2 pi / (np dp), so the
-    discrete phase sums act as the correct resolution-limited deltas.
-    Interpolated arguments outside the window contribute zero.
+    discrete phase sums act as the correct resolution-limited deltas.  The
+    symbols are read at the shifted positions x - hbar y / 2 as whole grid
+    rows, interpolated along x; positions outside the window contribute
+    zero.
 
     With S_n[a, i] = sigma_n(x - hbar y_a / 2, q_i) and F[i, j] = e^{i q_i y_j}
     the sum is  sum_{a,j} e^{ip (y_a - y_j)} (S1 F)[a, j] (S2 conj F)[j, a],
     so a whole row of p at fixed x costs two M^3 products (one when sigma2
     is sigma1, since then S2 conj F = conj(S1 F)) and O(M^2) per p.
-
-    If `support` = (x_lo, x_hi, p_lo, p_hi) is given, the window is checked
-    to contain it padded by `pad` on each side, else a CoverageWarning is
-    attached to the (still returned) value.  Returns a float for scalar p,
-    else an array shaped like p.
+    Returns a float for scalar p, else an array shaped like p.
     """
     if sigma1.grid != sigma2.grid:
         raise ValueError("incompatible grids")
@@ -164,17 +159,6 @@ def moyal_direct(
     p_arr = np.asarray(p, dtype=float)
     if not all(g.contains(x, float(q)) for q in p_arr.ravel()):
         raise ValueError("point outside window")
-    if support is not None:
-        x_lo, x_hi, p_lo, p_hi = support
-        if (
-            g.x_min > x_lo - pad
-            or g.x_max < x_hi + pad
-            or g.p_min > p_lo - pad
-            or g.p_max < p_hi + pad
-        ):
-            warnings.warn(
-                "grid window does not contain the padded symbol support", CoverageWarning
-            )
 
     M = g.np
     q = g.p_centers()
@@ -183,13 +167,13 @@ def moyal_direct(
 
     shifted_x = x - hbar * y / 2.0
     F = np.exp(1j * q[:, None] * y[None, :])                       # (M, My)
-    H = _bilinear(sigma1, shifted_x[:, None], q[None, :]) @ F      # (My, My)
+    H = _rows_at(sigma1, shifted_x) @ F                           # (My, My)
     # H[a, j] = (S1 F)[a, j] (S2 conj F)[j, a], built in place
     if sigma2 is sigma1:
         H *= H.T.conj()
     else:
         np.conjugate(F, out=F)
-        H *= (_bilinear(sigma2, shifted_x[:, None], q[None, :]) @ F).T
+        H *= (_rows_at(sigma2, shifted_x) @ F).T
     del F
     E = np.exp(1j * p_arr.reshape(-1)[:, None] * y[None, :])        # (P, My)
     vals = (dy * g.dp / (2.0 * math.pi)) ** 2 * np.sum((E @ H) * E.conj(), axis=1)

@@ -4,8 +4,7 @@ The joint limit studied by this package couples the Planck constant to the
 truncation rank through hbar * N = mu.  Everything downstream receives that
 triple through :class:`SemiclassicalScale`.  Phase-space data lives on
 midpoint-rule rectangular grids (:class:`PhaseGrid`) as plain real arrays
-(:class:`SymbolField`); the L2 reductions here are the only place grid
-weights enter.
+(:class:`SymbolField`).
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ __all__ = [
     "PhaseGrid",
     "SymbolField",
     "pairwise_sum",
-    "l2_norm_sq_grid",
-    "l2_distance_sq_grid",
     "worker_count",
 ]
 
@@ -198,17 +195,3 @@ class SymbolField:
                 args[0::2] = [fmt(x)] * n
                 args[1::2] = row.tolist()
                 fh.write(row_template % tuple(args))
-
-
-def l2_norm_sq_grid(field: SymbolField) -> float:
-    """Midpoint-rule value of the squared L2 norm over the grid window."""
-    g = field.grid
-    return pairwise_sum(field.values**2) * g.dx * g.dp
-
-
-def l2_distance_sq_grid(a: SymbolField, b: SymbolField) -> float:
-    """Midpoint-rule value of the squared L2 distance; grids must coincide."""
-    if a.grid != b.grid:
-        raise ValueError("incompatible grids")
-    g = a.grid
-    return pairwise_sum((a.values - b.values) ** 2) * g.dx * g.dp

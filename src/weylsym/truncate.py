@@ -65,11 +65,6 @@ class OperatorMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def truncated(self, N: int) -> "OperatorMatrix":
-        if N > self.n:
-            raise ValueError("cannot truncate to a larger dimension")
-        return OperatorMatrix(entries=self.entries[:N, :N], basis=self.basis)
-
 
 def matrix_to_json(matrix: OperatorMatrix, hbar: float, path=None) -> str:
     """Serialize as {"n", "hbar", "entries": [[re, im], ...]} row-major."""

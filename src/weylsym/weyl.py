@@ -19,7 +19,6 @@ from .kernel import KernelEval, projection_kernel
 from .scale import PhaseGrid, SymbolField, _point_arrays, worker_count
 
 __all__ = [
-    "CoverageWarning",
     "symbol_rank_one_box",
     "symbol_rank_one_box_complex",
     "symbol_projection_box",
@@ -33,10 +32,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 # cells per block of a grid field (256 KiB of doubles per temporary)
 _BLOCK_CELLS = 1 << 15
-
-
-class CoverageWarning(UserWarning):
-    """An integration window does not cover the support it must contain."""
 
 
 def _sin_ratio(amplitude, d):

@@ -14,9 +14,11 @@ import numpy as np
 
 from weylsym.basis import Model, gauss_legendre
 from weylsym.kernel import KernelEval, projection_kernel, truncated_operator_kernel
-from weylsym.weyl import CoverageWarning
-
 _IM_TOL = 1e-9
+
+
+class CoverageWarning(UserWarning):
+    """An integration window does not cover the support it must contain."""
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,20 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: resource guard")
         assert not (tmp_path / "g.json").exists()
 
+    def test_moyal_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
+        # N = 200 asks for 200 * 4800^2 cells; N = 8 alone would fit
+        import weylsym.diag
+
+        def no_field(*args):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(weylsym.diag, "projection_symbol_field", no_field)
+        code = run(["sweep", "--exp", "moyal-idempotency", "--N", "8,200",
+                    "-o", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: resource guard")
+        assert not (tmp_path / "m.json").exists()
+
     def test_osc_disk_l2_sweep(self, tmp_path, capsys):
         code = run(["sweep", "--exp", "osc-disk-l2", "--mu", "1.3", "-o", str(tmp_path / "d")])
         assert code == 0
@@ -277,6 +291,13 @@ class TestMoyalCheckCommand:
         assert payload["passed"] is True
         assert payload["max_rel_err"] <= 0.02
         assert len(payload["points"]) == 6
+
+    def test_default_grid_scales_with_n(self, tmp_path):
+        # a fixed 192^2 grid gives 0.0277 here; the 24N default (384^2) 0.0086
+        out = tmp_path / "moyal.json"
+        code = run(["moyal-check", "--N", "16", "--seed", "2", "--points", "20", "-o", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["max_rel_err"] <= 0.02
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

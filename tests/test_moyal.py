@@ -9,7 +9,7 @@ from quadrature_oracle import operator_symbol_quadrature
 from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import (
     FiniteRankOperator,
-    _bilinear,
+    _rows_at,
     moyal_direct,
     moyal_via_composition,
     moyal_via_composition_complex,
@@ -35,8 +35,8 @@ def moyal_direct_pointwise(sigma1, sigma2, hbar, x, p):
     dy = 2.0 * math.pi / (M * g.dp)
     y = (np.arange(M) + 0.5 - M / 2.0) * dy
     shifted_x = x - hbar * y / 2.0
-    S1 = _bilinear(sigma1, shifted_x[:, None], q[None, :])
-    S2 = _bilinear(sigma2, shifted_x[:, None], q[None, :])
+    S1 = _rows_at(sigma1, shifted_x)
+    S2 = _rows_at(sigma2, shifted_x)
     E1 = np.exp(-1j * (p - q)[:, None] * y[None, :])
     E2 = np.exp(1j * (p - q)[None, :] * y[:, None])
     G = (S1 @ E1) @ S2
@@ -139,6 +139,37 @@ class TestComposition:
         )
 
 
+def rows_by_np_interp(field, X):
+    """The oracle of _rows_at: np.interp down each grid column, the column
+    padded with one zero cell beyond each end."""
+    g = field.grid
+    xs = np.concatenate([[g.x_min - 0.5 * g.dx], g.x_centers(), [g.x_max + 0.5 * g.dx]])
+    return np.stack(
+        [np.interp(X, xs, np.concatenate([[0.0], col, [0.0]]), left=0.0, right=0.0)
+         for col in field.values.T],
+        axis=1,
+    )
+
+
+class TestRowsAt:
+    def test_matches_np_interp_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            nx, n_p = (int(n) for n in rng.integers(2, 40, size=2))
+            x_min = float(rng.uniform(-3.0, 1.0))
+            grid = PhaseGrid(x_min, x_min + float(rng.uniform(0.1, 4.0)), -1.0, 1.0, nx, n_p)
+            fld = SymbolField(grid=grid, values=rng.normal(size=(nx, n_p)))
+            span = grid.x_max - grid.x_min
+            X = np.concatenate([
+                rng.uniform(grid.x_min - 0.5 * span, grid.x_max + 0.5 * span, size=60),
+                grid.x_centers(),
+                [grid.x_min, grid.x_max],
+            ])
+            got = _rows_at(fld, X)
+            assert got.shape == (X.size, n_p)
+            np.testing.assert_allclose(got, rows_by_np_interp(fld, X), rtol=0, atol=1e-13)
+
+
 class TestDirect:
     def test_identity_symbol_acts_as_unit(self):
         # sigma_2 = 1 on a window 4x the support of a narrow gaussian bump
@@ -225,14 +256,6 @@ class TestDirect:
         b = SymbolField.sample(lambda x, p: x * p, PhaseGrid(-1, 1, -1, 1, 16, 17))
         with pytest.raises(ValueError, match="incompatible grids"):
             moyal_direct(a, b, 0.5, 0.0, 0.0)
-
-    def test_coverage_warning_on_small_window(self):
-        from weylsym.weyl import CoverageWarning
-
-        grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 32, 32)
-        f = SymbolField.sample(lambda x, p: np.ones_like(x * p), grid)
-        with pytest.warns(CoverageWarning):
-            moyal_direct(f, f, 0.5, 0.0, 0.0, support=(-1.0, 1.0, -1.0, 1.0), pad=2.0)
 
 
 def osc_basis(hbar):

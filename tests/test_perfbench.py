@@ -1,6 +1,6 @@
-"""Tier-1 checks through the benchmark harness: one traced osc pass runs
-cleanly, and one box-point pass and one box-grid pass stay within the
-reference tolerances."""
+"""Tier-1 checks through the benchmark harness: one traced pass of each
+workload runs cleanly, and one box-point pass and one box-grid pass stay
+within the reference tolerances."""
 
 import json
 import os
@@ -8,14 +8,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_osc_pass_runs(tmp_path):
+def _traced_pass(tmp_path, workload):
+    # spans.py binds arguments by name (moyal_direct's sigma1, the kernel's
+    # eval), so a traced pass fails if a traced signature drifts
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("WEYL_THREADS", None)  # the tracer assumes one thread
-    cmd = [sys.executable, str(ROOT / "perfbench" / "passrun.py"), "--workload", "osc",
+    cmd = [sys.executable, str(ROOT / "perfbench" / "passrun.py"), "--workload", workload,
            "--seed", "0", "--t0", "0", "--record", str(record), "--trace"]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -25,6 +29,15 @@ def test_traced_osc_pass_runs(tmp_path):
     assert rec["spans"]
     assert rec["ops"]
     assert [op["name"] for op in rec["ops"] if op["error"] is not None] == []
+
+
+def test_traced_osc_pass_runs(tmp_path):
+    _traced_pass(tmp_path, "osc")
+
+
+@pytest.mark.parametrize("workload", ["box-grid", "box-point"])
+def test_traced_box_pass_runs(tmp_path, workload):
+    _traced_pass(tmp_path, workload)
 
 
 def test_box_point_pass_within_reference_tolerances(tmp_path, monkeypatch):

@@ -7,8 +7,6 @@ from weylsym.scale import (
     PhaseGrid,
     SemiclassicalScale,
     SymbolField,
-    l2_distance_sq_grid,
-    l2_norm_sq_grid,
     pairwise_sum,
 )
 from weylsym.weyl import projection_symbol_field
@@ -119,99 +117,6 @@ def savetxt_oracle(field, path):
     ps = np.tile(g.p_centers(), g.nx)
     data = np.column_stack([xs, ps, field.values.ravel(order="C")])
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,p,value", comments="")
-
-
-class TestL2Norm:
-    def test_zero_field(self):
-        f = SymbolField.sample(lambda x, p: 0.0 * x * p, unit_grid())
-        assert l2_norm_sq_grid(f) == 0.0
-
-    @pytest.mark.parametrize("n", [2, 7, 50])
-    def test_constant_one_on_unit_square_exact(self, n):
-        f = SymbolField.sample(lambda x, p: 1.0 + 0.0 * x * p, unit_grid(n))
-        assert l2_norm_sq_grid(f) == pytest.approx(1.0, abs=1e-15)
-
-    def test_rectangle_indicator_area(self):
-        # chi_R for L = sqrt(pi/2), mu = 1: analytic mass is the rectangle
-        # area 2L * (pi mu / L) = 2 pi mu; the midpoint sum differs only by
-        # cells straddling the boundary.
-        mu = 1.0
-        L = math.sqrt(math.pi / 2.0)
-        g = PhaseGrid(-2 * L, 2 * L, -2.0, 2.0, 400, 400)
-        p_half = math.pi * mu / (2.0 * L)
-        f = SymbolField.sample(
-            lambda x, p: ((np.abs(x) <= L) & (np.abs(p) <= p_half)).astype(float), g
-        )
-        exact = 2.0 * math.pi * mu
-        bound = 2 * g.dx * (math.pi * mu / L) + 2 * g.dp * 2 * L
-        assert abs(l2_norm_sq_grid(f) - exact) <= bound
-
-    def test_scaling_quadratic(self):
-        rng = np.random.default_rng(7)
-        g = unit_grid(30)
-        vals = rng.normal(size=(30, 30))
-        f = SymbolField(grid=g, values=vals)
-        for c in (0.5, -3.0, 17.25):
-            fc = SymbolField(grid=g, values=c * vals)
-            assert l2_norm_sq_grid(fc) == pytest.approx(c * c * l2_norm_sq_grid(f), rel=1e-13)
-
-    def test_refinement_is_second_order(self):
-        # smooth closed-form field: midpoint error drops ~4x per refinement
-        def fn(x, p):
-            return np.exp(-3.0 * ((x - 0.4) ** 2 + (p - 0.6) ** 2)) * np.cos(2 * x + p)
-
-        norms = []
-        for n in (40, 80, 160):
-            g = PhaseGrid(-1.5, 2.5, -1.5, 2.5, n, n)
-            norms.append(l2_norm_sq_grid(SymbolField.sample(fn, g)))
-        c1 = norms[1] - norms[0]
-        c2 = norms[2] - norms[1]
-        assert c2 / c1 == pytest.approx(0.25, abs=0.075)
-
-
-class TestL2Distance:
-    def test_identical_fields(self):
-        f = SymbolField.sample(lambda x, p: np.sin(x) * p, unit_grid())
-        assert l2_distance_sq_grid(f, f) == 0.0
-
-    def test_one_vs_zero_unit_square(self):
-        g = unit_grid(10)
-        a = SymbolField.sample(lambda x, p: 1.0 + 0.0 * x * p, g)
-        b = SymbolField.sample(lambda x, p: 0.0 * x * p, g)
-        assert l2_distance_sq_grid(a, b) == pytest.approx(1.0, abs=1e-15)
-
-    def test_grid_mismatch_rejected(self):
-        a = SymbolField.sample(lambda x, p: 0.0 * x * p, unit_grid(10))
-        b = SymbolField.sample(lambda x, p: 0.0 * x * p, unit_grid(11))
-        with pytest.raises(ValueError, match="incompatible grids"):
-            l2_distance_sq_grid(a, b)
-
-    def test_box_symbol_distance_shrinks_with_rank(self):
-        mu = 1.0
-        L = math.sqrt(math.pi / 2.0)
-        g = PhaseGrid(-1.5 * L, 1.5 * L, -2.5, 2.5, 600, 600)
-        p_half = math.pi * mu / (2.0 * L)
-        chi = SymbolField.sample(
-            lambda x, p: ((np.abs(x) <= L) & (np.abs(p) <= p_half)).astype(float), g
-        )
-        d = {}
-        for N in (10, 40):
-            fld = projection_symbol_field(N, mu / N, L, g)
-            d[N] = l2_distance_sq_grid(fld, chi)
-        assert d[40] < d[10]
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(11)
-        g = unit_grid(16)
-        for _ in range(20):
-            fa, fb, fc = (
-                SymbolField(grid=g, values=rng.normal(scale=0.3, size=(16, 16)))
-                for _ in range(3)
-            )
-            dab = math.sqrt(l2_distance_sq_grid(fa, fb))
-            dbc = math.sqrt(l2_distance_sq_grid(fb, fc))
-            dac = math.sqrt(l2_distance_sq_grid(fa, fc))
-            assert dac <= dab + dbc + 1e-12
 
 
 class TestPairwiseSum:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import (
+    CoverageWarning,
     WeylQuadratureSpec,
     box_quadrature_spec,
     oscillator_quadrature_spec,
@@ -16,7 +17,6 @@ from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
 from weylsym.kernel import EvalMode, KernelEval, dirichlet_kernel
 from weylsym.scale import PhaseGrid, pairwise_sum
 from weylsym.weyl import (
-    CoverageWarning,
     _sin_ratio,
     momentum_symbol_field,
     projection_symbol_field,
