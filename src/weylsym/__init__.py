@@ -9,7 +9,7 @@ with hbar N = mu fixed.
 
 __version__ = "0.1.0"
 
-from .basis import EigenBasis, Model, eigenvalue, eval_box_wavefunction, eval_hermite_wavefunction
+from .basis import EigenBasis, Model
 from .diag import (
     SweepConfig,
     SweepReport,
@@ -21,7 +21,7 @@ from .diag import (
     oscillator_disk_distance_sq,
     run_sweep,
 )
-from .kernel import EvalMode, KernelEval, dirichlet_kernel, projection_kernel, sine_kernel
+from .kernel import box_projection_kernel, dirichlet_kernel, sine_kernel
 from .limits import (
     ClassicalRegion,
     RegionKind,
@@ -29,7 +29,6 @@ from .limits import (
     edge_profile_p,
     edge_profile_x,
     indicator,
-    limit_symbol,
     si,
 )
 from .moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
@@ -51,14 +50,14 @@ from .weyl import (
 __all__ = [
     "__version__",
     "SemiclassicalScale", "PhaseGrid", "SymbolField",
-    "Model", "EigenBasis", "eval_hermite_wavefunction", "eval_box_wavefunction", "eigenvalue",
-    "EvalMode", "KernelEval", "dirichlet_kernel", "sine_kernel", "projection_kernel",
+    "Model", "EigenBasis",
+    "dirichlet_kernel", "sine_kernel", "box_projection_kernel",
     "symbol_rank_one_box",
     "symbol_projection_box", "symbol_truncated_momentum_box", "rescaled_kernel_f2",
     "FiniteRankOperator", "moyal_via_composition", "moyal_direct",
     "OperatorMatrix", "matrix_linear_power", "ladder_matrices",
     "box_multiplication_matrix", "box_momentum_matrix",
-    "ClassicalRegion", "RegionKind", "indicator", "limit_symbol",
+    "ClassicalRegion", "RegionKind", "indicator",
     "bulk_profile_box", "si", "edge_profile_x", "edge_profile_p",
     "hs_norm_sq_symbol", "offdiag_block_norm_sq",
     "box_projection_distance_sq", "oscillator_disk_distance_sq",

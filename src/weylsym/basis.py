@@ -1,37 +1,19 @@
-"""Eigenfunctions and eigenvalues of the two exactly solvable models.
+"""The two exactly solvable models, and the Gauss-Legendre rule of `diag` and `limits`.
 
-Oscillator states are Hermite wavefunctions evaluated by the normalized
-three-term recurrence with the Gaussian folded in; a carried binary exponent
-keeps the recurrence finite for k well beyond 4096 even where the bare
-Gaussian factor would underflow before the polynomial growth catches up.
-Box states are hard-wall sine modes, exactly zero outside [-L, L].
-
-Level indices are 1-based throughout (u_1 is the ground state); internal
-arrays are 0-based with the offset applied at the boundary of each function.
+`EigenBasis` names a model (oscillator or hard-wall box on [-L, L]) with its
+hbar; the closed forms in `weyl`, `kernel` and `moyal` need no eigenfunction
+values.  Level indices are 1-based throughout (u_1 is the ground state).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "Model",
-    "EigenBasis",
-    "eval_hermite_wavefunction",
-    "hermite_wavefunctions",
-    "eval_box_wavefunction",
-    "box_wavefunctions",
-    "eigenvalue",
-    "gauss_legendre",
-    "oscillator_support_halfwidth",
-]
-
-_LN2 = math.log(2.0)
+__all__ = ["Model", "EigenBasis"]
 
 
 class Model(Enum):
@@ -61,112 +43,11 @@ class EigenBasis:
         assert self.box_half_width is not None
         return self.box_half_width
 
-    def wavefunctions(self, k_max: int, x: np.ndarray) -> np.ndarray:
-        """u_k(x) for k = 1..k_max as an array of shape (k_max, len(x))."""
-        if self.model is Model.OSCILLATOR:
-            return hermite_wavefunctions(k_max, self.hbar, x)
-        return box_wavefunctions(k_max, self.L, x)
-
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return half * x + 0.5 * (a + b), half * w
-
-
-def oscillator_support_halfwidth(hbar: float, k_max: int) -> float:
-    """Classically allowed half-width for levels up to k_max, plus tail margin."""
-    return math.sqrt(2.0 * hbar * (k_max + 10)) + 10.0 * math.sqrt(hbar)
-
-
-def hermite_wavefunctions(k_max: int, hbar: float, x) -> np.ndarray:
-    """Oscillator eigenfunctions u_1..u_{k_max} at the points x.
-
-    Recurrence on phi_j = u_j directly (never on raw Hermite polynomials):
-    the start value carries log(u_1) as a separate base-2 exponent, and the
-    pair (phi_j, phi_{j+1}) is renormalized every step, so deep tails where
-    exp(-x^2 / 2 hbar) underflows still produce the correct O(1) values
-    inside the classically allowed region of high levels.  Values whose true
-    magnitude underflows come out as exact zeros.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if not hbar > 0:
-        raise ValueError("hbar must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = x / math.sqrt(hbar)
-
-    # u_1 = (pi hbar)^(-1/4) exp(-xi^2 / 2) = m * 2^E
-    log_u1 = -0.5 * xi**2 - 0.25 * math.log(math.pi * hbar)
-    expo = np.floor(log_u1 / _LN2)
-    m0 = np.exp(log_u1 - expo * _LN2)
-    expo = expo.astype(np.int64)
-
-    out = np.empty((k_max, x.size))
-    out[0] = np.ldexp(m0, expo)
-    if k_max == 1:
-        return out
-
-    m1 = math.sqrt(2.0) * xi * m0
-    out[1] = np.ldexp(m1, expo)
-    for n in range(1, k_max - 1):
-        # h_{n+1} = sqrt(2/(n+1)) xi h_n - sqrt(n/(n+1)) h_{n-1}
-        m2 = math.sqrt(2.0 / (n + 1)) * xi * m1 - math.sqrt(n / (n + 1)) * m0
-        mant, shift = np.frexp(m2)
-        live = m2 != 0.0
-        m2 = np.where(live, mant, 0.0)
-        shift = np.where(live, shift, 0)
-        m1 = np.ldexp(m1, -shift)
-        m0, m1 = m1, m2
-        expo = expo + shift
-        out[n + 1] = np.ldexp(m1, expo)
-    return out
-
-
-def eval_hermite_wavefunction(k: int, hbar: float, x: float) -> float:
-    """Single oscillator eigenfunction value u_k(x), k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return float(hermite_wavefunctions(k, hbar, np.array([x]))[k - 1, 0])
-
-
-def box_wavefunctions(k_max: int, L: float, x) -> np.ndarray:
-    """Box eigenfunctions u_1..u_{k_max} at the points x; 0 outside (-L, L)."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if not L > 0:
-        raise ValueError("L must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = np.abs(x) < L
-    theta = np.where(inside, (x + L) * (math.pi / (2.0 * L)), 0.0)
-    k = np.arange(1, k_max + 1)[:, None]
-    vals = np.sin(k * theta[None, :]) / math.sqrt(L)
-    vals[:, ~inside] = 0.0
-    return vals
-
-
-def eval_box_wavefunction(k: int, L: float, x: float) -> float:
-    """Single box eigenfunction value; exact 0 for |x| >= L."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return float(box_wavefunctions(k, L, np.array([x]))[k - 1, 0])
-
-
-def eigenvalue(basis: EigenBasis, k: int) -> float:
-    """Level k energy: hbar (k - 1/2) for the oscillator, (hbar^2/2)(k pi / 2L)^2 for the box."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if basis.model is Model.OSCILLATOR:
-        return basis.hbar * (k - 0.5)
-    return 0.5 * basis.hbar**2 * (k * math.pi / (2.0 * basis.L)) ** 2

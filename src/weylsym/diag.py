@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import EigenBasis, Model, _leggauss
-from .kernel import EvalMode, KernelEval
+from .basis import _leggauss
 from .limits import (
     bulk_profile_box,
     bulk_sup_constant,
@@ -467,12 +466,7 @@ def _sweep_box_bulk_sup(config: SweepConfig) -> SweepReport:
         hbar = mu / N
         if not hbar < hbar0:
             raise ValueError(f"hbar = {hbar:g} is not below hbar_0 = {hbar0:g}; increase N")
-        ke = KernelEval(
-            basis=EigenBasis(Model.BOX, hbar=hbar, box_half_width=L),
-            n_levels=N,
-            mode=EvalMode.CLOSED_FORM,
-        )
-        resc = rescaled_kernel_f2(ke, hbar, xs, ys)
+        resc = rescaled_kernel_f2(N, hbar, L, xs, ys)
         sup = float(np.max(np.abs(resc - bulk)))
         rows.append(SweepRow(N=N, hbar=hbar, metric="sup_err", value=sup))
         rows.append(SweepRow(N=N, hbar=hbar, metric="bound", value=C * hbar))

@@ -1,57 +1,32 @@
-"""Integral kernels: projections, truncated operators, Dirichlet and sine kernels.
+"""Integral kernels in closed form: Dirichlet, sine, and the box projection.
 
-All kernel evaluators broadcast over numpy arrays of points.  The box
-projection kernel has a closed Dirichlet-kernel form (O(1) per point); the
-eigenfunction sum is kept as the cross-check oracle and as the only route
-for the oscillator.
+The rank-N box projection kernel sum_{k<=N} u_k(x) u_k(y) is a difference
+of two Dirichlet kernels, O(1) per point; every evaluator broadcasts over
+numpy arrays of points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .basis import EigenBasis, Model
 from .scale import _point_arrays
 
-__all__ = [
-    "EvalMode",
-    "KernelEval",
-    "dirichlet_kernel",
-    "sine_kernel",
-    "projection_kernel",
-    "truncated_operator_kernel",
-]
+__all__ = ["dirichlet_kernel", "sine_kernel", "box_projection_kernel"]
 
 # Below this, sin(x/2) loses enough digits that the Dirichlet kernel is
 # summed as cosines instead of taken as the quotient.
 _SINGULAR_EPS = 1e-8
 
 
-class EvalMode(Enum):
-    SUM = "sum"
-    CLOSED_FORM = "closed-form"
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    """Projection-kernel evaluator: model, rank N, and evaluation route."""
-
-    basis: EigenBasis
-    n_levels: int
-    mode: EvalMode = EvalMode.SUM
-
-    def __post_init__(self) -> None:
-        if self.n_levels < 1:
-            raise ValueError("n_levels must be >= 1")
-        if self.mode is EvalMode.CLOSED_FORM and self.basis.model is not Model.BOX:
-            raise ValueError("closed form unavailable")
-
-    def __call__(self, x, y):
-        return projection_kernel(self, x, y)
+def _check_box(L: float, hbar: float | None = None) -> None:
+    """Reject a box half width L <= 0, and hbar <= 0 when one is given
+    (NaN fails both); called once per public box call."""
+    if hbar is not None and not hbar > 0:
+        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L}")
 
 
 def dirichlet_kernel(N: int, x) -> np.ndarray | float:
@@ -82,43 +57,18 @@ def sine_kernel(x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
-def projection_kernel(eval: KernelEval, x, y) -> np.ndarray | float:
-    """Kernel of the rank-N projection at (x, y); broadcasts over arrays."""
-    x_arr, y_arr, unwrap = _point_arrays(x, y)
-    if eval.mode is EvalMode.CLOSED_FORM:
-        out = _box_kernel_closed(eval.n_levels, eval.basis.L, x_arr, y_arr)
-    else:
-        out = _kernel_sum(eval.basis, eval.n_levels, x_arr, y_arr)
-    return unwrap(out)
+def box_projection_kernel(N: int, L: float, x, y) -> np.ndarray | float:
+    """Kernel of the rank-N box projection at (x, y), 0 unless |x|, |y| <= L.
 
+    With u_k(x) = sin(k c (x + L)) / sqrt(L), c = pi / 2L,
 
-def _box_kernel_closed(N: int, L: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    c = math.pi / (2.0 * L)
-    out = (dirichlet_kernel(N, c * (x - y)) - dirichlet_kernel(N, c * (x + y + 2.0 * L))) / (4.0 * L)
-    inside = (np.abs(x) <= L) & (np.abs(y) <= L)
-    return np.where(inside, out, 0.0)
-
-
-def _kernel_sum(basis: EigenBasis, N: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    shape = x.shape
-    ux = basis.wavefunctions(N, x.ravel())
-    uy = basis.wavefunctions(N, y.ravel())
-    return np.einsum("kq,kq->q", ux, uy).reshape(shape)
-
-
-def truncated_operator_kernel(matrix, basis: EigenBasis, x, y) -> np.ndarray | complex:
-    """Kernel sum_{j,k} M_jk u_j(x) u_k(y) of a truncated observable.
-
-    Complex even for real coefficient matrices, so purely imaginary momentum
-    coefficients go through the same path.
+        sum_{k<=N} u_k(x) u_k(y) = [D_N(c (x - y)) - D_N(c (x + y + 2L))] / 4L.
     """
-    entries = np.asarray(matrix.entries if hasattr(matrix, "entries") else matrix, dtype=complex)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("coefficient matrix must be square")
-    N = entries.shape[0]
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _check_box(L)
     x_arr, y_arr, unwrap = _point_arrays(x, y)
-    shape = x_arr.shape
-    ux = basis.wavefunctions(N, x_arr.ravel())
-    uy = basis.wavefunctions(N, y_arr.ravel())
-    out = np.einsum("jq,jk,kq->q", ux, entries, uy).reshape(shape)
-    return unwrap(out)
+    c = math.pi / (2.0 * L)
+    out = (dirichlet_kernel(N, c * (x_arr - y_arr)) - dirichlet_kernel(N, c * (x_arr + y_arr + 2.0 * L))) / (4.0 * L)
+    inside = (np.abs(x_arr) <= L) & (np.abs(y_arr) <= L)
+    return unwrap(np.where(inside, out, 0.0))

@@ -22,7 +22,6 @@ __all__ = [
     "RegionKind",
     "ClassicalRegion",
     "indicator",
-    "limit_symbol",
     "bulk_profile_box",
     "bulk_sup_constant",
     "si",
@@ -97,14 +96,6 @@ def indicator(region: ClassicalRegion, x, p) -> np.ndarray | int:
         inside = (np.abs(x_arr) <= region.x_halfwidth) & (np.abs(p_arr) <= region.p_halfwidth)
     out = np.where(inside, 1, 0)
     return int(out[()]) if out.ndim == 0 else out
-
-
-def limit_symbol(f, region: ClassicalRegion, x, p) -> np.ndarray | float:
-    """f(x, p) cut off on the region: the macroscopic limit of truncations of f."""
-    chi = indicator(region, x, p)
-    val = np.asarray(f(np.asarray(x, dtype=float), np.asarray(p, dtype=float)), dtype=float)
-    out = val * chi
-    return float(out[()]) if np.ndim(out) == 0 else out
 
 
 def bulk_profile_box(mu: float, L: float, y) -> np.ndarray | float:

@@ -61,8 +61,10 @@ def operator_symbol_complex(basis: EigenBasis, coeff: np.ndarray, hbar: float, x
 
     Both models broadcast over arrays of points: the box as a sum of
     rank-one closed forms, the oscillator by Groenewold's associated-Laguerre
-    form.  coeff must be a square matrix.
+    form.  coeff must be a square matrix, and hbar the basis's own.
     """
+    if hbar != basis.hbar:
+        raise ValueError(f"hbar = {hbar!r} differs from the basis's hbar = {basis.hbar!r}")
     coeff = np.asarray(coeff)
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
         raise ValueError(f"coeff must be a square matrix, got shape {coeff.shape}")

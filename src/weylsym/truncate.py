@@ -11,7 +11,6 @@ against the eigenfunctions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "box_multiplication_matrix",
     "box_momentum_matrix",
     "box_momentum_entry",
-    "matrix_to_json",
 ]
 
 # The only bound on `sweep --n`, which comes from the command line: the
@@ -64,21 +62,6 @@ class OperatorMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-def matrix_to_json(matrix: OperatorMatrix, hbar: float, path=None) -> str:
-    """Serialize as {"n", "hbar", "entries": [[re, im], ...]} row-major."""
-    flat = matrix.entries.ravel(order="C")
-    payload = {
-        "n": matrix.n,
-        "hbar": hbar,
-        "entries": [[float(v.real), float(v.imag)] for v in flat],
-    }
-    text = json.dumps(payload, sort_keys=True)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
 
 
 def ladder_matrices(

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .kernel import KernelEval, projection_kernel
+from .kernel import _check_box, box_projection_kernel
 from .scale import PhaseGrid, SymbolField, _point_arrays, worker_count
 
 __all__ = [
@@ -58,6 +58,7 @@ def symbol_rank_one_box_complex(
     """
     if j < 1 or k < 1:
         raise ValueError("levels are 1-based")
+    _check_box(L, hbar)
     x_arr, p_arr, unwrap = _point_arrays(x, p)
     A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
     out = np.zeros(x_arr.shape, dtype=complex)
@@ -140,13 +141,23 @@ def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | f
     """Closed-form symbol of the rank-N box projection; 0 for |x| > L."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_box(L, hbar)
     x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
     return unwrap(_projection_symbol_values(N, hbar, L, x_arr, p_arr))
 
 
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the truncated box momentum; odd in p, 0 for
-    |x| >= L, O(N) per point.
+    |x| >= L, O(N) per point."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _check_box(L, hbar)
+    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
+    return unwrap(_momentum_symbol_values(N, hbar, L, x_arr, p_arr))
+
+
+def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
+    """The momentum symbol from prefix sums, broadcasting x against p.
 
     Index the pairs j > k with j + k odd by s = j + k and d = j - k, both
     odd, with d <= s - 2 and s + d <= 2N.  With theta = pi (x + L) / 2L,
@@ -165,9 +176,6 @@ def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.nda
     field's x column, never the cell block); the cells see 2N sin(A q)/q
     passes.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
     A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
     m = np.arange(1, 2 * N, 2)  # m = 2i + 1
     sines = np.sin(m * (math.pi * (x_arr[..., None] + L) / (2.0 * L)))
@@ -185,13 +193,16 @@ def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.nda
         g = math.pi * hbar * (2 * ii + 1) / (4.0 * L)
         tot += coef[..., ii] * (_sin_ratio(A, p_arr - g) - _sin_ratio(A, p_arr + g))
     tot *= hbar * hbar / (2.0 * L * L)
-    return unwrap(np.where(np.abs(x_arr) >= L, 0.0, tot))
+    return np.where(np.abs(x_arr) >= L, 0.0, tot)
 
 
-def rescaled_kernel_f2(eval: KernelEval, hbar: float, x, y) -> np.ndarray | float:
-    """2 pi hbar K(x - hbar y/2, x + hbar y/2): the partial Fourier transform
-    of the symbol in p, compared against the bulk sine profile."""
-    return 2.0 * math.pi * hbar * projection_kernel(eval, x - hbar * np.asarray(y) / 2.0, x + hbar * np.asarray(y) / 2.0)
+def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | float:
+    """2 pi hbar K_N(x - hbar y/2, x + hbar y/2) for the rank-N box kernel:
+    the partial Fourier transform of the symbol in p, compared against the
+    bulk sine profile."""
+    _check_box(L, hbar)
+    shift = hbar * np.asarray(y) / 2.0
+    return 2.0 * math.pi * hbar * box_projection_kernel(N, L, x - shift, x + shift)
 
 
 def _oscillator_z(hbar: float, x_arr: np.ndarray, p_arr: np.ndarray) -> np.ndarray:
@@ -325,15 +336,17 @@ def _field_rows(N: int, hbar: float, L: float, xs: np.ndarray, ps: np.ndarray, f
 
 def projection_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
     """Box projection symbol sampled on a grid."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _check_box(L, hbar)
     vals = _field_rows(N, hbar, L, grid.x_centers(), grid.p_centers(), _projection_symbol_values)
     return SymbolField(grid=grid, values=vals)
 
 
 def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
     """Truncated box momentum symbol sampled on a grid."""
-
-    def fn(N_, hbar_, L_, xcol, prow):
-        return symbol_truncated_momentum_box(N_, hbar_, L_, xcol, prow)
-
-    vals = _field_rows(N, hbar, L, grid.x_centers(), grid.p_centers(), fn)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    _check_box(L, hbar)
+    vals = _field_rows(N, hbar, L, grid.x_centers(), grid.p_centers(), _momentum_symbol_values)
     return SymbolField(grid=grid, values=vals)

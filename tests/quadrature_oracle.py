@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from weylsym.basis import Model, gauss_legendre
-from weylsym.kernel import KernelEval, projection_kernel, truncated_operator_kernel
+from eigen_oracle import gauss_legendre, truncated_operator_kernel
+
 _IM_TOL = 1e-9
 
 
@@ -35,6 +35,11 @@ class WeylQuadratureSpec:
             raise ValueError("n_nodes must be >= 64")
 
 
+def box_y_support(hbar: float, L: float, x: float) -> float:
+    """Half width of {y : |x +- hbar y/2| <= L}, where a box kernel lives."""
+    return 2.0 * max(L - abs(x), 0.0) / hbar
+
+
 def box_quadrature_spec(hbar: float, L: float, x: float, p: float, mu: float) -> WeylQuadratureSpec:
     """Spec matched to the box kernel: window equal to the exact y-support.
 
@@ -42,7 +47,7 @@ def box_quadrature_spec(hbar: float, L: float, x: float, p: float, mu: float) ->
     outside, so putting the window edge exactly on the support corner keeps
     Gauss-Legendre spectrally accurate.
     """
-    Y = 2.0 * max(L - abs(x), 0.0) / hbar
+    Y = box_y_support(hbar, L, x)
     if Y == 0.0:
         Y = 1.0  # integrand identically zero; any window works
     rate = math.pi * mu / (2.0 * L) + abs(p) + 1.0
@@ -62,28 +67,13 @@ def oscillator_quadrature_spec(hbar: float, N: int, p: float) -> WeylQuadratureS
     return WeylQuadratureSpec(y_halfwidth=Y, n_nodes=n)
 
 
-def _kernel_callable(kernel):
-    if isinstance(kernel, KernelEval):
-        ke = kernel
-        return lambda xa, ya: projection_kernel(ke, xa, ya)
-    if callable(kernel):
-        return kernel
-    raise TypeError("kernel must be a KernelEval or a callable K(x, y)")
-
-
-def _kernel_y_support(kernel, hbar: float, x: float) -> float | None:
-    if isinstance(kernel, KernelEval) and kernel.basis.model is Model.BOX:
-        return 2.0 * max(kernel.basis.L - abs(x), 0.0) / hbar
-    return None
-
-
 def symbol_from_kernel_complex(
     kernel, hbar: float, spec: WeylQuadratureSpec, x: float, p: float
 ) -> complex:
-    """Raw quadrature value of the symbol integral, no reality reduction."""
-    K = _kernel_callable(kernel)
+    """Raw quadrature value of the symbol integral of the kernel K(x, y),
+    no reality reduction."""
     ys, wy = gauss_legendre(spec.n_nodes, -spec.y_halfwidth, spec.y_halfwidth)
-    vals = np.asarray(K(x - hbar * ys / 2.0, x + hbar * ys / 2.0), dtype=complex)
+    vals = np.asarray(kernel(x - hbar * ys / 2.0, x + hbar * ys / 2.0), dtype=complex)
     return complex(hbar * np.sum(wy * vals * np.exp(1j * p * ys)))
 
 
@@ -98,15 +88,14 @@ def symbol_from_kernel(
     """Weyl symbol of a Hermitian kernel at (x, p) by Gauss-Legendre.
 
     The kernel must be real-symmetric or complex-Hermitian so the symbol is
-    real; an imaginary residue above 1e-9 (1 + |Re|) raises.  For box
-    kernels the window must cover the y-support {y : |x +- hbar y/2| <= L},
-    otherwise a CoverageWarning is emitted.
+    real; an imaginary residue above 1e-9 (1 + |Re|) raises.  Given the
+    kernel's y-support (`box_y_support` for a box kernel), a window that does
+    not cover it emits a CoverageWarning.
     """
-    support = y_support if y_support is not None else _kernel_y_support(kernel, hbar, x)
-    if support is not None and spec.y_halfwidth < support * (1.0 - 1e-12):
+    if y_support is not None and spec.y_halfwidth < y_support * (1.0 - 1e-12):
         warnings.warn(
             f"quadrature window {spec.y_halfwidth:g} does not cover the kernel "
-            f"y-support {support:g}",
+            f"y-support {y_support:g}",
             CoverageWarning,
         )
     val = symbol_from_kernel_complex(kernel, hbar, spec, x, p)

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 from grid_oracle import l2_distance_with_tail
-from quadrature_oracle import box_quadrature_spec, symbol_from_kernel, symbol_from_kernel_complex
+from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
+from quadrature_oracle import box_quadrature_spec, box_y_support, symbol_from_kernel, symbol_from_kernel_complex
 
-from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
+from weylsym.basis import EigenBasis, Model
 from weylsym.diag import (
     SweepConfig,
     box_momentum_tail_norm_sq,
@@ -22,7 +23,7 @@ from weylsym.diag import (
     offdiag_block_norm_sq,
     run_sweep,
 )
-from weylsym.kernel import EvalMode, KernelEval, projection_kernel, truncated_operator_kernel
+from weylsym.kernel import box_projection_kernel
 from weylsym.limits import (
     ClassicalRegion,
     bulk_profile_box,
@@ -134,12 +135,7 @@ def test_ac5_bulk_sine_estimate():
     for N in (50, 100, 200, 400):
         hbar = mu / N
         assert hbar < hbar0
-        ke = KernelEval(
-            basis=EigenBasis(Model.BOX, hbar=hbar, box_half_width=L),
-            n_levels=N,
-            mode=EvalMode.CLOSED_FORM,
-        )
-        resc = rescaled_kernel_f2(ke, hbar, xs, ys)
+        resc = rescaled_kernel_f2(N, hbar, L, xs, ys)
         sups[N] = float(np.max(np.abs(resc - bulk)))
         assert sups[N] <= C * hbar, (N, sups[N], C * hbar)
     report(
@@ -268,11 +264,6 @@ def test_ac11_oracle_equivalences():
     rng = np.random.default_rng(11)
     N, L = 6, 1.0
     hbar = mu / N
-    ke = KernelEval(
-        basis=EigenBasis(Model.BOX, hbar=hbar, box_half_width=L),
-        n_levels=N,
-        mode=EvalMode.CLOSED_FORM,
-    )
     mom = box_momentum_matrix(N, L, hbar)
     basis = EigenBasis(Model.BOX, hbar=hbar, box_half_width=L)
     worst = 0.0
@@ -281,7 +272,11 @@ def test_ac11_oracle_equivalences():
         p = float(rng.uniform(-4.0, 4.0))
         spec = box_quadrature_spec(hbar, L, x, p, mu)
         worst = max(worst, abs(
-            symbol_from_kernel(ke, hbar, spec, x, p) - symbol_projection_box(N, hbar, L, x, p)
+            symbol_from_kernel(
+                lambda xa, ya: box_projection_kernel(N, L, xa, ya),
+                hbar, spec, x, p, y_support=box_y_support(hbar, L, x),
+            )
+            - symbol_projection_box(N, hbar, L, x, p)
         ))
         worst = max(worst, abs(
             symbol_from_kernel(
@@ -301,12 +296,10 @@ def test_ac11_oracle_equivalences():
     # (d) kernel closed form vs eigenfunction sum
     rng = np.random.default_rng(12)
     for N in (1, 5, 12):
-        closed = KernelEval(basis=basis, n_levels=N, mode=EvalMode.CLOSED_FORM)
-        summed = KernelEval(basis=basis, n_levels=N, mode=EvalMode.SUM)
         for _ in range(20):
             x, y = rng.uniform(-L, L, size=2)
             assert abs(
-                projection_kernel(closed, x, y) - projection_kernel(summed, x, y)
+                box_projection_kernel(N, L, x, y) - projection_kernel_sum(basis, N, x, y)
             ) <= 1e-12
     report("AC-11 oracle equivalences (paths/ladder 1e-10; C_jk 1e-10; symbols 1e-7; kernels 1e-12): PASS")
 

@@ -1,19 +1,27 @@
+"""The eigenfunction oracle's Hermite recurrence and sine modes, and the
+model descriptor."""
+
 import math
 
 import numpy as np
 import pytest
-
-from weylsym.basis import (
-    EigenBasis,
-    Model,
+from eigen_oracle import (
     box_wavefunctions,
     eigenvalue,
-    eval_box_wavefunction,
-    eval_hermite_wavefunction,
     gauss_legendre,
     hermite_wavefunctions,
     oscillator_support_halfwidth,
 )
+
+from weylsym.basis import EigenBasis, Model
+
+
+def eval_hermite_wavefunction(k, hbar, x):
+    return float(hermite_wavefunctions(k, hbar, np.array([x]))[k - 1, 0])
+
+
+def eval_box_wavefunction(k, L, x):
+    return float(box_wavefunctions(k, L, np.array([x]))[k - 1, 0])
 
 
 def osc(hbar):
@@ -112,7 +120,7 @@ class TestHermiteWavefunction:
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            eval_hermite_wavefunction(0, 1.0, 0.0)
+            hermite_wavefunctions(0, 1.0, 0.0)
 
 
 class TestBoxWavefunction:

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from eigen_oracle import box_wavefunctions
 from grid_oracle import TailDeficitWarning, l2_distance_with_tail
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylsym.basis import box_wavefunctions
 from weylsym.diag import (
     _TAIL_CUTOFF,
     SweepConfig,

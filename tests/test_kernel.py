@@ -2,25 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
-from weylsym.kernel import (
-    EvalMode,
-    KernelEval,
-    dirichlet_kernel,
-    projection_kernel,
-    sine_kernel,
-    truncated_operator_kernel,
-)
+from weylsym.basis import EigenBasis, Model
+from weylsym.kernel import box_projection_kernel, dirichlet_kernel, sine_kernel
 from weylsym.truncate import box_momentum_matrix, box_multiplication_matrix
 
 
-def box_eval(N, L, mode=EvalMode.CLOSED_FORM, hbar=1.0):
-    return KernelEval(
-        basis=EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L),
-        n_levels=N,
-        mode=mode,
-    )
+def box_basis(L, hbar=1.0):
+    return EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
 
 
 class TestDirichletKernel:
@@ -76,40 +68,40 @@ class TestSineKernel:
 
 class TestProjectionKernel:
     def test_support(self):
-        ke = box_eval(5, 1.0)
-        assert projection_kernel(ke, 1.2, 0.3) == 0.0
-        assert projection_kernel(ke, 0.3, -1.0) == 0.0
+        assert box_projection_kernel(5, 1.0, 1.2, 0.3) == 0.0
+        assert box_projection_kernel(5, 1.0, 0.3, -1.0) == 0.0
 
-    def test_closed_form_equals_sum(self):
-        for mode_pair in [(7, 1.0, 0.2, -0.4), (3, 1.7, -0.9, 1.1), (12, 0.6, 0.11, 0.13)]:
-            N, L, x, y = mode_pair
-            closed = projection_kernel(box_eval(N, L, EvalMode.CLOSED_FORM), x, y)
-            summed = projection_kernel(box_eval(N, L, EvalMode.SUM), x, y)
-            assert closed == pytest.approx(summed, abs=1e-12)
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(
+        N=st.integers(1, 64), L=st.floats(0.3, 3.0),
+        u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0),
+        pin=st.sampled_from(("free", "diagonal", "wall")),
+    )
+    def test_closed_form_equals_sum(self, N, L, u, v, pin):
+        # x = y hits the Dirichlet cosine-sum fallback, |x| = L the wall
+        x, y = u * L, v * L
+        if pin == "diagonal":
+            y = x
+        elif pin == "wall":
+            x = math.copysign(L, u)
+        closed = box_projection_kernel(N, L, x, y)
+        summed = projection_kernel_sum(box_basis(L), N, x, y)
+        assert abs(closed - summed) <= 1e-12 * N / L
 
     def test_diag_trace(self):
         # midpoint rule over 4000 cells of K(x, x) equals the rank
         N, L = 7, 1.0
-        ke = box_eval(N, L)
         n = 4000
         dx = 2 * L / n
         xs = -L + (np.arange(n) + 0.5) * dx
-        tr = float(np.sum(projection_kernel(ke, xs, xs)) * dx)
+        tr = float(np.sum(box_projection_kernel(N, L, xs, xs)) * dx)
         assert tr == pytest.approx(N, abs=1e-6)
 
-    def test_oscillator_closed_form_refused(self):
-        with pytest.raises(ValueError, match="closed form unavailable"):
-            KernelEval(
-                basis=EigenBasis(model=Model.OSCILLATOR, hbar=1.0),
-                n_levels=3,
-                mode=EvalMode.CLOSED_FORM,
-            )
-
     def test_oscillator_sum_mode(self):
-        ke = KernelEval(basis=EigenBasis(model=Model.OSCILLATOR, hbar=0.5), n_levels=4)
-        # symmetric kernel
-        assert projection_kernel(ke, 0.3, -0.2) == pytest.approx(
-            projection_kernel(ke, -0.2, 0.3), rel=1e-13
+        # the oracle's oscillator kernel is symmetric
+        basis = EigenBasis(model=Model.OSCILLATOR, hbar=0.5)
+        assert projection_kernel_sum(basis, 4, 0.3, -0.2) == pytest.approx(
+            projection_kernel_sum(basis, 4, -0.2, 0.3), rel=1e-13
         )
 
     def test_reproducing_property(self):
@@ -118,29 +110,32 @@ class TestProjectionKernel:
         zs, ws = gauss_legendre(200, -L, L)
         rng = np.random.default_rng(4)
         for N in (2, 5, 10):
-            ke = box_eval(N, L)
             for _ in range(5):
                 x, y = rng.uniform(-0.95 * L, 0.95 * L, size=2)
-                lhs = float(np.sum(ws * projection_kernel(ke, x, zs) * projection_kernel(ke, zs, y)))
-                assert lhs == pytest.approx(projection_kernel(ke, x, y), abs=1e-8)
+                lhs = float(np.sum(ws * box_projection_kernel(N, L, x, zs) * box_projection_kernel(N, L, zs, y)))
+                assert lhs == pytest.approx(box_projection_kernel(N, L, x, y), abs=1e-8)
+
+    @pytest.mark.parametrize("N,L", [(0, 1.0), (3, 0.0), (3, -1.0), (3, math.nan)])
+    def test_rejects_invalid(self, N, L):
+        with pytest.raises(ValueError):
+            box_projection_kernel(N, L, 0.1, 0.2)
 
 
 class TestTruncatedOperatorKernel:
     def test_identity_matrix_reduces_to_projection(self):
         N, L = 6, 1.0
-        basis = EigenBasis(model=Model.BOX, hbar=1.0, box_half_width=L)
+        basis = box_basis(L)
         eye = np.eye(N, dtype=complex)
-        ke = box_eval(N, L)
         for (x, y) in [(0.1, 0.7), (-0.3, -0.3), (0.99, -0.2)]:
             got = truncated_operator_kernel(eye, basis, x, y)
             assert got.imag == 0.0
-            assert got.real == pytest.approx(projection_kernel(ke, x, y), abs=1e-13)
+            assert got.real == pytest.approx(box_projection_kernel(N, L, x, y), abs=1e-13)
 
     def test_tridiagonal_kernel_identity(self):
         # kernel of the truncated multiplication operator equals
         # -(1/(2 sqrt(L))) sum_k [u_k(x) u_{k+1}(y) + u_{k+1}(x) u_k(y)]
         N, L = 5, 1.0
-        basis = EigenBasis(model=Model.BOX, hbar=1.0, box_half_width=L)
+        basis = box_basis(L)
         mat = box_multiplication_matrix(N, L)
         x, y = 0.1, 0.3
         got = truncated_operator_kernel(mat, basis, x, y)
@@ -152,7 +147,7 @@ class TestTruncatedOperatorKernel:
 
     def test_hermitian_matrix_gives_hermitian_kernel(self):
         N, L, hbar = 6, 1.3, 0.25
-        basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
+        basis = box_basis(L, hbar)
         mat = box_momentum_matrix(N, L, hbar)
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -162,6 +157,6 @@ class TestTruncatedOperatorKernel:
             assert kxy == pytest.approx(np.conj(kyx), abs=1e-13)
 
     def test_rejects_nonsquare(self):
-        basis = EigenBasis(model=Model.BOX, hbar=1.0, box_half_width=1.0)
+        basis = box_basis(1.0)
         with pytest.raises(ValueError):
             truncated_operator_kernel(np.zeros((2, 3)), basis, 0.0, 0.0)

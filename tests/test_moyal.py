@@ -375,3 +375,16 @@ class TestOperatorSymbolValidation:
     def test_oscillator_rejects_non_square_coeff(self, coeff):
         with pytest.raises(ValueError, match="square"):
             operator_symbol_complex(osc_basis(0.25), coeff, 0.25, np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("basis", [box_basis(0.1), osc_basis(0.1)])
+    def test_rejects_hbar_other_than_the_basis(self, basis):
+        # P star P at hbar = 0.5 on a basis built at hbar = 0.1 would read
+        # 1.83 where the projection symbol is 0.88
+        proj = FiniteRankOperator(basis=basis, coeff=np.eye(10, dtype=complex))
+        with pytest.raises(ValueError, match="basis's hbar"):
+            moyal_via_composition(proj, proj, 0.5, 0.1, 0.2)
+        with pytest.raises(ValueError, match="basis's hbar"):
+            operator_symbol_complex(basis, proj.coeff, 0.5, 0.1, 0.2)
+        assert moyal_via_composition(proj, proj, 0.1, 0.1, 0.2) == operator_symbol_complex(
+            basis, proj.coeff, 0.1, 0.1, 0.2
+        ).real

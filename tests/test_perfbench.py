@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _traced_pass(tmp_path, workload):
-    # spans.py binds arguments by name (moyal_direct's sigma1, the kernel's
-    # eval), so a traced pass fails if a traced signature drifts
+    # spans.py binds arguments by name (moyal_direct's sigma1, the grid of
+    # the symbol fields), so a traced pass fails if a traced signature drifts
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.pop("WEYL_THREADS", None)  # the tracer assumes one thread

@@ -1,16 +1,15 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
-
-from weylsym.basis import (
+from eigen_oracle import (
     box_wavefunctions,
     gauss_legendre,
     hermite_wavefunctions,
     oscillator_support_halfwidth,
 )
+
 from weylsym.scale import SemiclassicalScale
 from weylsym.truncate import (
     OperatorMatrix,
@@ -19,7 +18,6 @@ from weylsym.truncate import (
     box_multiplication_matrix,
     ladder_matrices,
     matrix_linear_power,
-    matrix_to_json,
 )
 
 
@@ -257,14 +255,3 @@ class TestOperatorMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             OperatorMatrix(entries=np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
-
-    def test_json_export(self, tmp_path):
-        M = box_momentum_matrix(2, 1.0, 0.5)
-        path = tmp_path / "m.json"
-        text = matrix_to_json(M, 0.5, path)
-        payload = json.loads(path.read_text())
-        assert payload == json.loads(text)
-        assert payload["n"] == 2
-        assert payload["hbar"] == 0.5
-        assert len(payload["entries"]) == 4
-        assert payload["entries"][1] == [0.0, pytest.approx(2.0 / 3.0)]

@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import (
     CoverageWarning,
     WeylQuadratureSpec,
     box_quadrature_spec,
+    box_y_support,
     oscillator_quadrature_spec,
     symbol_from_kernel,
     symbol_from_kernel_complex,
 )
 
-from weylsym.basis import EigenBasis, Model, box_wavefunctions, gauss_legendre
-from weylsym.kernel import EvalMode, KernelEval, dirichlet_kernel
+from weylsym.basis import EigenBasis, Model
+from weylsym.kernel import box_projection_kernel, dirichlet_kernel
 from weylsym.scale import PhaseGrid, pairwise_sum
 from weylsym.weyl import (
     _sin_ratio,
@@ -29,15 +31,16 @@ from weylsym.weyl import (
 )
 from weylsym import weyl
 from weylsym.truncate import box_momentum_matrix
-from weylsym.kernel import truncated_operator_kernel
 
 
-def box_eval(N, L, hbar, mode=EvalMode.CLOSED_FORM):
-    return KernelEval(
-        basis=EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L),
-        n_levels=N,
-        mode=mode,
-    )
+def box_kernel(N, L):
+    """The closed-form rank-N box projection kernel as a callable K(x, y)."""
+    return lambda xa, ya: box_projection_kernel(N, L, xa, ya)
+
+
+def summed_kernel(basis, N):
+    """The rank-N projection kernel as the oracle's eigenfunction sum."""
+    return lambda xa, ya: projection_kernel_sum(basis, N, xa, ya)
 
 
 class TestQuadratureSpec:
@@ -49,17 +52,17 @@ class TestQuadratureSpec:
 
     def test_coverage_warning(self):
         N, L, hbar = 4, 1.0, 0.25
-        ke = box_eval(N, L, hbar, EvalMode.SUM)
-        spec = WeylQuadratureSpec(y_halfwidth=1.0, n_nodes=128)  # support is 8 - |x| stuff
+        ke = summed_kernel(EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L), N)
+        spec = WeylQuadratureSpec(y_halfwidth=1.0, n_nodes=128)  # the support is 8
         with pytest.warns(CoverageWarning):
-            symbol_from_kernel(ke, hbar, spec, 0.0, 0.0)
+            symbol_from_kernel(ke, hbar, spec, 0.0, 0.0, y_support=box_y_support(hbar, L, 0.0))
 
 
 class TestSymbolFromKernel:
     def test_oscillator_ground_state_gaussian(self):
         # rank-one ground projector: sigma = 2 exp(-(x^2 + p^2)/hbar)
         hbar = 0.5
-        ke = KernelEval(basis=EigenBasis(model=Model.OSCILLATOR, hbar=hbar), n_levels=1)
+        ke = summed_kernel(EigenBasis(model=Model.OSCILLATOR, hbar=hbar), 1)
         x, p = 0.3, -0.2
         spec = oscillator_quadrature_spec(hbar, 1, p)
         got = symbol_from_kernel(ke, hbar, spec, x, p)
@@ -79,10 +82,9 @@ class TestSymbolFromKernel:
     def test_projection_quadrature_matches_closed_form(self):
         N, L, mu = 6, 1.0, 1.0
         hbar = mu / N
-        ke = box_eval(N, L, hbar, EvalMode.CLOSED_FORM)
         x, p = 0.25, 1.1
         spec = box_quadrature_spec(hbar, L, x, p, mu)
-        got = symbol_from_kernel(ke, hbar, spec, x, p)
+        got = symbol_from_kernel(box_kernel(N, L), hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
         assert got == pytest.approx(symbol_projection_box(N, hbar, L, x, p), abs=1e-8)
 
     def test_non_hermitian_kernel_rejected(self):
@@ -410,17 +412,16 @@ class TestRescaledKernel:
     def test_zero_offset_matches_dirichlet_combination(self):
         N, L = 6, 1.0
         hbar = 1.0 / N
-        ke = box_eval(N, L, hbar)
-        got = rescaled_kernel_f2(ke, hbar, 0.0, 0.0)
+        got = rescaled_kernel_f2(N, hbar, L, 0.0, 0.0)
         want = (math.pi * hbar / (2 * L)) * (2 * N + 1 - dirichlet_kernel(N, math.pi))
         assert got == pytest.approx(want, abs=1e-12)
-        # sum-mode oracle
-        ke_sum = box_eval(N, L, hbar, EvalMode.SUM)
-        assert got == pytest.approx(rescaled_kernel_f2(ke_sum, hbar, 0.0, 0.0), abs=1e-12)
+        # eigenfunction-sum oracle
+        basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
+        summed = 2 * math.pi * hbar * projection_kernel_sum(basis, N, 0.0, 0.0)
+        assert got == pytest.approx(summed, abs=1e-12)
 
     def test_outside_box_is_zero(self):
-        ke = box_eval(5, 1.0, 0.2)
-        assert rescaled_kernel_f2(ke, 0.2, 1.5, 0.4) == 0.0
+        assert rescaled_kernel_f2(5, 0.2, 1.0, 1.5, 0.4) == 0.0
 
     def test_bulk_limit_with_explicit_constant(self):
         from weylsym.limits import bulk_profile_box, bulk_sup_constant
@@ -428,8 +429,7 @@ class TestRescaledKernel:
         N, mu, L = 100, 1.0, 1.0
         hbar = mu / N
         x, y = 0.2, 1.3
-        ke = box_eval(N, L, hbar)
-        got = rescaled_kernel_f2(ke, hbar, x, y)
+        got = rescaled_kernel_f2(N, hbar, L, x, y)
         want = bulk_profile_box(mu, L, y)
         C = bulk_sup_constant(mu, L, abs(x), abs(y))
         assert abs(got - want) <= C * hbar
@@ -457,7 +457,7 @@ class TestClosedFormsAgainstQuadrature:
         mu, L = 1.0, 1.0
         N = 5
         hbar = mu / N
-        ke = box_eval(N, L, hbar, EvalMode.CLOSED_FORM)
+        ke = box_kernel(N, L)
         mat = box_momentum_matrix(N, L, hbar)
         basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
 
@@ -469,7 +469,7 @@ class TestClosedFormsAgainstQuadrature:
             x = rng.uniform(-0.95 * L, 0.95 * L)
             p = rng.uniform(-4.0, 4.0)
             spec = box_quadrature_spec(hbar, L, x, p, mu)
-            q_proj = symbol_from_kernel(ke, hbar, spec, x, p)
+            q_proj = symbol_from_kernel(ke, hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
             c_proj = symbol_projection_box(N, hbar, L, x, p)
             q_mom = symbol_from_kernel(mom_kernel, hbar, spec, x, p, y_support=0.0)
             c_mom = symbol_truncated_momentum_box(N, hbar, L, x, p)
@@ -499,9 +499,7 @@ class TestOscillatorQuadratureSymbol:
 
 def oscillator_quadrature_oracle(N, hbar, x, p):
     """Oscillator projection symbol by quadrature of the eigenfunction-sum kernel."""
-    ke = KernelEval(
-        basis=EigenBasis(model=Model.OSCILLATOR, hbar=hbar), n_levels=N, mode=EvalMode.SUM
-    )
+    ke = summed_kernel(EigenBasis(model=Model.OSCILLATOR, hbar=hbar), N)
     return symbol_from_kernel(ke, hbar, oscillator_quadrature_spec(hbar, N, p), x, p)
 
 
@@ -580,6 +578,38 @@ class TestFields:
                 )
 
 
+_grid = PhaseGrid(-1.2, 1.2, -2.0, 2.0, 4, 3)
+BOX_CALLS = {
+    "rank_one": lambda hbar, L: symbol_rank_one_box_complex(1, 2, hbar, L, 0.0, 0.0),
+    "projection": lambda hbar, L: symbol_projection_box(4, hbar, L, 0.0, 0.0),
+    "momentum": lambda hbar, L: symbol_truncated_momentum_box(4, hbar, L, 0.0, 0.0),
+    "projection_field": lambda hbar, L: projection_symbol_field(4, hbar, L, _grid),
+    "momentum_field": lambda hbar, L: momentum_symbol_field(4, hbar, L, _grid),
+    "rescaled_kernel": lambda hbar, L: rescaled_kernel_f2(4, hbar, L, 0.0, 0.0),
+}
+
+
+class TestBoxScaleValidation:
+    # hbar <= 0 or L <= 0 once returned a plausible number (-1.97e-32 or 0.0)
+    # or died in a ZeroDivisionError
+    @pytest.mark.parametrize("call", sorted(BOX_CALLS))
+    @pytest.mark.parametrize(
+        "hbar,L,name",
+        [(-0.1, 1.0, "hbar"), (0.0, 1.0, "hbar"), (math.nan, 1.0, "hbar"),
+         (0.1, -1.0, "L"), (0.1, 0.0, "L"), (0.1, math.nan, "L")],
+    )
+    def test_rejects_nonpositive_scale(self, call, hbar, L, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            BOX_CALLS[call](hbar, L)
+
+    @pytest.mark.parametrize("field", [projection_symbol_field, momentum_symbol_field])
+    def test_fields_reject_rank_zero(self, field):
+        # N = 0 once gave a projection field of 0.75 at p = 0, as the scalar
+        # call refuses
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            field(0, 0.1, 1.0, _grid)
+
+
 box_settings = settings(deadline=None, derandomize=True, max_examples=40)
 
 
@@ -607,8 +637,10 @@ class TestBoxWallsAndResonances:
         p = sign * math.pi * hbar * k / (2.0 * L)
         got = symbol_projection_box(N, hbar, L, x, p)
         assert math.isfinite(got)
-        ke = box_eval(N, L, hbar, EvalMode.CLOSED_FORM)
-        want = symbol_from_kernel(ke, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
+        want = symbol_from_kernel(
+            box_kernel(N, L), hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p,
+            y_support=box_y_support(hbar, L, x),
+        )
         assert abs(got - want) <= 1e-8
 
     @box_settings
