@@ -14,6 +14,7 @@ from .diag import (
     SweepConfig,
     SweepReport,
     angular_integral,
+    band_norm_sq,
     box_projection_distance_sq,
     catalan_limit_value,
     hs_norm_sq_symbol,
@@ -33,13 +34,7 @@ from .limits import (
 )
 from .moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
 from .scale import PhaseGrid, SemiclassicalScale, SymbolField
-from .truncate import (
-    OperatorMatrix,
-    box_momentum_matrix,
-    box_multiplication_matrix,
-    ladder_matrices,
-    matrix_linear_power,
-)
+from .truncate import LadderBand, OperatorMatrix, box_multiplication_matrix, matrix_linear_power
 from .weyl import (
     rescaled_kernel_f2,
     symbol_projection_box,
@@ -55,11 +50,10 @@ __all__ = [
     "symbol_rank_one_box",
     "symbol_projection_box", "symbol_truncated_momentum_box", "rescaled_kernel_f2",
     "FiniteRankOperator", "moyal_via_composition", "moyal_direct",
-    "OperatorMatrix", "matrix_linear_power", "ladder_matrices",
-    "box_multiplication_matrix", "box_momentum_matrix",
+    "OperatorMatrix", "LadderBand", "matrix_linear_power", "box_multiplication_matrix",
     "ClassicalRegion", "RegionKind", "indicator",
     "bulk_profile_box", "si", "edge_profile_x", "edge_profile_p",
-    "hs_norm_sq_symbol", "offdiag_block_norm_sq",
+    "hs_norm_sq_symbol", "offdiag_block_norm_sq", "band_norm_sq",
     "box_projection_distance_sq", "oscillator_disk_distance_sq",
     "catalan_limit_value", "angular_integral", "SweepConfig", "SweepReport", "run_sweep",
 ]

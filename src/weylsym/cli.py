@@ -119,7 +119,8 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
             fld = momentum_symbol_field(N, hbar, L, grid)
     elif args.observable == "projection":
         xs, ps = grid.x_centers(), grid.p_centers()
-        fld = SymbolField(grid, symbol_oscillator_projection(N, hbar, xs[:, None], ps[None, :]))
+        vals = symbol_oscillator_projection(N, hbar, xs[:, None], ps[None, :])
+        fld = SymbolField._adopt(grid, vals)
     else:
         raise ConfigError("the momentum field is box-only; --model osc renders the projection")
     if args.format == "csv":

@@ -26,6 +26,7 @@ from .limits import (
 from .moyal import direct_grid, moyal_direct
 from .scale import SemiclassicalScale, pairwise_sum
 from .truncate import (
+    LadderBand,
     OperatorMatrix,
     box_multiplication_matrix,
     matrix_linear_power,
@@ -41,6 +42,7 @@ from .weyl import (
 __all__ = [
     "hs_norm_sq_symbol",
     "offdiag_block_norm_sq",
+    "band_norm_sq",
     "box_projection_distance_sq",
     "oscillator_disk_distance_sq",
     "catalan_limit_value",
@@ -64,21 +66,39 @@ _PANEL_NODES = 8
 
 
 def hs_norm_sq_symbol(matrix: OperatorMatrix, hbar: float) -> float:
-    """Exact squared L2 norm of the symbol: 2 pi hbar sum |M_jk|^2."""
+    """Exact squared L2 norm of the symbol of a dense matrix:
+    2 pi hbar sum |M_jk|^2.  Ladder powers are banded and go through
+    `band_norm_sq` instead."""
     return 2.0 * math.pi * hbar * pairwise_sum(np.abs(matrix.entries) ** 2)
 
 
 def offdiag_block_norm_sq(padded: OperatorMatrix, N: int, hbar: float) -> float:
-    """Squared symbol norm of the block coupling levels <= N to levels > N.
+    """Squared symbol norm of the block of a dense matrix coupling levels
+    <= N to levels > N.
 
     `padded` must hold the observable on more than N levels; rows j > N,
     columns k <= N form the block whose norm is the decay condition on
-    truncation error.
+    truncation error.  A ladder power holds that block in its band already,
+    and `band_norm_sq` reads it there.
     """
     if padded.n <= N:
         raise ValueError(f"padded dimension {padded.n} must exceed N = {N}")
     block = padded.entries[N:, :N]
     return 2.0 * math.pi * hbar * pairwise_sum(np.abs(block) ** 2)
+
+
+def band_norm_sq(power: LadderBand, lo: int, hi: int) -> float:
+    """Squared symbol norm 2 pi hbar sum |M_lk|^2 of the entries of a ladder
+    power in 0-based rows lo <= l < hi and its columns k < N.
+
+    Every entry is a weight of squared modulus `weight_sq` times an entry of
+    J^n, so the sum runs over the real diagonals alone, with no N x N
+    matrix.  Rows [0, N) give the norm of the truncated observable, rows
+    [N, N + n) the block coupling levels <= N to levels > N.
+    """
+    rows = power.offsets[:, None] + np.arange(power.N)[None, :]
+    inside = power.diagonals[(rows >= lo) & (rows < hi)]
+    return 2.0 * math.pi * power.hbar * power.weight_sq * pairwise_sum(inside * inside)
 
 
 def _panel_rule(h: float, j0: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -531,7 +551,19 @@ def _sweep_box_momentum_norm(config: SweepConfig) -> SweepReport:
     return SweepReport("box-momentum-norm", mu, "box", "momentum", tuple(rows), verdicts)
 
 
+def _check_linear_power(config: SweepConfig) -> None:
+    """Refuse what a linear-power sweep cannot measure: with a = b = 0 every
+    norm and limit is 0, so every ratio is 0 / 0; and n = 0 is the identity,
+    whose norm equals its limit at every N (a relative error of 0 that
+    cannot decrease) and whose coupling block is empty."""
+    if config.a == 0 and config.b == 0:
+        raise ValueError("a and b must not both be 0")
+    if min(config.powers) < 1:
+        raise ValueError(f"{config.experiment} needs powers n >= 1")
+
+
 def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
+    _check_linear_power(config)
     mu, a, b = config.mu, config.a, config.b
     rows = []
     verdicts = []
@@ -540,8 +572,7 @@ def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
         rels = []
         for N in config.n_levels:
             scale = SemiclassicalScale.from_mu(N, mu)
-            mat = matrix_linear_power(a, b, n, scale, N)
-            val = hs_norm_sq_symbol(mat, scale.hbar)
+            val = band_norm_sq(matrix_linear_power(a, b, n, scale, N), 0, N)
             rel = abs(val - limit) / limit
             rels.append(rel)
             rows.append(SweepRow(N=N, hbar=scale.hbar, metric=f"rel_err_n{n}", value=rel))
@@ -551,17 +582,16 @@ def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
 
 
 def _sweep_osc_offdiag(config: SweepConfig) -> SweepReport:
+    _check_linear_power(config)
     mu, a, b = config.mu, config.a, config.b
     rows = []
     verdicts = []
     for n in config.powers:
         vals = {}
         for N in sorted(set(config.n_levels) | {2 * N for N in config.n_levels}):
-            # observable on N + n levels at the hbar of rank N, so the block
-            # rows N+1..N+n are exact
+            # the band's columns k <= N reach the block rows N+1..N+n
             scale = SemiclassicalScale.from_mu(N, mu)
-            padded = matrix_linear_power(a, b, n, scale, N + n)
-            vals[N] = offdiag_block_norm_sq(padded, N, scale.hbar)
+            vals[N] = band_norm_sq(matrix_linear_power(a, b, n, scale, N), N, N + n)
             rows.append(SweepRow(N=N, hbar=scale.hbar, metric=f"offdiag_n{n}", value=vals[N]))
         first = config.n_levels[0]
         c_n = vals[first] / ((a * a + b * b) ** n * (mu / first) ** (n + 1) * first**n)

@@ -159,16 +159,28 @@ class SymbolField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        # a copy: the caller's array is never frozen, nor aliased
+        self._freeze(np.array(self.values, dtype=float))
+
+    def _freeze(self, vals: np.ndarray) -> None:
         if vals.shape != (self.grid.nx, self.grid.np):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid ({self.grid.nx}, {self.grid.np})"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, grid: PhaseGrid, values: np.ndarray) -> "SymbolField":
+        """A field on `values`, a float array its caller has just built and
+        hands over: checked as in the constructor and made read-only in
+        place, with no copy."""
+        fld = object.__new__(cls)
+        object.__setattr__(fld, "grid", grid)
+        fld._freeze(np.asarray(values, dtype=float))
+        return fld
 
     @classmethod
     def sample(cls, fn, grid: PhaseGrid) -> "SymbolField":

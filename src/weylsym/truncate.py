@@ -1,8 +1,10 @@
 """Coefficient matrices of truncated observables in the eigenbasis.
 
 Oscillator observables (a x + b p)^n are banded powers of the ladder
-matrix; the box supplies the tridiagonal multiplication operator and the
-truncated momentum in closed form.
+matrix, held as their 2n + 1 diagonals (`LadderBand`) and never as an
+N x N matrix: both of their norms read the diagonals directly.  The box
+supplies the tridiagonal multiplication operator as a dense
+`OperatorMatrix`, the form `moyal` and the trace-identity norm take.
 
 Ladder elements: with 1-based levels (u_1 = ground state) the raising
 matrix element is <u_{k+1}| x |u_k> = sqrt(hbar k / 2), pinned by quadrature
@@ -16,21 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis, Model
+from .basis import EigenBasis
 from .scale import SemiclassicalScale
 
 __all__ = [
     "OperatorMatrix",
+    "LadderBand",
     "matrix_linear_power",
-    "ladder_matrices",
     "box_multiplication_matrix",
-    "box_momentum_matrix",
-    "box_momentum_entry",
 ]
 
 # The only bound on `sweep --n`, which comes from the command line: the
 # banded power holds (2n + 1) x N doubles, ~0.8 GB at n = 100000, N = 512.
 MAX_MATRIX_POWER = 12
+# The bound on N, which also comes from the command line: the banded power
+# holds (2n + 1) x N doubles, 0.8 MB at n = 12, N = 4096, and without the
+# bound `sweep --N` would size that allocation; a dense matrix holds N^2
+# complex numbers, 268 MB at 4096.
 MAX_DIMENSION = 4096
 _HERMITICITY_TOL = 1e-12
 
@@ -64,41 +68,65 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def ladder_matrices(
-    scale: SemiclassicalScale, N: int, pad: int = 0
-) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Position and momentum matrices on levels 1..N+pad.
+@dataclass(frozen=True)
+class LadderBand:
+    """(a x + b p)^n on levels 1..N as the diagonals of J^n.
 
-    X is real symmetric, P purely imaginary Hermitian, both tridiagonal with
-    <u_{k+1}|.|u_k> magnitude sqrt(hbar k / 2).
+    Entry (l, k) of the matrix, 0-based, with offset d = l - k in -n..n, is
+    weights[d + n] * diagonals[d + n, k].  Column k holds all of column k of
+    the untruncated power, so the rows l = N..N + n - 1 are exact too: they
+    form the block coupling levels <= N to levels > N.  Only the offsets
+    d = n mod 2 carry entries, and on each of them
+    |weight|^2 = weight_sq = (hbar/2)^n (a^2 + b^2)^n.
     """
-    if N < 1 or pad < 0:
-        raise ValueError("need N >= 1 and pad >= 0")
-    dim = N + pad
-    hbar = scale.hbar
-    c = np.sqrt(hbar * np.arange(1, dim) / 2.0)
-    X = np.zeros((dim, dim), dtype=complex)
-    P = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim - 1)
-    X[idx + 1, idx] = c
-    X[idx, idx + 1] = c
-    P[idx + 1, idx] = 1j * c
-    P[idx, idx + 1] = -1j * c
-    basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
-    return OperatorMatrix(entries=X, basis=basis), OperatorMatrix(entries=P, basis=basis)
+
+    a: float
+    b: float
+    hbar: float
+    diagonals: np.ndarray  # (2n + 1, N), real
+
+    @property
+    def n(self) -> int:
+        return self.diagonals.shape[0] // 2
+
+    @property
+    def N(self) -> int:
+        return self.diagonals.shape[1]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.arange(-self.n, self.n + 1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(hbar/2)^(n/2) (a + ib)^u (a - ib)^(n - u) on offset d, u = (n + d)/2
+        the number of raising steps; 0 on the offsets that carry no entry."""
+        n, a, b = self.n, self.a, self.b
+        pref = (self.hbar / 2.0) ** (n / 2.0)
+        w = np.zeros(2 * n + 1, dtype=complex)
+        for d in range(-n, n + 1, 2):
+            s_up = (n + d) // 2
+            w[d + n] = pref * (a + 1j * b) ** s_up * (a - 1j * b) ** (n - s_up)
+        return w
+
+    @property
+    def weight_sq(self) -> float:
+        return (self.hbar / 2.0) ** self.n * (self.a * self.a + self.b * self.b) ** self.n
 
 
 def matrix_linear_power(
     a: float, b: float, n: int, scale: SemiclassicalScale, N: int
-) -> OperatorMatrix:
-    """Matrix of (a x + b p)^n on levels 1..N as a banded power.
+) -> LadderBand:
+    """(a x + b p)^n on levels 1..N as a band of the ladder power.
 
     Every n-step path from level k to l = k + d climbs (n + d)/2 times, so
     entry (l, k) is (hbar/2)^(n/2) (a + ib)^((n+d)/2) (a - ib)^((n-d)/2)
     times entry (l, k) of J^n, J the real ladder matrix with
     <k+1|J|k> = sqrt(k).  J^n is built column by column on its 2n + 1
-    diagonals, which reach level N + n: exactly the power on N + n levels
-    truncated to N x N, with the corner k, l <= n included.
+    diagonals, which reach level N + n: truncated to rows <= N, exactly the
+    power on N + n levels truncated to N x N, with the corner k, l <= n
+    included.  Refuses n > MAX_MATRIX_POWER and N outside 1..MAX_DIMENSION
+    before it allocates anything.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -106,7 +134,8 @@ def matrix_linear_power(
         raise ValueError(f"matrix build refused for n > {MAX_MATRIX_POWER}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    hbar = scale.hbar
+    if N > MAX_DIMENSION:
+        raise ValueError(f"dimension {N} exceeds the {MAX_DIMENSION} cap")
     rows = np.arange(N)[None, :] + np.arange(-n, n + 1)[:, None]  # 0-based level of entry (d, k)
     # J couples 0-based levels j and j + 1 with sqrt(j + 1); nothing below level 0
     up = np.sqrt(np.maximum(rows, 0.0))  # <l|J|l-1>
@@ -118,16 +147,8 @@ def matrix_linear_power(
         nxt[1:] = up[1:] * band[:-1]
         nxt[:-1] += down[:-1] * band[1:]
         band = nxt
-    pref = (hbar / 2.0) ** (n / 2.0)
-    M = np.zeros((N, N), dtype=complex)
-    k = np.arange(N)
-    for d in range(-n, n + 1, 2):
-        cols = k[(k + d >= 0) & (k + d < N)]
-        s_up = (n + d) // 2
-        weight = pref * (a + 1j * b) ** s_up * (a - 1j * b) ** (n - s_up)
-        M[cols + d, cols] = weight * band[d + n, cols]
-    basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
-    return OperatorMatrix(entries=M, basis=basis)
+    band.flags.writeable = False
+    return LadderBand(a=a, b=b, hbar=scale.hbar, diagonals=band)
 
 
 def box_multiplication_matrix(N: int, L: float) -> OperatorMatrix:
@@ -141,24 +162,3 @@ def box_multiplication_matrix(N: int, L: float) -> OperatorMatrix:
     M[idx + 1, idx] = -1.0 / (2.0 * math.sqrt(L))
     M[idx, idx + 1] = -1.0 / (2.0 * math.sqrt(L))
     return OperatorMatrix(entries=M, basis=None)
-
-
-def box_momentum_entry(j, k, L: float, hbar: float) -> np.ndarray | complex:
-    """Momentum matrix element <u_j| p |u_k>; zero for same-parity j, k."""
-    j_arr = np.asarray(j, dtype=float)
-    k_arr = np.asarray(k, dtype=float)
-    diff = j_arr**2 - k_arr**2
-    parity = 1.0 - (-1.0) ** (j_arr + k_arr)
-    safe = np.where(diff == 0, 1.0, diff)
-    out = np.where(diff == 0, 0.0, -1j * hbar / L * parity * j_arr * k_arr / safe)
-    return out if (np.ndim(j) or np.ndim(k)) else complex(out[()])
-
-
-def box_momentum_matrix(N: int, L: float, hbar: float) -> OperatorMatrix:
-    """Truncated momentum matrix C_jk for the box, levels 1..N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    j = np.arange(1, N + 1)
-    M = box_momentum_entry(j[:, None], j[None, :], L, hbar)
-    basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
-    return OperatorMatrix(entries=np.asarray(M), basis=basis)

@@ -340,7 +340,7 @@ def projection_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> S
         raise ValueError("N must be >= 1")
     _check_box(L, hbar)
     vals = _field_rows(N, hbar, L, grid.x_centers(), grid.p_centers(), _projection_symbol_values)
-    return SymbolField(grid=grid, values=vals)
+    return SymbolField._adopt(grid, vals)
 
 
 def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
@@ -349,4 +349,4 @@ def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> Sym
         raise ValueError("N must be >= 1")
     _check_box(L, hbar)
     vals = _field_rows(N, hbar, L, grid.x_centers(), grid.p_centers(), _momentum_symbol_values)
-    return SymbolField(grid=grid, values=vals)
+    return SymbolField._adopt(grid, vals)

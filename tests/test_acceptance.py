@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from grid_oracle import l2_distance_with_tail
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
+from matrix_oracle import box_momentum_matrix, dense_power, ladder_matrices
 from quadrature_oracle import box_quadrature_spec, box_y_support, symbol_from_kernel, symbol_from_kernel_complex
 
 from weylsym.basis import EigenBasis, Model
@@ -19,8 +20,8 @@ from weylsym.diag import (
     box_momentum_tail_norm_sq,
     catalan_limit_value,
     angular_integral,
+    band_norm_sq,
     hs_norm_sq_symbol,
-    offdiag_block_norm_sq,
     run_sweep,
 )
 from weylsym.kernel import box_projection_kernel
@@ -34,13 +35,7 @@ from weylsym.limits import (
 )
 from weylsym.moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
 from weylsym.scale import PhaseGrid, SemiclassicalScale
-from weylsym.truncate import (
-    OperatorMatrix,
-    box_momentum_matrix,
-    box_multiplication_matrix,
-    ladder_matrices,
-    matrix_linear_power,
-)
+from weylsym.truncate import OperatorMatrix, box_multiplication_matrix, matrix_linear_power
 from weylsym.weyl import (
     projection_symbol_field,
     rescaled_kernel_f2,
@@ -97,8 +92,7 @@ def test_ac3_catalan_limit():
         rels = []
         for N in (64, 128, 256, 512):
             scale = SemiclassicalScale.from_mu(N, mu)
-            mat = matrix_linear_power(a, b, n, scale, N)
-            val = hs_norm_sq_symbol(mat, scale.hbar)
+            val = band_norm_sq(matrix_linear_power(a, b, n, scale, N), 0, N)
             rels.append(abs(val - limit) / limit)
         assert all(r2 < r1 for r1, r2 in zip(rels, rels[1:])), (n, rels)
         assert rels[-1] < 0.05
@@ -112,8 +106,7 @@ def test_ac4_offdiagonal_decay():
         vals = {}
         for N in (64, 128, 256, 512):
             scale = SemiclassicalScale.from_mu(N, mu)
-            padded = matrix_linear_power(a, b, n, scale, N + n)
-            vals[N] = offdiag_block_norm_sq(padded, N, scale.hbar)
+            vals[N] = band_norm_sq(matrix_linear_power(a, b, n, scale, N), N, N + n)
         c_n = vals[64] / ((a * a + b * b) ** n * (mu / 64) ** (n + 1) * 64**n)
         for N in (64, 128, 256):
             hbar = mu / N
@@ -245,7 +238,7 @@ def test_ac11_oracle_equivalences():
         A = a * X.entries + b * P.entries
         for n in range(0, 6):
             want = np.linalg.matrix_power(A, n)[:N, :N]
-            got = matrix_linear_power(a, b, n, scale, N).entries
+            got = dense_power(matrix_linear_power(a, b, n, scale, N)).entries
             denom = max(np.linalg.norm(want), 1.0)
             assert np.linalg.norm(got - want) / denom <= 1e-10
 

@@ -108,6 +108,19 @@ class TestFieldCommand:
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["model"] == "osc" and manifest["observable"] == "projection"
 
+    def test_oscillator_field_hands_its_array_over(self, tmp_path, monkeypatch):
+        built = []
+
+        def recording(*args):
+            built.append(symbol_oscillator_projection(*args))
+            return built[-1]
+
+        monkeypatch.setattr(weylsym.cli, "symbol_oscillator_projection", recording)
+        assert run(["field", "--model", "osc", "--N", "8", "--grid", "-1:1:8,-1:1:6",
+                    "-o", str(tmp_path / "o.csv")]) == 0
+        # frozen in place: the field holds this array, not a copy of it
+        assert not built[0].flags.writeable
+
     def test_oscillator_momentum_field_refused(self, tmp_path, capsys):
         code = run([
             "field", "--model", "osc", "--observable", "momentum", "--N", "8",
@@ -178,6 +191,31 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: resource guard")
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "13"], "error: matrix build refused for n > 12\n"),
+        (["--N", "5000"], "error: dimension 5000 exceeds the 4096 cap\n"),
+    ])
+    def test_linear_power_refused_before_any_band(self, tmp_path, monkeypatch, capsys, flags, message):
+        import weylsym.truncate
+
+        monkeypatch.setattr(weylsym.truncate, "np", None)  # any array built would fail
+        code = run(["sweep", "--exp", "osc-catalan", *flags, "-o", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("exp, flags, message", [
+        ("osc-catalan", ["--a", "0", "--b", "0"], "error: a and b must not both be 0\n"),
+        ("osc-offdiag", ["--a", "0", "--b", "0"], "error: a and b must not both be 0\n"),
+        ("osc-catalan", ["--n", "0,1"], "error: osc-catalan needs powers n >= 1\n"),
+        ("osc-offdiag", ["--n", "0,1"], "error: osc-offdiag needs powers n >= 1\n"),
+    ])
+    def test_linear_power_without_a_norm_refused(self, tmp_path, capsys, exp, flags, message):
+        code = run(["sweep", "--exp", exp, *flags, "-o", str(tmp_path / "z")])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "z.json").exists()
 
     def test_osc_disk_l2_sweep(self, tmp_path, capsys):
         code = run(["sweep", "--exp", "osc-disk-l2", "--mu", "1.3", "-o", str(tmp_path / "d")])

@@ -1,18 +1,21 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from eigen_oracle import box_wavefunctions
 from grid_oracle import TailDeficitWarning, l2_distance_with_tail
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from matrix_oracle import box_momentum_entry, box_momentum_matrix, dense_power
 
 from weylsym.diag import (
     _TAIL_CUTOFF,
     SweepConfig,
     _box_momentum_inner_norm_sq,
     angular_integral,
+    band_norm_sq,
     box_momentum_tail_norm_sq,
     box_projection_distance_sq,
     catalan_limit_value,
@@ -24,13 +27,7 @@ from weylsym.diag import (
 )
 from weylsym.limits import ClassicalRegion, indicator
 from weylsym.scale import PhaseGrid, SemiclassicalScale
-from weylsym.truncate import (
-    OperatorMatrix,
-    box_momentum_entry,
-    box_momentum_matrix,
-    box_multiplication_matrix,
-    matrix_linear_power,
-)
+from weylsym.truncate import OperatorMatrix, box_multiplication_matrix, matrix_linear_power
 from weylsym.weyl import projection_symbol_field, symbol_oscillator_projection
 
 
@@ -81,7 +78,7 @@ class TestOffdiagBlock:
         vals = {}
         for N in (64, 128, 256):
             scale = SemiclassicalScale.from_mu(N, mu)
-            padded = matrix_linear_power(0.0, 1.0, 1, scale, N + 1)
+            padded = dense_power(matrix_linear_power(0.0, 1.0, 1, scale, N + 1))
             vals[N] = offdiag_block_norm_sq(padded, N, scale.hbar)
             assert vals[N] == pytest.approx(math.pi * scale.hbar**2 * N, rel=1e-12)
         assert vals[128] / vals[64] == pytest.approx(0.5, abs=1e-12)
@@ -94,6 +91,43 @@ class TestOffdiagBlock:
             if prev is not None:
                 assert B / prev < 0.75
             prev = B
+
+
+# The band norms and their dense definitions add the same squares in other
+# orders, and take |weight|^2 once instead of per entry.
+BAND_NORM_RTOL = 1e-14
+
+
+class TestBandNorms:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.floats(-3.0, 3.0),
+        b=st.floats(-3.0, 3.0),
+        n=st.integers(0, 12),
+        N=st.integers(1, 300),
+        hbar=st.floats(1e-3, 2.0),
+    )
+    def test_match_dense_oracle(self, a, b, n, N, hbar):
+        assume(a * a + b * b > 1e-6)
+        scale = SemiclassicalScale.from_hbar(N, hbar)
+        band = matrix_linear_power(a, b, n, scale, N)
+        want = hs_norm_sq_symbol(dense_power(band), hbar)
+        assert band_norm_sq(band, 0, N) == pytest.approx(want, rel=BAND_NORM_RTOL)
+        if n:
+            padded = dense_power(matrix_linear_power(a, b, n, scale, N + n))
+            want = offdiag_block_norm_sq(padded, N, hbar)
+            assert band_norm_sq(band, N, N + n) == pytest.approx(want, rel=BAND_NORM_RTOL)
+
+    def test_catalan_sweep_builds_no_square_matrix(self):
+        # one complex 1024 x 1024 matrix alone would take 16.8 MB
+        config = SweepConfig("osc-catalan", (64, 128, 256, 512, 1024), powers=tuple(range(1, 9)))
+        tracemalloc.start()
+        try:
+            run_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 def momentum_inner_oracle(N, L, hbar):
@@ -324,7 +358,7 @@ class TestConditionC1Bounded:
             seqs["tridiag"].append(hs_norm_sq_symbol(box_multiplication_matrix(N, L), hbar))
             seqs["momentum"].append(hs_norm_sq_symbol(box_momentum_matrix(N, L, hbar), hbar))
             scale = SemiclassicalScale.from_mu(N, mu)
-            seqs["power2"].append(hs_norm_sq_symbol(matrix_linear_power(0.0, 1.0, 2, scale, N), hbar))
+            seqs["power2"].append(band_norm_sq(matrix_linear_power(0.0, 1.0, 2, scale, N), 0, N))
         for name, vals in seqs.items():
             assert max(vals) / min(vals) < 3.0, name
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import operator_symbol_quadrature
+from matrix_oracle import box_momentum_matrix
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import (
@@ -16,7 +17,7 @@ from weylsym.moyal import (
     operator_symbol_complex,
 )
 from weylsym.scale import PhaseGrid, SymbolField
-from weylsym.truncate import box_momentum_matrix, box_multiplication_matrix
+from weylsym.truncate import box_multiplication_matrix
 from weylsym.weyl import (
     projection_symbol_field,
     symbol_oscillator_projection,

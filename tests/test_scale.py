@@ -9,7 +9,8 @@ from weylsym.scale import (
     SymbolField,
     pairwise_sum,
 )
-from weylsym.weyl import projection_symbol_field
+from weylsym import weyl
+from weylsym.weyl import momentum_symbol_field, projection_symbol_field
 
 
 def unit_grid(n=50):
@@ -66,6 +67,33 @@ class TestSymbolField:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             SymbolField(grid=unit_grid(4), values=np.zeros((4, 5)))
+
+    def test_callers_array_is_copied(self):
+        vals = np.arange(16.0).reshape(4, 4)
+        f = SymbolField(grid=unit_grid(4), values=vals)
+        assert vals.flags.writeable and not f.values.flags.writeable
+        assert not np.shares_memory(f.values, vals)
+        vals[0, 0] = 99.0
+        assert f.values[0, 0] == 0.0
+
+    @pytest.mark.parametrize("builder", [projection_symbol_field, momentum_symbol_field])
+    def test_box_builders_hand_their_array_over(self, monkeypatch, builder):
+        built = []
+        field_rows = weyl._field_rows
+
+        def recording(*args):
+            built.append(field_rows(*args))
+            return built[-1]
+
+        monkeypatch.setattr(weyl, "_field_rows", recording)
+        f = builder(9, 1.0 / 9, 1.0, PhaseGrid(-1.2, 1.2, -2.0, 2.0, 23, 31))
+        assert f.values is built[0]
+        assert not f.values.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.zeros((4, 5)), np.full((4, 4), np.inf)])
+    def test_handed_over_array_is_checked(self, bad):
+        with pytest.raises(ValueError):
+            SymbolField._adopt(unit_grid(4), bad)
 
     def test_csv_format(self, tmp_path):
         g = PhaseGrid(0.0, 1.0, 0.0, 1.0, 2, 2)

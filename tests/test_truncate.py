@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -9,58 +8,23 @@ from eigen_oracle import (
     hermite_wavefunctions,
     oscillator_support_halfwidth,
 )
-
-from weylsym.scale import SemiclassicalScale
-from weylsym.truncate import (
-    OperatorMatrix,
+from matrix_oracle import (
     box_momentum_entry,
     box_momentum_matrix,
-    box_multiplication_matrix,
+    dense_power,
     ladder_matrices,
-    matrix_linear_power,
+    path_sum_matrix,
 )
 
-
-def sign_sequences(n, d):
-    """All +-1 step sequences of length n with sum d, plus their exclusive
-    prefix sums.  Shapes (m, n); m = binom(n, (n+d)/2)."""
-    if n == 0:
-        z = np.zeros((1, 0), dtype=np.int64)
-        return z, z
-    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
-    signs = signs[signs.sum(axis=1) == d]
-    prefix = np.zeros_like(signs)
-    prefix[:, 1:] = np.cumsum(signs[:, :-1], axis=1)
-    return signs, prefix
-
-
-def path_weight_sum(n, k, d, a, b):
-    """Sum of ladder path weights over n-step paths from k to k + d.
-
-    Per step from level j, the ladder factor is sqrt(j) going up and
-    sqrt(j - 1) going down, i.e. sqrt(min of the two levels); clamping at
-    zero makes below-ground excursions vanish identically, which is exactly
-    the exclusion of paths touching level 0.
-    """
-    signs, prefix = sign_sequences(n, d)
-    if signs.shape[0] == 0:
-        return 0.0j
-    levels = k + prefix  # level before each step
-    ladder = np.maximum(levels + (signs - 1) // 2, 0).astype(float)
-    radical = float(np.sum(np.sqrt(np.prod(ladder, axis=1))) if n else 1.0)
-    s_up = (n + d) // 2
-    return (a + 1j * b) ** s_up * (a - 1j * b) ** (n - s_up) * radical
-
-
-def path_sum_matrix(a, b, n, hbar, N):
-    """(a x + b p)^n on levels 1..N entry by entry from the sign-sequence sums."""
-    pref = (hbar / 2.0) ** (n / 2.0)
-    M = np.zeros((N, N), dtype=complex)
-    for k in range(1, N + 1):
-        for l in range(max(1, k - n), min(N, k + n) + 1):
-            if (l - k + n) % 2 == 0:
-                M[l - 1, k - 1] = pref * path_weight_sum(n, k, l - k, a, b)
-    return M
+import weylsym.truncate
+from weylsym.scale import SemiclassicalScale
+from weylsym.truncate import (
+    MAX_DIMENSION,
+    MAX_MATRIX_POWER,
+    OperatorMatrix,
+    box_multiplication_matrix,
+    matrix_linear_power,
+)
 
 
 class TestLadderMatrices:
@@ -124,12 +88,12 @@ class TestLadderMatrices:
 class TestMatrixLinearPower:
     def test_zero_power_is_identity(self):
         scale = SemiclassicalScale.from_mu(5, 1.0)
-        M = matrix_linear_power(2.0, -1.0, 0, scale, 5)
+        M = dense_power(matrix_linear_power(2.0, -1.0, 0, scale, 5))
         np.testing.assert_allclose(M.entries, np.eye(5), atol=1e-15)
 
     def test_momentum_is_tridiagonal_imaginary(self):
         scale = SemiclassicalScale.from_mu(6, 1.0)
-        M = matrix_linear_power(0.0, 1.0, 1, scale, 6)
+        M = dense_power(matrix_linear_power(0.0, 1.0, 1, scale, 6))
         _, P = ladder_matrices(scale, 6)
         np.testing.assert_allclose(M.entries, P.entries, atol=1e-14)
         assert np.allclose(M.entries.real, 0.0)
@@ -141,7 +105,7 @@ class TestMatrixLinearPower:
         scale = SemiclassicalScale.from_hbar(N, 0.25)
         X, P = ladder_matrices(scale, N, pad=8)
         want = np.linalg.matrix_power(1.0 * X.entries + 2.0 * P.entries, n)[:N, :N]
-        got = matrix_linear_power(1.0, 2.0, n, scale, N).entries
+        got = dense_power(matrix_linear_power(1.0, 2.0, n, scale, N)).entries
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-10
 
@@ -153,7 +117,7 @@ class TestMatrixLinearPower:
         scale = SemiclassicalScale.from_mu(N, 1.0)
         X, P = ladder_matrices(scale, N, pad=n + 2)
         want = np.linalg.matrix_power(a * X.entries + b * P.entries, n)[:N, :N]
-        got = matrix_linear_power(a, b, n, scale, N).entries
+        got = dense_power(matrix_linear_power(a, b, n, scale, N)).entries
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
     @pytest.mark.parametrize("n", range(9))
@@ -163,7 +127,7 @@ class TestMatrixLinearPower:
         a, b = 0.6, -0.8
         for N in (1, 2, 5, 40):
             scale = SemiclassicalScale.from_mu(N, 1.3)
-            got = matrix_linear_power(a, b, n, scale, N).entries
+            got = dense_power(matrix_linear_power(a, b, n, scale, N)).entries
             want = path_sum_matrix(a, b, n, scale.hbar, N)
             np.testing.assert_array_equal(got == 0, want == 0)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -171,7 +135,7 @@ class TestMatrixLinearPower:
     def test_finite_band_exact(self):
         scale = SemiclassicalScale.from_mu(10, 1.0)
         for n in (1, 2, 3):
-            M = matrix_linear_power(1.0, 1.0, n, scale, 10).entries
+            M = dense_power(matrix_linear_power(1.0, 1.0, n, scale, 10)).entries
             for k in range(10):
                 for l in range(10):
                     if abs(k - l) > n:
@@ -180,14 +144,41 @@ class TestMatrixLinearPower:
     def test_hbar_scaling(self):
         N = 8
         for n in (1, 2, 3):
-            m1 = matrix_linear_power(1.0, 2.0, n, SemiclassicalScale.from_hbar(N, 0.2), N).entries
-            m2 = matrix_linear_power(1.0, 2.0, n, SemiclassicalScale.from_hbar(N, 0.8), N).entries
+            m1, m2 = (
+                dense_power(matrix_linear_power(1.0, 2.0, n, SemiclassicalScale.from_hbar(N, h), N)).entries
+                for h in (0.2, 0.8)
+            )
             np.testing.assert_allclose(m2, m1 * 2.0**n, rtol=1e-12)
 
     def test_power_guard(self):
         scale = SemiclassicalScale.from_mu(4, 1.0)
         with pytest.raises(ValueError):
             matrix_linear_power(1.0, 0.0, 13, scale, 4)
+
+    @pytest.mark.parametrize(
+        "n, N, message",
+        [
+            (MAX_MATRIX_POWER + 1, 4, f"matrix build refused for n > {MAX_MATRIX_POWER}"),
+            (1, 0, "N must be >= 1"),
+            (1, MAX_DIMENSION + 1, f"dimension {MAX_DIMENSION + 1} exceeds the {MAX_DIMENSION} cap"),
+        ],
+    )
+    def test_refuses_before_allocating(self, monkeypatch, n, N, message):
+        # with numpy gone from truncate, any array built before the refusal fails
+        monkeypatch.setattr(weylsym.truncate, "np", None)
+        with pytest.raises(ValueError, match=message):
+            matrix_linear_power(1.0, 0.0, n, SemiclassicalScale.from_mu(4, 1.0), N)
+
+    def test_live_weights_share_one_modulus(self):
+        # the band norms rest on |weight|^2 = (hbar/2)^n (a^2 + b^2)^n on every
+        # diagonal that carries entries; the others are zero
+        scale = SemiclassicalScale.from_hbar(9, 0.3)
+        for n in range(7):
+            band = matrix_linear_power(0.6, -1.7, n, scale, 9)
+            live = (band.offsets + n) % 2 == 0
+            np.testing.assert_allclose(np.abs(band.weights[live]) ** 2, band.weight_sq, rtol=1e-14)
+            assert np.all(band.weights[~live] == 0) and np.all(band.diagonals[~live] == 0)
+            assert band.weight_sq == pytest.approx((0.15 * (0.36 + 2.89)) ** n, rel=1e-14)
 
 
 class TestBoxMultiplicationMatrix:

@@ -5,6 +5,7 @@ import pytest
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_oracle import box_momentum_matrix
 from quadrature_oracle import (
     CoverageWarning,
     WeylQuadratureSpec,
@@ -30,7 +31,6 @@ from weylsym.weyl import (
     symbol_truncated_momentum_box,
 )
 from weylsym import weyl
-from weylsym.truncate import box_momentum_matrix
 
 
 def box_kernel(N, L):
