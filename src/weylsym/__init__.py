@@ -17,8 +17,6 @@ from .diag import (
     band_norm_sq,
     box_projection_distance_sq,
     catalan_limit_value,
-    hs_norm_sq_symbol,
-    offdiag_block_norm_sq,
     oscillator_disk_distance_sq,
     run_sweep,
 )
@@ -33,8 +31,8 @@ from .limits import (
     si,
 )
 from .moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
-from .scale import PhaseGrid, SemiclassicalScale, SymbolField
-from .truncate import LadderBand, OperatorMatrix, box_multiplication_matrix, matrix_linear_power
+from .scale import PhaseGrid, SymbolField
+from .truncate import LadderBand, matrix_linear_power
 from .weyl import (
     rescaled_kernel_f2,
     symbol_projection_box,
@@ -44,16 +42,16 @@ from .weyl import (
 
 __all__ = [
     "__version__",
-    "SemiclassicalScale", "PhaseGrid", "SymbolField",
+    "PhaseGrid", "SymbolField",
     "Model", "EigenBasis",
     "dirichlet_kernel", "sine_kernel", "box_projection_kernel",
     "symbol_rank_one_box",
     "symbol_projection_box", "symbol_truncated_momentum_box", "rescaled_kernel_f2",
     "FiniteRankOperator", "moyal_via_composition", "moyal_direct",
-    "OperatorMatrix", "LadderBand", "matrix_linear_power", "box_multiplication_matrix",
+    "LadderBand", "matrix_linear_power",
     "ClassicalRegion", "RegionKind", "indicator",
     "bulk_profile_box", "si", "edge_profile_x", "edge_profile_p",
-    "hs_norm_sq_symbol", "offdiag_block_norm_sq", "band_norm_sq",
+    "band_norm_sq",
     "box_projection_distance_sq", "oscillator_disk_distance_sq",
     "catalan_limit_value", "angular_integral", "SweepConfig", "SweepReport", "run_sweep",
 ]

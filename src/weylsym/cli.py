@@ -67,13 +67,11 @@ def _parse_grid(text: str) -> PhaseGrid:
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; `SweepConfig` checks their range."""
     try:
-        ns = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad N list {text!r}") from exc
-    if not ns or any(n < 1 for n in ns):
-        raise ConfigError("N list must hold positive integers")
-    return ns
 
 
 def _parse_section(text: str) -> np.ndarray:
@@ -88,6 +86,17 @@ def _parse_section(text: str) -> np.ndarray:
     if not math.isfinite(value):
         raise ConfigError(f"coordinate must be finite, got {text!r}")
     return np.array([value])
+
+
+def _finite(text: str) -> float:
+    """The argparse type of every float flag: a finite float, else exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _positive(value: float, name: str) -> float:
@@ -217,6 +226,8 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
         raise ConfigError("N must be >= 1")
     mu = _positive(args.mu, "mu")
     L = _positive(args.L, "L")
+    if args.points < 1:
+        raise ConfigError("points must be >= 1")
     hbar = mu / N
     grid = _parse_grid(args.grid) if args.grid else direct_grid(N, L)
     fld = projection_symbol_field(N, hbar, L, grid)
@@ -265,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--model", choices=("box", "osc"), default="box")
     f.add_argument("--observable", choices=("projection", "momentum"), default="projection")
     f.add_argument("--N", type=int, required=True)
-    f.add_argument("--mu", type=float, default=1.0)
-    f.add_argument("--L", type=float, default=1.0)
+    f.add_argument("--mu", type=_finite, default=1.0)
+    f.add_argument("--L", type=_finite, default=1.0)
     f.add_argument("--grid", required=True, help="x0:x1:nx,p0:p1:np (cell centers)")
     f.add_argument("--format", choices=("csv", "json"), default="csv")
     f.add_argument("-o", "--output", required=True)
@@ -275,31 +286,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--exp", required=True)
     s.add_argument("--N", help="comma-separated strictly increasing N list")
     s.add_argument("--n", help="comma-separated observable powers (where applicable)")
-    s.add_argument("--mu", type=float, default=1.0)
-    s.add_argument("--L", type=float, default=1.0)
-    s.add_argument("--a", type=float, default=0.0)
-    s.add_argument("--b", type=float, default=1.0)
+    s.add_argument("--mu", type=_finite, default=1.0)
+    s.add_argument("--L", type=_finite, default=1.0)
+    s.add_argument("--a", type=_finite, default=0.0)
+    s.add_argument("--b", type=_finite, default=1.0)
     s.add_argument("-o", "--output", default="sweep", help="output path prefix")
 
     e = sub.add_parser("edge", help="tabulate a symbol section against its edge profile")
     e.add_argument("--kind", choices=("x", "p"), required=True)
     e.add_argument("--u", help="u section (scalar or min:max:count), kind x")
     e.add_argument("--v", help="v section (scalar or min:max:count), kind p")
-    e.add_argument("--p", type=float, default=0.0, help="fixed momentum, kind x")
-    e.add_argument("--x", type=float, default=0.0, help="fixed position, kind p")
+    e.add_argument("--p", type=_finite, default=0.0, help="fixed momentum, kind x")
+    e.add_argument("--x", type=_finite, default=0.0, help="fixed position, kind p")
     e.add_argument("--N", type=int, required=True)
-    e.add_argument("--mu", type=float, default=1.0)
-    e.add_argument("--L", type=float, default=1.0)
+    e.add_argument("--mu", type=_finite, default=1.0)
+    e.add_argument("--L", type=_finite, default=1.0)
     e.add_argument("-o", "--output", required=True)
 
     m = sub.add_parser("moyal-check", help="direct star product vs exact composition")
     m.add_argument("--N", type=int, default=10)
-    m.add_argument("--mu", type=float, default=1.0)
-    m.add_argument("--L", type=float, default=1.0)
+    m.add_argument("--mu", type=_finite, default=1.0)
+    m.add_argument("--L", type=_finite, default=1.0)
     m.add_argument("--grid", help="x0:x1:nx,p0:p1:np (default -1.5L:1.5L:24N,-6:6:24N)")
     m.add_argument("--points", type=int, default=10)
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--tol", type=float, default=0.02)
+    m.add_argument("--tol", type=_finite, default=0.02)
     m.add_argument("-o", "--output", default="moyal-check.json")
 
     return ap

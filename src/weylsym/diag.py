@@ -24,13 +24,8 @@ from .limits import (
     edge_profile_x,
 )
 from .moyal import direct_grid, moyal_direct
-from .scale import SemiclassicalScale, pairwise_sum
-from .truncate import (
-    LadderBand,
-    OperatorMatrix,
-    box_multiplication_matrix,
-    matrix_linear_power,
-)
+from .scale import pairwise_sum
+from .truncate import MAX_DIMENSION, LadderBand, matrix_linear_power
 from .weyl import (
     _sin_ratio,
     projection_symbol_field,
@@ -40,8 +35,6 @@ from .weyl import (
 )
 
 __all__ = [
-    "hs_norm_sq_symbol",
-    "offdiag_block_norm_sq",
     "band_norm_sq",
     "box_projection_distance_sq",
     "oscillator_disk_distance_sq",
@@ -65,36 +58,15 @@ _BUDGET = 2_000_000_000
 _PANEL_NODES = 8
 
 
-def hs_norm_sq_symbol(matrix: OperatorMatrix, hbar: float) -> float:
-    """Exact squared L2 norm of the symbol of a dense matrix:
-    2 pi hbar sum |M_jk|^2.  Ladder powers are banded and go through
-    `band_norm_sq` instead."""
-    return 2.0 * math.pi * hbar * pairwise_sum(np.abs(matrix.entries) ** 2)
-
-
-def offdiag_block_norm_sq(padded: OperatorMatrix, N: int, hbar: float) -> float:
-    """Squared symbol norm of the block of a dense matrix coupling levels
-    <= N to levels > N.
-
-    `padded` must hold the observable on more than N levels; rows j > N,
-    columns k <= N form the block whose norm is the decay condition on
-    truncation error.  A ladder power holds that block in its band already,
-    and `band_norm_sq` reads it there.
-    """
-    if padded.n <= N:
-        raise ValueError(f"padded dimension {padded.n} must exceed N = {N}")
-    block = padded.entries[N:, :N]
-    return 2.0 * math.pi * hbar * pairwise_sum(np.abs(block) ** 2)
-
-
 def band_norm_sq(power: LadderBand, lo: int, hi: int) -> float:
-    """Squared symbol norm 2 pi hbar sum |M_lk|^2 of the entries of a ladder
-    power in 0-based rows lo <= l < hi and its columns k < N.
+    """Squared symbol norm 2 pi hbar sum |M_lk|^2 (the trace identity) of
+    the entries of a ladder power in 0-based rows lo <= l < hi and its
+    columns k < N.
 
     Every entry is a weight of squared modulus `weight_sq` times an entry of
-    J^n, so the sum runs over the real diagonals alone, with no N x N
-    matrix.  Rows [0, N) give the norm of the truncated observable, rows
-    [N, N + n) the block coupling levels <= N to levels > N.
+    J^n, so the sum runs over the real diagonals alone.  Rows [0, N) give
+    the norm of the truncated observable, rows [N, N + n) the block coupling
+    levels <= N to levels > N.
     """
     rows = power.offsets[:, None] + np.arange(power.N)[None, :]
     inside = power.diagonals[(rows >= lo) & (rows < hi)]
@@ -265,8 +237,9 @@ class SweepConfig:
 
     mu and L set the scale, powers, a and b the linear-power observables
     (a x + b p)^n; every field has a default except the N list, which must
-    be nonempty and strictly increasing.  Grids, windows and verdict
-    bounds are fixed per experiment.
+    be nonempty, strictly increasing and >= 1.  mu, L, a and b must be
+    finite, mu and L also > 0.  Grids, windows and verdict bounds are fixed
+    per experiment.
     """
 
     experiment: str
@@ -282,6 +255,10 @@ class SweepConfig:
             raise ValueError("N list must be nonempty")
         if any(n2 <= n1 for n1, n2 in zip(self.n_levels, self.n_levels[1:])):
             raise ValueError("N list must be strictly increasing")
+        if self.n_levels[0] < 1:
+            raise ValueError("N list must hold positive integers")
+        if not all(math.isfinite(v) for v in (self.mu, self.L, self.a, self.b)):
+            raise ValueError("mu, L, a and b must be finite")
         if not self.mu > 0 or not self.L > 0:
             raise ValueError("mu and L must be positive")
 
@@ -502,15 +479,22 @@ def _sweep_box_bulk_sup(config: SweepConfig) -> SweepReport:
 
 
 def _sweep_box_tridiag_norm(config: SweepConfig) -> SweepReport:
+    """Multiplication by sin(pi x / 2L) / sqrt(L) couples level k to k +- 1
+    alone, with entry -1/(2 sqrt L): its truncated norm is 2 pi hbar times
+    the pairwise sum of the 2(N - 1) squared entries, the same float as the
+    sum over the whole N x N matrix."""
     mu, L = config.mu, config.L
+    N_max = config.n_levels[-1]
+    if N_max > MAX_DIMENSION:
+        raise ValueError(f"dimension {N_max} exceeds the {MAX_DIMENSION} cap")
+    entry = -1.0 / (2.0 * math.sqrt(L))
     limit = math.pi * mu / L
     rows = []
     id_ok = True
     gaps = []
     for N in config.n_levels:
         hbar = mu / N
-        mat = box_multiplication_matrix(N, L)
-        val = hs_norm_sq_symbol(mat, hbar)
+        val = 2.0 * math.pi * hbar * pairwise_sum(np.full(2 * (N - 1), entry) ** 2)
         exact = math.pi * hbar * (N - 1) / L
         rel = abs(val - exact) / exact if exact else abs(val)
         id_ok = id_ok and rel <= 1e-12
@@ -571,11 +555,11 @@ def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
         limit = catalan_limit_value(n, a, b, mu)
         rels = []
         for N in config.n_levels:
-            scale = SemiclassicalScale.from_mu(N, mu)
-            val = band_norm_sq(matrix_linear_power(a, b, n, scale, N), 0, N)
+            hbar = mu / N
+            val = band_norm_sq(matrix_linear_power(a, b, n, hbar, N), 0, N)
             rel = abs(val - limit) / limit
             rels.append(rel)
-            rows.append(SweepRow(N=N, hbar=scale.hbar, metric=f"rel_err_n{n}", value=rel))
+            rows.append(SweepRow(N=N, hbar=hbar, metric=f"rel_err_n{n}", value=rel))
         verdicts.append(_decrease_verdict(f"rel-err-decreasing-n{n}", rels))
         verdicts.append(_threshold_verdict(f"final-rel-err-n{n}", rels[-1], 0.05))
     return SweepReport("osc-catalan", mu, "oscillator", "linear-power", tuple(rows), tuple(verdicts))
@@ -590,9 +574,9 @@ def _sweep_osc_offdiag(config: SweepConfig) -> SweepReport:
         vals = {}
         for N in sorted(set(config.n_levels) | {2 * N for N in config.n_levels}):
             # the band's columns k <= N reach the block rows N+1..N+n
-            scale = SemiclassicalScale.from_mu(N, mu)
-            vals[N] = band_norm_sq(matrix_linear_power(a, b, n, scale, N), N, N + n)
-            rows.append(SweepRow(N=N, hbar=scale.hbar, metric=f"offdiag_n{n}", value=vals[N]))
+            hbar = mu / N
+            vals[N] = band_norm_sq(matrix_linear_power(a, b, n, hbar, N), N, N + n)
+            rows.append(SweepRow(N=N, hbar=hbar, metric=f"offdiag_n{n}", value=vals[N]))
         first = config.n_levels[0]
         c_n = vals[first] / ((a * a + b * b) ** n * (mu / first) ** (n + 1) * first**n)
         ratios = [vals[2 * N] / vals[N] for N in config.n_levels]

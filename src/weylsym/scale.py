@@ -1,10 +1,9 @@
-"""Scaling triple, phase-space grids and sampled symbol fields.
+"""Phase-space grids, sampled symbol fields and a deterministic sum.
 
 The joint limit studied by this package couples the Planck constant to the
-truncation rank through hbar * N = mu.  Everything downstream receives that
-triple through :class:`SemiclassicalScale`.  Phase-space data lives on
-midpoint-rule rectangular grids (:class:`PhaseGrid`) as plain real arrays
-(:class:`SymbolField`).
+truncation rank through hbar * N = mu; every caller passes hbar = mu / N
+as a plain float.  Phase-space data lives on midpoint-rule rectangular
+grids (:class:`PhaseGrid`) as plain real arrays (:class:`SymbolField`).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "SemiclassicalScale",
     "PhaseGrid",
     "SymbolField",
     "pairwise_sum",
@@ -75,35 +73,6 @@ def pairwise_sum(values: np.ndarray) -> float:
         half = flat.size // 2
         flat = flat[:half] + flat[half:]
     return float(flat[0])
-
-
-@dataclass(frozen=True)
-class SemiclassicalScale:
-    """The coupled triple (hbar, N, mu) with hbar * N = mu."""
-
-    n_levels: int
-    mu: float
-    hbar: float
-
-    def __post_init__(self) -> None:
-        if self.n_levels < 1:
-            raise ValueError(f"n_levels must be >= 1, got {self.n_levels}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if abs(self.hbar * self.n_levels - self.mu) > 1e-14 * abs(self.mu):
-            raise ValueError(
-                f"hbar * n_levels = {self.hbar * self.n_levels!r} is not mu = {self.mu!r}"
-            )
-
-    @classmethod
-    def from_mu(cls, n_levels: int, mu: float) -> "SemiclassicalScale":
-        return cls(n_levels=n_levels, mu=mu, hbar=mu / n_levels)
-
-    @classmethod
-    def from_hbar(cls, n_levels: int, hbar: float) -> "SemiclassicalScale":
-        return cls(n_levels=n_levels, mu=hbar * n_levels, hbar=hbar)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,7 @@
 
 Oscillator observables (a x + b p)^n are banded powers of the ladder
 matrix, held as their 2n + 1 diagonals (`LadderBand`) and never as an
-N x N matrix: both of their norms read the diagonals directly.  The box
-supplies the tridiagonal multiplication operator as a dense
-`OperatorMatrix`, the form `moyal` and the trace-identity norm take.
+N x N matrix: both of their norms read the diagonals directly.
 
 Ladder elements: with 1-based levels (u_1 = ground state) the raising
 matrix element is <u_{k+1}| x |u_k> = sqrt(hbar k / 2), pinned by quadrature
@@ -18,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import EigenBasis
-from .scale import SemiclassicalScale
-
 __all__ = [
-    "OperatorMatrix",
     "LadderBand",
     "matrix_linear_power",
-    "box_multiplication_matrix",
 ]
 
 # The only bound on `sweep --n`, which comes from the command line: the
@@ -33,39 +26,8 @@ __all__ = [
 MAX_MATRIX_POWER = 12
 # The bound on N, which also comes from the command line: the banded power
 # holds (2n + 1) x N doubles, 0.8 MB at n = 12, N = 4096, and without the
-# bound `sweep --N` would size that allocation; a dense matrix holds N^2
-# complex numbers, 268 MB at 4096.
+# bound `sweep --N` would size that allocation.
 MAX_DIMENSION = 4096
-_HERMITICITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Hermitian N x N coefficient matrix <u_j| H |u_k>, j, k = 1..N.
-
-    `basis` records which model the coefficients refer to; matrices whose
-    entries are model-independent (pure index formulas) may carry None.
-    """
-
-    entries: np.ndarray
-    basis: EigenBasis | None = None
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if m.shape[0] > MAX_DIMENSION:
-            raise ValueError(f"dimension {m.shape[0]} exceeds the {MAX_DIMENSION} cap")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-        if float(np.max(np.abs(m - m.conj().T))) > _HERMITICITY_TOL * scale:
-            raise ValueError("entries are not Hermitian")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -114,9 +76,7 @@ class LadderBand:
         return (self.hbar / 2.0) ** self.n * (self.a * self.a + self.b * self.b) ** self.n
 
 
-def matrix_linear_power(
-    a: float, b: float, n: int, scale: SemiclassicalScale, N: int
-) -> LadderBand:
+def matrix_linear_power(a: float, b: float, n: int, hbar: float, N: int) -> LadderBand:
     """(a x + b p)^n on levels 1..N as a band of the ladder power.
 
     Every n-step path from level k to l = k + d climbs (n + d)/2 times, so
@@ -125,9 +85,11 @@ def matrix_linear_power(
     <k+1|J|k> = sqrt(k).  J^n is built column by column on its 2n + 1
     diagonals, which reach level N + n: truncated to rows <= N, exactly the
     power on N + n levels truncated to N x N, with the corner k, l <= n
-    included.  Refuses n > MAX_MATRIX_POWER and N outside 1..MAX_DIMENSION
-    before it allocates anything.
+    included.  Refuses n > MAX_MATRIX_POWER, N outside 1..MAX_DIMENSION and
+    an hbar that is not finite and > 0 before it allocates anything.
     """
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and > 0, got {hbar!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_MATRIX_POWER:
@@ -148,17 +110,5 @@ def matrix_linear_power(
         nxt[:-1] += down[:-1] * band[1:]
         band = nxt
     band.flags.writeable = False
-    return LadderBand(a=a, b=b, hbar=scale.hbar, diagonals=band)
+    return LadderBand(a=a, b=b, hbar=hbar, diagonals=band)
 
-
-def box_multiplication_matrix(N: int, L: float) -> OperatorMatrix:
-    """Tridiagonal matrix of multiplication by sin(pi x / 2L) / sqrt(L)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not L > 0:
-        raise ValueError("L must be positive")
-    M = np.zeros((N, N), dtype=complex)
-    idx = np.arange(N - 1)
-    M[idx + 1, idx] = -1.0 / (2.0 * math.sqrt(L))
-    M[idx, idx + 1] = -1.0 / (2.0 * math.sqrt(L))
-    return OperatorMatrix(entries=M, basis=None)

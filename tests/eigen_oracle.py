@@ -128,7 +128,7 @@ def truncated_operator_kernel(matrix, basis: EigenBasis, x, y) -> np.ndarray | c
     Complex even for real coefficient matrices, so purely imaginary momentum
     coefficients go through the same path.
     """
-    entries = np.asarray(matrix.entries if hasattr(matrix, "entries") else matrix, dtype=complex)
+    entries = np.asarray(matrix, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("coefficient matrix must be square")
     N = entries.shape[0]

@@ -9,17 +9,16 @@ error is first order in the cell size.
 import warnings
 
 import numpy as np
+from matrix_oracle import hs_norm_sq
 
-from weylsym.diag import hs_norm_sq_symbol
 from weylsym.scale import SymbolField, pairwise_sum
-from weylsym.truncate import OperatorMatrix
 
 
 class TailDeficitWarning(UserWarning):
     """Windowed mass exceeds the exact total norm by more than quadrature noise."""
 
 
-def l2_distance_with_tail(field: SymbolField, target, matrix: OperatorMatrix, hbar: float) -> float:
+def l2_distance_with_tail(field: SymbolField, target, matrix: np.ndarray, hbar: float) -> float:
     """Global squared L2 distance from the sampled symbol to a compactly
     supported target: windowed distance plus the symbol mass outside the
     window, recovered exactly from the trace identity.
@@ -39,7 +38,7 @@ def l2_distance_with_tail(field: SymbolField, target, matrix: OperatorMatrix, hb
     cell = g.dx * g.dp
     windowed_dist = pairwise_sum((field.values - tvals) ** 2) * cell
     windowed_mass = pairwise_sum(field.values**2) * cell
-    total = hs_norm_sq_symbol(matrix, hbar)
+    total = hs_norm_sq(matrix, hbar)
     tail = total - windowed_mass
     if tail < -1e-3 * total:
         warnings.warn(

@@ -1,10 +1,16 @@
-"""Dense coefficient matrices, kept as the one slow oracle of the banded
-ladder power (`truncate.matrix_linear_power`, read by `diag.band_norm_sq`)
-and of the matrix elements the program only uses in closed form.
+"""Dense coefficient matrices as plain complex arrays, kept as the one slow
+oracle of the banded ladder power (`truncate.matrix_linear_power`, read by
+`diag.band_norm_sq`), of the box tridiagonal norm sweep and of the matrix
+elements the program only uses in closed form.
 
+- `hs_norm_sq` and `offdiag_block_norm_sq` are the dense definitions of
+  the trace-identity norms: 2 pi hbar sum |M_jk|^2 over the whole matrix,
+  or over the block coupling levels <= N to levels > N.
 - `dense_power` scatters a band into the N x N complex matrix it stands
-  for; `hs_norm_sq_symbol` and `offdiag_block_norm_sq` of that matrix are
-  the dense definitions of the two band norms.
+  for; the two norms of that matrix are those of the band.
+- `box_multiplication_matrix` is the tridiagonal matrix of multiplication
+  by sin(pi x / 2L) / sqrt(L), whose norm the `box-tridiag-norm` sweep
+  takes from its nonzero entries alone.
 - `path_sum_matrix` builds (a x + b p)^n entry by entry from the 2^n
   sign-sequence path sums, independent of the band.
 - `ladder_matrices` are the tridiagonal X and P, whose explicit matrix
@@ -18,14 +24,29 @@ are 0-based.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from weylsym.basis import EigenBasis, Model
-from weylsym.truncate import LadderBand, OperatorMatrix
+from weylsym.scale import pairwise_sum
+from weylsym.truncate import LadderBand
 
 
-def dense_power(band: LadderBand) -> OperatorMatrix:
+def hs_norm_sq(entries: np.ndarray, hbar: float) -> float:
+    """Exact squared L2 norm of the symbol of a dense matrix: 2 pi hbar sum |M_jk|^2."""
+    return 2.0 * math.pi * hbar * pairwise_sum(np.abs(entries) ** 2)
+
+
+def offdiag_block_norm_sq(padded: np.ndarray, N: int, hbar: float) -> float:
+    """Squared symbol norm of the block of `padded` (the observable on more
+    than N levels) in rows j > N, columns k <= N: the block coupling levels
+    <= N to levels > N."""
+    if padded.shape[0] <= N:
+        raise ValueError(f"padded dimension {padded.shape[0]} must exceed N = {N}")
+    return hs_norm_sq(padded[N:, :N], hbar)
+
+
+def dense_power(band: LadderBand) -> np.ndarray:
     """The N x N matrix of a band: entry (k + d, k) = weights[d + n] * diagonals[d + n, k]
     for the rows k + d < N; the band's rows beyond N are dropped."""
     N = band.N
@@ -34,7 +55,7 @@ def dense_power(band: LadderBand) -> OperatorMatrix:
     for d, weight, diagonal in zip(band.offsets, band.weights, band.diagonals):
         cols = k[(k + d >= 0) & (k + d < N)]
         M[cols + d, cols] = weight * diagonal[cols]
-    return OperatorMatrix(entries=M, basis=EigenBasis(model=Model.OSCILLATOR, hbar=band.hbar))
+    return M
 
 
 def sign_sequences(n, d):
@@ -79,7 +100,7 @@ def path_sum_matrix(a, b, n, hbar, N):
     return M
 
 
-def ladder_matrices(scale, N: int, pad: int = 0) -> tuple[OperatorMatrix, OperatorMatrix]:
+def ladder_matrices(hbar: float, N: int, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum matrices on levels 1..N+pad.
 
     X is real symmetric, P purely imaginary Hermitian, both tridiagonal with
@@ -88,7 +109,6 @@ def ladder_matrices(scale, N: int, pad: int = 0) -> tuple[OperatorMatrix, Operat
     if N < 1 or pad < 0:
         raise ValueError("need N >= 1 and pad >= 0")
     dim = N + pad
-    hbar = scale.hbar
     c = np.sqrt(hbar * np.arange(1, dim) / 2.0)
     X = np.zeros((dim, dim), dtype=complex)
     P = np.zeros((dim, dim), dtype=complex)
@@ -97,8 +117,16 @@ def ladder_matrices(scale, N: int, pad: int = 0) -> tuple[OperatorMatrix, Operat
     X[idx, idx + 1] = c
     P[idx + 1, idx] = 1j * c
     P[idx, idx + 1] = -1j * c
-    basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
-    return OperatorMatrix(entries=X, basis=basis), OperatorMatrix(entries=P, basis=basis)
+    return X, P
+
+
+def box_multiplication_matrix(N: int, L: float) -> np.ndarray:
+    """Tridiagonal matrix of multiplication by sin(pi x / 2L) / sqrt(L)."""
+    M = np.zeros((N, N), dtype=complex)
+    idx = np.arange(N - 1)
+    M[idx + 1, idx] = -1.0 / (2.0 * math.sqrt(L))
+    M[idx, idx + 1] = -1.0 / (2.0 * math.sqrt(L))
+    return M
 
 
 def box_momentum_entry(j, k, L: float, hbar: float) -> np.ndarray | complex:
@@ -112,11 +140,7 @@ def box_momentum_entry(j, k, L: float, hbar: float) -> np.ndarray | complex:
     return out if (np.ndim(j) or np.ndim(k)) else complex(out[()])
 
 
-def box_momentum_matrix(N: int, L: float, hbar: float) -> OperatorMatrix:
+def box_momentum_matrix(N: int, L: float, hbar: float) -> np.ndarray:
     """Truncated momentum matrix C_jk for the box, levels 1..N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     j = np.arange(1, N + 1)
-    M = box_momentum_entry(j[:, None], j[None, :], L, hbar)
-    basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
-    return OperatorMatrix(entries=np.asarray(M), basis=basis)
+    return box_momentum_entry(j[:, None], j[None, :], L, hbar)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from grid_oracle import l2_distance_with_tail
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
-from matrix_oracle import box_momentum_matrix, dense_power, ladder_matrices
+from matrix_oracle import box_momentum_matrix, dense_power, hs_norm_sq, ladder_matrices
 from quadrature_oracle import box_quadrature_spec, box_y_support, symbol_from_kernel, symbol_from_kernel_complex
 
 from weylsym.basis import EigenBasis, Model
@@ -21,7 +21,6 @@ from weylsym.diag import (
     catalan_limit_value,
     angular_integral,
     band_norm_sq,
-    hs_norm_sq_symbol,
     run_sweep,
 )
 from weylsym.kernel import box_projection_kernel
@@ -34,8 +33,8 @@ from weylsym.limits import (
     indicator,
 )
 from weylsym.moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
-from weylsym.scale import PhaseGrid, SemiclassicalScale
-from weylsym.truncate import OperatorMatrix, box_multiplication_matrix, matrix_linear_power
+from weylsym.scale import PhaseGrid
+from weylsym.truncate import matrix_linear_power
 from weylsym.weyl import (
     projection_symbol_field,
     rescaled_kernel_f2,
@@ -55,8 +54,7 @@ def test_ac1_exact_norm_identity():
     mu = 1.0
     for N in (1, 10, 100, 1000):
         hbar = mu / N
-        mat = OperatorMatrix(entries=np.eye(N, dtype=complex), basis=None)
-        got = hs_norm_sq_symbol(mat, hbar)
+        got = hs_norm_sq(np.eye(N, dtype=complex), hbar)
         want = 2 * math.pi * hbar * N
         assert abs(got - want) <= 1e-14 * want
     report("AC-1 exact norm identity (2 pi hbar N, N in {1,10,100,1000}): PASS")
@@ -73,8 +71,7 @@ def test_ac2_box_l2_convergence():
     for N in (10, 20, 40, 80):
         hbar = mu / N
         fld = projection_symbol_field(N, hbar, L, grid)
-        mat = OperatorMatrix(entries=np.eye(N, dtype=complex), basis=None)
-        dist[N] = l2_distance_with_tail(fld, target, mat, hbar)
+        dist[N] = l2_distance_with_tail(fld, target, np.eye(N, dtype=complex), hbar)
     assert dist[40] < dist[20] and dist[80] < dist[40]
     assert dist[80] < 0.35 * 2 * math.pi * mu
     report(
@@ -91,8 +88,7 @@ def test_ac3_catalan_limit():
         limit = catalan_limit_value(n, a, b, mu)
         rels = []
         for N in (64, 128, 256, 512):
-            scale = SemiclassicalScale.from_mu(N, mu)
-            val = band_norm_sq(matrix_linear_power(a, b, n, scale, N), 0, N)
+            val = band_norm_sq(matrix_linear_power(a, b, n, mu / N, N), 0, N)
             rels.append(abs(val - limit) / limit)
         assert all(r2 < r1 for r1, r2 in zip(rels, rels[1:])), (n, rels)
         assert rels[-1] < 0.05
@@ -105,8 +101,7 @@ def test_ac4_offdiagonal_decay():
     for n in (1, 2, 3):
         vals = {}
         for N in (64, 128, 256, 512):
-            scale = SemiclassicalScale.from_mu(N, mu)
-            vals[N] = band_norm_sq(matrix_linear_power(a, b, n, scale, N), N, N + n)
+            vals[N] = band_norm_sq(matrix_linear_power(a, b, n, mu / N, N), N, N + n)
         c_n = vals[64] / ((a * a + b * b) ** n * (mu / 64) ** (n + 1) * 64**n)
         for N in (64, 128, 256):
             hbar = mu / N
@@ -188,7 +183,7 @@ def test_ac8_truncated_momentum_norm():
     tails = []
     for N in (128, 256, 512):
         hbar = mu / N
-        val = hs_norm_sq_symbol(box_momentum_matrix(N, L, hbar), hbar)
+        val = hs_norm_sq(box_momentum_matrix(N, L, hbar), hbar)
         rels.append(abs(val - limit) / limit)
         tails.append(box_momentum_tail_norm_sq(N, L, hbar))
     assert all(r2 < r1 for r1, r2 in zip(rels, rels[1:]))
@@ -205,10 +200,11 @@ def test_ac9_tridiagonal_norm_identity():
     """Exact finite-N identity pi hbar (N-1)/L, approaching pi mu / L."""
     mu, L = 1.0, 1.0
     limit = math.pi * mu / L
+    levels = (4, 16, 64, 256, 1024)
+    vals = run_sweep(SweepConfig("box-tridiag-norm", levels, mu, L)).values("hs_norm_sq")
     gaps = []
-    for N in (4, 16, 64, 256, 1024):
+    for N, val in zip(levels, vals):
         hbar = mu / N
-        val = hs_norm_sq_symbol(box_multiplication_matrix(N, L), hbar)
         want = math.pi * hbar * (N - 1) / L
         assert abs(val - want) <= 1e-12 * want
         gaps.append(abs(val - limit))
@@ -232,13 +228,13 @@ def test_ac11_oracle_equivalences():
     mu = 1.0
     # (a) path-sum matrices vs ladder matrix powers
     N = 16
-    scale = SemiclassicalScale.from_mu(N, mu)
+    hbar = mu / N
     for (a, b) in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -1.0)):
-        X, P = ladder_matrices(scale, N, pad=7)
-        A = a * X.entries + b * P.entries
+        X, P = ladder_matrices(hbar, N, pad=7)
+        A = a * X + b * P
         for n in range(0, 6):
             want = np.linalg.matrix_power(A, n)[:N, :N]
-            got = dense_power(matrix_linear_power(a, b, n, scale, N)).entries
+            got = dense_power(matrix_linear_power(a, b, n, hbar, N))
             denom = max(np.linalg.norm(want), 1.0)
             assert np.linalg.norm(got - want) / denom <= 1e-10
 
@@ -246,7 +242,7 @@ def test_ac11_oracle_equivalences():
     L, hbar = 1.0, 0.25
     xs, ws = gauss_legendre(400, -L, L)
     U = box_wavefunctions(12, L, xs)
-    M = box_momentum_matrix(12, L, hbar).entries
+    M = box_momentum_matrix(12, L, hbar)
     for j in range(1, 13):
         for k in range(1, 13):
             du = (k * math.pi / (2 * L)) * np.cos(k * math.pi * (xs + L) / (2 * L)) / math.sqrt(L)

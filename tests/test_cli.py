@@ -247,6 +247,21 @@ class TestEdgeCommand:
             ])
             assert code == 2
             assert not (tmp_path / "e.csv").exists()
+        # nor does any other non-finite float flag, refused as it is parsed
+        out = ["-o", str(tmp_path / "e")]
+        for argv in (
+            ["edge", "--kind", "p", "--x", "nan", "--v", "0.5", "--N", "100"],
+            ["edge", "--kind", "x", "--u", "1", "--L", "inf", "--N", "100"],
+            ["edge", "--kind", "x", "--u", "1", "--p", "nan", "--N", "100"],
+            ["edge", "--kind", "x", "--u", "1", "--mu", "inf", "--N", "100"],
+            ["field", "--N", "4", "--mu", "-inf", "--grid", "-1:1:8,-1:1:8"],
+            ["sweep", "--exp", "box-tridiag-norm", "--mu", "inf"],
+            ["sweep", "--exp", "osc-catalan", "--a", "nan"],
+            ["sweep", "--exp", "osc-catalan", "--b", "inf"],
+            ["moyal-check", "--N", "4", "--tol", "nan"],
+        ):
+            assert run(argv + out) == 2, argv
+            assert list(tmp_path.iterdir()) == [], argv
 
     def test_p_edge_near_wall(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -336,6 +351,14 @@ class TestMoyalCheckCommand:
         code = run(["moyal-check", "--N", "16", "--seed", "2", "--points", "20", "-o", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["max_rel_err"] <= 0.02
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_refused(self, tmp_path, capsys, points):
+        # with no point checked, the verdict would pass on nothing
+        out = tmp_path / "moyal.json"
+        assert run(["moyal-check", "--N", "4", "--points", points, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: points must be >= 1\n"
+        assert not out.exists()
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -8,7 +8,14 @@ from eigen_oracle import box_wavefunctions
 from grid_oracle import TailDeficitWarning, l2_distance_with_tail
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from matrix_oracle import box_momentum_entry, box_momentum_matrix, dense_power
+from matrix_oracle import (
+    box_momentum_entry,
+    box_momentum_matrix,
+    box_multiplication_matrix,
+    dense_power,
+    hs_norm_sq,
+    offdiag_block_norm_sq,
+)
 
 from weylsym.diag import (
     _TAIL_CUTOFF,
@@ -20,51 +27,63 @@ from weylsym.diag import (
     box_projection_distance_sq,
     catalan_limit_value,
     default_n_levels,
-    hs_norm_sq_symbol,
-    offdiag_block_norm_sq,
     oscillator_disk_distance_sq,
     run_sweep,
 )
 from weylsym.limits import ClassicalRegion, indicator
-from weylsym.scale import PhaseGrid, SemiclassicalScale
-from weylsym.truncate import OperatorMatrix, box_multiplication_matrix, matrix_linear_power
+from weylsym.scale import PhaseGrid
+from weylsym.truncate import matrix_linear_power
 from weylsym.weyl import projection_symbol_field, symbol_oscillator_projection
 
 
 def identity_matrix(N):
-    return OperatorMatrix(entries=np.eye(N, dtype=complex), basis=None)
+    return np.eye(N, dtype=complex)
 
 
 class TestHsNorm:
     def test_identity_projection(self):
         for N in (1, 7, 64):
             hbar = 1.0 / N
-            assert hs_norm_sq_symbol(identity_matrix(N), hbar) == pytest.approx(
+            assert hs_norm_sq(identity_matrix(N), hbar) == pytest.approx(
                 2 * math.pi * hbar * N, rel=1e-14
             )
 
     def test_zero_matrix(self):
-        z = OperatorMatrix(entries=np.zeros((5, 5), dtype=complex), basis=None)
-        assert hs_norm_sq_symbol(z, 0.3) == 0.0
+        assert hs_norm_sq(np.zeros((5, 5), dtype=complex), 0.3) == 0.0
 
     def test_box_momentum_approaches_limit(self):
         N, mu, L = 256, 1.0, 1.0
         hbar = mu / N
-        val = hs_norm_sq_symbol(box_momentum_matrix(N, L, hbar), hbar)
+        val = hs_norm_sq(box_momentum_matrix(N, L, hbar), hbar)
         limit = math.pi**3 * mu**3 / (6 * L**2)
         assert abs(val - limit) / limit < 0.05
 
-    def test_tridiag_exact_identity(self):
-        mu, L = 1.0, 1.3
-        for N in (2, 17, 301):
-            hbar = mu / N
-            val = hs_norm_sq_symbol(box_multiplication_matrix(N, L), hbar)
-            assert val == pytest.approx(math.pi * hbar * (N - 1) / L, rel=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 300), mu=st.floats(0.05, 20.0), L=st.floats(0.05, 20.0))
+    def test_tridiag_exact_identity(self, N, mu, L):
+        # the sweep sums the 2(N - 1) nonzero entries alone: the same float as
+        # the sum over the whole dense matrix, and pi hbar (N - 1) / L
+        rep = run_sweep(SweepConfig("box-tridiag-norm", (N,), mu=mu, L=L))
+        hbar = mu / N
+        (val,) = rep.values("hs_norm_sq")
+        assert val == hs_norm_sq(box_multiplication_matrix(N, L), hbar)
+        assert val == pytest.approx(math.pi * hbar * (N - 1) / L, rel=1e-12)
+
+    def test_tridiag_sweep_builds_no_square_matrix(self):
+        # one complex 4096 x 4096 matrix alone would take 268 MB
+        config = SweepConfig("box-tridiag-norm", (1024, 4096))
+        tracemalloc.start()
+        try:
+            run_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestOffdiagBlock:
     def test_diagonal_matrix_has_no_coupling(self):
-        m = OperatorMatrix(entries=np.diag(np.arange(1.0, 7.0)).astype(complex), basis=None)
+        m = np.diag(np.arange(1.0, 7.0)).astype(complex)
         assert offdiag_block_norm_sq(m, 3, 0.5) == 0.0
 
     def test_requires_padding(self):
@@ -77,10 +96,10 @@ class TestOffdiagBlock:
         mu = 1.0
         vals = {}
         for N in (64, 128, 256):
-            scale = SemiclassicalScale.from_mu(N, mu)
-            padded = dense_power(matrix_linear_power(0.0, 1.0, 1, scale, N + 1))
-            vals[N] = offdiag_block_norm_sq(padded, N, scale.hbar)
-            assert vals[N] == pytest.approx(math.pi * scale.hbar**2 * N, rel=1e-12)
+            hbar = mu / N
+            padded = dense_power(matrix_linear_power(0.0, 1.0, 1, hbar, N + 1))
+            vals[N] = offdiag_block_norm_sq(padded, N, hbar)
+            assert vals[N] == pytest.approx(math.pi * hbar**2 * N, rel=1e-12)
         assert vals[128] / vals[64] == pytest.approx(0.5, abs=1e-12)
 
     def test_box_momentum_tail_halves(self):
@@ -109,12 +128,11 @@ class TestBandNorms:
     )
     def test_match_dense_oracle(self, a, b, n, N, hbar):
         assume(a * a + b * b > 1e-6)
-        scale = SemiclassicalScale.from_hbar(N, hbar)
-        band = matrix_linear_power(a, b, n, scale, N)
-        want = hs_norm_sq_symbol(dense_power(band), hbar)
+        band = matrix_linear_power(a, b, n, hbar, N)
+        want = hs_norm_sq(dense_power(band), hbar)
         assert band_norm_sq(band, 0, N) == pytest.approx(want, rel=BAND_NORM_RTOL)
         if n:
-            padded = dense_power(matrix_linear_power(a, b, n, scale, N + n))
+            padded = dense_power(matrix_linear_power(a, b, n, hbar, N + n))
             want = offdiag_block_norm_sq(padded, N, hbar)
             assert band_norm_sq(band, N, N + n) == pytest.approx(want, rel=BAND_NORM_RTOL)
 
@@ -184,7 +202,7 @@ class TestDistanceWithTail:
         hbar = 0.25
         mass = float(np.sum(fld.values**2)) * g.dx * g.dp
         amp = math.sqrt(mass / (2 * math.pi * hbar))
-        m = OperatorMatrix(entries=np.array([[amp]], dtype=complex), basis=None)
+        m = np.array([[amp]], dtype=complex)
         d = l2_distance_with_tail(fld, target, m, hbar)
         assert d == pytest.approx(0.0, abs=1e-12)
 
@@ -216,7 +234,7 @@ class TestDistanceWithTail:
 
         fld = SymbolField.sample(lambda x, p: np.ones_like(x * p), g)
         target = lambda x, p: np.zeros(np.broadcast(x, p).shape)
-        tiny = OperatorMatrix(entries=np.eye(2, dtype=complex) * 1e-3, basis=None)
+        tiny = np.eye(2, dtype=complex) * 1e-3
         with pytest.warns(TailDeficitWarning):
             l2_distance_with_tail(fld, target, tiny, 1e-3)
 
@@ -352,13 +370,12 @@ class TestOscillatorParitySpot:
 class TestConditionC1Bounded:
     def test_norms_bounded_along_sweeps(self):
         mu, L = 1.0, 1.0
-        seqs = {"tridiag": [], "momentum": [], "power2": []}
-        for N in (16, 32, 64, 128):
-            hbar = mu / N
-            seqs["tridiag"].append(hs_norm_sq_symbol(box_multiplication_matrix(N, L), hbar))
-            seqs["momentum"].append(hs_norm_sq_symbol(box_momentum_matrix(N, L, hbar), hbar))
-            scale = SemiclassicalScale.from_mu(N, mu)
-            seqs["power2"].append(band_norm_sq(matrix_linear_power(0.0, 1.0, 2, scale, N), 0, N))
+        levels = (16, 32, 64, 128)
+        seqs = {
+            "tridiag": run_sweep(SweepConfig("box-tridiag-norm", levels, mu, L)).values("hs_norm_sq"),
+            "momentum": [_box_momentum_inner_norm_sq(N, L, mu / N) for N in levels],
+            "power2": [band_norm_sq(matrix_linear_power(0.0, 1.0, 2, mu / N, N), 0, N) for N in levels],
+        }
         for name, vals in seqs.items():
             assert max(vals) / min(vals) < 3.0, name
 
@@ -371,7 +388,7 @@ class TestParsevalConsistency:
         g = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, 500, 500)
         fld = projection_symbol_field(N, hbar, L, g)
         windowed = float(np.sum(fld.values**2)) * g.dx * g.dp
-        total = hs_norm_sq_symbol(identity_matrix(N), hbar)
+        total = hs_norm_sq(identity_matrix(N), hbar)
         tail = total - windowed
         assert tail >= 0
         assert windowed + tail == pytest.approx(total, rel=1e-12)
@@ -390,6 +407,18 @@ class TestSweeps:
     def test_non_increasing_n_list(self):
         with pytest.raises(ValueError, match="increasing"):
             SweepConfig(experiment="osc-catalan", n_levels=(8, 8))
+
+    @pytest.mark.parametrize("experiment", ["box-edge-x", "osc-catalan", "box-tridiag-norm"])
+    def test_n_below_one_refused(self, experiment):
+        # hbar = mu / N: N = 0 once raised ZeroDivisionError inside the sweep
+        with pytest.raises(ValueError, match="positive integers"):
+            SweepConfig(experiment, (0, 4))
+
+    @pytest.mark.parametrize("field", ["mu", "L", "a", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_refused(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepConfig("osc-catalan", (64, 128), **{field: value})
 
     def test_budget_guard(self):
         # the 24N grid at N = 20000 is 20000 * 480000^2 cells

@@ -5,11 +5,10 @@ import pytest
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matrix_oracle import box_momentum_matrix
+from matrix_oracle import box_momentum_matrix, box_multiplication_matrix
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.kernel import box_projection_kernel, dirichlet_kernel, sine_kernel
-from weylsym.truncate import box_multiplication_matrix
 
 
 def box_basis(L, hbar=1.0):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import operator_symbol_quadrature
-from matrix_oracle import box_momentum_matrix
+from matrix_oracle import box_momentum_matrix, box_multiplication_matrix
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import (
@@ -17,7 +17,6 @@ from weylsym.moyal import (
     operator_symbol_complex,
 )
 from weylsym.scale import PhaseGrid, SymbolField
-from weylsym.truncate import box_multiplication_matrix
 from weylsym.weyl import (
     projection_symbol_field,
     symbol_oscillator_projection,
@@ -77,7 +76,7 @@ class TestComposition:
         hbar = mu / N
         basis = box_basis(hbar, L)
         proj = FiniteRankOperator(basis=basis, coeff=np.eye(N, dtype=complex))
-        mom = FiniteRankOperator(basis=basis, coeff=box_momentum_matrix(N, L, hbar).entries)
+        mom = FiniteRankOperator(basis=basis, coeff=box_momentum_matrix(N, L, hbar))
         for (x, p) in [(0.25, 0.8), (-0.4, -2.0), (0.6, 0.1)]:
             got = moyal_via_composition(proj, mom, hbar, x, p)
             want = symbol_truncated_momentum_box(N, hbar, L, x, p)
@@ -123,8 +122,8 @@ class TestComposition:
         N, mu, L = 8, 1.0, 1.0
         hbar = mu / N
         basis = box_basis(hbar, L)
-        A = box_multiplication_matrix(N, L).entries
-        B = box_momentum_matrix(N, L, hbar).entries
+        A = box_multiplication_matrix(N, L)
+        B = box_momentum_matrix(N, L, hbar)
         xs = np.linspace(-0.8, 0.8, 9)[:, None]
         ps = np.linspace(-2.0, 2.0, 9)[None, :]
         ab = operator_symbol_complex(basis, A @ B, hbar, xs, ps)

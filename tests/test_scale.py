@@ -3,38 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from weylsym.scale import (
-    PhaseGrid,
-    SemiclassicalScale,
-    SymbolField,
-    pairwise_sum,
-)
+from weylsym.scale import PhaseGrid, SymbolField, pairwise_sum
 from weylsym import weyl
 from weylsym.weyl import momentum_symbol_field, projection_symbol_field
 
 
 def unit_grid(n=50):
     return PhaseGrid(0.0, 1.0, 0.0, 1.0, n, n)
-
-
-class TestSemiclassicalScale:
-    def test_from_mu(self):
-        s = SemiclassicalScale.from_mu(40, 1.0)
-        assert s.hbar == 1.0 / 40
-        assert s.hbar * s.n_levels == pytest.approx(s.mu, rel=1e-14)
-
-    def test_coupling_enforced(self):
-        with pytest.raises(ValueError):
-            SemiclassicalScale(n_levels=10, mu=1.0, hbar=0.2)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(n_levels=0, mu=1.0, hbar=1.0),
-        dict(n_levels=4, mu=-1.0, hbar=-0.25),
-        dict(n_levels=4, mu=0.0, hbar=0.0),
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            SemiclassicalScale(**kwargs)
 
 
 class TestPhaseGrid:

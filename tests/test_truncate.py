@@ -11,20 +11,14 @@ from eigen_oracle import (
 from matrix_oracle import (
     box_momentum_entry,
     box_momentum_matrix,
+    box_multiplication_matrix,
     dense_power,
     ladder_matrices,
     path_sum_matrix,
 )
 
 import weylsym.truncate
-from weylsym.scale import SemiclassicalScale
-from weylsym.truncate import (
-    MAX_DIMENSION,
-    MAX_MATRIX_POWER,
-    OperatorMatrix,
-    box_multiplication_matrix,
-    matrix_linear_power,
-)
+from weylsym.truncate import MAX_DIMENSION, MAX_MATRIX_POWER, matrix_linear_power
 
 
 class TestLadderMatrices:
@@ -37,9 +31,8 @@ class TestLadderMatrices:
         U = hermite_wavefunctions(8, hbar, xs)
         got = float(np.sum(ws * xs * U[0] * U[1]))
         assert got == pytest.approx(math.sqrt(hbar / 2.0), abs=1e-10)
-        scale = SemiclassicalScale.from_hbar(8, hbar)
-        Xm, _ = ladder_matrices(scale, 8)
-        assert Xm.entries[1, 0].real == pytest.approx(got, abs=1e-10)
+        Xm, _ = ladder_matrices(hbar, 8)
+        assert Xm[1, 0].real == pytest.approx(got, abs=1e-10)
 
     def test_quadrature_matches_all_ladder_elements(self):
         hbar = 0.5
@@ -47,12 +40,11 @@ class TestLadderMatrices:
         X = oscillator_support_halfwidth(hbar, kmax)
         xs, ws = gauss_legendre(400, -X, X)
         U = hermite_wavefunctions(kmax, hbar, xs)
-        scale = SemiclassicalScale.from_hbar(kmax, hbar)
-        Xm, _ = ladder_matrices(scale, kmax)
+        Xm, _ = ladder_matrices(hbar, kmax)
         for k in range(1, kmax):
             got = float(np.sum(ws * xs * U[k - 1] * U[k]))
             assert got == pytest.approx(math.sqrt(hbar * k / 2.0), abs=1e-10)
-            assert Xm.entries[k, k - 1].real == pytest.approx(got, abs=1e-10)
+            assert Xm[k, k - 1].real == pytest.approx(got, abs=1e-10)
 
     def test_momentum_elements_match_derivative_quadrature(self):
         # P[k, k-1] = <u_{k+1}| p |u_k> = -i hbar int u_{k+1} u_k' dx, with
@@ -62,50 +54,50 @@ class TestLadderMatrices:
         xs, ws = gauss_legendre(400, -X, X)
         U = hermite_wavefunctions(kmax, hbar, xs)
         dU = (hermite_wavefunctions(kmax, hbar, xs + h) - hermite_wavefunctions(kmax, hbar, xs - h)) / (2 * h)
-        _, P = ladder_matrices(SemiclassicalScale.from_hbar(kmax, hbar), kmax)
+        _, P = ladder_matrices(hbar, kmax)
         for k in range(1, kmax):
             want = -1j * hbar * float(np.sum(ws * U[k] * dU[k - 1]))
-            assert P.entries[k, k - 1] == pytest.approx(want, abs=1e-8)
+            assert P[k, k - 1] == pytest.approx(want, abs=1e-8)
 
     def test_structure(self):
-        scale = SemiclassicalScale.from_mu(6, 1.0)
-        X, P = ladder_matrices(scale, 6, pad=2)
-        assert X.n == P.n == 8
-        assert np.allclose(X.entries.imag, 0.0)
-        assert np.allclose(P.entries.real, 0.0)
-        np.testing.assert_allclose(X.entries, X.entries.conj().T)
-        np.testing.assert_allclose(P.entries, P.entries.conj().T)
+        hbar = 1.0 / 6
+        X, P = ladder_matrices(hbar, 6, pad=2)
+        assert X.shape == P.shape == (8, 8)
+        assert np.allclose(X.imag, 0.0)
+        assert np.allclose(P.real, 0.0)
+        np.testing.assert_allclose(X, X.conj().T)
+        np.testing.assert_allclose(P, P.conj().T)
 
     def test_canonical_commutator(self):
         N = 12
-        scale = SemiclassicalScale.from_hbar(N, 0.3)
-        X, P = ladder_matrices(scale, N, pad=2)
-        comm = X.entries @ P.entries - P.entries @ X.entries
+        hbar = 0.3
+        X, P = ladder_matrices(hbar, N, pad=2)
+        comm = X @ P - P @ X
         for k in range(N):
-            assert comm[k, k] == pytest.approx(1j * scale.hbar, abs=1e-12)
+            assert comm[k, k] == pytest.approx(1j * hbar, abs=1e-12)
 
 
 class TestMatrixLinearPower:
     def test_zero_power_is_identity(self):
-        scale = SemiclassicalScale.from_mu(5, 1.0)
-        M = dense_power(matrix_linear_power(2.0, -1.0, 0, scale, 5))
-        np.testing.assert_allclose(M.entries, np.eye(5), atol=1e-15)
+        hbar = 1.0 / 5
+        M = dense_power(matrix_linear_power(2.0, -1.0, 0, hbar, 5))
+        np.testing.assert_allclose(M, np.eye(5), atol=1e-15)
 
     def test_momentum_is_tridiagonal_imaginary(self):
-        scale = SemiclassicalScale.from_mu(6, 1.0)
-        M = dense_power(matrix_linear_power(0.0, 1.0, 1, scale, 6))
-        _, P = ladder_matrices(scale, 6)
-        np.testing.assert_allclose(M.entries, P.entries, atol=1e-14)
-        assert np.allclose(M.entries.real, 0.0)
+        hbar = 1.0 / 6
+        M = dense_power(matrix_linear_power(0.0, 1.0, 1, hbar, 6))
+        _, P = ladder_matrices(hbar, 6)
+        np.testing.assert_allclose(M, P, atol=1e-14)
+        assert np.allclose(M.real, 0.0)
 
     def test_against_ladder_power_oracle(self):
         # n = 3, (a, b) = (1, 2): path sum vs explicit matrix power built on
         # padded dimension and truncated
         N, n = 12, 3
-        scale = SemiclassicalScale.from_hbar(N, 0.25)
-        X, P = ladder_matrices(scale, N, pad=8)
-        want = np.linalg.matrix_power(1.0 * X.entries + 2.0 * P.entries, n)[:N, :N]
-        got = dense_power(matrix_linear_power(1.0, 2.0, n, scale, N)).entries
+        hbar = 0.25
+        X, P = ladder_matrices(hbar, N, pad=8)
+        want = np.linalg.matrix_power(1.0 * X + 2.0 * P, n)[:N, :N]
+        got = dense_power(matrix_linear_power(1.0, 2.0, n, hbar, N))
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-10
 
@@ -114,10 +106,10 @@ class TestMatrixLinearPower:
     def test_oracle_equivalence_grid(self, ab, n):
         a, b = ab
         N = 16
-        scale = SemiclassicalScale.from_mu(N, 1.0)
-        X, P = ladder_matrices(scale, N, pad=n + 2)
-        want = np.linalg.matrix_power(a * X.entries + b * P.entries, n)[:N, :N]
-        got = dense_power(matrix_linear_power(a, b, n, scale, N)).entries
+        hbar = 1.0 / N
+        X, P = ladder_matrices(hbar, N, pad=n + 2)
+        want = np.linalg.matrix_power(a * X + b * P, n)[:N, :N]
+        got = dense_power(matrix_linear_power(a, b, n, hbar, N))
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
     @pytest.mark.parametrize("n", range(9))
@@ -126,16 +118,16 @@ class TestMatrixLinearPower:
         # the ground-state corner and N smaller than the band
         a, b = 0.6, -0.8
         for N in (1, 2, 5, 40):
-            scale = SemiclassicalScale.from_mu(N, 1.3)
-            got = dense_power(matrix_linear_power(a, b, n, scale, N)).entries
-            want = path_sum_matrix(a, b, n, scale.hbar, N)
+            hbar = 1.3 / N
+            got = dense_power(matrix_linear_power(a, b, n, hbar, N))
+            want = path_sum_matrix(a, b, n, hbar, N)
             np.testing.assert_array_equal(got == 0, want == 0)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_finite_band_exact(self):
-        scale = SemiclassicalScale.from_mu(10, 1.0)
+        hbar = 1.0 / 10
         for n in (1, 2, 3):
-            M = dense_power(matrix_linear_power(1.0, 1.0, n, scale, 10)).entries
+            M = dense_power(matrix_linear_power(1.0, 1.0, n, hbar, 10))
             for k in range(10):
                 for l in range(10):
                     if abs(k - l) > n:
@@ -145,15 +137,15 @@ class TestMatrixLinearPower:
         N = 8
         for n in (1, 2, 3):
             m1, m2 = (
-                dense_power(matrix_linear_power(1.0, 2.0, n, SemiclassicalScale.from_hbar(N, h), N)).entries
+                dense_power(matrix_linear_power(1.0, 2.0, n, h, N))
                 for h in (0.2, 0.8)
             )
             np.testing.assert_allclose(m2, m1 * 2.0**n, rtol=1e-12)
 
     def test_power_guard(self):
-        scale = SemiclassicalScale.from_mu(4, 1.0)
+        hbar = 1.0 / 4
         with pytest.raises(ValueError):
-            matrix_linear_power(1.0, 0.0, 13, scale, 4)
+            matrix_linear_power(1.0, 0.0, 13, hbar, 4)
 
     @pytest.mark.parametrize(
         "n, N, message",
@@ -167,14 +159,20 @@ class TestMatrixLinearPower:
         # with numpy gone from truncate, any array built before the refusal fails
         monkeypatch.setattr(weylsym.truncate, "np", None)
         with pytest.raises(ValueError, match=message):
-            matrix_linear_power(1.0, 0.0, n, SemiclassicalScale.from_mu(4, 1.0), N)
+            matrix_linear_power(1.0, 0.0, n, 0.25, N)
+
+    @pytest.mark.parametrize("hbar", [0.0, -0.25, math.nan, math.inf])
+    def test_refuses_bad_hbar_before_allocating(self, monkeypatch, hbar):
+        monkeypatch.setattr(weylsym.truncate, "np", None)
+        with pytest.raises(ValueError, match="hbar must be finite and > 0"):
+            matrix_linear_power(1.0, 0.0, 2, hbar, 4)
 
     def test_live_weights_share_one_modulus(self):
         # the band norms rest on |weight|^2 = (hbar/2)^n (a^2 + b^2)^n on every
         # diagonal that carries entries; the others are zero
-        scale = SemiclassicalScale.from_hbar(9, 0.3)
+        hbar = 0.3
         for n in range(7):
-            band = matrix_linear_power(0.6, -1.7, n, scale, 9)
+            band = matrix_linear_power(0.6, -1.7, n, hbar, 9)
             live = (band.offsets + n) % 2 == 0
             np.testing.assert_allclose(np.abs(band.weights[live]) ** 2, band.weight_sq, rtol=1e-14)
             assert np.all(band.weights[~live] == 0) and np.all(band.diagonals[~live] == 0)
@@ -183,12 +181,12 @@ class TestMatrixLinearPower:
 
 class TestBoxMultiplicationMatrix:
     def test_literal_three_by_three(self):
-        M = box_multiplication_matrix(3, 1.0).entries
+        M = box_multiplication_matrix(3, 1.0)
         want = np.array([[0, -0.5, 0], [-0.5, 0, -0.5], [0, -0.5, 0]])
         np.testing.assert_allclose(M, want, atol=1e-15)
 
     def test_diagonal_zero(self):
-        M = box_multiplication_matrix(7, 2.2).entries
+        M = box_multiplication_matrix(7, 2.2)
         assert np.all(np.diag(M) == 0)
 
     def test_entry_matches_quadrature(self):
@@ -197,17 +195,17 @@ class TestBoxMultiplicationMatrix:
         U = box_wavefunctions(2, L, xs)
         f = np.sin(math.pi * xs / (2 * L)) / math.sqrt(L)
         got = float(np.sum(ws * U[0] * f * U[1]))
-        M = box_multiplication_matrix(2, L).entries
+        M = box_multiplication_matrix(2, L)
         assert M[0, 1].real == pytest.approx(got, abs=1e-12)
 
 
 class TestBoxMomentumMatrix:
     def test_first_entry(self):
-        M = box_momentum_matrix(2, 1.0, 1.0).entries
+        M = box_momentum_matrix(2, 1.0, 1.0)
         assert M[0, 1] == pytest.approx(4.0j / 3.0, abs=1e-15)
 
     def test_same_parity_vanishes(self):
-        M = box_momentum_matrix(8, 1.0, 1.0).entries
+        M = box_momentum_matrix(8, 1.0, 1.0)
         for j in range(8):
             for k in range(8):
                 if (j + k) % 2 == 0:
@@ -218,21 +216,21 @@ class TestBoxMomentumMatrix:
         L, hbar = 2.0, 0.3
         xs, ws = gauss_legendre(400, -L, L)
         U = box_wavefunctions(12, L, xs)
-        M = box_momentum_matrix(12, L, hbar).entries
+        M = box_momentum_matrix(12, L, hbar)
         for (j, k) in [(2, 5), (1, 2), (3, 8), (7, 12)]:
             du_k = (k * math.pi / (2 * L)) * np.cos(k * math.pi * (xs + L) / (2 * L)) / math.sqrt(L)
             want = -1j * hbar * float(np.sum(ws * U[j - 1] * du_k))
             assert M[j - 1, k - 1] == pytest.approx(want, abs=1e-10)
 
     def test_antisymmetric_imaginary_hermitian(self):
-        M = box_momentum_matrix(9, 1.4, 0.7).entries
+        M = box_momentum_matrix(9, 1.4, 0.7)
         np.testing.assert_allclose(M.real, 0.0, atol=1e-15)
         np.testing.assert_allclose(M.imag, -M.imag.T, atol=1e-15)
         np.testing.assert_allclose(M, M.conj().T, atol=1e-15)
 
     def test_linear_in_hbar(self):
-        m1 = box_momentum_matrix(6, 1.0, 0.2).entries
-        m2 = box_momentum_matrix(6, 1.0, 0.6).entries
+        m1 = box_momentum_matrix(6, 1.0, 0.2)
+        m2 = box_momentum_matrix(6, 1.0, 0.6)
         np.testing.assert_allclose(m2, 3.0 * m1, rtol=1e-14)
 
     def test_entry_helper_broadcasts(self):
@@ -240,9 +238,3 @@ class TestBoxMomentumMatrix:
         vals = box_momentum_entry(js[:, None], js[None, :], 1.0, 1.0)
         assert vals.shape == (4, 4)
         assert vals[0, 1] == pytest.approx(4.0j / 3.0)
-
-
-class TestOperatorMatrix:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            OperatorMatrix(entries=np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
