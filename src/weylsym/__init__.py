@@ -13,30 +13,21 @@ from .basis import EigenBasis, Model
 from .diag import (
     SweepConfig,
     SweepReport,
-    angular_integral,
     band_norm_sq,
     box_projection_distance_sq,
     catalan_limit_value,
+    edge_section,
     oscillator_disk_distance_sq,
     run_sweep,
 )
 from .kernel import box_projection_kernel, dirichlet_kernel, sine_kernel
-from .limits import (
-    ClassicalRegion,
-    RegionKind,
-    bulk_profile_box,
-    edge_profile_p,
-    edge_profile_x,
-    indicator,
-    si,
-)
+from .limits import bulk_profile_box, edge_profile_p, edge_profile_x, si
 from .moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
 from .scale import PhaseGrid, SymbolField
 from .truncate import LadderBand, matrix_linear_power
 from .weyl import (
     rescaled_kernel_f2,
     symbol_projection_box,
-    symbol_rank_one_box,
     symbol_truncated_momentum_box,
 )
 
@@ -45,13 +36,11 @@ __all__ = [
     "PhaseGrid", "SymbolField",
     "Model", "EigenBasis",
     "dirichlet_kernel", "sine_kernel", "box_projection_kernel",
-    "symbol_rank_one_box",
     "symbol_projection_box", "symbol_truncated_momentum_box", "rescaled_kernel_f2",
     "FiniteRankOperator", "moyal_via_composition", "moyal_direct",
     "LadderBand", "matrix_linear_power",
-    "ClassicalRegion", "RegionKind", "indicator",
     "bulk_profile_box", "si", "edge_profile_x", "edge_profile_p",
     "band_norm_sq",
     "box_projection_distance_sq", "oscillator_disk_distance_sq",
-    "catalan_limit_value", "angular_integral", "SweepConfig", "SweepReport", "run_sweep",
+    "catalan_limit_value", "edge_section", "SweepConfig", "SweepReport", "run_sweep",
 ]

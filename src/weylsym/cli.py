@@ -22,15 +22,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diag import SweepConfig, default_n_levels, run_sweep
-from .limits import edge_profile_p, edge_profile_x
+from .diag import SweepConfig, _check_budget, default_n_levels, edge_section, run_sweep
 from .moyal import FiniteRankOperator, direct_grid, moyal_direct, moyal_via_composition
 from .scale import PhaseGrid, SymbolField
 from .weyl import (
     momentum_symbol_field,
     projection_symbol_field,
     symbol_oscillator_projection,
-    symbol_projection_box,
 )
 
 _EXIT_OK = 0
@@ -194,24 +192,13 @@ def _cmd_edge(args: argparse.Namespace, argv: list[str]) -> int:
     L = _positive(args.L, "L")
     hbar = mu / N
     if args.kind == "x":
-        coords = _parse_section(args.u)
-        if np.any(coords < 0):
-            raise ConfigError("u must be >= 0")
-        p0 = args.p
-        fins = symbol_projection_box(N, hbar, L, L - hbar * coords, p0)
-        lims = [edge_profile_x(float(u), p0, mu, L) for u in coords]
-        coord = "u"
+        coord, coords, fixed = "u", _parse_section(args.u), args.p
     else:
-        coords = _parse_section(args.v)
-        x0 = args.x
-        p0s = math.pi * mu / (2.0 * L) + hbar * math.pi * coords / (2.0 * L)
-        fins = symbol_projection_box(N, hbar, L, x0, p0s)
-        lims = [edge_profile_p(x0, float(v), mu, L) for v in coords]
-        coord = "v"
-    rows = [(float(c), fin, lim, abs(fin - lim)) for c, fin, lim in zip(coords, fins, lims)]
+        coord, coords, fixed = "v", _parse_section(args.v), args.x
+    fins, lims = edge_section(args.kind, N, mu, L, coords, fixed)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(f"{coord},finite_N_value,limit_value,abs_error\n")
-        for r in rows:
+        for r in zip(coords, fins, lims, np.abs(fins - lims)):
             fh.write(",".join(f"{v:.17g}" for v in r) + "\n")
     _write_manifest(
         args.output + ".manifest.json",
@@ -230,6 +217,7 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
         raise ConfigError("points must be >= 1")
     hbar = mu / N
     grid = _parse_grid(args.grid) if args.grid else direct_grid(N, L)
+    _check_budget(N, grid.nx * grid.np)  # the moyal-idempotency guard
     fld = projection_symbol_field(N, hbar, L, grid)
     from .basis import EigenBasis, Model
 

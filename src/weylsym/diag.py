@@ -4,7 +4,8 @@ Absolute symbol norms always go through the trace identity (exact, no grid).
 The L2 distances of the projection symbols to the indicators of their
 classical regions are the trace identity plus a 1-D integral on composite
 Gauss-Legendre panels: the momentum density for the box, the radial profile
-for the oscillator.  No phase grid enters them.  A registry of named
+for the oscillator.  No phase grid enters them.  `edge_section` sets the
+finite-N box symbol beside its microscopic edge profile.  One table of named
 experiments drives the N-sweeps behind the acceptance criteria.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +41,7 @@ __all__ = [
     "box_projection_distance_sq",
     "oscillator_disk_distance_sq",
     "catalan_limit_value",
-    "angular_integral",
+    "edge_section",
     "box_momentum_tail_norm_sq",
     "SweepConfig",
     "SweepRow",
@@ -155,11 +157,34 @@ def catalan_limit_value(n: int, a: float, b: float, mu: float) -> float:
     return 2.0 * math.pi * mu ** (n + 1) * ((a * a + b * b) / 2.0) ** n * catalan
 
 
-def angular_integral(n: int, a: float, b: float) -> float:
-    """int_0^{2 pi} (a cos t + b sin t)^{2n} dt = 2 pi (a^2+b^2)^n binom(2n, n) / 4^n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return 2.0 * math.pi * (a * a + b * b) ** n * math.comb(2 * n, n) / 4.0**n
+def edge_section(
+    kind: str, N: int, mu: float, L: float, coords, fixed
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-N box projection symbol (hbar = mu / N) along an edge
+    section, and the microscopic edge profile it tends to there.
+
+    kind "x" crosses the hard wall, x = L - hbar u for u = coords >= 0 at
+    momentum p = fixed; kind "p" crosses the momentum edge,
+    p = pi mu / 2L + hbar pi v / 2L for v = coords at position x = fixed.
+    coords and fixed broadcast against each other, and one symbol call
+    covers every point; the profile is evaluated point by point.
+    """
+    hbar = mu / N
+    coords = np.asarray(coords, dtype=float)
+    fixed = np.asarray(fixed, dtype=float)
+    points = np.broadcast(coords, fixed)
+    if kind == "x":
+        if np.any(coords < 0):
+            raise ValueError("u must be >= 0")
+        sym = symbol_projection_box(N, hbar, L, L - hbar * coords, fixed)
+        prof = [edge_profile_x(float(u), float(p), mu, L) for u, p in points]
+    elif kind == "p":
+        p = math.pi * mu / (2.0 * L) + hbar * math.pi * coords / (2.0 * L)
+        sym = symbol_projection_box(N, hbar, L, fixed, p)
+        prof = [edge_profile_p(float(x), float(v), mu, L) for v, x in points]
+    else:
+        raise ValueError(f"edge kind must be 'x' or 'p', got {kind!r}")
+    return sym, np.reshape(prof, points.shape)
 
 
 _TAIL_CUTOFF = 64
@@ -231,15 +256,19 @@ def box_momentum_tail_norm_sq(N: int, L: float, hbar: float) -> float:
 # --- sweeps -------------------------------------------------------------------
 
 
+def _increasing(seq) -> bool:
+    return all(b > a for a, b in zip(seq, seq[1:]))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One registered experiment and its physical parameters.
 
     mu and L set the scale, powers, a and b the linear-power observables
     (a x + b p)^n; every field has a default except the N list, which must
-    be nonempty, strictly increasing and >= 1.  mu, L, a and b must be
-    finite, mu and L also > 0.  Grids, windows and verdict bounds are fixed
-    per experiment.
+    be nonempty, strictly increasing and >= 1.  The powers must be nonempty
+    and strictly increasing too.  mu, L, a and b must be finite, mu and L
+    also > 0.  Grids, windows and verdict bounds are fixed per experiment.
     """
 
     experiment: str
@@ -253,10 +282,14 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.n_levels:
             raise ValueError("N list must be nonempty")
-        if any(n2 <= n1 for n1, n2 in zip(self.n_levels, self.n_levels[1:])):
+        if not _increasing(self.n_levels):
             raise ValueError("N list must be strictly increasing")
         if self.n_levels[0] < 1:
             raise ValueError("N list must hold positive integers")
+        if not self.powers:
+            raise ValueError("powers must be nonempty")
+        if not _increasing(self.powers):
+            raise ValueError("powers must be strictly increasing")
         if not all(math.isfinite(v) for v in (self.mu, self.L, self.a, self.b)):
             raise ValueError("mu, L, a and b must be finite")
         if not self.mu > 0 or not self.L > 0:
@@ -370,9 +403,7 @@ _BOX_L2_RATIO_BAND = (0.5, 0.6)
 _OSC_L2_RATIO_BAND = (0.62, 0.66)
 
 
-def _l2_sweep(
-    config: SweepConfig, distance, nodes_per_level: int, band
-) -> tuple[tuple[SweepRow, ...], tuple[Verdict, ...]]:
+def _l2_sweep(config: SweepConfig, distance, nodes_per_level: int, band):
     """distance_sq rows for every N and the three verdicts on them; refuses
     before any quadrature if the largest N exceeds the budget."""
     N_max = max(config.n_levels)
@@ -387,69 +418,49 @@ def _l2_sweep(
         _threshold_verdict("final-below-threshold", vals[-1], 0.35 * 2.0 * math.pi * config.mu),
         _ratio_band_verdict("ratio-band", config.n_levels, vals, band),
     )
-    return tuple(rows), verdicts
+    return rows, verdicts
 
 
-def _sweep_box_projection_l2(config: SweepConfig) -> SweepReport:
+def _sweep_box_projection_l2(config: SweepConfig):
     L = config.L
-    rows, verdicts = _l2_sweep(
+    return _l2_sweep(
         config,
         lambda N, hbar: box_projection_distance_sq(N, hbar, L),
         2 * _PANEL_NODES,
         _BOX_L2_RATIO_BAND,
     )
-    return SweepReport("box-projection-l2", config.mu, "box", "projection", rows, verdicts)
 
 
-def _sweep_osc_disk_l2(config: SweepConfig) -> SweepReport:
-    rows, verdicts = _l2_sweep(
-        config, oscillator_disk_distance_sq, _PANEL_NODES, _OSC_L2_RATIO_BAND
-    )
-    return SweepReport("osc-disk-l2", config.mu, "oscillator", "projection", rows, verdicts)
+def _sweep_osc_disk_l2(config: SweepConfig):
+    return _l2_sweep(config, oscillator_disk_distance_sq, _PANEL_NODES, _OSC_L2_RATIO_BAND)
 
 
-def _sweep_box_edge_x(config: SweepConfig) -> SweepReport:
+def _edge_sweep(kind: str, config: SweepConfig):
+    """Worst |symbol - edge profile| at every N over fixed sections: u in
+    [0, 6] at p = 0 and p = P / 2 across the wall (kind "x"), or
+    v = 1/4, 1/2, 3/2 at x = 0 and x = L / 2 across the momentum edge
+    (kind "p"); one `edge_section` call per N."""
     mu, L = config.mu, config.L
-    us = np.linspace(0.0, 6.0, 121)
-    p_list = (0.0, math.pi * mu / (4.0 * L))
+    if kind == "x":
+        coords = np.linspace(0.0, 6.0, 121)
+        fixed = np.array([[0.0], [math.pi * mu / (4.0 * L)]])
+    else:
+        coords = np.tile([0.25, 0.5, 1.5], 2)
+        fixed = np.repeat([0.0, 0.5 * L], 3)
     rows = []
     for N in config.n_levels:
-        hbar = mu / N
-        worst = 0.0
-        for p0 in p_list:
-            sym = symbol_projection_box(N, hbar, L, L - hbar * us, p0)
-            prof = np.array([edge_profile_x(float(u), p0, mu, L) for u in us])
-            worst = max(worst, float(np.max(np.abs(sym - prof))))
-        rows.append(SweepRow(N=N, hbar=hbar, metric="max_abs_err", value=worst))
-    vals = [r.value for r in rows]
-    verdicts = (
-        _decrease_verdict("error-decreasing", vals),
-        _threshold_verdict("final-below-threshold", vals[-1], 0.05),
-    )
-    return SweepReport("box-edge-x", mu, "box", "projection", tuple(rows), verdicts)
-
-
-def _sweep_box_edge_p(config: SweepConfig) -> SweepReport:
-    mu, L = config.mu, config.L
-    xs = np.repeat([0.0, 0.5 * L], 3)
-    vs = np.tile([0.25, 0.5, 1.5], 2)
-    prof = np.array([edge_profile_p(float(x0), float(v), mu, L) for x0, v in zip(xs, vs)])
-    rows = []
-    for N in config.n_levels:
-        hbar = mu / N
-        p0 = math.pi * mu / (2.0 * L) + hbar * math.pi * vs / (2.0 * L)
-        sym = symbol_projection_box(N, hbar, L, xs, p0)
+        sym, prof = edge_section(kind, N, mu, L, coords, fixed)
         worst = float(np.max(np.abs(sym - prof)))
-        rows.append(SweepRow(N=N, hbar=hbar, metric="max_abs_err", value=worst))
+        rows.append(SweepRow(N=N, hbar=mu / N, metric="max_abs_err", value=worst))
     vals = [r.value for r in rows]
     verdicts = (
         _decrease_verdict("error-decreasing", vals),
         _threshold_verdict("final-below-threshold", vals[-1], 0.05),
     )
-    return SweepReport("box-edge-p", mu, "box", "projection", tuple(rows), verdicts)
+    return rows, verdicts
 
 
-def _sweep_box_bulk_sup(config: SweepConfig) -> SweepReport:
+def _sweep_box_bulk_sup(config: SweepConfig):
     mu, L = config.mu, config.L
     c_u, c_v = 0.5 * L, 4.0
     C = bulk_sup_constant(mu, L, c_u, c_v)
@@ -475,10 +486,10 @@ def _sweep_box_bulk_sup(config: SweepConfig) -> SweepReport:
             detail=f"C = {C:.6g}, hbar_0 = {hbar0:.6g}",
         ),
     )
-    return SweepReport("box-bulk-sup", mu, "box", "projection", tuple(rows), verdicts)
+    return rows, verdicts
 
 
-def _sweep_box_tridiag_norm(config: SweepConfig) -> SweepReport:
+def _sweep_box_tridiag_norm(config: SweepConfig):
     """Multiplication by sin(pi x / 2L) / sqrt(L) couples level k to k +- 1
     alone, with entry -1/(2 sqrt L): its truncated norm is 2 pi hbar times
     the pairwise sum of the 2(N - 1) squared entries, the same float as the
@@ -504,10 +515,10 @@ def _sweep_box_tridiag_norm(config: SweepConfig) -> SweepReport:
         Verdict("finite-N-identity", id_ok, f"pi hbar (N-1)/L, limit {limit:.6g}"),
         _decrease_verdict("gap-to-limit-decreasing", gaps),
     )
-    return SweepReport("box-tridiag-norm", mu, "box", "tridiagonal", tuple(rows), verdicts)
+    return rows, verdicts
 
 
-def _sweep_box_momentum_norm(config: SweepConfig) -> SweepReport:
+def _sweep_box_momentum_norm(config: SweepConfig):
     mu, L = config.mu, config.L
     limit = math.pi**3 * mu**3 / (6.0 * L**2)
     rows = []
@@ -532,7 +543,7 @@ def _sweep_box_momentum_norm(config: SweepConfig) -> SweepReport:
             "ratios " + ", ".join(f"{r:.4f}" for r in ratios),
         ),
     )
-    return SweepReport("box-momentum-norm", mu, "box", "momentum", tuple(rows), verdicts)
+    return rows, verdicts
 
 
 def _check_linear_power(config: SweepConfig) -> None:
@@ -546,7 +557,7 @@ def _check_linear_power(config: SweepConfig) -> None:
         raise ValueError(f"{config.experiment} needs powers n >= 1")
 
 
-def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
+def _sweep_osc_catalan(config: SweepConfig):
     _check_linear_power(config)
     mu, a, b = config.mu, config.a, config.b
     rows = []
@@ -562,10 +573,10 @@ def _sweep_osc_catalan(config: SweepConfig) -> SweepReport:
             rows.append(SweepRow(N=N, hbar=hbar, metric=f"rel_err_n{n}", value=rel))
         verdicts.append(_decrease_verdict(f"rel-err-decreasing-n{n}", rels))
         verdicts.append(_threshold_verdict(f"final-rel-err-n{n}", rels[-1], 0.05))
-    return SweepReport("osc-catalan", mu, "oscillator", "linear-power", tuple(rows), tuple(verdicts))
+    return rows, verdicts
 
 
-def _sweep_osc_offdiag(config: SweepConfig) -> SweepReport:
+def _sweep_osc_offdiag(config: SweepConfig):
     _check_linear_power(config)
     mu, a, b = config.mu, config.a, config.b
     rows = []
@@ -591,10 +602,10 @@ def _sweep_osc_offdiag(config: SweepConfig) -> SweepReport:
             )
         )
         verdicts.append(Verdict(f"calibrated-bound-n{n}", bound_ok, f"c_n = {c_n:.6g}"))
-    return SweepReport("osc-offdiag", mu, "oscillator", "linear-power", tuple(rows), tuple(verdicts))
+    return rows, verdicts
 
 
-def _sweep_osc_origin_parity(config: SweepConfig) -> SweepReport:
+def _sweep_osc_origin_parity(config: SweepConfig):
     mu = config.mu
     rows = []
     worst = 0.0
@@ -605,10 +616,10 @@ def _sweep_osc_origin_parity(config: SweepConfig) -> SweepReport:
         worst = max(worst, dev)
         rows.append(SweepRow(N=N, hbar=hbar, metric="origin_parity_dev", value=dev))
     verdicts = (_threshold_verdict("parity-within-tolerance", worst, 1e-4),)
-    return SweepReport("osc-origin-parity", mu, "oscillator", "projection", tuple(rows), verdicts)
+    return rows, verdicts
 
 
-def _sweep_moyal_idempotency(config: SweepConfig) -> SweepReport:
+def _sweep_moyal_idempotency(config: SweepConfig):
     """Distance of the direct star square of the projection symbol from the
     symbol itself, on a fixed evaluation lattice.
 
@@ -640,47 +651,38 @@ def _sweep_moyal_idempotency(config: SweepConfig) -> SweepReport:
         d = acc * (ex[1] - ex[0]) * (ep[1] - ep[0])
         rows.append(SweepRow(N=N, hbar=hbar, metric="idempotency_defect_sq", value=d))
     vals = [r.value for r in rows]
-    verdicts = (_decrease_verdict("defect-decreasing", vals),)
-    return SweepReport("moyal-idempotency", mu, "box", "projection", tuple(rows), verdicts)
+    return rows, (_decrease_verdict("defect-decreasing", vals),)
 
 
+# name -> (sweep, model, observable, default N list); each sweep returns its
+# rows and verdicts.
 EXPERIMENTS = {
-    "box-projection-l2": _sweep_box_projection_l2,
-    "box-edge-x": _sweep_box_edge_x,
-    "box-edge-p": _sweep_box_edge_p,
-    "box-bulk-sup": _sweep_box_bulk_sup,
-    "box-tridiag-norm": _sweep_box_tridiag_norm,
-    "box-momentum-norm": _sweep_box_momentum_norm,
-    "osc-catalan": _sweep_osc_catalan,
-    "osc-offdiag": _sweep_osc_offdiag,
-    "osc-origin-parity": _sweep_osc_origin_parity,
-    "osc-disk-l2": _sweep_osc_disk_l2,
-    "moyal-idempotency": _sweep_moyal_idempotency,
+    "box-projection-l2": (_sweep_box_projection_l2, "box", "projection", (10, 20, 40, 80)),
+    "box-edge-x": (partial(_edge_sweep, "x"), "box", "projection", (100, 400)),
+    "box-edge-p": (partial(_edge_sweep, "p"), "box", "projection", (250, 1000)),
+    "box-bulk-sup": (_sweep_box_bulk_sup, "box", "projection", (50, 100, 200, 400)),
+    "box-tridiag-norm": (_sweep_box_tridiag_norm, "box", "tridiagonal", (16, 64, 256, 1024)),
+    "box-momentum-norm": (_sweep_box_momentum_norm, "box", "momentum", (128, 256, 512)),
+    "osc-catalan": (_sweep_osc_catalan, "oscillator", "linear-power", (64, 128, 256, 512)),
+    "osc-offdiag": (_sweep_osc_offdiag, "oscillator", "linear-power", (64, 128, 256)),
+    "osc-origin-parity": (_sweep_osc_origin_parity, "oscillator", "projection", (4, 5, 6, 7)),
+    "osc-disk-l2": (_sweep_osc_disk_l2, "oscillator", "projection", (10, 20, 40, 80)),
+    "moyal-idempotency": (_sweep_moyal_idempotency, "box", "projection", (8, 16)),
 }
 
-_DEFAULT_N: dict[str, tuple[int, ...]] = {
-    "box-projection-l2": (10, 20, 40, 80),
-    "box-edge-x": (100, 400),
-    "box-edge-p": (250, 1000),
-    "box-bulk-sup": (50, 100, 200, 400),
-    "box-tridiag-norm": (16, 64, 256, 1024),
-    "box-momentum-norm": (128, 256, 512),
-    "osc-catalan": (64, 128, 256, 512),
-    "osc-offdiag": (64, 128, 256),
-    "osc-origin-parity": (4, 5, 6, 7),
-    "osc-disk-l2": (10, 20, 40, 80),
-    "moyal-idempotency": (8, 16),
-}
+
+def _experiment(name: str) -> tuple:
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    return EXPERIMENTS[name]
 
 
 def default_n_levels(experiment: str) -> tuple[int, ...]:
-    if experiment not in _DEFAULT_N:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    return _DEFAULT_N[experiment]
+    return _experiment(experiment)[3]
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run a registered experiment; deterministic given the config."""
-    if config.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
-    return EXPERIMENTS[config.experiment](config)
+    sweep, model, observable, _ = _experiment(config.experiment)
+    rows, verdicts = sweep(config)
+    return SweepReport(config.experiment, config.mu, model, observable, tuple(rows), tuple(verdicts))

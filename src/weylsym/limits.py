@@ -1,16 +1,14 @@
-"""Closed-form asymptotic targets: allowed regions, bulk and edge profiles.
+"""Closed-form asymptotic targets: the bulk and edge profiles of the box.
 
-The disk (oscillator) and rectangle (box) both enclose phase-space area
-2 pi mu.  Near the rectangle boundary the finite-rank symbols approach two
-distinct microscopic profiles: a sine-integral profile across the hard wall
-(x edge) and a shifted-index sine series across the momentum edge (p edge).
+Near the boundary of the classically allowed rectangle |x| <= L,
+|p| <= pi mu / 2L the finite-rank symbols approach two distinct microscopic
+profiles: a sine-integral profile across the hard wall (x edge) and a
+shifted-index sine series across the momentum edge (p edge).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -19,83 +17,12 @@ from .basis import _leggauss
 from .kernel import sine_kernel
 
 __all__ = [
-    "RegionKind",
-    "ClassicalRegion",
-    "indicator",
     "bulk_profile_box",
     "bulk_sup_constant",
     "si",
     "edge_profile_x",
     "edge_profile_p",
 ]
-
-
-class RegionKind(Enum):
-    DISK = "disk"
-    RECTANGLE = "rectangle"
-
-
-@dataclass(frozen=True)
-class ClassicalRegion:
-    """Closed classically allowed region: disk of radius sqrt(2 mu), or the
-    box rectangle |x| <= L, |p| <= pi mu / 2L."""
-
-    kind: RegionKind
-    mu: float
-    L: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if self.kind is RegionKind.RECTANGLE and (self.L is None or not self.L > 0):
-            raise ValueError("rectangle region requires a positive L")
-
-    @classmethod
-    def disk(cls, mu: float) -> "ClassicalRegion":
-        return cls(kind=RegionKind.DISK, mu=mu)
-
-    @classmethod
-    def rectangle(cls, mu: float, L: float) -> "ClassicalRegion":
-        return cls(kind=RegionKind.RECTANGLE, mu=mu, L=L)
-
-    @property
-    def radius(self) -> float:
-        if self.kind is not RegionKind.DISK:
-            raise ValueError("radius only exists for the disk")
-        return math.sqrt(2.0 * self.mu)
-
-    @property
-    def x_halfwidth(self) -> float:
-        if self.kind is not RegionKind.RECTANGLE:
-            raise ValueError("x_halfwidth only exists for the rectangle")
-        assert self.L is not None
-        return self.L
-
-    @property
-    def p_halfwidth(self) -> float:
-        if self.kind is not RegionKind.RECTANGLE:
-            raise ValueError("p_halfwidth only exists for the rectangle")
-        assert self.L is not None
-        return math.pi * self.mu / (2.0 * self.L)
-
-    @property
-    def area(self) -> float:
-        # 2 pi mu for both kinds; the rectangle is 2L x (pi mu / L).
-        return 2.0 * math.pi * self.mu
-
-
-def indicator(region: ClassicalRegion, x, p) -> np.ndarray | int:
-    """1 on the closed region, 0 outside; broadcasts."""
-    x_arr = np.asarray(x, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    if region.kind is RegionKind.DISK:
-        # compare radii, not squared radii: keeps the float boundary point
-        # (sqrt(2 mu), 0) inside the closed disk
-        inside = np.hypot(x_arr, p_arr) <= region.radius
-    else:
-        inside = (np.abs(x_arr) <= region.x_halfwidth) & (np.abs(p_arr) <= region.p_halfwidth)
-    out = np.where(inside, 1, 0)
-    return int(out[()]) if out.ndim == 0 else out
 
 
 def bulk_profile_box(mu: float, L: float, y) -> np.ndarray | float:

@@ -19,7 +19,6 @@ from .kernel import _check_box, box_projection_kernel
 from .scale import PhaseGrid, SymbolField, _point_arrays, worker_count
 
 __all__ = [
-    "symbol_rank_one_box",
     "symbol_rank_one_box_complex",
     "symbol_projection_box",
     "projection_symbol_field",
@@ -70,16 +69,6 @@ def symbol_rank_one_box_complex(
     out *= hbar / (2.0 * L)
     out[np.abs(x_arr) > L] = 0.0
     return unwrap(out)
-
-
-def symbol_rank_one_box(j: int, k: int, hbar: float, L: float, x, p) -> np.ndarray | float:
-    """Real part of the rank-one box symbol.
-
-    For j = k this is the full (real) symbol; for j != k the symbol is
-    genuinely complex and the real part equals the symbol of the Hermitian
-    symmetrization (|u_j><u_k| + |u_k><u_j|) / 2.
-    """
-    return symbol_rank_one_box_complex(j, k, hbar, L, x, p).real
 
 
 def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:

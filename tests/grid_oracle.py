@@ -6,12 +6,20 @@ symbol mass outside the window, which the trace identity gives exactly.  Its
 error is first order in the cell size.
 """
 
+import math
 import warnings
 
 import numpy as np
 from matrix_oracle import hs_norm_sq
 
 from weylsym.scale import SymbolField, pairwise_sum
+
+
+def rectangle(mu: float, L: float):
+    """The indicator of the closed box rectangle |x| <= L, |p| <= pi mu / 2L,
+    as a broadcasting callable (x, p) -> 0.0 or 1.0."""
+    p_half = math.pi * mu / (2.0 * L)
+    return lambda x, p: ((np.abs(x) <= L) & (np.abs(p) <= p_half)).astype(float)
 
 
 class TailDeficitWarning(UserWarning):

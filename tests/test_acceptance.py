@@ -9,29 +9,22 @@ import math
 
 import numpy as np
 import pytest
-from grid_oracle import l2_distance_with_tail
+from grid_oracle import l2_distance_with_tail, rectangle
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
 from matrix_oracle import box_momentum_matrix, dense_power, hs_norm_sq, ladder_matrices
 from quadrature_oracle import box_quadrature_spec, box_y_support, symbol_from_kernel, symbol_from_kernel_complex
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.diag import (
+    EXPERIMENTS,
     SweepConfig,
-    box_momentum_tail_norm_sq,
-    catalan_limit_value,
-    angular_integral,
     band_norm_sq,
+    catalan_limit_value,
+    default_n_levels,
     run_sweep,
 )
 from weylsym.kernel import box_projection_kernel
-from weylsym.limits import (
-    ClassicalRegion,
-    bulk_profile_box,
-    bulk_sup_constant,
-    edge_profile_p,
-    edge_profile_x,
-    indicator,
-)
+from weylsym.limits import bulk_profile_box, bulk_sup_constant, edge_profile_p, edge_profile_x
 from weylsym.moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
 from weylsym.scale import PhaseGrid
 from weylsym.truncate import matrix_linear_power
@@ -50,11 +43,12 @@ def report(line):
 
 
 def test_ac1_exact_norm_identity():
-    """hs norm of the rank-N projection symbol is exactly 2 pi hbar N."""
+    """hs norm of the rank-N projection symbol is exactly 2 pi hbar N: the
+    band norm of the ladder power n = 0, the identity."""
     mu = 1.0
     for N in (1, 10, 100, 1000):
         hbar = mu / N
-        got = hs_norm_sq(np.eye(N, dtype=complex), hbar)
+        got = band_norm_sq(matrix_linear_power(1.0, 0.0, 0, hbar, N), 0, N)
         want = 2 * math.pi * hbar * N
         assert abs(got - want) <= 1e-14 * want
     report("AC-1 exact norm identity (2 pi hbar N, N in {1,10,100,1000}): PASS")
@@ -64,8 +58,7 @@ def test_ac2_box_l2_convergence():
     """Global distance^2 to chi_R decreases and is below 0.35 * 2 pi mu at N=80."""
     mu = 1.0
     L = math.sqrt(math.pi / 2.0)
-    region = ClassicalRegion.rectangle(mu, L)
-    target = lambda x, p: np.asarray(indicator(region, x, p), dtype=float)
+    target = rectangle(mu, L)
     grid = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, 800, 800)
     dist = {}
     for N in (10, 20, 40, 80):
@@ -176,16 +169,18 @@ def test_ac7_p_edge_profile():
 
 
 def test_ac8_truncated_momentum_norm():
-    """Momentum truncation norm converges to pi^3 mu^3 / 6 L^2; tail block halves."""
+    """Momentum truncation norm converges to pi^3 mu^3 / 6 L^2; tail block
+    halves.  The sweep's norms agree with the dense matrix oracle."""
     mu, L = 1.0, 1.0
+    levels = (128, 256, 512)
     limit = math.pi**3 * mu**3 / (6 * L**2)
-    rels = []
-    tails = []
-    for N in (128, 256, 512):
+    rep = run_sweep(SweepConfig("box-momentum-norm", levels, mu, L))
+    for N, val in zip(levels, rep.values("hs_norm_sq")):
         hbar = mu / N
-        val = hs_norm_sq(box_momentum_matrix(N, L, hbar), hbar)
-        rels.append(abs(val - limit) / limit)
-        tails.append(box_momentum_tail_norm_sq(N, L, hbar))
+        assert val == pytest.approx(hs_norm_sq(box_momentum_matrix(N, L, hbar), hbar), rel=1e-12)
+    rels = rep.values("rel_err")
+    tails = rep.values("offdiag_norm_sq")
+    assert rels == [abs(v - limit) / limit for v in rep.values("hs_norm_sq")]
     assert all(r2 < r1 for r1, r2 in zip(rels, rels[1:]))
     assert rels[-1] < 0.05
     for b1, b2 in zip(tails, tails[1:]):
@@ -294,8 +289,7 @@ def test_ac11_oracle_equivalences():
 
 
 def test_ac12_moyal_layer():
-    """Composition reproduces idempotency; direct quadrature within 2%;
-    angular integral vs quadrature."""
+    """Composition reproduces idempotency; direct quadrature within 2%."""
     mu, L, N = 1.0, 1.0, 10
     hbar = mu / N
     basis = EigenBasis(Model.BOX, hbar=hbar, box_half_width=L)
@@ -318,15 +312,7 @@ def test_ac12_moyal_layer():
         comp = moyal_via_composition(proj, proj, hbar, x, p)
         worst = max(worst, abs(direct - comp) / max(1.0, abs(comp)))
     assert worst <= 0.02
-
-    # angular integral against trapezoid quadrature
-    for n in (1, 2, 3, 4):
-        for (a, b) in ((1.0, 0.0), (0.7, -1.2)):
-            ts = np.linspace(0.0, 2 * math.pi, 4001)
-            f = (a * np.cos(ts) + b * np.sin(ts)) ** (2 * n)
-            want = float(np.trapezoid(f, ts))
-            assert abs(angular_integral(n, a, b) - want) <= 1e-9 * max(1.0, want)
-    report(f"AC-12 Moyal layer (idempotency exact; direct vs composition {worst:.4f} <= 2%; angular 1e-9): PASS")
+    report(f"AC-12 Moyal layer (idempotency exact; direct vs composition {worst:.4f} <= 2%): PASS")
 
 
 def test_ac13_osc_disk_l2():
@@ -355,15 +341,33 @@ def test_ac13_osc_disk_l2():
     )
 
 
-def test_registered_sweeps_mirror_acceptance():
-    """The registered experiments driving AC-2/3/5 pass with their defaults
-    scaled to suite-friendly sizes."""
-    rep = run_sweep(SweepConfig(experiment="osc-catalan", n_levels=(64, 128, 256, 512)))
+# every registered experiment with the model and observable its report names
+REGISTERED = [
+    ("box-projection-l2", "box", "projection"),
+    ("box-edge-x", "box", "projection"),
+    ("box-edge-p", "box", "projection"),
+    ("box-bulk-sup", "box", "projection"),
+    ("box-tridiag-norm", "box", "tridiagonal"),
+    ("box-momentum-norm", "box", "momentum"),
+    ("osc-catalan", "oscillator", "linear-power"),
+    ("osc-offdiag", "oscillator", "linear-power"),
+    ("osc-origin-parity", "oscillator", "projection"),
+    ("osc-disk-l2", "oscillator", "projection"),
+    ("moyal-idempotency", "box", "projection"),
+]
+
+
+def test_registry_is_the_listed_experiments():
+    assert list(EXPERIMENTS) == [name for name, _, _ in REGISTERED]
+
+
+@pytest.mark.parametrize("experiment, model, observable", REGISTERED)
+def test_registered_sweeps_mirror_acceptance(experiment, model, observable):
+    """Every registered experiment passes at its default N list and labels
+    its report with its model and observable."""
+    levels = default_n_levels(experiment)
+    rep = run_sweep(SweepConfig(experiment=experiment, n_levels=levels))
+    assert (rep.experiment, rep.model, rep.observable) == (experiment, model, observable)
+    assert set(levels) <= {r.N for r in rep.rows}
     assert rep.passed
-    rep = run_sweep(SweepConfig(experiment="box-bulk-sup", n_levels=(50, 100, 200, 400)))
-    assert rep.passed
-    rep = run_sweep(SweepConfig(experiment="osc-offdiag", n_levels=(64, 128, 256)))
-    assert rep.passed
-    rep = run_sweep(SweepConfig(experiment="moyal-idempotency", n_levels=(8, 16)))
-    assert rep.passed
-    report("Registered sweeps (osc-catalan, box-bulk-sup, osc-offdiag, moyal-idempotency): PASS")
+    report(f"Registered sweep {experiment} ({model}, {observable}) at N = {levels}: PASS")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import weylsym.cli
+import weylsym.diag
 from weylsym.cli import main
 from weylsym.weyl import symbol_oscillator_projection, symbol_projection_box
 
@@ -195,6 +196,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--n", "13"], "error: matrix build refused for n > 12\n"),
         (["--N", "5000"], "error: dimension 5000 exceeds the 4096 cap\n"),
+        (["--n", "2,2", "--N", "64,128", "--a", "1"], "error: powers must be strictly increasing\n"),
     ])
     def test_linear_power_refused_before_any_band(self, tmp_path, monkeypatch, capsys, flags, message):
         import weylsym.truncate
@@ -321,7 +323,7 @@ class TestEdgeCommand:
         def fail(*args, **kwargs):
             raise RuntimeError("series truncation did not reach the requested tol")
 
-        monkeypatch.setattr(weylsym.cli, "edge_profile_p", fail)
+        monkeypatch.setattr(weylsym.diag, "edge_profile_p", fail)
         out = tmp_path / "e.csv"
         code = run([
             "edge", "--kind", "p", "--x", "0.999", "--v", "0.5", "--N", "1000", "-o", str(out),
@@ -359,6 +361,23 @@ class TestMoyalCheckCommand:
         assert run(["moyal-check", "--N", "4", "--points", points, "-o", str(out)]) == 2
         assert capsys.readouterr().err == "error: points must be >= 1\n"
         assert not out.exists()
+
+    def test_resource_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
+        # the moyal-idempotency guard: the 24N default grid at N = 152 is
+        # 152 * 3648^2 > 2e9 cells (N = 151 fits)
+        def no_field(*args):
+            raise AssertionError("field built")
+
+        message = "error: resource guard exceeded (N * points budget) at N = 152\n"
+        monkeypatch.setattr(weylsym.cli, "projection_symbol_field", no_field)
+        monkeypatch.setattr(weylsym.diag, "projection_symbol_field", no_field)
+        out = tmp_path / "moyal.json"
+        assert run(["moyal-check", "--N", "152", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        code = run(["sweep", "--exp", "moyal-idempotency", "--N", "8,152", "-o", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err == message
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

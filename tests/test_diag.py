@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from eigen_oracle import box_wavefunctions
-from grid_oracle import TailDeficitWarning, l2_distance_with_tail
+from grid_oracle import TailDeficitWarning, l2_distance_with_tail, rectangle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from matrix_oracle import (
@@ -21,16 +21,15 @@ from weylsym.diag import (
     _TAIL_CUTOFF,
     SweepConfig,
     _box_momentum_inner_norm_sq,
-    angular_integral,
     band_norm_sq,
     box_momentum_tail_norm_sq,
     box_projection_distance_sq,
     catalan_limit_value,
     default_n_levels,
+    edge_section,
     oscillator_disk_distance_sq,
     run_sweep,
 )
-from weylsym.limits import ClassicalRegion, indicator
 from weylsym.scale import PhaseGrid
 from weylsym.truncate import matrix_linear_power
 from weylsym.weyl import projection_symbol_field, symbol_oscillator_projection
@@ -208,8 +207,7 @@ class TestDistanceWithTail:
 
     def test_distance_to_rectangle_decreases(self):
         mu, L = 1.0, math.sqrt(math.pi / 2.0)
-        region = ClassicalRegion.rectangle(mu, L)
-        target = lambda x, p: np.asarray(indicator(region, x, p), dtype=float)
+        target = rectangle(mu, L)
         g = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, 400, 400)
         d = {}
         for N in (20, 80):
@@ -221,8 +219,7 @@ class TestDistanceWithTail:
     def test_target_support_must_fit(self):
         mu, L = 1.0, 1.0
         g = PhaseGrid(-0.9 * L, 0.9 * L, -2.0, 2.0, 64, 64)  # cuts the rectangle
-        region = ClassicalRegion.rectangle(mu, L)
-        target = lambda x, p: np.asarray(indicator(region, x, p), dtype=float)
+        target = rectangle(mu, L)
         fld = projection_symbol_field(4, mu / 4, L, g)
         with pytest.raises(ValueError, match="target support exceeds window"):
             l2_distance_with_tail(fld, target, identity_matrix(4), mu / 4)
@@ -290,8 +287,7 @@ class TestExactDistances:
         mu, L = 1.0, math.sqrt(math.pi / 2.0)
         hbar = mu / N
         exact = box_projection_distance_sq(N, hbar, L)
-        region = ClassicalRegion.rectangle(mu, L)
-        target = lambda x, p: np.asarray(indicator(region, x, p), dtype=float)
+        target = rectangle(mu, L)
         P = math.pi * mu / (2.0 * L)
         errs = []
         for n in (800, 1600):
@@ -345,18 +341,16 @@ class TestCatalanAndAngular:
         # 2 pi mu^3 ((a^2+b^2)/2)^2 C_2 at a=b=1, mu=1: 2 pi * 1 * 2 = 4 pi
         assert catalan_limit_value(2, 1.0, 1.0, 1.0) == pytest.approx(4 * math.pi, rel=1e-14)
 
-    def test_angular_base(self):
-        assert angular_integral(0, 5.0, 5.0) == pytest.approx(2 * math.pi)
-
-    def test_angular_n1(self):
-        assert angular_integral(1, 1.0, 0.0) == pytest.approx(math.pi, rel=1e-14)
-
     @pytest.mark.parametrize("n,a,b", [(1, 1.0, 0.0), (2, 0.3, 1.1), (3, 2.0, 1.0), (4, -1.0, 2.5)])
     def test_angular_matches_trapezoid(self, n, a, b):
+        # the limit is the integral of (a x + b p)^{2n} over the disk of
+        # radius R = sqrt(2 mu): R^{2n+2} / (2n + 2) times the angular
+        # integral of (a cos t + b sin t)^{2n}, here by the trapezoid rule
+        mu = 0.7
         ts = np.linspace(0.0, 2 * math.pi, 2001)
         f = (a * np.cos(ts) + b * np.sin(ts)) ** (2 * n)
-        want = float(np.trapezoid(f, ts))
-        assert angular_integral(n, a, b) == pytest.approx(want, rel=1e-9)
+        want = (2 * mu) ** (n + 1) / (2 * n + 2) * float(np.trapezoid(f, ts))
+        assert catalan_limit_value(n, a, b, mu) == pytest.approx(want, rel=1e-9)
 
 
 class TestOscillatorParitySpot:
@@ -395,6 +389,39 @@ class TestParsevalConsistency:
         assert windowed == pytest.approx(total, rel=0.01)  # window holds 99%
 
 
+class TestEdgeSection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["x", "p"]),
+        N=st.integers(1, 300),
+        mu=st.floats(0.1, 5.0),
+        L=st.floats(0.1, 5.0),
+        coords=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=8),
+        fixed=st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2)),
+    )
+    def test_two_sections_in_one_call_bit_for_bit(self, kind, N, mu, L, coords, fixed):
+        # the sweeps stack their sections into one symbol call; each row must
+        # be the doubles of that section alone (v is shifted to [-2, 6], the
+        # fixed x or p scaled to L or to P = pi mu / 2L)
+        coords = np.array(coords) - (2.0 if kind == "p" else 0.0)
+        scale = L if kind == "p" else math.pi * mu / (2.0 * L)
+        pair = [scale * f for f in fixed]
+        sym, prof = edge_section(kind, N, mu, L, coords, np.array(pair)[:, None])
+        assert sym.shape == prof.shape == (2, coords.size)
+        for row, f in enumerate(pair):
+            one_sym, one_prof = edge_section(kind, N, mu, L, coords, f)
+            assert np.array_equal(sym[row], one_sym)
+            assert np.array_equal(prof[row], one_prof)
+
+    @pytest.mark.parametrize("kind, coords, message", [
+        ("x", [0.5, -0.1], "u must be >= 0"),
+        ("q", [0.5], "edge kind must be"),
+    ])
+    def test_refusals(self, kind, coords, message):
+        with pytest.raises(ValueError, match=message):
+            edge_section(kind, 10, 1.0, 1.0, coords, 0.0)
+
+
 class TestSweeps:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -407,6 +434,18 @@ class TestSweeps:
     def test_non_increasing_n_list(self):
         with pytest.raises(ValueError, match="increasing"):
             SweepConfig(experiment="osc-catalan", n_levels=(8, 8))
+
+    @pytest.mark.parametrize("powers, message", [
+        ((2, 2), "strictly increasing"),
+        ((3, 1), "strictly increasing"),
+        ((1, 2, 2), "strictly increasing"),
+        ((), "nonempty"),
+    ])
+    def test_non_increasing_powers(self, powers, message):
+        # a repeated power once wrote its rows and verdicts twice, and no
+        # power at all failed inside the sweep on min(())
+        with pytest.raises(ValueError, match=f"powers must be {message}"):
+            SweepConfig(experiment="osc-catalan", n_levels=(64, 128), powers=powers)
 
     @pytest.mark.parametrize("experiment", ["box-edge-x", "osc-catalan", "box-tridiag-norm"])
     def test_n_below_one_refused(self, experiment):

@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from grid_oracle import rectangle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylsym.limits import (
     _EDGE_P_SWITCH,
-    ClassicalRegion,
-    RegionKind,
     _edge_p_laguerre,
     _edge_p_legendre,
     _si_series,
@@ -17,7 +16,6 @@ from weylsym.limits import (
     bulk_sup_constant,
     edge_profile_p,
     edge_profile_x,
-    indicator,
     si,
 )
 from weylsym.diag import catalan_limit_value
@@ -95,52 +93,39 @@ def edge_p_series_oracle(x: float, v: float, L: float, terms: int = 4096) -> flo
 
 
 class TestClassicalRegion:
-    def test_disk_contains_center_and_boundary(self):
-        D = ClassicalRegion.disk(1.0)
-        assert indicator(D, 0.0, 0.0) == 1
-        assert indicator(D, math.sqrt(2.0), 0.0) == 1  # closed boundary
-        assert indicator(D, 1.5, 0.5) == 0
+    """The box rectangle that the grid oracle of the L2 distance targets."""
 
     def test_rectangle_just_outside(self):
         mu = 1.0
         L = math.sqrt(math.pi / 2.0)
-        R = ClassicalRegion.rectangle(mu, L)
+        R = rectangle(mu, L)
         p_half = math.pi * mu / (2 * L)
-        assert indicator(R, 0.0, p_half + 0.01) == 0
-        assert indicator(R, 0.0, p_half) == 1
-        assert indicator(R, L, 0.0) == 1
-
-    def test_both_regions_have_area_two_pi_mu(self):
-        for mu in (0.5, 1.0, 3.7):
-            D = ClassicalRegion.disk(mu)
-            assert D.area == pytest.approx(math.pi * D.radius**2, rel=1e-14)
-            for L in (0.5, 1.0, 2.2):
-                R = ClassicalRegion.rectangle(mu, L)
-                assert R.area == pytest.approx(2 * L * 2 * R.p_halfwidth, rel=1e-14)
-                assert R.area == pytest.approx(2 * math.pi * mu, rel=1e-14)
+        assert R(0.0, p_half + 0.01) == 0
+        assert R(0.0, p_half) == 1
+        assert R(L, 0.0) == 1
 
     def test_indicator_broadcasts(self):
-        R = ClassicalRegion.rectangle(1.0, 1.0)
+        R = rectangle(1.0, 1.0)
         xs = np.linspace(-2, 2, 9)[:, None]
         ps = np.linspace(-3, 3, 7)[None, :]
-        vals = indicator(R, xs, ps)
+        vals = R(xs, ps)
         assert vals.shape == (9, 7)
         assert vals.max() == 1 and vals.min() == 0
 
 
 def limit_symbol(f, region, x, p):
     """f(x, p) cut off on the region: the macroscopic limit of truncations of f."""
-    return f(np.asarray(x, dtype=float), np.asarray(p, dtype=float)) * indicator(region, x, p)
+    return f(np.asarray(x, dtype=float), np.asarray(p, dtype=float)) * region(x, p)
 
 
 class TestLimitSymbol:
     def test_constant_one_is_indicator(self):
-        D = ClassicalRegion.disk(1.0)
-        for (x, p) in [(0.0, 0.0), (2.0, 2.0), (1.0, 0.9)]:
-            assert limit_symbol(lambda x_, p_: np.ones_like(x_), D, x, p) == indicator(D, x, p)
+        R = rectangle(1.0, 1.0)
+        for (x, p) in [(0.0, 0.0), (2.0, 2.0), (0.9, 1.5)]:
+            assert limit_symbol(lambda x_, p_: np.ones_like(x_), R, x, p) == R(x, p)
 
     def test_momentum_cutoff_is_odd(self):
-        R = ClassicalRegion.rectangle(1.0, 1.0)
+        R = rectangle(1.0, 1.0)
         f = lambda x_, p_: p_
         for p in (0.3, 1.2, 2.0):
             assert limit_symbol(f, R, 0.2, -p) == -limit_symbol(f, R, 0.2, p)
@@ -149,7 +134,6 @@ class TestLimitSymbol:
     def test_squared_mass_on_disk_matches_catalan(self, n, a, b):
         # polar quadrature of (a x + b p)^{2n} over the disk of radius sqrt(2 mu)
         mu = 1.0
-        D = ClassicalRegion.disk(mu)
         nr, nt = 400, 1024
         r_edges = np.linspace(0.0, math.sqrt(2 * mu), nr + 1)
         r = 0.5 * (r_edges[1:] + r_edges[:-1])
