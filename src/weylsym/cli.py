@@ -139,7 +139,8 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
             "values": fld.values.tolist(),
         }
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # json.dump would run the pure-Python encoder; dumps runs the C one
+            fh.write(json.dumps(payload, sort_keys=True))
             fh.write("\n")
     _write_manifest(
         args.output + ".manifest.json",
@@ -216,7 +217,7 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
     if args.points < 1:
         raise ConfigError("points must be >= 1")
     hbar = mu / N
-    grid = _parse_grid(args.grid) if args.grid else direct_grid(N, L)
+    grid = _parse_grid(args.grid) if args.grid else direct_grid(N, mu, L)
     _check_budget(N, grid.nx * grid.np)  # the moyal-idempotency guard
     fld = projection_symbol_field(N, hbar, L, grid)
     from .basis import EigenBasis, Model
@@ -295,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--N", type=int, default=10)
     m.add_argument("--mu", type=_finite, default=1.0)
     m.add_argument("--L", type=_finite, default=1.0)
-    m.add_argument("--grid", help="x0:x1:nx,p0:p1:np (default -1.5L:1.5L:24N,-6:6:24N)")
+    m.add_argument("--grid", help="x0:x1:nx,p0:p1:np (default -1.5L:1.5L:24N,-h:h:ceil(4Nh), "
+                   "h = max(6, pi mu / L))")
     m.add_argument("--points", type=int, default=10)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--tol", type=_finite, default=0.02)

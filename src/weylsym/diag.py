@@ -626,12 +626,14 @@ def _sweep_moyal_idempotency(config: SweepConfig):
     The defect is entirely a property of the direct-quadrature scheme (the
     composition is exact), so the sampling grid must resolve the symbol's
     1/hbar oscillation at each N: it is `moyal.direct_grid`, whose cells
-    scale with N while the window and the evaluation lattice stay fixed.
-    The budget is checked once, at the largest N, before any work.
+    scale with N.  Its p window, [-6, 6] or twice the symbol's momentum
+    extent pi mu / 2L if that is wider, and the evaluation lattice stay
+    fixed across N.  The budget is checked once, at the largest N, before
+    any work.
     """
     mu, L = config.mu, config.L
     N_max = max(config.n_levels)
-    largest = direct_grid(N_max, L)
+    largest = direct_grid(N_max, mu, L)
     _check_budget(N_max, largest.nx * largest.np)
     # fixed interior evaluation lattice, well inside the rectangle
     ex = np.linspace(-0.6 * L, 0.6 * L, 10)
@@ -640,7 +642,7 @@ def _sweep_moyal_idempotency(config: SweepConfig):
     rows = []
     for N in config.n_levels:
         hbar = mu / N
-        fld = projection_symbol_field(N, hbar, L, direct_grid(N, L))
+        fld = projection_symbol_field(N, hbar, L, direct_grid(N, mu, L))
         acc = 0.0
         for x0 in ex:
             diff = moyal_direct(fld, fld, hbar, float(x0), ep) - symbol_projection_box(

@@ -7,7 +7,9 @@ serves as ground truth.  The direct route discretizes the 4-fold
 star-product integral in its y/p pairing form by two successive 2-fold
 midpoint sums.  Its momentum shifts fall on the grid's own p-centres, so
 the sampled symbols are interpolated along x only: linearly between whole
-grid rows, zero outside the grid.  It exists to exercise that integral
+grid rows, zero outside the grid.  On that lattice the phase sums are
+shifted discrete Fourier transforms, so a row of momenta at one position
+costs O(M^2 log M) by FFT along p.  It exists to exercise that integral
 formula and is validated against composition; `direct_grid` is the grid
 that resolves a rank-N box symbol for it.
 """
@@ -108,11 +110,14 @@ def moyal_via_composition(
     return moyal_via_composition_complex(A, B, hbar, x, p).real
 
 
-def direct_grid(N: int, L: float) -> PhaseGrid:
-    """The sampling grid of `moyal_direct` for a rank-N box symbol of half
-    width L: the window [-1.5 L, 1.5 L] x [-6, 6] with 24 N cells per axis,
-    enough to resolve the symbol's 1/hbar oscillation at every N."""
-    return PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 24 * N, 24 * N)
+def direct_grid(N: int, mu: float, L: float) -> PhaseGrid:
+    """The sampling grid of `moyal_direct` for a rank-N box symbol at
+    hbar N = mu, half width L: [-1.5 L, 1.5 L] x [-h, h] with 24 N x
+    ceil(4 N h) cells, h = max(6, pi mu / L), twice the symbol's momentum
+    reach once that passes 3.  dp <= 1 / 2N resolves the symbol's 1/hbar
+    oscillation at every N."""
+    half = max(6.0, math.pi * mu / L)
+    return PhaseGrid(-1.5 * L, 1.5 * L, -half, half, 24 * N, math.ceil(4 * N * half))
 
 
 def _rows_at(field: SymbolField, X: np.ndarray) -> np.ndarray:
@@ -150,9 +155,14 @@ def moyal_direct(sigma1: SymbolField, sigma2: SymbolField, hbar: float, x: float
     zero.
 
     With S_n[a, i] = sigma_n(x - hbar y_a / 2, q_i) and F[i, j] = e^{i q_i y_j}
-    the sum is  sum_{a,j} e^{ip (y_a - y_j)} (S1 F)[a, j] (S2 conj F)[j, a],
-    so a whole row of p at fixed x costs two M^3 products (one when sigma2
-    is sigma1, since then S2 conj F = conj(S1 F)) and O(M^2) per p.
+    the sum is  sum_{a,j} e^{ip (y_a - y_j)} (S1 F)[a, j] (S2 conj F)[j, a].
+    As q_i = q_0 + i dp, y_j = y_0 + j dy and dp dy = 2 pi / M,
+    F[i, j] = e^{i q_0 y_j} e^{i i dp y_0} e^{2 pi i ij / M}: the rows of S F
+    are inverse DFTs of the twisted rows of S, those of S conj F forward
+    ones, and e^{i q_0 y_j} moves into the outer phase e^{i (p - q_0) y}.
+    A row of p at fixed x costs one or two batches of M length-M FFTs,
+    O(M^2 log M) (one when sigma2 is sigma1, since then S2 conj F =
+    conj(S1 F)), and O(M^2) per p.
     Returns a float for scalar p, else an array shaped like p.
     """
     if sigma1.grid != sigma2.grid:
@@ -163,21 +173,23 @@ def moyal_direct(sigma1: SymbolField, sigma2: SymbolField, hbar: float, x: float
         raise ValueError("point outside window")
 
     M = g.np
-    q = g.p_centers()
+    q0 = g.p_min + 0.5 * g.dp
     dy = 2.0 * math.pi / (M * g.dp)
     y = (np.arange(M) + 0.5 - M / 2.0) * dy
 
     shifted_x = x - hbar * y / 2.0
-    F = np.exp(1j * q[:, None] * y[None, :])                       # (M, My)
-    H = _rows_at(sigma1, shifted_x) @ F                           # (My, My)
-    # H[a, j] = (S1 F)[a, j] (S2 conj F)[j, a], built in place
+    twist = np.exp(1j * g.dp * y[0] * np.arange(M))
+    # H[a, j] = (S1 F)[a, j] (S2 conj F)[j, a] e^{i q_0 (y_a - y_j)}, built in
+    # place: each transform overwrites the twisted rows it reads, and
+    # norm="forward" leaves the inverse transform unscaled
+    H = _rows_at(sigma1, shifted_x) * twist                        # (My, M)
+    np.fft.ifft(H, axis=1, norm="forward", out=H)                   # (My, My)
     if sigma2 is sigma1:
         H *= H.T.conj()
     else:
-        np.conjugate(F, out=F)
-        H *= (_rows_at(sigma2, shifted_x) @ F).T
-    del F
-    E = np.exp(1j * p_arr.reshape(-1)[:, None] * y[None, :])        # (P, My)
+        G = _rows_at(sigma2, shifted_x) * twist.conj()
+        H *= np.fft.fft(G, axis=1, out=G).T
+    E = np.exp(1j * (p_arr.reshape(-1) - q0)[:, None] * y[None, :])  # (P, My)
     vals = (dy * g.dp / (2.0 * math.pi)) ** 2 * np.sum((E @ H) * E.conj(), axis=1)
     if p_arr.ndim == 0:
         return float(vals[0].real)

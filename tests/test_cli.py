@@ -1,6 +1,9 @@
 import json
-
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ import pytest
 import weylsym.cli
 import weylsym.diag
 from weylsym.cli import main
-from weylsym.weyl import symbol_oscillator_projection, symbol_projection_box
+from weylsym.scale import PhaseGrid
+from weylsym.weyl import projection_symbol_field, symbol_oscillator_projection, symbol_projection_box
 
 
 def run(args):
@@ -76,6 +80,26 @@ class TestFieldCommand:
         assert payload["values"][3][4] == symbol_projection_box(
             5, 0.2, 1.0, payload["x"][3], payload["p"][4]
         )
+
+    def test_json_bytes_equal_json_dump(self, tmp_path):
+        # the field is encoded by json.dumps (the C encoder) and must keep
+        # the bytes that json.dump (the pure-Python one) writes
+        out = tmp_path / "field.json"
+        assert run([
+            "field", "--N", "7", "--mu", "1.1", "--L", "0.9",
+            "--grid", "-1.2:1.3:31,-4:3.5:29", "--format", "json", "-o", str(out),
+        ]) == 0
+        grid = PhaseGrid(-1.2, 1.3, -4.0, 3.5, 31, 29)
+        payload = {
+            "x": grid.x_centers().tolist(),
+            "p": grid.p_centers().tolist(),
+            "values": projection_symbol_field(7, 1.1 / 7, 0.9, grid).values.tolist(),
+        }
+        want = tmp_path / "want.json"
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        assert out.read_bytes() == want.read_bytes()
 
     def test_bad_grid_spec(self, tmp_path):
         code = run([
@@ -192,6 +216,15 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: resource guard")
         assert not (tmp_path / "m.json").exists()
+
+    def test_moyal_window_covers_the_symbol_at_large_mu(self, tmp_path):
+        # P = 5 pi / 2 lies beyond a fixed [-6, 6] window, where the defect
+        # read 7.85 -> 1.62
+        code = run(["sweep", "--exp", "moyal-idempotency", "--mu", "5", "-o", str(tmp_path / "m")])
+        assert code == 0
+        rows = json.loads((tmp_path / "m.json").read_text())["rows"]
+        assert [r["N"] for r in rows] == [8, 16]
+        assert rows[-1]["value"] < 1e-3
 
     @pytest.mark.parametrize("flags, message", [
         (["--n", "13"], "error: matrix build refused for n > 12\n"),
@@ -379,6 +412,25 @@ class TestMoyalCheckCommand:
         assert code == 2
         assert capsys.readouterr().err == message
 
+    def test_default_grid_scales_with_mu(self, tmp_path):
+        # P = 2 pi: a fixed [-6, 6] p window gave max rel err 1.49 here
+        out = tmp_path / "moyal.json"
+        code = run(["moyal-check", "--N", "16", "--mu", "4", "--points", "20", "-o", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["max_rel_err"] <= 0.02
+
+    def test_resource_guard_counts_the_wider_window(self, tmp_path, monkeypatch, capsys):
+        # N = 100 fits at mu = 1 (100 * 2400^2 cells), but at mu = 8 the
+        # p window is [-8 pi, 8 pi] with 10054 cells: 100 * 2400 * 10054 > 2e9
+        def no_field(*args):
+            raise AssertionError("field built")
+
+        monkeypatch.setattr(weylsym.cli, "projection_symbol_field", no_field)
+        out = tmp_path / "moyal.json"
+        assert run(["moyal-check", "--N", "100", "--mu", "8", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: resource guard exceeded (N * points budget) at N = 100\n"
+        assert not out.exists()
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -387,6 +439,16 @@ class TestMoyalCheckCommand:
                 "--points", "3", "--seed", "7", "-o", str(out),
             ])
         assert a.read_text().replace("a.json", "o") == b.read_text().replace("b.json", "o")
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; moyal_direct reaches it as np.fft,
+    # so importing the CLI does not pay for it
+    code = "import sys, weylsym.cli; assert 'numpy.fft' not in sys.modules, 'numpy.fft loaded'"
+    env = dict(os.environ, PYTHONPATH=str(Path(weylsym.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestVersionFlag:

@@ -11,6 +11,7 @@ from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import (
     FiniteRankOperator,
     _rows_at,
+    direct_grid,
     moyal_direct,
     moyal_via_composition,
     moyal_via_composition_complex,
@@ -227,6 +228,33 @@ class TestDirect:
             want = [moyal_direct_pointwise(first, second, hbar, x0, float(p0)) for p0 in ps]
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-13)
 
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        nx=st.integers(6, 70),
+        n_p=st.integers(6, 70),
+        p_min=st.floats(-7.0, -0.5),
+        p_max=st.floats(0.5, 7.0),
+        N=st.integers(1, 8),
+        mu=st.floats(0.5, 2.0),
+        t=st.floats(0.01, 0.99),
+        s=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+        same=st.booleans(),
+    )
+    def test_fft_rows_match_pointwise_oracle(self, nx, n_p, p_min, p_max, N, mu, t, s, same):
+        # odd and even M, p windows off-centre, so the twist and the outer
+        # phase e^{i (p - q_0) y} are exercised apart from each other
+        grid = PhaseGrid(-1.5, 1.5, p_min, p_max, nx, n_p)
+        hbar = mu / N
+        first = projection_symbol_field(N, hbar, 1.0, grid)
+        second = first if same else SymbolField.sample(
+            lambda x, p: np.exp(-((x - 0.2) ** 2 + (p - 0.3) ** 2)) * (1.0 + 0.5 * p), grid
+        )
+        x0 = grid.x_min + t * (grid.x_max - grid.x_min)
+        ps = grid.p_min + np.array(s) * (grid.p_max - grid.p_min)
+        row = moyal_direct(first, second, hbar, x0, ps)
+        want = [moyal_direct_pointwise(first, second, hbar, x0, float(p0)) for p0 in ps]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-13)
+
     def test_scalar_p_is_the_row_element(self):
         N, hbar = 6, 1.0 / 6
         grid = PhaseGrid(-1.5, 1.5, -6.0, 6.0, 64, 64)
@@ -256,6 +284,25 @@ class TestDirect:
         b = SymbolField.sample(lambda x, p: x * p, PhaseGrid(-1, 1, -1, 1, 16, 17))
         with pytest.raises(ValueError, match="incompatible grids"):
             moyal_direct(a, b, 0.5, 0.0, 0.0)
+
+
+class TestDirectGrid:
+    @pytest.mark.parametrize("N, mu, L", [
+        (8, 1.0, 1.0), (16, 1.02, 0.98), (5, 0.3, 2.0), (12, 6.0 / math.pi, 1.0), (3, 1.9, 1.0),
+    ])
+    def test_fixed_window_while_pi_mu_at_most_6L(self, N, mu, L):
+        assert direct_grid(N, mu, L) == PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 24 * N, 24 * N)
+
+    @pytest.mark.parametrize("N, mu, L", [(16, 4.0, 1.0), (16, 5.0, 1.0), (7, 1.0, 0.4), (1, 2.5, 1.3)])
+    def test_wider_window_covers_twice_the_momentum_reach(self, N, mu, L):
+        g = direct_grid(N, mu, L)
+        P = math.pi * mu / (2.0 * L)
+        assert g.p_max == -g.p_min == pytest.approx(2.0 * P, rel=1e-15)
+        assert g.p_max > 6.0
+        assert (g.x_min, g.x_max, g.nx) == (-1.5 * L, 1.5 * L, 24 * N)
+        # cells no wider than at the fixed window, and no more than needed
+        assert g.dp <= 12.0 / (24 * N)
+        assert (g.np - 1) * 12.0 / (24 * N) < 2.0 * g.p_max
 
 
 def osc_basis(hbar):
