@@ -1,4 +1,4 @@
-"""The two exactly solvable models, and the Gauss-Legendre rule of `diag` and `limits`.
+"""The two exactly solvable models.
 
 `EigenBasis` names a model (oscillator or hard-wall box on [-L, L]) with its
 hbar; the closed forms in `weyl`, `kernel` and `moyal` need no eigenfunction
@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-
-import numpy as np
 
 __all__ = ["Model", "EigenBasis"]
 
@@ -43,11 +40,3 @@ class EigenBasis:
         assert self.box_half_width is not None
         return self.box_half_width
 
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .diag import SweepConfig, _check_budget, default_n_levels, edge_section, run_sweep
+from .diag import SweepConfig, _check_direct_grid, default_n_levels, edge_section, run_sweep
 from .moyal import FiniteRankOperator, direct_grid, moyal_direct, moyal_via_composition
 from .scale import PhaseGrid, SymbolField
 from .weyl import (
@@ -111,6 +111,17 @@ def _write_manifest(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_field_json(path: str, fld: SymbolField) -> None:
+    """json.dump's bytes for {"x", "p", "values"} with sorted keys, plus a newline,
+    by one json.dumps (the C encoder) per row: O(one row) memory."""
+    grid = fld.grid
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"p": ' + json.dumps(grid.p_centers().tolist()) + ', "values": [')
+        for i, row in enumerate(fld.values):
+            fh.write((", " if i else "") + json.dumps(row.tolist()))
+        fh.write('], "x": ' + json.dumps(grid.x_centers().tolist()) + "}\n")
+
+
 def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
     N = args.N
     if N < 1:
@@ -133,15 +144,7 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
     if args.format == "csv":
         fld.to_csv(args.output)
     else:
-        payload = {
-            "x": grid.x_centers().tolist(),
-            "p": grid.p_centers().tolist(),
-            "values": fld.values.tolist(),
-        }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            # json.dump would run the pure-Python encoder; dumps runs the C one
-            fh.write(json.dumps(payload, sort_keys=True))
-            fh.write("\n")
+        _write_field_json(args.output, fld)
     _write_manifest(
         args.output + ".manifest.json",
         {
@@ -218,7 +221,7 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
         raise ConfigError("points must be >= 1")
     hbar = mu / N
     grid = _parse_grid(args.grid) if args.grid else direct_grid(N, mu, L)
-    _check_budget(N, grid.nx * grid.np)  # the moyal-idempotency guard
+    _check_direct_grid(N, grid)  # the moyal-idempotency guard
     fld = projection_symbol_field(N, hbar, L, grid)
     from .basis import EigenBasis, Model
 
@@ -296,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--N", type=int, default=10)
     m.add_argument("--mu", type=_finite, default=1.0)
     m.add_argument("--L", type=_finite, default=1.0)
-    m.add_argument("--grid", help="x0:x1:nx,p0:p1:np (default -1.5L:1.5L:24N,-h:h:ceil(4Nh), "
-                   "h = max(6, pi mu / L))")
+    m.add_argument("--grid", help="x0:x1:nx,p0:p1:np (default -1.5L:1.5L:24N,-h:h:np, "
+                   "h = max(6, pi mu / L), np = ceil(4Nh max(1, 2L / pi mu)))")
     m.add_argument("--points", type=int, default=10)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--tol", type=_finite, default=0.02)

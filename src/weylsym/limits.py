@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _leggauss
 from .kernel import sine_kernel
 
 __all__ = [
@@ -114,6 +113,11 @@ _EDGE_P_SWITCH = 64.0  # c |v - 1/2| above which the Laplace form takes over
 
 
 @lru_cache(maxsize=1)
+def _leggauss32() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(32)
+
+
+@lru_cache(maxsize=1)
 def _laguerre48() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.laguerre.laggauss(48)
 
@@ -123,7 +127,7 @@ def _edge_p_legendre(c: float, w: float) -> float:
     ceil(c (|w| + 1) / 8) panels: at most ~8 radians of sin(w s) per panel,
     and the integrand is analytic on |s| < 2 pi."""
     panels = math.ceil(c * (abs(w) + 1.0) / 8.0)
-    t, wt = _leggauss(32)
+    t, wt = _leggauss32()
     h = c / panels
     s = (np.arange(panels)[:, None] + 0.5 * (t + 1.0)) * h
     return -0.25 * h * float(np.sum(wt * (np.sin(w * s) / np.sin(0.5 * s)))) / math.pi

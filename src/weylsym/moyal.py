@@ -112,12 +112,16 @@ def moyal_via_composition(
 
 def direct_grid(N: int, mu: float, L: float) -> PhaseGrid:
     """The sampling grid of `moyal_direct` for a rank-N box symbol at
-    hbar N = mu, half width L: [-1.5 L, 1.5 L] x [-h, h] with 24 N x
-    ceil(4 N h) cells, h = max(6, pi mu / L), twice the symbol's momentum
-    reach once that passes 3.  dp <= 1 / 2N resolves the symbol's 1/hbar
-    oscillation at every N."""
+    hbar N = mu, half width L: [-1.5 L, 1.5 L] x [-h, h], h = max(6, pi mu / L)
+    (twice the symbol's momentum reach once that passes 3), with 24 N x cells.
+    sigma_N(x, .) is band-limited: its Fourier transform in p is the kernel
+    K(x - hbar y / 2, x + hbar y / 2), zero for |y| > 2 (L - |x|) / hbar, so
+    the midpoint p-sum is exact for dp <= pi hbar / 2L (sampling theorem).
+    ceil(4 N h) p cells (dp <= 1 / 2N) keep half that while pi mu >= 2L, and
+    ceil(8 L N h / pi mu) below (the max factor is exactly 1.0 above)."""
     half = max(6.0, math.pi * mu / L)
-    return PhaseGrid(-1.5 * L, 1.5 * L, -half, half, 24 * N, math.ceil(4 * N * half))
+    cells = math.ceil(4 * N * half * max(1.0, 2.0 * L / (math.pi * mu)))
+    return PhaseGrid(-1.5 * L, 1.5 * L, -half, half, 24 * N, cells)
 
 
 def _rows_at(field: SymbolField, X: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,18 @@ class TestFieldCommand:
             fh.write("\n")
         assert out.read_bytes() == want.read_bytes()
 
+    def test_json_writer_holds_one_row(self, tmp_path):
+        # the whole document as one string peaked at 4.92 MB for this field
+        fld = projection_symbol_field(40, 1.0 / 40, 1.0, PhaseGrid(-1.2, 1.2, -2.0, 2.0, 300, 300))
+        tracemalloc.start()
+        try:
+            weylsym.cli._write_field_json(str(tmp_path / "f.json"), fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        assert len(json.loads((tmp_path / "f.json").read_text())["values"]) == 300
+
     def test_bad_grid_spec(self, tmp_path):
         code = run([
             "field", "--model", "box", "--N", "4", "--mu", "1", "--L", "1",
@@ -193,15 +206,26 @@ class TestSweepCommand:
     def test_l2_guard_refuses_before_quadrature(self, tmp_path, monkeypatch, capsys, exp):
         import weylsym.diag
 
-        def no_quadrature(*args):
-            raise AssertionError("quadrature ran")
+        def no_distance(*args):
+            raise AssertionError("distance computed")
 
-        monkeypatch.setattr(weylsym.diag, "box_projection_distance_sq", no_quadrature)
-        monkeypatch.setattr(weylsym.diag, "oscillator_disk_distance_sq", no_quadrature)
+        monkeypatch.setattr(weylsym.diag, "box_projection_distance_sq", no_distance)
+        monkeypatch.setattr(weylsym.diag, "oscillator_disk_distance_sq", no_distance)
         code = run(["sweep", "--exp", exp, "--N", "10,300000", "-o", str(tmp_path / "g")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: resource guard")
+        assert capsys.readouterr().err == (
+            "error: resource guard exceeded (N * points budget) at N = 300000\n")
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("exp", ["box-projection-l2", "osc-disk-l2"])
+    def test_l2_sweeps_reach_thousands_of_levels(self, tmp_path, capsys, exp):
+        # both distances are O(N) sums; the box's former panel quadrature
+        # alone took ~17 s at N = 5000
+        code = run(["sweep", "--exp", exp, "--N", "640,1280,2560,5120", "-o", str(tmp_path / "b")])
+        assert code == 0
+        rows = json.loads((tmp_path / "b.json").read_text())["rows"]
+        assert [r["N"] for r in rows] == [640, 1280, 2560, 5120]
+        assert f"{exp}: ratio-band: pass" in capsys.readouterr().out
 
     def test_moyal_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
         # N = 200 asks for 200 * 4800^2 cells; N = 8 alone would fit
@@ -216,6 +240,13 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: resource guard")
         assert not (tmp_path / "m.json").exists()
+
+    def test_moyal_idempotency_below_l_over_pi(self, tmp_path):
+        # mu < L / pi: with dp ~ hbar / 2 mu the defect rose 1.50e-5 -> 2.06e-5
+        code = run(["sweep", "--exp", "moyal-idempotency", "--mu", "0.3", "-o", str(tmp_path / "m")])
+        assert code == 0
+        rows = json.loads((tmp_path / "m.json").read_text())["rows"]
+        assert rows[-1]["value"] < 0.5 * rows[0]["value"]
 
     def test_moyal_window_covers_the_symbol_at_large_mu(self, tmp_path):
         # P = 5 pi / 2 lies beyond a fixed [-6, 6] window, where the defect
@@ -411,6 +442,33 @@ class TestMoyalCheckCommand:
         code = run(["sweep", "--exp", "moyal-idempotency", "--N", "8,152", "-o", str(tmp_path / "m")])
         assert code == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("flags", [["--mu", "0.3"], ["--mu", "1", "--L", "4"]])
+    def test_default_grid_meets_the_sampling_theorem(self, tmp_path, flags):
+        # mu < L / pi: dp ~ hbar / 2 mu undersampled the symbol in p, with
+        # max rel err 0.0947 at mu = 0.3 and 0.1645 at L = 4
+        out = tmp_path / "moyal.json"
+        code = run(["moyal-check", "--N", "16", *flags, "--points", "20", "-o", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["max_rel_err"] <= 0.01
+
+    def test_p_cell_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
+        # 16 * 384 * 20107 cells fit the budget, but the direct product's
+        # 20107^2 complex work array would take 6.5 GB
+        def no_field(*args):
+            raise AssertionError("field built")
+
+        message = "error: resource guard exceeded (20107 p cells > 4096) at N = 16\n"
+        monkeypatch.setattr(weylsym.cli, "projection_symbol_field", no_field)
+        monkeypatch.setattr(weylsym.diag, "projection_symbol_field", no_field)
+        out = tmp_path / "moyal.json"
+        assert run(["moyal-check", "--N", "16", "--mu", "100", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        code = run(["sweep", "--exp", "moyal-idempotency", "--mu", "100", "-o", str(tmp_path / "m")])
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "m.json").exists()
 
     def test_default_grid_scales_with_mu(self, tmp_path):
         # P = 2 pi: a fixed [-6, 6] p window gave max rel err 1.49 here

@@ -291,7 +291,21 @@ class TestDirectGrid:
         (8, 1.0, 1.0), (16, 1.02, 0.98), (5, 0.3, 2.0), (12, 6.0 / math.pi, 1.0), (3, 1.9, 1.0),
     ])
     def test_fixed_window_while_pi_mu_at_most_6L(self, N, mu, L):
-        assert direct_grid(N, mu, L) == PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 24 * N, 24 * N)
+        # 24N p cells while pi mu >= 2L; below (mu = 0.3, L = 2) the
+        # sampling rule's ceil(8 L N h / pi mu) with h = 6
+        cells = 24 * N if math.pi * mu >= 2.0 * L else math.ceil(48.0 * L * N / (math.pi * mu))
+        assert direct_grid(N, mu, L) == PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 24 * N, cells)
+
+    @settings(max_examples=200, deadline=None)
+    @given(N=st.integers(1, 400), mu=st.floats(0.01, 50.0), L=st.floats(0.01, 50.0))
+    def test_p_cells_meet_the_sampling_theorem(self, N, mu, L):
+        # sigma_N(x, .) has p-bandwidth 2L / hbar: dp <= pi hbar / 2L makes
+        # the midpoint p-sum exact, and the grid keeps half that
+        g = direct_grid(N, mu, L)
+        half = max(6.0, math.pi * mu / L)
+        assert g.dp <= math.pi * (mu / N) / (4.0 * L) * (1.0 + 1e-12)
+        if math.pi * mu >= 2.0 * L:
+            assert g == PhaseGrid(-1.5 * L, 1.5 * L, -half, half, 24 * N, math.ceil(4 * N * half))
 
     @pytest.mark.parametrize("N, mu, L", [(16, 4.0, 1.0), (16, 5.0, 1.0), (7, 1.0, 0.4), (1, 2.5, 1.3)])
     def test_wider_window_covers_twice_the_momentum_reach(self, N, mu, L):
