@@ -18,12 +18,14 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .diag import SweepConfig, _check_direct_grid, default_n_levels, edge_section, run_sweep
-from .moyal import FiniteRankOperator, direct_grid, moyal_direct, moyal_via_composition
+from .diag import SweepConfig, default_n_levels, edge_section, run_sweep
+from .moyal import FiniteRankOperator, _check_direct_grid, direct_grid
+from .moyal import moyal_direct, moyal_via_composition
 from .scale import PhaseGrid, SymbolField
 from .weyl import (
     momentum_symbol_field,
@@ -136,9 +138,7 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
         else:
             fld = momentum_symbol_field(N, hbar, L, grid)
     elif args.observable == "projection":
-        xs, ps = grid.x_centers(), grid.p_centers()
-        vals = symbol_oscillator_projection(N, hbar, xs[:, None], ps[None, :])
-        fld = SymbolField._adopt(grid, vals)
+        fld = SymbolField.sample(partial(symbol_oscillator_projection, N, hbar), grid, levels=N)
     else:
         raise ConfigError("the momentum field is box-only; --model osc renders the projection")
     if args.format == "csv":
@@ -220,7 +220,7 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
     if args.points < 1:
         raise ConfigError("points must be >= 1")
     hbar = mu / N
-    grid = _parse_grid(args.grid) if args.grid else direct_grid(N, mu, L)
+    grid = direct_grid(N, mu, L)
     _check_direct_grid(N, grid)  # the moyal-idempotency guard
     fld = projection_symbol_field(N, hbar, L, grid)
     from .basis import EigenBasis, Model
@@ -295,12 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--L", type=_finite, default=1.0)
     e.add_argument("-o", "--output", required=True)
 
-    m = sub.add_parser("moyal-check", help="direct star product vs exact composition")
+    m = sub.add_parser("moyal-check", help="direct star product vs exact composition, on -1.5L:1.5L"
+                       ":24N,-h:h:np, h = max(6, pi mu / L), np = ceil(4Nh max(1, 2L / pi mu))")
     m.add_argument("--N", type=int, default=10)
     m.add_argument("--mu", type=_finite, default=1.0)
     m.add_argument("--L", type=_finite, default=1.0)
-    m.add_argument("--grid", help="x0:x1:nx,p0:p1:np (default -1.5L:1.5L:24N,-h:h:np, "
-                   "h = max(6, pi mu / L), np = ceil(4Nh max(1, 2L / pi mu)))")
     m.add_argument("--points", type=int, default=10)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--tol", type=_finite, default=0.02)

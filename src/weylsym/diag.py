@@ -25,8 +25,8 @@ from .limits import (
     edge_profile_p,
     edge_profile_x,
 )
-from .moyal import direct_grid, moyal_direct
-from .scale import pairwise_sum
+from .moyal import _check_direct_grid, direct_grid, moyal_direct
+from .scale import _check_budget, pairwise_sum
 from .truncate import MAX_DIMENSION, LadderBand, matrix_linear_power
 from .weyl import (
     _laguerre_functions,
@@ -51,10 +51,6 @@ __all__ = [
     "default_n_levels",
     "run_sweep",
 ]
-
-# Largest N * (points per N: grid cells or terms) a sweep row may request.
-_BUDGET = 2_000_000_000
-
 
 def band_norm_sq(power: LadderBand, lo: int, hi: int) -> float:
     """Squared symbol norm 2 pi hbar sum |M_lk|^2 (the trace identity) of
@@ -153,12 +149,14 @@ def edge_section(
     momentum p = fixed; kind "p" crosses the momentum edge,
     p = pi mu / 2L + hbar pi v / 2L for v = coords at position x = fixed.
     coords and fixed broadcast against each other, and one symbol call
-    covers every point; the profile is evaluated point by point.
+    covers every point; the profile is evaluated point by point.  The N
+    levels are checked against the work budget first.
     """
     hbar = mu / N
     coords = np.asarray(coords, dtype=float)
     fixed = np.asarray(fixed, dtype=float)
     points = np.broadcast(coords, fixed)
+    _check_budget(N, points.size)
     if kind == "x":
         if np.any(coords < 0):
             raise ValueError("u must be >= 0")
@@ -354,19 +352,6 @@ def _threshold_verdict(name: str, value: float, bound: float) -> Verdict:
     return Verdict(
         name=name, passed=value <= bound, detail=f"{value:.6g} vs bound {bound:.6g}"
     )
-
-
-def _check_budget(N: int, points: int) -> None:
-    if N * points > _BUDGET:
-        raise ValueError(f"resource guard exceeded (N * points budget) at N = {N}")
-
-
-def _check_direct_grid(N: int, grid) -> None:
-    """The guard of a rank-N direct star product on `grid`, before any field:
-    at most 4096 p cells M, as `moyal_direct` holds M x M complex arrays."""
-    _check_budget(N, grid.nx * grid.np)
-    if grid.np > 4096:
-        raise ValueError(f"resource guard exceeded ({grid.np} p cells > 4096) at N = {N}")
 
 
 def _ratio_band_verdict(name: str, n_levels, values: list[float], band) -> Verdict:

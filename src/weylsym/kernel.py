@@ -2,7 +2,8 @@
 
 The rank-N box projection kernel sum_{k<=N} u_k(x) u_k(y) is a difference
 of two Dirichlet kernels, O(1) per point; every evaluator broadcasts over
-numpy arrays of points.
+numpy arrays of points.  One singularity-safe sin(A d)/d quotient serves the
+kernels here and every closed-form box symbol in `weyl`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,19 @@ from .scale import _point_arrays
 
 __all__ = ["dirichlet_kernel", "sine_kernel", "box_projection_kernel"]
 
-# Below this, sin(x/2) loses enough digits that the Dirichlet kernel is
-# summed as cosines instead of taken as the quotient.
-_SINGULAR_EPS = 1e-8
+
+def _sin_ratio(amplitude, d):
+    """sin(A d) / d, and A at d = 0; amplitude and d broadcast, amplitude >= 0.
+
+    The quotient is well conditioned at every nonzero float d, so only the
+    removable point needs its limit.  Resonances d = 0 land exactly on
+    natural grid choices (p = hbar pi k / 2L).
+    """
+    A = np.asarray(amplitude, dtype=float)
+    d = np.asarray(d, dtype=float)
+    zero = d == 0
+    safe = np.where(zero, 1.0, d)
+    return np.where(zero, A, np.sin(A * safe) / safe)
 
 
 def _check_box(L: float, hbar: float | None = None) -> None:
@@ -30,30 +41,22 @@ def _check_box(L: float, hbar: float | None = None) -> None:
 
 
 def dirichlet_kernel(N: int, x) -> np.ndarray | float:
-    """D_N(x) = sin((2N+1)x/2) / sin(x/2), with D_N = 1 + 2 sum_k cos(kx) near x in 2 pi Z."""
+    """D_N(x) = sin((2N+1)x/2) / sin(x/2) = 1 + 2 sum_{k<=N} cos(kx), O(1) per point.
+
+    Both sines are taken at h = r/2, r = x - 2 pi rint(x / 2 pi): D_N has
+    period 2 pi, and at x itself sin(x/2) loses its digits near 2 pi Z.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.sin(0.5 * x_arr)
-    small = np.abs(s) < _SINGULAR_EPS
-    safe = np.where(small, 1.0, s)
-    out = np.sin((2 * N + 1) * 0.5 * x_arr) / safe
-    if np.any(small):
-        xs = x_arr[small]
-        acc = np.ones_like(xs)
-        for k in range(1, N + 1):
-            acc += 2.0 * np.cos(k * xs)
-        out[small] = acc
+    h = 0.5 * (x_arr - 2.0 * math.pi * np.rint(x_arr / (2.0 * math.pi)))
+    out = _sin_ratio(2 * N + 1, h) / _sin_ratio(1.0, h)
     return out if np.ndim(x) else float(out[0])
 
 
 def sine_kernel(x) -> np.ndarray | float:
     """S(x) = sin(x/2) / (x/2) with S(0) = 1."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    h = 0.5 * x_arr
-    zero = h == 0
-    safe = np.where(zero, 1.0, h)
-    out = np.where(zero, 1.0, np.sin(safe) / safe)
+    out = _sin_ratio(1.0, 0.5 * np.atleast_1d(np.asarray(x, dtype=float)))
     return out if np.ndim(x) else float(out[0])
 
 

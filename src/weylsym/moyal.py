@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import EigenBasis, Model
-from .scale import PhaseGrid, SymbolField, _point_arrays
+from .scale import PhaseGrid, SymbolField, _check_budget, _point_arrays
 from .truncate import MAX_DIMENSION
 from .weyl import _oscillator_operator_symbol, symbol_rank_one_box_complex
 
@@ -122,6 +122,14 @@ def direct_grid(N: int, mu: float, L: float) -> PhaseGrid:
     half = max(6.0, math.pi * mu / L)
     cells = math.ceil(4 * N * half * max(1.0, 2.0 * L / (math.pi * mu)))
     return PhaseGrid(-1.5 * L, 1.5 * L, -half, half, 24 * N, cells)
+
+
+def _check_direct_grid(N: int, grid: PhaseGrid) -> None:
+    """The guard of a rank-N direct star product on `grid`, before any field:
+    at most 4096 p cells M, as `moyal_direct` holds M x M complex arrays."""
+    _check_budget(N, grid.nx * grid.np)
+    if grid.np > 4096:
+        raise ValueError(f"resource guard exceeded ({grid.np} p cells > 4096) at N = {N}")
 
 
 def _rows_at(field: SymbolField, X: np.ndarray) -> np.ndarray:

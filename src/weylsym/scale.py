@@ -3,7 +3,9 @@
 The joint limit studied by this package couples the Planck constant to the
 truncation rank through hbar * N = mu; every caller passes hbar = mu / N
 as a plain float.  Phase-space data lives on midpoint-rule rectangular
-grids (:class:`PhaseGrid`) as plain real arrays (:class:`SymbolField`).
+grids (:class:`PhaseGrid`) as plain real arrays (:class:`SymbolField`),
+each filled by `SymbolField.sample` in blocks of x rows under the one work
+budget that every layer shares.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ __all__ = [
     "pairwise_sum",
     "worker_count",
 ]
+
+_BUDGET = 2_000_000_000  # largest N * (grid cells or terms per level) of a request
+_BLOCK_CELLS = 1 << 15  # cells per block of a grid field (256 KiB per temporary)
+
+
+def _check_budget(N: int, points: int) -> None:
+    """Refuse N levels of `points` cells or terms each over the budget; a
+    level costs at least one field block, whatever its points."""
+    if N * max(points, _BLOCK_CELLS) > _BUDGET:
+        raise ValueError(f"resource guard exceeded (N * points budget) at N = {N}")
 
 
 def _point_arrays(x, y, broadcast: bool = True):
@@ -152,11 +164,36 @@ class SymbolField:
         return fld
 
     @classmethod
-    def sample(cls, fn, grid: PhaseGrid) -> "SymbolField":
-        """Sample a broadcastable callable fn(x, p) on the grid."""
+    def sample(cls, fn, grid: PhaseGrid, levels: int = 1, row_table: int = 0) -> "SymbolField":
+        """Sample a broadcastable fn(x, p) on the grid, one call per block of x rows.
+
+        fn makes `levels` passes over the cells, checked against the work
+        budget before fn is called.  A block holds at most _BLOCK_CELLS cells
+        (or one row), and at most 64 _BLOCK_CELLS entries of fn's tables of
+        `row_table` doubles per x row.  WEYL_THREADS = k > 1 hands at least k
+        blocks to worker threads.  Rows are independent, so every blocking is
+        bit-identical to one call; the filled array is adopted, not copied.
+        """
+        _check_budget(levels, grid.nx * grid.np)
+        workers = worker_count()
+        rows = min(_BLOCK_CELLS // grid.np, 64 * _BLOCK_CELLS // max(row_table, 1))
+        rows = max(1, min(rows, -(-grid.nx // workers)))
         x, p = grid.meshgrid()
-        vals = np.broadcast_to(np.asarray(fn(x, p), dtype=float), (grid.nx, grid.np))
-        return cls(grid=grid, values=vals)
+        out = np.empty((grid.nx, grid.np))
+
+        def block(start: int) -> None:
+            out[start : start + rows] = fn(x[start : start + rows], p)
+
+        starts = range(0, grid.nx, rows)
+        if workers <= 1:
+            for start in starts:
+                block(start)
+        else:
+            import concurrent.futures  # loaded only when threads are asked for
+
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(block, starts))
+        return cls._adopt(grid, out)
 
     def to_csv(self, path) -> None:
         """Write rows `x,p,value`, x outer ascending, p inner ascending, each

@@ -1,22 +1,23 @@
 """Weyl symbols in closed form.
 
 The box model has closed forms for rank-one symbols, the projection symbol
-and the truncated momentum symbol, built from singularity-safe sin(A d)/d
-quotients.  The oscillator has Groenewold's associated-Laguerre form: one
-recurrence for the normalised Laguerre functions serves both the projection
-symbol and the symbol of any finite-rank operator (the oscillator branch of
+and the truncated momentum symbol, built from the singularity-safe
+sin(A d)/d quotient of `kernel`.  The oscillator has Groenewold's
+associated-Laguerre form: one recurrence for the normalised Laguerre
+functions serves both the projection symbol and the symbol of any
+finite-rank operator (the oscillator branch of
 `moyal.operator_symbol_complex`).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
+from functools import partial
 
 import numpy as np
 
-from .kernel import _check_box, box_projection_kernel
-from .scale import PhaseGrid, SymbolField, _point_arrays, worker_count
+from .kernel import _check_box, _sin_ratio, box_projection_kernel
+from .scale import PhaseGrid, SymbolField, _point_arrays
 
 __all__ = [
     "symbol_rank_one_box_complex",
@@ -29,22 +30,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# cells per block of a grid field (256 KiB of doubles per temporary)
-_BLOCK_CELLS = 1 << 15
-
-
-def _sin_ratio(amplitude, d):
-    """sin(A d) / d, and A at d = 0; amplitude and d broadcast, amplitude >= 0.
-
-    The quotient is well conditioned at every nonzero float d, so only the
-    removable point needs its limit.  Resonances d = 0 land exactly on
-    natural grid choices (p = hbar pi k / 2L).
-    """
-    A = np.asarray(amplitude, dtype=float)
-    d = np.asarray(d, dtype=float)
-    zero = d == 0
-    safe = np.where(zero, 1.0, d)
-    return np.where(zero, A, np.sin(A * safe) / safe)
 
 
 def symbol_rank_one_box_complex(
@@ -297,45 +282,18 @@ def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) ->
     return out
 
 
-def _field_rows(N: int, hbar: float, L: float, xs: np.ndarray, ps: np.ndarray, fn) -> np.ndarray:
-    """Evaluate a closed-form symbol on xs x ps in blocks of x rows.
-
-    A block holds at most _BLOCK_CELLS cells (or one row), which bounds the
-    cell-sized temporaries of `fn`, and with WEYL_THREADS = k > 1 there are
-    at least k blocks.  Row results are independent, so walking the blocks
-    in order or handing them to worker threads is bit-identical to one call
-    on the whole grid.
-    """
-    workers = worker_count()
-    rows = max(1, min(_BLOCK_CELLS // ps.size, -(-xs.size // workers)))
-    out = np.empty((xs.size, ps.size))
-
-    def block(start: int) -> None:
-        out[start : start + rows] = fn(N, hbar, L, xs[start : start + rows, None], ps[None, :])
-
-    starts = range(0, xs.size, rows)
-    if workers <= 1:
-        for start in starts:
-            block(start)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, starts))
-    return out
-
-
 def projection_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
     """Box projection symbol sampled on a grid."""
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_box(L, hbar)
-    vals = _field_rows(N, hbar, L, grid.x_centers(), grid.p_centers(), _projection_symbol_values)
-    return SymbolField._adopt(grid, vals)
+    return SymbolField.sample(partial(_projection_symbol_values, N, hbar, L), grid, levels=N)
 
 
 def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
-    """Truncated box momentum symbol sampled on a grid."""
+    """Truncated box momentum symbol sampled on a grid (prefix tables of N per x row)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_box(L, hbar)
-    vals = _field_rows(N, hbar, L, grid.x_centers(), grid.p_centers(), _momentum_symbol_values)
-    return SymbolField._adopt(grid, vals)
+    fn = partial(_momentum_symbol_values, N, hbar, L)
+    return SymbolField.sample(fn, grid, levels=N, row_table=N)

@@ -11,8 +11,9 @@ import pytest
 
 import weylsym.cli
 import weylsym.diag
+import weylsym.weyl
 from weylsym.cli import main
-from weylsym.scale import PhaseGrid
+from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.weyl import projection_symbol_field, symbol_oscillator_projection, symbol_projection_box
 
 
@@ -147,17 +148,54 @@ class TestFieldCommand:
         assert manifest["model"] == "osc" and manifest["observable"] == "projection"
 
     def test_oscillator_field_hands_its_array_over(self, tmp_path, monkeypatch):
-        built = []
+        sampled = []
+        sample = SymbolField.sample.__func__
 
-        def recording(*args):
-            built.append(symbol_oscillator_projection(*args))
-            return built[-1]
+        def recording(cls, *args, **kwargs):
+            sampled.append(sample(cls, *args, **kwargs))
+            return sampled[-1]
 
-        monkeypatch.setattr(weylsym.cli, "symbol_oscillator_projection", recording)
+        monkeypatch.setattr(SymbolField, "sample", classmethod(recording))
         assert run(["field", "--model", "osc", "--N", "8", "--grid", "-1:1:8,-1:1:6",
                     "-o", str(tmp_path / "o.csv")]) == 0
-        # frozen in place: the field holds this array, not a copy of it
-        assert not built[0].flags.writeable
+        # filled by SymbolField.sample, which freezes the array in place
+        assert len(sampled) == 1
+        assert not sampled[0].values.flags.writeable
+
+    def test_oscillator_field_is_built_in_blocks(self, tmp_path):
+        # one unblocked call on the whole 300^2 grid peaked at 7.05 MB, and
+        # at 111 MB of VmHWM on 1000^2 against 39 MB for the box field
+        tracemalloc.start()
+        try:
+            code = run(["field", "--model", "osc", "--N", "60", "--grid", "-2:2:300,-2:2:300",
+                        "-o", str(tmp_path / "o.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the field, and at most 16 block-sized temporaries
+        assert peak < 300 * 300 * 8 + 16 * (1 << 15) * 8
+
+    @pytest.mark.parametrize("model,observable,patched", [
+        ("box", "momentum", (weylsym.weyl, "_momentum_symbol_values")),
+        ("box", "projection", (weylsym.weyl, "_projection_symbol_values")),
+        ("osc", "projection", (weylsym.cli, "symbol_oscillator_projection")),
+    ])
+    def test_resource_guard_refuses_before_any_symbol(self, tmp_path, monkeypatch, capsys,
+                                                      model, observable, patched):
+        # every level costs at least one block: 2e6 * 32768 > 2e9, though
+        # the grid has four cells (the momentum field took 42.8 s here)
+        def no_symbol(*args):
+            raise AssertionError("symbol evaluated")
+
+        monkeypatch.setattr(*patched, no_symbol)
+        out = tmp_path / "x.csv"
+        assert run(["field", "--model", model, "--observable", observable, "--N", "2000000",
+                    "--grid", "-0.5:0.5:2,-1:1:2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: resource guard exceeded (N * points budget) at N = 2000000\n"
+        )
+        assert not out.exists()
 
     def test_oscillator_momentum_field_refused(self, tmp_path, capsys):
         code = run([
@@ -304,6 +342,21 @@ class TestEdgeCommand:
         assert lines[0] == "u,finite_N_value,limit_value,abs_error"
         assert len(lines) == 1 + 121
 
+    @pytest.mark.parametrize("section", [["--kind", "p", "--x", "0", "--v", "0.5"],
+                                         ["--kind", "x", "--u", "0:6:121"]])
+    def test_resource_guard_refuses_before_any_symbol(self, tmp_path, monkeypatch, capsys,
+                                                      section):
+        def no_symbol(*args):
+            raise AssertionError("symbol evaluated")
+
+        monkeypatch.setattr(weylsym.diag, "symbol_projection_box", no_symbol)
+        out = tmp_path / "e.csv"
+        assert run(["edge", *section, "--N", "100000000", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: resource guard exceeded (N * points budget) at N = 100000000\n"
+        )
+        assert not out.exists()
+
     def test_p_edge_forbidden_v(self, tmp_path):
         # every finite v has a limit; a non-finite one has none
         for v in ("nan", "inf", "0:inf:5"):
@@ -402,8 +455,7 @@ class TestMoyalCheckCommand:
         out = tmp_path / "moyal.json"
         code = run([
             "moyal-check", "--N", "10", "--mu", "1", "--L", "1",
-            "--grid", "-1.5:1.5:192,-6:6:192", "--points", "6", "--seed", "1",
-            "-o", str(out),
+            "--points", "6", "--seed", "1", "-o", str(out),
         ])
         assert code == 0
         payload = json.loads(out.read_text())
@@ -417,6 +469,16 @@ class TestMoyalCheckCommand:
         code = run(["moyal-check", "--N", "16", "--seed", "2", "--points", "20", "-o", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["max_rel_err"] <= 0.02
+
+    def test_grid_flag_refused(self, tmp_path, capsys):
+        # the grid follows from N, mu and L: this one undersampled the
+        # symbol in p and printed FAIL at 0.0947, against 0.0066 by default
+        out = tmp_path / "moyal.json"
+        code = run(["moyal-check", "--N", "16", "--mu", "0.3", "--grid=-1.5:1.5:384,-6:6:384",
+                    "--points", "20", "-o", str(out)])
+        assert code == 2
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_no_points_refused(self, tmp_path, capsys, points):
@@ -492,21 +554,27 @@ class TestMoyalCheckCommand:
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
-            run([
-                "moyal-check", "--N", "6", "--grid", "-1.5:1.5:128,-5:5:128",
-                "--points", "3", "--seed", "7", "-o", str(out),
-            ])
+            run(["moyal-check", "--N", "6", "--points", "3", "--seed", "7", "-o", str(out)])
         assert a.read_text().replace("a.json", "o") == b.read_text().replace("b.json", "o")
+
+
+def assert_cli_import_leaves_unloaded(module):
+    code = f"import sys, weylsym.cli; assert {module!r} not in sys.modules, '{module} loaded'"
+    env = dict(os.environ, PYTHONPATH=str(Path(weylsym.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # SymbolField.sample imports it only when WEYL_THREADS asks for threads
+    assert_cli_import_leaves_unloaded("concurrent.futures")
 
 
 def test_import_leaves_numpy_fft_unloaded():
     # numpy loads numpy.fft on first use; moyal_direct reaches it as np.fft,
     # so importing the CLI does not pay for it
-    code = "import sys, weylsym.cli; assert 'numpy.fft' not in sys.modules, 'numpy.fft loaded'"
-    env = dict(os.environ, PYTHONPATH=str(Path(weylsym.cli.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert_cli_import_leaves_unloaded("numpy.fft")
 
 
 class TestVersionFlag:

@@ -462,6 +462,14 @@ class TestSweeps:
         with pytest.raises(ValueError, match="resource guard"):
             run_sweep(cfg)
 
+    def test_bulk_sup_at_huge_n(self):
+        # each Dirichlet kernel is O(1) for every N: the cosine loop it took
+        # near multiples of 2 pi made this sweep linear in N (about 6 min
+        # at 1e8 levels)
+        report = run_sweep(SweepConfig("box-bulk-sup", (10**8,)))
+        assert [r.metric for r in report.rows] == ["sup_err", "bound"]
+        assert report.passed
+
     def test_box_projection_small(self):
         cfg = SweepConfig(
             experiment="box-projection-l2",

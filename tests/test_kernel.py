@@ -37,6 +37,19 @@ class TestDirichletKernel:
     def test_degenerate_rank(self):
         assert dirichlet_kernel(0, 0.3) == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("N", [40, 400])
+    @pytest.mark.parametrize("m", [-1, 1, 2])
+    def test_near_multiples_of_two_pi(self, N, m):
+        # the quotient at x itself lost the digits of sin(x/2) here, with
+        # errors up to 1e-8 (2N + 1) just outside its cosine-sum fallback
+        deltas = np.concatenate([-np.logspace(-15, math.log10(3e-5), 25), [0.0],
+                                 np.logspace(-15, -4, 25)])
+        k = np.arange(1, N + 1)
+        for delta in deltas:
+            x = 2 * math.pi * m + delta
+            want = 1.0 + 2.0 * math.fsum(np.cos(k * x))
+            assert abs(dirichlet_kernel(N, x) - want) <= 1e-13 * (2 * N + 1)
+
 
 class TestSineKernel:
     def test_removable_singularity(self):
@@ -78,7 +91,8 @@ class TestProjectionKernel:
         pin=st.sampled_from(("free", "diagonal", "wall")),
     )
     def test_closed_form_equals_sum(self, N, L, u, v, pin):
-        # x = y hits the Dirichlet cosine-sum fallback, |x| = L the wall
+        # x = y puts the first Dirichlet kernel at its removable point, |x| = L
+        # the second
         x, y = u * L, v * L
         if pin == "diagonal":
             y = x
@@ -87,6 +101,16 @@ class TestProjectionKernel:
         closed = box_projection_kernel(N, L, x, y)
         summed = projection_kernel_sum(box_basis(L), N, x, y)
         assert abs(closed - summed) <= 1e-12 * N / L
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6])
+    def test_diagonal_just_inside_the_wall(self, eps):
+        # both Dirichlet kernels sit near multiples of 2 pi, and the kernel
+        # (5.3e-9 at eps = 1e-8) is their small difference: it came out as
+        # -3.2e-6 there, and 3.3e-7 off at eps = 1e-7
+        N, L = 400, 1.0
+        x = L - eps
+        summed = projection_kernel_sum(box_basis(L), N, x, x)
+        assert abs(box_projection_kernel(N, L, x, x) - summed) <= 1e-12
 
     def test_diag_trace(self):
         # midpoint rule over 4000 cells of K(x, x) equals the rank

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from weylsym import scale
 from weylsym.scale import PhaseGrid, SymbolField, pairwise_sum
-from weylsym import weyl
 from weylsym.weyl import momentum_symbol_field, projection_symbol_field
 
 
@@ -53,17 +54,42 @@ class TestSymbolField:
 
     @pytest.mark.parametrize("builder", [projection_symbol_field, momentum_symbol_field])
     def test_box_builders_hand_their_array_over(self, monkeypatch, builder):
-        built = []
-        field_rows = weyl._field_rows
+        sampled, adopted = [], []
+        sample, adopt = SymbolField.sample.__func__, SymbolField._adopt.__func__
 
-        def recording(*args):
-            built.append(field_rows(*args))
-            return built[-1]
+        def recording_sample(cls, *args, **kwargs):
+            sampled.append(sample(cls, *args, **kwargs))
+            return sampled[-1]
 
-        monkeypatch.setattr(weyl, "_field_rows", recording)
+        def recording_adopt(cls, grid, values):
+            adopted.append(values)
+            return adopt(cls, grid, values)
+
+        monkeypatch.setattr(SymbolField, "sample", classmethod(recording_sample))
+        monkeypatch.setattr(SymbolField, "_adopt", classmethod(recording_adopt))
         f = builder(9, 1.0 / 9, 1.0, PhaseGrid(-1.2, 1.2, -2.0, 2.0, 23, 31))
-        assert f.values is built[0]
+        # built by SymbolField.sample, which freezes the array it filled in place
+        assert f is sampled[0]
+        assert f.values is adopted[0]
         assert not f.values.flags.writeable
+
+    def test_momentum_blocks_are_sized_by_its_tables(self, monkeypatch):
+        # a tall two-column grid: blocks sized by cells alone held (rows x N)
+        # prefix tables of 2 MB each here, and 262 MB each at N = 2000 on
+        # 30000 x 2 cells; with at most 64 blocks' worth of table entries
+        # per block the peak stays a few tables of that size
+        N, grid = 500, PhaseGrid(-1.0, 1.0, -1.0, 1.0, 512, 2)
+        whole = momentum_symbol_field(N, 1.0 / N, 1.0, grid).values
+        cells = 1 << 10
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+        tracemalloc.start()
+        try:
+            blocked = momentum_symbol_field(N, 1.0 / N, 1.0, grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (64 * cells) * 8
+        assert blocked.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("bad", [np.zeros((4, 5)), np.full((4, 4), np.inf)])
     def test_handed_over_array_is_checked(self, bad):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from quadrature_oracle import (
 )
 
 from weylsym.basis import EigenBasis, Model
-from weylsym.kernel import box_projection_kernel, dirichlet_kernel
-from weylsym.scale import PhaseGrid, pairwise_sum
+from weylsym import scale
+from weylsym.kernel import _sin_ratio, box_projection_kernel, dirichlet_kernel
+from weylsym.scale import PhaseGrid, SymbolField, pairwise_sum
 from weylsym.weyl import (
-    _sin_ratio,
     momentum_symbol_field,
     projection_symbol_field,
     rescaled_kernel_f2,
@@ -29,7 +30,6 @@ from weylsym.weyl import (
     symbol_rank_one_box_complex,
     symbol_truncated_momentum_box,
 )
-from weylsym import weyl
 
 
 def box_kernel(N, L):
@@ -251,14 +251,21 @@ class TestProjectionAngleSplit:
         N, mu, L = 13, 1.1, 0.9
         hbar = mu / N
         g = math.pi * hbar / (2.0 * L)
-        # p centers 0, +-g, +-2g, ...: every momentum sits on a resonance
+        # p centers 0, +-g, +-2g, ...: every box momentum sits on a resonance
         grid = PhaseGrid(-1.2 * L, 1.2 * L, -9.5 * g, 9.5 * g, 11, 19)
         xs, ps = grid.x_centers(), grid.p_centers()
-        scalar = np.array([[symbol_projection_box(N, hbar, L, x, p) for p in ps] for x in xs])
-        for cells in (1 << 15, 40, 1):
-            monkeypatch.setattr(weyl, "_BLOCK_CELLS", cells)
-            fld = projection_symbol_field(N, hbar, L, grid)
-            assert fld.values.tobytes() == scalar.tobytes()
+        box = partial(symbol_projection_box, N, hbar, L)
+        osc = partial(symbol_oscillator_projection, N, hbar)
+        # the box builder, and the oscillator field as the CLI samples it
+        builders = (
+            (box, lambda: projection_symbol_field(N, hbar, L, grid)),
+            (osc, lambda: SymbolField.sample(osc, grid, levels=N)),
+        )
+        for point, build in builders:
+            scalar = np.array([[point(x, p) for p in ps] for x in xs])
+            for cells in (1 << 15, 40, 1):
+                monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+                assert build().values.tobytes() == scalar.tobytes()
 
 
 def taylor_sin_ratio(A, d):
