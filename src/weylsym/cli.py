@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("-o", "--output", required=True)
 
     m = sub.add_parser("moyal-check", help="direct star product vs exact composition, on -1.5L:1.5L"
-                       ":24N,-h:h:np, h = max(6, pi mu / L), np = ceil(4Nh max(1, 2L / pi mu))")
+                       ":16N,-h:h:np, h = max(6, pi mu / L), np = ceil(8LNh / pi mu)")
     m.add_argument("--N", type=int, default=10)
     m.add_argument("--mu", type=_finite, default=1.0)
     m.add_argument("--L", type=_finite, default=1.0)

@@ -603,10 +603,12 @@ def _sweep_moyal_idempotency(config: SweepConfig):
     The defect is entirely a property of the direct-quadrature scheme (the
     composition is exact), so the sampling grid must resolve the symbol's
     1/hbar oscillation at each N: it is `moyal.direct_grid`, whose cells
-    scale with N.  Its p window, [-6, 6] or twice the symbol's momentum
-    extent pi mu / 2L if that is wider, and the evaluation lattice stay
-    fixed across N.  The budget is checked once, at the largest N, before
-    any work.
+    scale with N: 16 N in x, read by cubic interpolation, and in p the
+    sampling theorem's ceil(8 L N h / pi mu).  Its p window [-h, h],
+    h = max(6, pi mu / L) (twice the symbol's momentum extent pi mu / 2L if
+    that is wider than [-6, 6]), and the evaluation lattice stay fixed
+    across N.  The budget is checked once, at the largest N, before any
+    work.
     """
     mu, L = config.mu, config.L
     N_max = max(config.n_levels)

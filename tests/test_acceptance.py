@@ -25,7 +25,7 @@ from weylsym.diag import (
 )
 from weylsym.kernel import box_projection_kernel
 from weylsym.limits import bulk_profile_box, bulk_sup_constant, edge_profile_p, edge_profile_x
-from weylsym.moyal import FiniteRankOperator, moyal_direct, moyal_via_composition
+from weylsym.moyal import FiniteRankOperator, direct_grid, moyal_direct, moyal_via_composition
 from weylsym.scale import PhaseGrid
 from weylsym.truncate import matrix_linear_power
 from weylsym.weyl import (
@@ -289,7 +289,8 @@ def test_ac11_oracle_equivalences():
 
 
 def test_ac12_moyal_layer():
-    """Composition reproduces idempotency; direct quadrature within 2%."""
+    """Composition reproduces idempotency; direct quadrature on its default
+    grid within 0.5%."""
     mu, L, N = 1.0, 1.0, 10
     hbar = mu / N
     basis = EigenBasis(Model.BOX, hbar=hbar, box_half_width=L)
@@ -301,8 +302,7 @@ def test_ac12_moyal_layer():
         assert abs(got - symbol_projection_box(N, hbar, L, x, p)) <= 1e-12
 
     # direct vs composition at 10 interior points
-    grid = PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 256, 256)
-    fld = projection_symbol_field(N, hbar, L, grid)
+    fld = projection_symbol_field(N, hbar, L, direct_grid(N, mu, L))
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(10):
@@ -311,8 +311,8 @@ def test_ac12_moyal_layer():
         direct = moyal_direct(fld, fld, hbar, x, p)
         comp = moyal_via_composition(proj, proj, hbar, x, p)
         worst = max(worst, abs(direct - comp) / max(1.0, abs(comp)))
-    assert worst <= 0.02
-    report(f"AC-12 Moyal layer (idempotency exact; direct vs composition {worst:.4f} <= 2%): PASS")
+    assert worst <= 0.005
+    report(f"AC-12 Moyal layer (idempotency exact; direct vs composition {worst:.4f} <= 0.5%): PASS")
 
 
 def test_ac13_osc_disk_l2():

@@ -266,14 +266,14 @@ class TestSweepCommand:
         assert f"{exp}: ratio-band: pass" in capsys.readouterr().out
 
     def test_moyal_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
-        # N = 200 asks for 200 * 4800^2 cells; N = 8 alone would fit
+        # N = 202 asks for 202 * 3232 * 3087 > 2e9 cells; N = 8 alone would fit
         import weylsym.diag
 
         def no_field(*args):
             raise AssertionError("field built")
 
         monkeypatch.setattr(weylsym.diag, "projection_symbol_field", no_field)
-        code = run(["sweep", "--exp", "moyal-idempotency", "--N", "8,200",
+        code = run(["sweep", "--exp", "moyal-idempotency", "--N", "8,202",
                     "-o", str(tmp_path / "m")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: resource guard")
@@ -464,15 +464,16 @@ class TestMoyalCheckCommand:
         assert len(payload["points"]) == 6
 
     def test_default_grid_scales_with_n(self, tmp_path):
-        # a fixed 192^2 grid gives 0.0277 here; the 24N default (384^2) 0.0086
+        # a fixed 192^2 grid gives 0.0277 here; the 16N x 245 default with
+        # cubic rows 0.00097 (0.0086 on the 24N grid with linear rows)
         out = tmp_path / "moyal.json"
         code = run(["moyal-check", "--N", "16", "--seed", "2", "--points", "20", "-o", str(out)])
         assert code == 0
-        assert json.loads(out.read_text())["max_rel_err"] <= 0.02
+        assert json.loads(out.read_text())["max_rel_err"] <= 0.005
 
     def test_grid_flag_refused(self, tmp_path, capsys):
         # the grid follows from N, mu and L: this one undersampled the
-        # symbol in p and printed FAIL at 0.0947, against 0.0066 by default
+        # symbol in p and printed FAIL at 0.0947, against 0.0010 by default
         out = tmp_path / "moyal.json"
         code = run(["moyal-check", "--N", "16", "--mu", "0.3", "--grid=-1.5:1.5:384,-6:6:384",
                     "--points", "20", "-o", str(out)])
@@ -489,19 +490,21 @@ class TestMoyalCheckCommand:
         assert not out.exists()
 
     def test_resource_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
-        # the moyal-idempotency guard: the 24N default grid at N = 152 is
-        # 152 * 3648^2 > 2e9 cells (N = 151 fits)
+        # the moyal-idempotency guard: the default grid at N = 202 is
+        # 202 * 3232 * 3087 > 2e9 cells (N = 201 fits)
         def no_field(*args):
             raise AssertionError("field built")
 
-        message = "error: resource guard exceeded (N * points budget) at N = 152\n"
+        message = "error: resource guard exceeded (N * points budget) at N = 202\n"
         monkeypatch.setattr(weylsym.cli, "projection_symbol_field", no_field)
         monkeypatch.setattr(weylsym.diag, "projection_symbol_field", no_field)
         out = tmp_path / "moyal.json"
-        assert run(["moyal-check", "--N", "152", "-o", str(out)]) == 2
+        assert run(["moyal-check", "--N", "202", "-o", str(out)]) == 2
         assert capsys.readouterr().err == message
         assert not out.exists()
-        code = run(["sweep", "--exp", "moyal-idempotency", "--N", "8,152", "-o", str(tmp_path / "m")])
+        with pytest.raises(AssertionError, match="field built"):
+            run(["moyal-check", "--N", "201", "-o", str(out)])
+        code = run(["sweep", "--exp", "moyal-idempotency", "--N", "8,202", "-o", str(tmp_path / "m")])
         assert code == 2
         assert capsys.readouterr().err == message
 
@@ -512,22 +515,23 @@ class TestMoyalCheckCommand:
         out = tmp_path / "moyal.json"
         code = run(["moyal-check", "--N", "16", *flags, "--points", "20", "-o", str(out)])
         assert code == 0
-        assert json.loads(out.read_text())["max_rel_err"] <= 0.01
+        assert json.loads(out.read_text())["max_rel_err"] <= 0.005
 
     def test_p_cell_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
-        # 16 * 384 * 20107 cells fit the budget, but the direct product's
-        # 20107^2 complex work array would take 6.5 GB
+        # at mu = 0.05 the sampling theorem asks for dp <= pi hbar / 4L:
+        # 16 * 256 * 4890 cells fit the budget, but the direct product's
+        # 4890^2 complex work arrays would take 383 MB each
         def no_field(*args):
             raise AssertionError("field built")
 
-        message = "error: resource guard exceeded (20107 p cells > 4096) at N = 16\n"
+        message = "error: resource guard exceeded (4890 p cells > 4096) at N = 16\n"
         monkeypatch.setattr(weylsym.cli, "projection_symbol_field", no_field)
         monkeypatch.setattr(weylsym.diag, "projection_symbol_field", no_field)
         out = tmp_path / "moyal.json"
-        assert run(["moyal-check", "--N", "16", "--mu", "100", "-o", str(out)]) == 2
+        assert run(["moyal-check", "--N", "16", "--mu", "0.05", "-o", str(out)]) == 2
         assert capsys.readouterr().err == message
         assert not out.exists()
-        code = run(["sweep", "--exp", "moyal-idempotency", "--mu", "100", "-o", str(tmp_path / "m")])
+        code = run(["sweep", "--exp", "moyal-idempotency", "--mu", "0.05", "-o", str(tmp_path / "m")])
         assert code == 2
         assert capsys.readouterr().err == message
         assert not (tmp_path / "m.json").exists()
@@ -540,16 +544,18 @@ class TestMoyalCheckCommand:
         assert json.loads(out.read_text())["max_rel_err"] <= 0.02
 
     def test_resource_guard_counts_the_wider_window(self, tmp_path, monkeypatch, capsys):
-        # N = 100 fits at mu = 1 (100 * 2400^2 cells), but at mu = 8 the
-        # p window is [-8 pi, 8 pi] with 10054 cells: 100 * 2400 * 10054 > 2e9
+        # at mu = 8 the p window is [-8 pi, 8 pi] with 8N cells: N = 251
+        # asks for 251 * 4016 * 2008 > 2e9 cells (N = 250 fits)
         def no_field(*args):
             raise AssertionError("field built")
 
         monkeypatch.setattr(weylsym.cli, "projection_symbol_field", no_field)
         out = tmp_path / "moyal.json"
-        assert run(["moyal-check", "--N", "100", "--mu", "8", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "error: resource guard exceeded (N * points budget) at N = 100\n"
+        assert run(["moyal-check", "--N", "251", "--mu", "8", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: resource guard exceeded (N * points budget) at N = 251\n"
         assert not out.exists()
+        with pytest.raises(AssertionError, match="field built"):
+            run(["moyal-check", "--N", "250", "--mu", "8", "-o", str(out)])
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

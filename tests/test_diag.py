@@ -451,7 +451,7 @@ class TestSweeps:
             SweepConfig("osc-catalan", (64, 128), **{field: value})
 
     def test_budget_guard(self):
-        # the 24N grid at N = 20000 is 20000 * 480000^2 cells
+        # the default grid at N = 20000 is 20000 * 320000 * 305578 cells
         cfg = SweepConfig(experiment="moyal-idempotency", n_levels=(10, 20, 40, 20000))
         with pytest.raises(ValueError, match="resource guard"):
             run_sweep(cfg)

@@ -140,20 +140,34 @@ class TestComposition:
         )
 
 
-def rows_by_np_interp(field, X):
-    """The oracle of _rows_at: np.interp down each grid column, the column
-    padded with one zero cell beyond each end."""
+def rows_by_lagrange(field, X):
+    """The oracle of _rows_at: at each position, the 4-point Lagrange
+    polynomial through the two column nodes on either side, each grid column
+    padded with two zero cells beyond each end and read as zero past them."""
     g = field.grid
-    xs = np.concatenate([[g.x_min - 0.5 * g.dx], g.x_centers(), [g.x_max + 0.5 * g.dx]])
-    return np.stack(
-        [np.interp(X, xs, np.concatenate([[0.0], col, [0.0]]), left=0.0, right=0.0)
-         for col in field.values.T],
-        axis=1,
-    )
+    padded = np.pad(field.values, ((2, 2), (0, 0)))
+    nodes = g.x_min + (np.arange(-2, g.nx + 2) + 0.5) * g.dx
+    out = np.zeros((len(X), g.np))
+    for r, x in enumerate(X):
+        # the last padded node at or left of x, and its stencil
+        k = int(np.searchsorted(nodes, x, side="right")) - 1
+        stencil = range(k - 1, k + 3)
+        node = [g.x_min + (n - 1.5) * g.dx for n in stencil]
+        for a, n in enumerate(stencil):
+            if 0 <= n < len(nodes):
+                ell = math.prod((x - node[b]) / (node[a] - node[b]) for b in range(4) if b != a)
+                out[r] += ell * padded[n]
+    return out
+
+
+def interior_positions(grid, s):
+    """Positions at the fractions s of the span where all four rows of the
+    cubic stencil lie on the grid: centres 1 to nx - 2."""
+    return grid.x_min + (1.5 + np.array(s) * (grid.nx - 3)) * grid.dx
 
 
 class TestRowsAt:
-    def test_matches_np_interp_oracle(self):
+    def test_matches_lagrange_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             nx, n_p = (int(n) for n in rng.integers(2, 40, size=2))
@@ -168,7 +182,43 @@ class TestRowsAt:
             ])
             got = _rows_at(fld, X)
             assert got.shape == (X.size, n_p)
-            np.testing.assert_allclose(got, rows_by_np_interp(fld, X), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got, rows_by_lagrange(fld, X), rtol=0, atol=1e-13)
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(
+        nx=st.integers(4, 60),
+        n_p=st.integers(2, 5),
+        x_min=st.floats(-3.0, 1.0),
+        width=st.floats(0.1, 4.0),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_reproduces_a_cubic_in_x(self, nx, n_p, x_min, width, coeffs, s):
+        # each column its own multiple of one cubic about the window's centre
+        grid = PhaseGrid(x_min, x_min + width, -1.0, 1.0, nx, n_p)
+        mid = 0.5 * (grid.x_min + grid.x_max)
+        fld = SymbolField.sample(lambda x, p: np.polyval(coeffs, x - mid) * (1.0 + p), grid)
+        X = interior_positions(grid, s)
+        want = np.polyval(coeffs, X - mid)[:, None] * (1.0 + grid.p_centers())[None, :]
+        np.testing.assert_allclose(_rows_at(fld, X), want, rtol=0, atol=1e-12)
+
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(
+        nx=st.integers(4, 60),
+        omega_dx=st.floats(0.01, 1.5),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_error_within_the_stated_bound(self, nx, omega_dx, phase, s):
+        # the fourth x-derivative of cos(omega x + phi + p) is at most
+        # omega^4, so the cubic rows are off by at most (3/128) (omega dx)^4
+        grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, nx, 3)
+        omega = omega_dx / grid.dx
+        fld = SymbolField.sample(lambda x, p: np.cos(omega * x + phase + p), grid)
+        X = interior_positions(grid, s)
+        want = np.cos(omega * X[:, None] + phase + grid.p_centers()[None, :])
+        err = float(np.max(np.abs(_rows_at(fld, X) - want)))
+        assert err <= 3.0 / 128.0 * omega_dx**4 + 1e-14
 
 
 class TestDirect:
@@ -291,10 +341,9 @@ class TestDirectGrid:
         (8, 1.0, 1.0), (16, 1.02, 0.98), (5, 0.3, 2.0), (12, 6.0 / math.pi, 1.0), (3, 1.9, 1.0),
     ])
     def test_fixed_window_while_pi_mu_at_most_6L(self, N, mu, L):
-        # 24N p cells while pi mu >= 2L; below (mu = 0.3, L = 2) the
-        # sampling rule's ceil(8 L N h / pi mu) with h = 6
-        cells = 24 * N if math.pi * mu >= 2.0 * L else math.ceil(48.0 * L * N / (math.pi * mu))
-        assert direct_grid(N, mu, L) == PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 24 * N, cells)
+        # the sampling rule's ceil(8 L N h / pi mu) p cells with h = 6
+        cells = math.ceil(8 * N * (6.0 / (math.pi * mu / L)))
+        assert direct_grid(N, mu, L) == PhaseGrid(-1.5 * L, 1.5 * L, -6.0, 6.0, 16 * N, cells)
 
     @settings(max_examples=200, deadline=None)
     @given(N=st.integers(1, 400), mu=st.floats(0.01, 50.0), L=st.floats(0.01, 50.0))
@@ -304,8 +353,8 @@ class TestDirectGrid:
         g = direct_grid(N, mu, L)
         half = max(6.0, math.pi * mu / L)
         assert g.dp <= math.pi * (mu / N) / (4.0 * L) * (1.0 + 1e-12)
-        if math.pi * mu >= 2.0 * L:
-            assert g == PhaseGrid(-1.5 * L, 1.5 * L, -half, half, 24 * N, math.ceil(4 * N * half))
+        cells = math.ceil(8 * N * (half / (math.pi * mu / L)))
+        assert g == PhaseGrid(-1.5 * L, 1.5 * L, -half, half, 16 * N, cells)
 
     @pytest.mark.parametrize("N, mu, L", [(16, 4.0, 1.0), (16, 5.0, 1.0), (7, 1.0, 0.4), (1, 2.5, 1.3)])
     def test_wider_window_covers_twice_the_momentum_reach(self, N, mu, L):
@@ -313,10 +362,21 @@ class TestDirectGrid:
         P = math.pi * mu / (2.0 * L)
         assert g.p_max == -g.p_min == pytest.approx(2.0 * P, rel=1e-15)
         assert g.p_max > 6.0
-        assert (g.x_min, g.x_max, g.nx) == (-1.5 * L, 1.5 * L, 24 * N)
-        # cells no wider than at the fixed window, and no more than needed
-        assert g.dp <= 12.0 / (24 * N)
-        assert (g.np - 1) * 12.0 / (24 * N) < 2.0 * g.p_max
+        assert (g.x_min, g.x_max, g.nx) == (-1.5 * L, 1.5 * L, 16 * N)
+        # cells within the sampling bound, and no more than it needs
+        dp_max = math.pi * (mu / N) / (4.0 * L)
+        assert g.dp <= dp_max * (1.0 + 1e-12)
+        assert (g.np - 1) * dp_max < 2.0 * g.p_max
+
+    def test_origin_on_the_default_grid(self):
+        # the direct product's error was all linear interpolation along x:
+        # 0.0205 here on the 24N grid, 0.0020 with cubic rows on 16N
+        N, mu, L = 16, 1.0, 1.0
+        hbar = mu / N
+        proj = FiniteRankOperator(basis=box_basis(hbar, L), coeff=np.eye(N, dtype=complex))
+        fld = projection_symbol_field(N, hbar, L, direct_grid(N, mu, L))
+        got = moyal_direct(fld, fld, hbar, 0.0, 0.0)
+        assert abs(got - moyal_via_composition(proj, proj, hbar, 0.0, 0.0)) <= 0.0025
 
 
 def osc_basis(hbar):
