@@ -31,7 +31,7 @@ class EigenBasis:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.model is Model.BOX:
             if self.box_half_width is None or not self.box_half_width > 0:
-                raise ValueError("box model requires a positive box_half_width")
+                raise ValueError(f"L must be positive, got {self.box_half_width}")
 
     @property
     def L(self) -> float:

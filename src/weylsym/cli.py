@@ -40,27 +40,23 @@ _EXIT_IO = 3
 _EXIT_NUMERIC = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _parse_axis(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"axis spec must be min:max:count, got {text!r}")
+        raise ValueError(f"axis spec must be min:max:count, got {text!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"bad axis spec {text!r}: {exc}") from exc
+        raise ValueError(f"bad axis spec {text!r}: {exc}") from exc
     if n < 2 or not -math.inf < lo < hi < math.inf:
-        raise ConfigError(f"axis spec needs finite min < max and count >= 2, got {text!r}")
+        raise ValueError(f"axis spec needs finite min < max and count >= 2, got {text!r}")
     return lo, hi, n
 
 
 def _parse_grid(text: str) -> PhaseGrid:
     axes = text.split(",")
     if len(axes) != 2:
-        raise ConfigError(f"grid spec must be two comma-separated axes, got {text!r}")
+        raise ValueError(f"grid spec must be two comma-separated axes, got {text!r}")
     (x0, x1, nx) = _parse_axis(axes[0])
     (p0, p1, npts) = _parse_axis(axes[1])
     return PhaseGrid(x_min=x0, x_max=x1, p_min=p0, p_max=p1, nx=nx, np=npts)
@@ -71,7 +67,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad N list {text!r}") from exc
+        raise ValueError(f"bad N list {text!r}") from exc
 
 
 def _parse_section(text: str) -> np.ndarray:
@@ -82,9 +78,9 @@ def _parse_section(text: str) -> np.ndarray:
     try:
         value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"bad coordinate spec {text!r}") from exc
+        raise ValueError(f"bad coordinate spec {text!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"coordinate must be finite, got {text!r}")
+        raise ValueError(f"coordinate must be finite, got {text!r}")
     return np.array([value])
 
 
@@ -101,7 +97,7 @@ def _finite(text: str) -> float:
 
 def _positive(value: float, name: str) -> float:
     if not value > 0:
-        raise ConfigError(f"{name} must be positive")
+        raise ValueError(f"{name} must be positive")
     return value
 
 
@@ -127,7 +123,7 @@ def _write_field_json(path: str, fld: SymbolField) -> None:
 def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
     N = args.N
     if N < 1:
-        raise ConfigError("N must be >= 1")
+        raise ValueError("N must be >= 1")
     mu = _positive(args.mu, "mu")
     hbar = mu / N
     grid = _parse_grid(args.grid)
@@ -140,7 +136,7 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
     elif args.observable == "projection":
         fld = SymbolField.sample(partial(symbol_oscillator_projection, N, hbar), grid, levels=N)
     else:
-        raise ConfigError("the momentum field is box-only; --model osc renders the projection")
+        raise ValueError("the momentum field is box-only; --model osc renders the projection")
     if args.format == "csv":
         fld.to_csv(args.output)
     else:
@@ -191,7 +187,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_edge(args: argparse.Namespace, argv: list[str]) -> int:
     N = args.N
     if N < 1:
-        raise ConfigError("N must be >= 1")
+        raise ValueError("N must be >= 1")
     mu = _positive(args.mu, "mu")
     L = _positive(args.L, "L")
     hbar = mu / N
@@ -214,11 +210,11 @@ def _cmd_edge(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
     N = args.N
     if N < 1:
-        raise ConfigError("N must be >= 1")
+        raise ValueError("N must be >= 1")
     mu = _positive(args.mu, "mu")
     L = _positive(args.L, "L")
     if args.points < 1:
-        raise ConfigError("points must be >= 1")
+        raise ValueError("points must be >= 1")
     hbar = mu / N
     grid = direct_grid(N, mu, L)
     _check_direct_grid(N, grid)  # the moyal-idempotency guard
@@ -345,11 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "edge":
             if args.kind == "x" and args.u is None:
-                raise ConfigError("kind x requires --u")
+                raise ValueError("kind x requires --u")
             if args.kind == "p" and args.v is None:
-                raise ConfigError("kind p requires --v")
+                raise ValueError("kind p requires --v")
         return handlers[args.command](args, argv)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except OSError as exc:

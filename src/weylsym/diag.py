@@ -27,7 +27,7 @@ from .limits import (
 )
 from .moyal import _check_direct_grid, direct_grid, moyal_direct
 from .scale import _check_budget, pairwise_sum
-from .truncate import MAX_DIMENSION, LadderBand, matrix_linear_power
+from .truncate import LadderBand, matrix_linear_power
 from .weyl import (
     _laguerre_functions,
     projection_symbol_field,
@@ -473,8 +473,7 @@ def _sweep_box_tridiag_norm(config: SweepConfig):
     sum over the whole N x N matrix."""
     mu, L = config.mu, config.L
     N_max = config.n_levels[-1]
-    if N_max > MAX_DIMENSION:
-        raise ValueError(f"dimension {N_max} exceeds the {MAX_DIMENSION} cap")
+    _check_budget(N_max, 2 * N_max)
     entry = -1.0 / (2.0 * math.sqrt(L))
     limit = math.pi * mu / L
     rows = []

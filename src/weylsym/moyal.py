@@ -1,8 +1,9 @@
 """Moyal (star) products: exact finite-rank composition vs direct quadrature.
 
 Composition is exact for finite-rank operators (matrix product of the
-coefficient matrices, then one closed-form symbol evaluation: rank-one sums
-for the box, Groenewold's associated-Laguerre form for the oscillator) and
+coefficient matrices, then one closed-form symbol evaluation: the rank-one
+closed forms grouped by j + k and j - k for the box, Groenewold's
+associated-Laguerre form for the oscillator) and
 serves as ground truth.  The direct route discretizes the 4-fold
 star-product integral in its y/p pairing form by two successive 2-fold
 midpoint sums.  Its momentum shifts fall on the grid's own p-centres, so
@@ -24,7 +25,7 @@ import numpy as np
 from .basis import EigenBasis, Model
 from .scale import PhaseGrid, SymbolField, _check_budget, _point_arrays
 from .truncate import MAX_DIMENSION
-from .weyl import _oscillator_operator_symbol, symbol_rank_one_box_complex
+from .weyl import _box_operator_symbol, _oscillator_operator_symbol
 
 __all__ = [
     "FiniteRankOperator",
@@ -61,28 +62,19 @@ class FiniteRankOperator:
 def operator_symbol_complex(basis: EigenBasis, coeff: np.ndarray, hbar: float, x, p):
     """Symbol of sum M_jk |u_j><u_k|; complex for non-Hermitian M.
 
-    Both models broadcast over arrays of points: the box as a sum of
-    rank-one closed forms, the oscillator by Groenewold's associated-Laguerre
-    form.  coeff must be a square matrix, and hbar the basis's own.
+    Both models broadcast over arrays of points: the box by its rank-one
+    closed forms grouped by j + k and j - k, the oscillator by Groenewold's
+    associated-Laguerre form.  coeff must be a square matrix, and hbar the
+    basis's own.
     """
     if hbar != basis.hbar:
         raise ValueError(f"hbar = {hbar!r} differs from the basis's hbar = {basis.hbar!r}")
     coeff = np.asarray(coeff)
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
         raise ValueError(f"coeff must be a square matrix, got shape {coeff.shape}")
-    N = coeff.shape[0]
     x_arr, p_arr, unwrap = _point_arrays(x, p)
     if basis.model is Model.BOX:
-        total = np.zeros(x_arr.shape, dtype=complex)
-        for j in range(1, N + 1):
-            for k in range(1, N + 1):
-                c = coeff[j - 1, k - 1]
-                if c != 0:
-                    # x and p as given: at a scalar point the term stays a
-                    # scalar, whose complex product rounds unlike numpy's
-                    # array loop
-                    total = total + c * symbol_rank_one_box_complex(j, k, hbar, basis.L, x, p)
-        return unwrap(total)
+        return unwrap(_box_operator_symbol(coeff, hbar, basis.L, x_arr, p_arr))
     return unwrap(_oscillator_operator_symbol(coeff, hbar, x_arr, p_arr))
 
 

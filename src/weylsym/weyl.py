@@ -1,11 +1,12 @@
 """Weyl symbols in closed form.
 
-The box model has closed forms for rank-one symbols, the projection symbol
-and the truncated momentum symbol, built from the singularity-safe
-sin(A d)/d quotient of `kernel`.  The oscillator has Groenewold's
-associated-Laguerre form: one recurrence for the normalised Laguerre
-functions serves both the projection symbol and the symbol of any
-finite-rank operator (the oscillator branch of
+The box model has closed forms for the projection symbol, the truncated
+momentum symbol and the symbol of any finite-rank operator (the box branch
+of `moyal.operator_symbol_complex`: its rank-one terms grouped by j + k and
+j - k), built from the singularity-safe sin(A d)/d quotient of `kernel`.
+The oscillator has Groenewold's associated-Laguerre form: one recurrence
+for the normalised Laguerre functions serves both the projection symbol and
+the symbol of any finite-rank operator (the oscillator branch of
 `moyal.operator_symbol_complex`).
 """
 
@@ -20,7 +21,6 @@ from .kernel import _check_box, _sin_ratio, box_projection_kernel
 from .scale import PhaseGrid, SymbolField, _point_arrays
 
 __all__ = [
-    "symbol_rank_one_box_complex",
     "symbol_projection_box",
     "projection_symbol_field",
     "symbol_truncated_momentum_box",
@@ -30,30 +30,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-
-def symbol_rank_one_box_complex(
-    j: int, k: int, hbar: float, L: float, x, p
-) -> np.ndarray | complex:
-    """Symbol of |u_j><u_k| for the box; complex for j != k.
-
-    Four epsilon terms e^{-i eps2 (pi/2L)(j - eps1 k)(x+L)} sin(A d)/d with
-    d = (pi hbar / 4L)(j + eps1 k) + eps2 p and A = 2 (L - |x|) / hbar.
-    """
-    if j < 1 or k < 1:
-        raise ValueError("levels are 1-based")
-    _check_box(L, hbar)
-    x_arr, p_arr, unwrap = _point_arrays(x, p)
-    A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
-    out = np.zeros(x_arr.shape, dtype=complex)
-    for eps1 in (1, -1):
-        gamma = math.pi * hbar * (j + eps1 * k) / (4.0 * L)
-        phase = (math.pi / (2.0 * L)) * (j - eps1 * k) * (x_arr + L)
-        for eps2 in (1, -1):
-            out += eps1 * np.exp(-1j * eps2 * phase) * _sin_ratio(A, gamma + eps2 * p_arr)
-    out *= hbar / (2.0 * L)
-    out[np.abs(x_arr) > L] = 0.0
-    return unwrap(out)
 
 
 def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
@@ -280,6 +256,42 @@ def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) ->
             phase = np.exp(-1j * d * theta)
             out += sum_below * phase + sum_above * phase.conj()
     return out
+
+
+def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
+    """Symbol of sum_{j,k} M_jk |u_j><u_k| for the box, on x and p of one shape.
+
+    With s = j + k, t = j - k, theta = pi (x + L) / 2L, g = pi hbar / 4L,
+    A = 2 (L - |x|) / hbar and S(d) = sin(A d) / d, the symbol of |u_j><u_k| is
+
+        (hbar / 2L) sum_{e = +-1} [e^{-i e theta t} S(g s + e p) - e^{-i e theta s} S(g t + e p)]:
+
+    each quotient depends on (j, k) through s or t alone, its phase through
+    the other.  So M is written once into W[t + N - 1, s - 2] = M_jk, and
+    for each sign e the coefficients a_s = sum_t e^{-i e theta t} W[t, s]
+    and b_t = sum_s e^{-i e theta s} W[t, s] of every point are two matrix
+    products; each point then takes 4 (2N - 1) quotients.  0 for |x| > L.
+    """
+    N = coeff.shape[0]
+    s = np.arange(2, 2 * N + 1)
+    t = np.arange(1 - N, N)
+    j, k = np.indices(coeff.shape)
+    W = np.zeros((t.size, s.size), dtype=complex)
+    W[j - k + N - 1, j + k] = coeff
+    x = x_arr.reshape(-1, 1)
+    p = p_arr.reshape(-1, 1)
+    A = 2.0 * np.maximum(L - np.abs(x), 0.0) / hbar
+    theta = math.pi * (x + L) / (2.0 * L)
+    g = math.pi * hbar / (4.0 * L)
+    out = np.zeros(x.shape[0], dtype=complex)
+    for e in (1, -1):
+        a = np.exp(-1j * e * theta * t) @ W
+        b = np.exp(-1j * e * theta * s) @ W.T
+        out += np.sum(a * _sin_ratio(A, g * s + e * p), axis=1)
+        out -= np.sum(b * _sin_ratio(A, g * t + e * p), axis=1)
+    out *= hbar / (2.0 * L)
+    out[np.abs(x[:, 0]) > L] = 0.0
+    return out.reshape(x_arr.shape)
 
 
 def projection_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:

@@ -18,6 +18,8 @@ elements the program only uses in closed form.
 - `box_momentum_entry` / `box_momentum_matrix` are the box momentum C_jk;
   the program reaches their norms in O(N) (`diag`) and their symbol in
   closed form (`weyl`).
+- `rank_one_box_symbol` is the symbol of |u_j><u_k|: the program's box
+  operator symbol at the one-entry coefficient matrix.
 
 Level indices are 1-based (u_1 is the ground state); rows of the arrays
 are 0-based.
@@ -28,6 +30,8 @@ import math
 
 import numpy as np
 
+from weylsym.basis import EigenBasis, Model
+from weylsym.moyal import operator_symbol_complex
 from weylsym.scale import pairwise_sum
 from weylsym.truncate import LadderBand
 
@@ -144,3 +148,9 @@ def box_momentum_matrix(N: int, L: float, hbar: float) -> np.ndarray:
     """Truncated momentum matrix C_jk for the box, levels 1..N."""
     j = np.arange(1, N + 1)
     return box_momentum_entry(j[:, None], j[None, :], L, hbar)
+
+
+def rank_one_box_symbol(j: int, k: int, hbar: float, L: float, x, p):
+    coeff = np.zeros((max(j, k), max(j, k)))
+    coeff[j - 1, k - 1] = 1.0
+    return operator_symbol_complex(EigenBasis(Model.BOX, hbar=hbar, box_half_width=L), coeff, hbar, x, p)

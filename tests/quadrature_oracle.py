@@ -1,5 +1,5 @@
 """The y-quadrature route to Weyl symbols, kept as the one slow oracle of the
-closed forms (`weyl.symbol_*`, and the oscillator branch of
+closed forms (`weyl.symbol_*`, and both branches of
 `moyal.operator_symbol_complex`).
 
 It integrates hbar * K(x - hbar y/2, x + hbar y/2) e^{ipy} over a
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from eigen_oracle import gauss_legendre, truncated_operator_kernel
+
+from weylsym.basis import Model
 
 _IM_TOL = 1e-9
 
@@ -106,9 +108,13 @@ def symbol_from_kernel(
 
 def operator_symbol_quadrature(basis, coeff, hbar: float, x: float, p: float) -> complex:
     """Symbol of sum M_jk |u_j><u_k| at one point by quadrature of the
-    truncated-operator kernel: the oscillator route `moyal.operator_symbol_complex`
-    took before its Laguerre closed form."""
-    spec = oscillator_quadrature_spec(hbar, coeff.shape[0], p)
+    truncated-operator kernel, on the box's exact y-support or over the
+    oscillator's Gaussian tails."""
+    N = coeff.shape[0]
+    if basis.model is Model.BOX:
+        spec = box_quadrature_spec(hbar, basis.L, x, p, hbar * N)
+    else:
+        spec = oscillator_quadrature_spec(hbar, N, p)
     return symbol_from_kernel_complex(
         lambda xa, ya: truncated_operator_kernel(coeff, basis, xa, ya), hbar, spec, x, p
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from grid_oracle import l2_distance_with_tail, rectangle
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
-from matrix_oracle import box_momentum_matrix, dense_power, hs_norm_sq, ladder_matrices
+from matrix_oracle import box_momentum_matrix, dense_power, hs_norm_sq, ladder_matrices, rank_one_box_symbol
 from quadrature_oracle import box_quadrature_spec, box_y_support, symbol_from_kernel, symbol_from_kernel_complex
 
 from weylsym.basis import EigenBasis, Model
@@ -33,7 +33,6 @@ from weylsym.weyl import (
     rescaled_kernel_f2,
     symbol_oscillator_projection,
     symbol_projection_box,
-    symbol_rank_one_box_complex,
     symbol_truncated_momentum_box,
 )
 
@@ -274,7 +273,7 @@ def test_ac11_oracle_equivalences():
             lambda xa, ya: box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1],
             hbar, spec, x, p,
         )
-        worst = max(worst, abs(q - symbol_rank_one_box_complex(j, k, hbar, L, x, p)))
+        worst = max(worst, abs(q - rank_one_box_symbol(j, k, hbar, L, x, p)))
     assert worst <= 1e-7
 
     # (d) kernel closed form vs eigenfunction sum

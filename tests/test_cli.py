@@ -220,6 +220,18 @@ class TestSweepCommand:
         assert all(v["passed"] for v in payload["verdicts"])
         assert (tmp_path / "tri.csv").exists()
 
+    def test_tridiag_sweep_takes_the_shared_budget(self, tmp_path, capsys):
+        # the sweep holds 2 (N - 1) doubles: the 4096 cap of the dense route
+        # is gone, the N * points budget stays
+        code = run(["sweep", "--exp", "box-tridiag-norm", "--N", "16,8192", "-o", str(tmp_path / "t")])
+        assert code == 0
+        rows = json.loads((tmp_path / "t.json").read_text())["rows"]
+        assert [r["N"] for r in rows] == [16, 8192]
+        code = run(["sweep", "--exp", "box-tridiag-norm", "--N", "16,40000", "-o", str(tmp_path / "u")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: resource guard exceeded (N * points budget) at N = 40000\n"
+        assert not (tmp_path / "u.json").exists()
+
     def test_failing_verdict_exits_one(self, tmp_path):
         # a momentum-norm sweep with tiny N cannot reach the 5% bound
         prefix = tmp_path / "mom"

@@ -486,7 +486,105 @@ class TestOscillatorOperatorSymbol:
         assert abs(got - symbol_oscillator_projection(N, hbar, 0.2, 1.2)) <= 1e-13
 
 
+box_settings = settings(deadline=None, derandomize=True, max_examples=40)
+
+
+@st.composite
+def box_points(draw):
+    """(N, hbar, L, x, p) with |x| < L; half the momenta resonant,
+    p = pi hbar n / 4L, where g s +- p or g t +- p is exactly 0."""
+    N, mu, L = draw(st.integers(1, 64)), draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    hbar = mu / N
+    x = draw(st.floats(-0.95, 0.95)) * L
+    if draw(st.booleans()):
+        p = math.pi * hbar * draw(st.integers(-2 * N - 2, 2 * N + 2)) / (4.0 * L)
+    else:
+        p = draw(st.floats(-3.0, 3.0)) * math.pi * mu / (2.0 * L)
+    return N, hbar, L, x, p
+
+
+@st.composite
+def sparse_matrices(draw, N):
+    m = np.zeros((N, N), dtype=complex)
+    for _ in range(draw(st.integers(1, 6))):
+        j, k = draw(st.integers(0, N - 1)), draw(st.integers(0, N - 1))
+        m[j, k] = complex(draw(entry), draw(entry))
+    return m
+
+
+class TestBoxOperatorSymbol:
+    @box_settings
+    @given(point=box_points(), data=st.data())
+    def test_matches_quadrature_oracle(self, point, data):
+        N, hbar, L, x, p = point
+        m = data.draw(sparse_matrices(N))
+        got = operator_symbol_complex(box_basis(hbar, L), m, hbar, x, p)
+        assert isinstance(got, complex)
+        assert abs(got - operator_symbol_quadrature(box_basis(hbar, L), m, hbar, x, p)) <= 1e-8
+
+    @box_settings
+    @given(point=box_points())
+    def test_identity_is_the_projection(self, point):
+        N, hbar, L, x, p = point
+        got = operator_symbol_complex(box_basis(hbar, L), np.eye(N), hbar, x, p)
+        assert abs(got - symbol_projection_box(N, hbar, L, x, p)) <= 1e-12
+
+    @box_settings
+    @given(point=box_points())
+    def test_momentum_matrix_is_the_momentum_symbol(self, point):
+        N, hbar, L, x, p = point
+        got = operator_symbol_complex(box_basis(hbar, L), box_momentum_matrix(N, L, hbar), hbar, x, p)
+        want = symbol_truncated_momentum_box(N, hbar, L, x, p)
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+    @box_settings
+    @given(
+        point=box_points(), data=st.data(), u=st.floats(1.0, 3.0),
+        sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_zero_for_x_outside_box(self, point, data, u, sign):
+        N, hbar, L, _, p = point
+        m = data.draw(complex_matrices(max_dim=N))
+        basis = box_basis(hbar, L)
+        for x in (sign * L, sign * u * L):
+            assert operator_symbol_complex(basis, m, hbar, x, p) == 0.0
+        vals = operator_symbol_complex(basis, m, hbar, np.array([L, -L, sign * u * L]), p)
+        np.testing.assert_array_equal(vals, 0.0)
+
+    @box_settings
+    @given(point=box_points(), data=st.data())
+    def test_hermitian_coeff_gives_real_symbol(self, point, data):
+        N, hbar, L, x, p = point
+        m = data.draw(complex_matrices(max_dim=N))
+        got = operator_symbol_complex(box_basis(hbar, L), m + m.conj().T, hbar, x, p)
+        assert abs(got.imag) <= 1e-14 * np.sum(np.abs(m))
+
+    @box_settings
+    @given(
+        m=complex_matrices(max_dim=24), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
+        xs=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=6),
+        ps=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+    )
+    def test_broadcast_matches_scalar_calls(self, m, mu, L, xs, ps):
+        # the points share one BLAS product, whose rounding may differ from a
+        # one-point product in the last bits; reruns repeat every bit
+        hbar = mu / m.shape[0]
+        basis = box_basis(hbar, L)
+        grid = operator_symbol_complex(basis, m, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
+        assert grid.shape == (len(xs), len(ps))
+        scalar = np.array([[operator_symbol_complex(basis, m, hbar, x, p) for p in ps] for x in xs])
+        assert np.max(np.abs(grid - scalar)) <= 1e-14 * np.sum(np.abs(m))
+        again = operator_symbol_complex(basis, m, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
+        assert again.tobytes() == grid.tobytes()
+
+
 class TestOperatorSymbolValidation:
+    @pytest.mark.parametrize("basis", [box_basis(0.25), osc_basis(0.25)])
+    def test_empty_coeff_gives_zero(self, basis):
+        empty = np.zeros((0, 0))
+        assert operator_symbol_complex(basis, empty, 0.25, 0.1, 0.2) == 0.0
+        np.testing.assert_array_equal(operator_symbol_complex(basis, empty, 0.25, np.zeros(3), 0.2), 0.0)
+
     @pytest.mark.parametrize("coeff", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
     def test_box_rejects_non_square_coeff(self, coeff):
         with pytest.raises(ValueError, match="square"):

@@ -6,7 +6,7 @@ import pytest
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matrix_oracle import box_momentum_matrix
+from matrix_oracle import box_momentum_matrix, rank_one_box_symbol
 from quadrature_oracle import (
     CoverageWarning,
     WeylQuadratureSpec,
@@ -27,7 +27,6 @@ from weylsym.weyl import (
     rescaled_kernel_f2,
     symbol_oscillator_projection,
     symbol_projection_box,
-    symbol_rank_one_box_complex,
     symbol_truncated_momentum_box,
 )
 
@@ -99,15 +98,15 @@ class TestSymbolFromKernel:
 
 class TestRankOneBox:
     def test_outside_box_is_zero(self):
-        assert symbol_rank_one_box_complex(3, 4, 0.2, 1.0, 1.2, 0.7) == 0.0
-        assert symbol_rank_one_box_complex(3, 4, 0.2, 1.0, -1.000001, 0.7) == 0.0
+        assert rank_one_box_symbol(3, 4, 0.2, 1.0, 1.2, 0.7) == 0.0
+        assert rank_one_box_symbol(3, 4, 0.2, 1.0, -1.000001, 0.7) == 0.0
 
     def test_momentum_marginal_recovers_kernel_diagonal(self):
         # int sigma_{11}(x, p) dp = 2 pi hbar u_1(x)^2
         L, hbar, x = 1.0, 0.2, 0.2
         P = 50 * hbar / L + 10
         ps, ws = gauss_legendre(2000, -P, P)
-        vals = symbol_rank_one_box_complex(1, 1, hbar, L, np.full_like(ps, x), ps).real
+        vals = rank_one_box_symbol(1, 1, hbar, L, np.full_like(ps, x), ps).real
         got = float(np.sum(ws * vals))
         want = 2 * math.pi * hbar * box_wavefunctions(1, L, np.array([x]))[0, 0] ** 2
         assert got == pytest.approx(want, rel=1e-2)
@@ -121,13 +120,13 @@ class TestRankOneBox:
 
         spec = box_quadrature_spec(hbar, L, x, p, hbar * max(j, k))
         got = symbol_from_kernel_complex(kernel, hbar, spec, x, p)
-        want = symbol_rank_one_box_complex(j, k, hbar, L, x, p)
+        want = rank_one_box_symbol(j, k, hbar, L, x, p)
         assert got.real == pytest.approx(want.real, abs=1e-8)
         assert got.imag == pytest.approx(want.imag, abs=1e-8)
 
     def test_diagonal_is_real(self):
         for k in (1, 3, 6):
-            val = symbol_rank_one_box_complex(k, k, 0.15, 1.0, 0.33, -0.9)
+            val = rank_one_box_symbol(k, k, 0.15, 1.0, 0.33, -0.9)
             assert val.imag == pytest.approx(0.0, abs=1e-15)
 
 
@@ -139,7 +138,7 @@ class TestProjectionSymbolBox:
         for _ in range(30):
             x = rng.uniform(-1.2 * L, 1.2 * L)
             p = rng.uniform(-3.0, 3.0)
-            want = sum(symbol_rank_one_box_complex(k, k, hbar, L, x, p).real for k in range(1, N + 1))
+            want = sum(rank_one_box_symbol(k, k, hbar, L, x, p).real for k in range(1, N + 1))
             got = symbol_projection_box(N, hbar, L, x, p)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -483,7 +482,7 @@ class TestClosedFormsAgainstQuadrature:
                 return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
 
             q_rank = symbol_from_kernel_complex(rank_kernel, hbar, spec, x, p)
-            c_rank = symbol_rank_one_box_complex(j, k, hbar, L, x, p)
+            c_rank = rank_one_box_symbol(j, k, hbar, L, x, p)
             worst = max(
                 worst,
                 abs(q_proj - c_proj),
@@ -584,7 +583,7 @@ class TestFields:
 
 _grid = PhaseGrid(-1.2, 1.2, -2.0, 2.0, 4, 3)
 BOX_CALLS = {
-    "rank_one": lambda hbar, L: symbol_rank_one_box_complex(1, 2, hbar, L, 0.0, 0.0),
+    "rank_one": lambda hbar, L: rank_one_box_symbol(1, 2, hbar, L, 0.0, 0.0),
     "projection": lambda hbar, L: symbol_projection_box(4, hbar, L, 0.0, 0.0),
     "momentum": lambda hbar, L: symbol_truncated_momentum_box(4, hbar, L, 0.0, 0.0),
     "projection_field": lambda hbar, L: projection_symbol_field(4, hbar, L, _grid),
@@ -628,7 +627,7 @@ class TestBoxWallsAndResonances:
         hbar, p = mu / N, v * math.pi * mu / (2.0 * L)
         for x in (sign * L, sign * u * L):
             assert symbol_projection_box(N, hbar, L, x, p) == 0.0
-            assert symbol_rank_one_box_complex(j, k, hbar, L, x, p) == 0.0
+            assert rank_one_box_symbol(j, k, hbar, L, x, p) == 0.0
 
     @box_settings
     @given(
@@ -658,7 +657,7 @@ class TestBoxWallsAndResonances:
         N = max(j, k)
         hbar, x = mu / N, u * L
         p = sign * math.pi * hbar * m / (4.0 * L)
-        got = symbol_rank_one_box_complex(j, k, hbar, L, x, p)
+        got = rank_one_box_symbol(j, k, hbar, L, x, p)
         assert math.isfinite(got.real) and math.isfinite(got.imag)
 
         def kernel(xa, ya):
@@ -680,7 +679,7 @@ class TestBoxWallsAndResonances:
             return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
 
         want = symbol_from_kernel_complex(kernel, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
-        assert abs(symbol_rank_one_box_complex(j, k, hbar, L, x, p) - want) <= 1e-8
+        assert abs(rank_one_box_symbol(j, k, hbar, L, x, p) - want) <= 1e-8
 
 
 class TestFieldThreads:
