@@ -62,12 +62,12 @@ def _parse_grid(text: str) -> PhaseGrid:
     return PhaseGrid(x_min=x0, x_max=x1, p_min=p0, p_max=p1, nx=nx, np=npts)
 
 
-def _parse_n_list(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; `SweepConfig` checks their range."""
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    """Comma-separated integers for `flag`; `SweepConfig` checks their range."""
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad N list {text!r}") from exc
+        raise ValueError(f"bad {flag} list {text!r}") from exc
 
 
 def _parse_section(text: str) -> np.ndarray:
@@ -163,8 +163,8 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     name = args.exp
-    n_levels = _parse_n_list(args.N) if args.N else default_n_levels(name)
-    powers = tuple(int(t) for t in args.n.split(",")) if args.n else (1, 2, 3)
+    n_levels = _parse_int_list(args.N, "--N") if args.N else default_n_levels(name)
+    powers = _parse_int_list(args.n, "--n") if args.n else (1, 2, 3)
     config = SweepConfig(
         experiment=name,
         n_levels=n_levels,

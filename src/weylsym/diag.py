@@ -117,17 +117,14 @@ def oscillator_disk_distance_sq(N: int, hbar: float) -> float:
 
         d^2 = 2 pi hbar sum_{k<N} (-1)^k (4 (N - k) - 2) l_k(4N),
 
-    one Laguerre recurrence at z = 4N, summed as mantissas at its carried
-    binary exponent (e^{-2N} underflows past N ~ 370).  O(N) work.
+    one Laguerre recurrence at z = 4N, whose binary exponent keeps every
+    l_k finite though e^{-2N} underflows past N ~ 370.  O(N) work.
     """
     _check_levels(N, hbar)
-    ells = _laguerre_functions(0, np.float64(4 * N), N)
-    total, expo = next(ells)
-    total = total * (4 * N - 2)
-    for k, (m, shift) in enumerate(ells, start=1):
-        total = np.ldexp(total, -shift) + (-1) ** k * (4 * (N - k) - 2) * m
-        expo = expo + shift
-    return 2.0 * math.pi * hbar * float(np.ldexp(total, expo))
+    total = 0.0
+    for k, ell in enumerate(_laguerre_functions(0, np.float64(4 * N), N)):
+        total = total + (-1) ** k * (4 * (N - k) - 2) * ell
+    return 2.0 * math.pi * hbar * float(total)
 
 
 def catalan_limit_value(n: int, a: float, b: float, mu: float) -> float:
@@ -424,6 +421,7 @@ def _edge_sweep(kind: str, config: SweepConfig):
     else:
         coords = np.tile([0.25, 0.5, 1.5], 2)
         fixed = np.repeat([0.0, 0.5 * L], 3)
+    _check_budget(config.n_levels[-1], np.broadcast(coords, fixed).size)
     rows = []
     for N in config.n_levels:
         sym, prof = edge_section(kind, N, mu, L, coords, fixed)
@@ -496,6 +494,7 @@ def _sweep_box_tridiag_norm(config: SweepConfig):
 
 def _sweep_box_momentum_norm(config: SweepConfig):
     mu, L = config.mu, config.L
+    _check_budget(config.n_levels[-1], config.n_levels[-1])  # N terms per N, as the L2 sweeps
     limit = math.pi**3 * mu**3 / (6.0 * L**2)
     rows = []
     rels = []
@@ -583,6 +582,7 @@ def _sweep_osc_offdiag(config: SweepConfig):
 
 def _sweep_osc_origin_parity(config: SweepConfig):
     mu = config.mu
+    _check_budget(config.n_levels[-1], 1)  # N recurrence steps at one point
     rows = []
     worst = 0.0
     for N in config.n_levels:

@@ -31,9 +31,11 @@ def _sin_ratio(amplitude, d):
     return np.where(zero, A, np.sin(A * safe) / safe)
 
 
-def _check_box(L: float, hbar: float | None = None) -> None:
-    """Reject a box half width L <= 0, and hbar <= 0 when one is given
-    (NaN fails both); called once per public box call."""
+def _check_box(L: float, hbar: float | None = None, N: int = 1) -> None:
+    """Reject a rank N < 1, a box half width L <= 0, and hbar <= 0 when one
+    is given (NaN fails both); called once per public box call."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if hbar is not None and not hbar > 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
     if not L > 0:
@@ -67,9 +69,7 @@ def box_projection_kernel(N: int, L: float, x, y) -> np.ndarray | float:
 
         sum_{k<=N} u_k(x) u_k(y) = [D_N(c (x - y)) - D_N(c (x + y + 2L))] / 4L.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_box(L)
+    _check_box(L, N=N)
     x_arr, y_arr, unwrap = _point_arrays(x, y)
     c = math.pi / (2.0 * L)
     out = (dirichlet_kernel(N, c * (x_arr - y_arr)) - dirichlet_kernel(N, c * (x_arr + y_arr + 2.0 * L))) / (4.0 * L)

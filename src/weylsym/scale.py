@@ -6,6 +6,15 @@ as a plain float.  Phase-space data lives on midpoint-rule rectangular
 grids (:class:`PhaseGrid`) as plain real arrays (:class:`SymbolField`),
 each filled by `SymbolField.sample` in blocks of x rows under the one work
 budget that every layer shares.
+
+A block holds at most _BLOCK_CELLS = 2^15 cells and, by the `row_table`
+rule, at most 64 _BLOCK_CELLS entries of its symbol's whole-level tables
+per x row (the momentum's prefix sums).  Inside a block, the box closed
+forms take their levels in chunks of at most _LEVEL_CHUNK = 2^12 entries
+(levels x cells): a full block one level at a time, a few points many.
+Each cell adds its levels in order whatever the chunk, so the chunk bound
+is its own constant, not a share of _BLOCK_CELLS: a field keeps the bytes
+of point calls for every block size.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ __all__ = [
 
 _BUDGET = 2_000_000_000  # largest N * (grid cells or terms per level) of a request
 _BLOCK_CELLS = 1 << 15  # cells per block of a grid field (256 KiB per temporary)
+_LEVEL_CHUNK = 1 << 12  # entries (levels x cells) per chunk of a closed-form level sum
 
 
 def _check_budget(N: int, points: int) -> None:
@@ -38,11 +48,15 @@ def _point_arrays(x, y, broadcast: bool = True):
     function that hands a result on them back in the caller's form: the
     single element (float or complex, from the dtype) when both coordinates
     were scalars, else the array.  With broadcast=False the arrays keep
-    their own shapes, for a caller that builds per-coordinate tables."""
+    their own sizes, with leading unit axes up to one ndim, for a caller
+    that builds per-coordinate tables."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if broadcast:
         x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
+    else:
+        nd = max(x_arr.ndim, y_arr.ndim)
+        x_arr, y_arr = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (x_arr, y_arr))
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return x_arr, y_arr, lambda out: out.item()
     return x_arr, y_arr, lambda out: out

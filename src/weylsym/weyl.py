@@ -1,13 +1,13 @@
 """Weyl symbols in closed form.
 
-The box model has closed forms for the projection symbol, the truncated
-momentum symbol and the symbol of any finite-rank operator (the box branch
-of `moyal.operator_symbol_complex`: its rank-one terms grouped by j + k and
-j - k), built from the singularity-safe sin(A d)/d quotient of `kernel`.
-The oscillator has Groenewold's associated-Laguerre form: one recurrence
-for the normalised Laguerre functions serves both the projection symbol and
-the symbol of any finite-rank operator (the oscillator branch of
-`moyal.operator_symbol_complex`).
+Box: the projection and truncated momentum symbols share one level sum,
+sum_j c_j [S(m_j + q) +- S(m_j - q)] with S = sin(A d)/d from `kernel`,
+split by angle addition; the symbol of any finite-rank operator (the box
+branch of `moyal.operator_symbol_complex`) groups its rank-one terms by
+j + k and j - k.  Oscillator: Groenewold's associated-Laguerre form, one
+recurrence yielding the normalised Laguerre functions at their true scale,
+summed by the projection symbol, the operator symbol (the oscillator branch
+of `moyal.operator_symbol_complex`) and `diag.oscillator_disk_distance_sq`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import _check_box, _sin_ratio, box_projection_kernel
-from .scale import PhaseGrid, SymbolField, _point_arrays
+from .kernel import _check_box, _sin_ratio, box_projection_kernel, dirichlet_kernel
+from .scale import _LEVEL_CHUNK, PhaseGrid, SymbolField, _point_arrays
 
 __all__ = [
     "symbol_projection_box",
@@ -32,82 +32,95 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
-    """Three-sum closed form, broadcasting x against p, with O(1)
-    transcendentals per cell.
+def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_j coef_j [S(m_j + q) + parity S(m_j - q)], S(t) = sin(A t) / t, over
+    levels m_j > 0 in arithmetic progression, for q >= 0.  A (from x) and q
+    (from p) have one ndim and broadcast; coef broadcasts to (levels,) + A.shape.
 
-    With A = 2 (L - |x|) / hbar, S(t) = sin(A t) / t, q = |p| and the
-    resonances m_k = k g, g = pi hbar / 2L,
+    By angle addition S(m + q) + e S(m - q) = cos(Aq) sin(Am) [1/(m+q) + e/(m-q)]
+    + sin(Aq) cos(Am) [1/(m+q) - e/(m-q)]: per level a sine and a cosine on
+    A's shape, reciprocals on q's and two products per cell.  The split's
+    rounding errors eps / |m - q| cancel only in exact arithmetic, so the
+    nearest level is left out of the reciprocals and its S(m - q) is added
+    directly; every other level is at least half a spacing from q.
+
+    Levels go in chunks of at most _LEVEL_CHUNK levels x cells, each cell
+    adding them one by one in order, so no value depends on the chunking.
+    """
+    coef = np.broadcast_to(coef, levels.shape + A.shape)
+    step = levels[1] - levels[0] if levels.size > 1 else 1.0
+    near = np.clip(np.rint((q - levels[0]) / step), 0, levels.size - 1).astype(np.intp)
+    m_near = levels[near]
+    levels_col = levels.reshape((-1,) + (1,) * A.ndim)
+    shape = np.broadcast_shapes(A.shape, q.shape)
+    c = max(1, min(levels.size, _LEVEL_CHUNK // math.prod(shape)))
+    # run[0] holds the (even, odd) sums and run[1:] a chunk's products; the
+    # pair axis keeps the levels off the innermost axis, which numpy would
+    # reduce pairwise.  One level per chunk adds in place, with no run.
+    run = np.zeros((c + 1, 2) + shape) if c > 1 else None
+    sums = run[:1] if c > 1 else np.zeros((1, 2) + shape)
+    even, odd = sums[:, 0], sums[:, 1]
+    for j0 in range(0, levels.size, c):
+        chunk = slice(j0, j0 + c)
+        m = levels_col[chunk]
+        n = m.shape[0]
+        Am = A * m
+        sin_m, cos_m = np.sin(Am) * coef[chunk], np.cos(Am) * coef[chunk]
+        r_plus, r_minus = 1.0 / (m + q), m - q
+        r_minus[m == m_near] = np.inf
+        np.divide(parity, r_minus, out=r_minus)
+        u, v = r_plus + r_minus, r_plus - r_minus
+        if n == 1:  # the same sums; numpy would copy run[0] for the overlap
+            even += sin_m * u
+            odd += cos_m * v
+        else:
+            np.multiply(sin_m, u, out=run[1 : n + 1, 0])
+            np.multiply(cos_m, v, out=run[1 : n + 1, 1])
+            np.add.reduce(run[: n + 1], axis=0, out=run[0])
+    even *= np.cos(A * q)
+    odd *= np.sin(A * q)
+    even += odd
+    even += parity * _sin_ratio(A, m_near - q) * np.take_along_axis(coef, near[None], axis=0)
+    return even[0]
+
+
+def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
+    """The projection symbol, x and p broadcasting.  With A = 2 (L - |x|) / hbar,
+    S(t) = sin(A t) / t, q = |p| and m_k = k g, g = pi hbar / 2L,
 
         sigma = (hbar / 2L) [sum_k (S(m_k + q) + S(m_k - q)) - 2 S(q) sum_k cos(A m_k)],
 
-    since cos(k pi (L + x) / L) = cos(A m_k) for |x| <= L.  S is even, so
-    sigma is exactly even in p.  By angle addition
-
-        S(m + q) + S(m - q) = cos(Aq) sin(Am) [1/(m+q) + 1/(m-q)]
-                            + sin(Aq) cos(Am) [1/(m+q) - 1/(m-q)],
-
-    so per level sin(A m_k) and cos(A m_k) depend on x alone (a field's x
-    column) and the reciprocals on q alone (a p row); the cells see two
-    multiply-adds per level, in a fixed order of k, and then cos(Aq),
-    sin(Aq), S(q) and one resonance term.
-
-    Resonance: the split carries absolute errors eps / |m_k - q| that
-    cancel in exact arithmetic but not in floating point.  The nearest
-    level k* = rint(q / g), clipped to [1, N], is therefore left out of the
-    reciprocals and S(m_k* - q) is added directly.  Every other level has
-    |m_k - q| >= g / 2 > hbar / 2L, so its error is at most 2L eps / hbar,
-    O(eps) after the hbar / 2L prefactor.
+    since cos(k pi (L + x) / L) = cos(A m_k) for |x| <= L; even in p.  In
+    units of g the levels are k and the phase per level is alpha = A g: the
+    first sum is `_level_sum`, and 2 sum_k cos(k alpha) = D_N(alpha) - 1.
     """
-    A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
-    alpha = math.pi * (L - np.abs(x_arr)) / L  # A g
-    q = np.abs(p_arr)
-    g = math.pi * hbar / (2.0 * L)
-    k_star = np.clip(np.rint(q / g), 1, N)
-    cos_sum = np.zeros(x_arr.shape)
-    shape = np.broadcast(x_arr, p_arr).shape
-    even = np.zeros(shape)  # sum_k sin(A m_k) [1/(m_k+q) + 1/(m_k-q)]
-    odd = np.zeros(shape)  # sum_k cos(A m_k) [1/(m_k+q) - 1/(m_k-q)]
-    for k in range(1, N + 1):
-        m = k * g
-        k_alpha = k * alpha  # A m_k
-        sin_k, cos_k = np.sin(k_alpha), np.cos(k_alpha)
-        cos_sum += cos_k
-        r_plus = 1.0 / (m + q)
-        d_minus = m - q
-        d_minus[k_star == k] = np.inf
-        r_minus = 1.0 / d_minus
-        even += sin_k * (r_plus + r_minus)
-        odd += cos_k * (r_plus - r_minus)
-    Aq = A * q
-    tot = np.cos(Aq) * even + np.sin(Aq) * odd
-    tot -= 2.0 * cos_sum * _sin_ratio(A, q)
-    tot += _sin_ratio(A, k_star * g - q)
-    tot *= hbar / (2.0 * L)
+    alpha = math.pi * np.maximum(L - np.abs(x_arr), 0.0) / L
+    q = np.abs(p_arr) * (2.0 * L / (math.pi * hbar))
+    tot = _level_sum(1.0, np.arange(1.0, N + 1), 1.0, alpha, q)
+    tot -= _sin_ratio(alpha, q) * (dirichlet_kernel(N, alpha) - 1.0)
+    tot *= 1.0 / math.pi
     return np.where(np.abs(x_arr) > L, 0.0, tot)
+
+
+def _box_symbol(values, N: int, hbar: float, L: float, x, p):
+    _check_box(L, hbar, N)
+    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
+    return unwrap(values(N, hbar, L, x_arr, p_arr))
 
 
 def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the rank-N box projection; 0 for |x| > L."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_box(L, hbar)
-    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
-    return unwrap(_projection_symbol_values(N, hbar, L, x_arr, p_arr))
+    return _box_symbol(_projection_symbol_values, N, hbar, L, x, p)
 
 
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the truncated box momentum; odd in p, 0 for
     |x| >= L, O(N) per point."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_box(L, hbar)
-    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
-    return unwrap(_momentum_symbol_values(N, hbar, L, x_arr, p_arr))
+    return _box_symbol(_momentum_symbol_values, N, hbar, L, x, p)
 
 
 def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
-    """The momentum symbol from prefix sums, broadcasting x against p.
+    """The momentum symbol from prefix sums, x and p broadcasting.
 
     Index the pairs j > k with j + k odd by s = j + k and d = j - k, both
     odd, with d <= s - 2 and s + d <= 2N.  With theta = pi (x + L) / 2L,
@@ -122,28 +135,25 @@ def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.n
           + m sum_{s=m+2}^{2N-m} sin(s theta)/s - (1/m) sum_{s=m+2}^{2N-m} s sin(s theta),
 
     D = min(m - 2, 2N - m), all sums over odd indices: differences of prefix
-    sums that depend on x alone.  The prefix tables take x's own shape (a
-    field's x column, never the cell block); the cells see 2N sin(A q)/q
-    passes.
+    sums on x's own shape.  As T(m) = -sign(p) [S(g_m + q) - S(g_m - q)],
+    q = |p|, the sum over m is `_level_sum` in units of g_1; +0 at p = 0.
     """
-    A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
-    m = np.arange(1, 2 * N, 2)  # m = 2i + 1
-    sines = np.sin(m * (math.pi * (x_arr[..., None] + L) / (2.0 * L)))
-    start = np.zeros(x_arr.shape + (1,))
-    # q[..., c]: sums over the first c odd indices
-    q1 = np.concatenate([start, np.cumsum(sines / m, axis=-1)], axis=-1)
-    q2 = np.concatenate([start, np.cumsum(sines * m, axis=-1)], axis=-1)
+    m = np.arange(1.0, 2 * N, 2).reshape((-1,) + (1,) * x_arr.ndim)  # m = 2i + 1
+    sines = np.sin(m * (math.pi * (x_arr + L) / (2.0 * L)))
+    start = np.zeros((1,) + x_arr.shape)
+    # q[c]: sums over the first c odd indices
+    q1 = np.concatenate([start, np.cumsum(sines / m, axis=0)])
+    q2 = np.concatenate([start, np.cumsum(sines * m, axis=0)])
     i = np.arange(N)
     n_d = np.minimum(i, N - i)  # odd d <= D
     hi, lo = N - i, np.minimum(i + 1, N - i)  # odd s in [m + 2, 2N - m], empty for m >= N
-    coef = m * (q1[..., n_d] + q1[..., hi] - q1[..., lo])
-    coef -= (q2[..., n_d] + q2[..., hi] - q2[..., lo]) / m
-    tot = np.zeros(np.broadcast(x_arr, p_arr).shape)
-    for ii in range(N):
-        g = math.pi * hbar * (2 * ii + 1) / (4.0 * L)
-        tot += coef[..., ii] * (_sin_ratio(A, p_arr - g) - _sin_ratio(A, p_arr + g))
-    tot *= hbar * hbar / (2.0 * L * L)
-    return np.where(np.abs(x_arr) >= L, 0.0, tot)
+    coef = m * (q1[n_d] + q1[hi] - q1[lo])
+    coef -= (q2[n_d] + q2[hi] - q2[lo]) / m
+    alpha = math.pi * np.maximum(L - np.abs(x_arr), 0.0) / (2.0 * L)
+    q = np.abs(p_arr) * (4.0 * L / (math.pi * hbar))
+    tot = _level_sum(coef, m.ravel(), -1.0, alpha, q)
+    tot *= np.sign(p_arr) * (-2.0 * hbar / (math.pi * L))
+    return np.where((np.abs(x_arr) >= L) | (p_arr == 0), 0.0, tot)
 
 
 def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | float:
@@ -158,7 +168,7 @@ def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | floa
 def _oscillator_z(hbar: float, x_arr: np.ndarray, p_arr: np.ndarray) -> np.ndarray:
     """z = 2 (x^2 + p^2) / hbar, capped at 1e9: beyond it every symbol here
     is below the smallest subnormal for any rank < 10^7, and the cap keeps
-    the carried exponent a finite integer."""
+    the binary exponent of `_laguerre_functions` within int32."""
     with np.errstate(over="ignore"):
         return np.minimum(2.0 * (x_arr**2 + p_arr**2) / hbar, 1e9)
 
@@ -166,9 +176,12 @@ def _oscillator_z(hbar: float, x_arr: np.ndarray, p_arr: np.ndarray) -> np.ndarr
 def _laguerre_functions(d: int, z: np.ndarray, count: int):
     """Yield the normalised Laguerre functions
     l_n(z) = sqrt(n! / (n+d)!) z^{d/2} e^{-z/2} L_n^(d)(z), n = 0..count-1,
-    as (mantissa, shift): l_n = mantissa * 2^e with e the sum of the shifts
-    yielded so far.  Each step renormalises the mantissa, so e^{-z/2} never
-    underflows on its own and large z gives exact zeros, never NaNs.
+    at their true scale.
+
+    The recurrence runs on mantissas, renormalised at every step, beside a
+    binary exponent E held as int32 (|E| <= 7.3e8 since z <= 1e9); each l_n
+    is yielded as ldexp(mantissa, E).  So e^{-z/2} never underflows on its
+    own, and large z gives exact zeros, never NaNs.
 
     l_0 = z^{d/2} e^{-z/2} / sqrt(d!), l_1 = (1 + d - z) l_0 / sqrt(1 + d),
     sqrt((n+1)(n+1+d)) l_{n+1} = (2n + 1 + d - z) l_n - sqrt(n (n+d)) l_{n-1}.
@@ -183,11 +196,12 @@ def _laguerre_functions(d: int, z: np.ndarray, count: int):
         log_l0 = 0.5 * d * np.log(np.where(pos, z, 1.0)) - 0.5 * z - 0.5 * math.lgamma(d + 1)
         expo = np.floor(log_l0 / _LN2)
         m0 = np.where(pos, np.exp(log_l0 - expo * _LN2), 0.0)
-    yield m0, expo.astype(np.int64)
+    expo = expo.astype(np.int32)
+    yield np.ldexp(m0, expo)
     if count == 1:
         return
     m1 = (1 + d - z) * m0 / math.sqrt(1 + d)
-    yield m1, 0
+    yield np.ldexp(m1, expo)
     for n in range(1, count - 1):
         m2 = ((2 * n + 1 + d - z) * m1 - math.sqrt(n * (n + d)) * m0) / math.sqrt(
             (n + 1) * (n + 1 + d)
@@ -195,30 +209,26 @@ def _laguerre_functions(d: int, z: np.ndarray, count: int):
         m2, shift = np.frexp(m2)
         m0 = np.ldexp(m1, -shift)
         m1 = m2
-        yield m2, shift
+        expo = expo + shift
+        yield np.ldexp(m2, expo)
 
 
 def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the rank-N oscillator projection (Groenewold).
 
     sigma_N = 2 e^{-z/2} sum_{n<N} (-1)^n L_n(z) with z = 2 (x^2 + p^2) / hbar:
-    the d = 0 Laguerre functions, summed as mantissas at the recurrence's
-    carried binary exponent.  O(N) vector operations per call; broadcasts x
-    against p.
+    twice the alternating sum of the d = 0 Laguerre functions.  O(N) vector
+    operations per call; broadcasts x against p.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not hbar > 0:
         raise ValueError("hbar must be positive")
     x_arr, p_arr, unwrap = _point_arrays(x, p)
-    ells = _laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)
-    total, expo = next(ells)
-    for n, (m, shift) in enumerate(ells, start=1):
-        total = np.ldexp(total, -shift)
-        total = total - m if n % 2 else total + m
-        expo = expo + shift
-    out = 2.0 * np.ldexp(total, expo)
-    return unwrap(out)
+    total = 0.0
+    for n, ell in enumerate(_laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)):
+        total = total - ell if n % 2 else total + ell
+    return unwrap(2.0 * total)
 
 
 def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) -> np.ndarray:
@@ -243,18 +253,11 @@ def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) ->
         if live.size == 0:
             continue
         sum_below = sum_above = 0.0
-        expo = 0
-        for n, (m, shift) in enumerate(_laguerre_functions(d, z, int(live[-1]) + 1)):
-            expo = expo + shift
-            ell = np.ldexp(m, expo)
+        for n, ell in enumerate(_laguerre_functions(d, z, int(live[-1]) + 1)):
             sum_below = sum_below + below[n] * ell
-            if d:
-                sum_above = sum_above + above[n] * ell
-        if d == 0:
-            out += sum_below
-        else:
-            phase = np.exp(-1j * d * theta)
-            out += sum_below * phase + sum_above * phase.conj()
+            sum_above = sum_above + above[n] * ell
+        phase = np.exp(-1j * d * theta)
+        out += sum_below * phase + sum_above * phase.conj() if d else sum_below
     return out
 
 
@@ -296,16 +299,12 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
 
 def projection_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
     """Box projection symbol sampled on a grid."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_box(L, hbar)
+    _check_box(L, hbar, N)
     return SymbolField.sample(partial(_projection_symbol_values, N, hbar, L), grid, levels=N)
 
 
 def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
     """Truncated box momentum symbol sampled on a grid (prefix tables of N per x row)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_box(L, hbar)
+    _check_box(L, hbar, N)
     fn = partial(_momentum_symbol_values, N, hbar, L)
     return SymbolField.sample(fn, grid, levels=N, row_table=N)

@@ -291,6 +291,36 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: resource guard")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("exp, patched", [
+        ("box-momentum-norm", ("_box_momentum_inner_norm_sq", "box_momentum_tail_norm_sq")),
+        ("osc-origin-parity", ("symbol_oscillator_projection",)),
+        ("box-edge-x", ("symbol_projection_box",)),
+        ("box-edge-p", ("symbol_projection_box",)),
+    ])
+    def test_guard_refuses_the_largest_n_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                          exp, patched):
+        # the momentum norms held 99 MB at N = 131072 and origin parity costs
+        # ~17 us per level; the edge sweeps ran N = 250 before refusing
+        import weylsym.diag
+
+        def no_work(*args):
+            raise AssertionError("work done")
+
+        for name in patched:
+            monkeypatch.setattr(weylsym.diag, name, no_work)
+        code = run(["sweep", "--exp", exp, "--N", "250,100000000", "-o", str(tmp_path / "g")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: resource guard exceeded (N * points budget) at N = 100000000\n")
+        assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--N", "--n"])
+    def test_bad_int_list_names_its_flag(self, tmp_path, capsys, flag):
+        code = run(["sweep", "--exp", "osc-catalan", flag, "1,x", "-o", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad {flag} list '1,x'\n"
+        assert not (tmp_path / "c.json").exists()
+
     def test_moyal_idempotency_below_l_over_pi(self, tmp_path):
         # mu < L / pi: with dp ~ hbar / 2 mu the defect rose 1.50e-5 -> 2.06e-5
         code = run(["sweep", "--exp", "moyal-idempotency", "--mu", "0.3", "-o", str(tmp_path / "m")])

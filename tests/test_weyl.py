@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -18,10 +19,12 @@ from quadrature_oracle import (
 )
 
 from weylsym.basis import EigenBasis, Model
-from weylsym import scale
+from weylsym import scale, weyl
 from weylsym.kernel import _sin_ratio, box_projection_kernel, dirichlet_kernel
 from weylsym.scale import PhaseGrid, SymbolField, pairwise_sum
 from weylsym.weyl import (
+    _laguerre_functions,
+    _level_sum,
     momentum_symbol_field,
     projection_symbol_field,
     rescaled_kernel_f2,
@@ -265,6 +268,77 @@ class TestProjectionAngleSplit:
             for cells in (1 << 15, 40, 1):
                 monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
                 assert build().values.tobytes() == scalar.tobytes()
+
+
+def level_sum_direct(coef, levels, parity, A, q):
+    """Slow oracle of `weyl._level_sum`: sum_j coef_j [S(m_j + q) + parity S(m_j - q)]
+    with every S(t) = sin(A t) / t taken directly, level by level."""
+    coef = np.broadcast_to(coef, levels.shape + A.shape)
+    return sum(w * (_sin_ratio(A, m + q) + parity * _sin_ratio(A, m - q)) for w, m in zip(coef, levels))
+
+
+class TestLevelSum:
+    """The one level sum behind both box closed forms, against its direct
+    quotient sum and across its chunkings."""
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(
+        J=st.integers(1, 40), first=st.floats(0.1, 3.0), step=st.floats(0.1, 3.0),
+        parity=st.sampled_from((1.0, -1.0)), paired=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_sum(self, J, first, step, parity, paired, seed):
+        rng = np.random.default_rng(seed)
+        levels = first + step * np.arange(J)
+        on = levels[rng.integers(0, J, 5)]
+        # q at 0, on levels, one ulp either side of them, anywhere up to a
+        # spacing past the top level, and beyond it
+        q = np.concatenate([
+            [0.0], on, np.nextafter(on, np.inf), np.nextafter(on, 0.0),
+            rng.uniform(0.0, levels[-1] + step, 6), levels[-1] + step * rng.uniform(1.0, 20.0, 3),
+        ])
+        if paired:  # A, q and the coefficients per point
+            A = rng.uniform(0.0, 60.0, q.size)
+        else:  # an x column against a p row
+            A, q = rng.uniform(0.0, 60.0, (4, 1)), q[None, :]
+        coef = rng.standard_normal((J,) + A.shape)
+        got = _level_sum(coef, levels, parity, A, q)
+        want = level_sum_direct(coef, levels, parity, A, q)
+        # both carry rounding of order eps A m in each phase, and the split
+        # divides it by |m - q| >= step / 2 away from the nearest level
+        m = levels.reshape(-1, *(1,) * A.ndim)
+        bound = np.sum(np.abs(coef) * (1.0 + A * (m + q)) * (1.0 / (m + q) + 2.0 / step), axis=0)
+        assert got.shape == np.broadcast_shapes(A.shape, q.shape)
+        assert np.all(np.abs(got - want) <= 2e-15 * bound)
+
+    @pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
+    def test_values_do_not_depend_on_the_chunk_bound(self, monkeypatch, symbol):
+        # every cell adds its levels one by one, whether a chunk holds one
+        # level (in place), a few (numpy's reduce) or all of them
+        N, hbar, L = 37, 1.0 / 37, 1.0
+        grid = (np.linspace(-1.1, 1.1, 23)[:, None], np.linspace(-2.2, 2.2, 17)[None, :])
+        paired = (np.linspace(-1.0, 1.0, 50), np.linspace(2.0, -2.0, 50))
+        seen = set()
+        for chunk in (1, 1000, 5000, 1 << 20):
+            monkeypatch.setattr(weyl, "_LEVEL_CHUNK", chunk)
+            seen.add((symbol(N, hbar, L, *grid).tobytes(), symbol(N, hbar, L, *paired).tobytes()))
+        assert len(seen) == 1
+
+    def test_chunked_call_matches_point_calls(self):
+        # 3e4 paired points take one level per chunk, a point alone all 400
+        rng = np.random.default_rng(7)
+        x, p = rng.uniform(-1.1, 1.1, 30000), rng.uniform(-2.5, 2.5, 30000)
+        tracemalloc.start()
+        try:
+            vals = symbol_projection_box(400, 1.0 / 400, 1.0, x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the former per-level loop peaked at 4.6 MB here; one chunk of all
+        # 400 levels would hold 96 MB per table
+        assert peak < 6e6
+        picks = np.arange(0, x.size, 300)
+        points = [symbol_projection_box(400, 1.0 / 400, 1.0, x[i], p[i]) for i in picks]
+        np.testing.assert_array_equal(vals[picks], points)  # each cell sums in level order
 
 
 def taylor_sin_ratio(A, d):
@@ -564,6 +638,31 @@ class TestOscillatorLaguerreSymbol:
     def test_rejects_rank_below_one(self, N):
         with pytest.raises(ValueError):
             symbol_oscillator_projection(N, 0.1, 0.0, 0.0)
+
+
+def laguerre_direct(d, z, count):
+    """l_n^(d)(z) in plain floats (no underflow guard), for moderate z."""
+    L = [1.0, 1.0 + d - z]
+    for n in range(1, count - 1):
+        L.append(((2 * n + 1 + d - z) * L[n] - (n + d) * L[n - 1]) / (n + 1))
+    return [
+        math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + d + 1)) - 0.5 * z) * z ** (0.5 * d) * L[n]
+        for n in range(count)
+    ]
+
+
+class TestLaguerreFunctions:
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_yielded_at_true_scale(self, d):
+        z = np.array([0.0, 0.5, 7.3, 40.0])
+        got = np.array(list(_laguerre_functions(d, z, 30)))
+        want = np.array([laguerre_direct(d, float(v), 30) for v in z]).T
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_far_tail_is_exact_zeros(self):
+        # z at the 1e9 cap: the exponent, held as int32, sends every l_n to 0
+        for ell in _laguerre_functions(2, np.array([1e9, 2.0]), 5):
+            assert ell[0] == 0.0 and math.isfinite(ell[1])
 
 
 class TestFields:
