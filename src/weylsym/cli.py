@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -304,6 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """`main`'s parser, built once per process: parsing leaves it unchanged,
+    so every call shares it, while `build_parser` hands each caller a new one."""
+    return build_parser()
+
+
 # flags whose values legitimately start with a dash (-2:2:400 style); argparse
 # would read them as option strings, so they are folded into --flag=value form
 _DASH_VALUE_FLAGS = ("--grid", "--u", "--v")
@@ -326,7 +333,7 @@ def _fold_dash_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(_fold_dash_values(argv))
     except SystemExit as exc:

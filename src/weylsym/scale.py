@@ -9,7 +9,9 @@ budget that every layer shares.
 
 A block holds at most _BLOCK_CELLS = 2^15 cells and, by the `row_table`
 rule, at most 64 _BLOCK_CELLS entries of its symbol's whole-level tables
-per x row (the momentum's prefix sums).  Inside a block, the box closed
+per x row (the momentum's prefix sums); a point call with such tables is cut
+into chunks of points under the same rule (`_in_row_chunks`), so point
+calls and fields share one bound.  Inside a block, the box closed
 forms take their levels in chunks of at most _LEVEL_CHUNK = 2^12 entries
 (levels x cells): a full block one level at a time, a few points many.
 Each cell adds its levels in order whatever the chunk, so the chunk bound
@@ -41,6 +43,27 @@ def _check_budget(N: int, points: int) -> None:
     level costs at least one field block, whatever its points."""
     if N * max(points, _BLOCK_CELLS) > _BUDGET:
         raise ValueError(f"resource guard exceeded (N * points budget) at N = {N}")
+
+
+def _table_rows(row_table: int) -> int:
+    """Rows of `row_table` table entries each that fit in 64 _BLOCK_CELLS
+    entries, at least one: the `row_table` rule of fields and point calls."""
+    return max(1, 64 * _BLOCK_CELLS // max(row_table, 1))
+
+
+def _in_row_chunks(fn, x: np.ndarray, p: np.ndarray, row_table: int) -> np.ndarray:
+    """fn(x, p) on arrays of one ndim that broadcast, called on chunks of
+    leading-axis rows under the `row_table` rule, fn's tables holding
+    `row_table` doubles per element of x.  Points are independent, so every
+    chunking is bit-identical to one call."""
+    np.broadcast_shapes(x.shape, p.shape)  # raises on shapes that do not broadcast
+    n = x.shape[0]
+    rows = _table_rows(row_table * x[:1].size)
+    if rows >= n:
+        return fn(x, p)
+    p_rows = p.shape[0] > 1  # then p.shape[0] == n
+    parts = [fn(x[i : i + rows], p[i : i + rows] if p_rows else p) for i in range(0, n, rows)]
+    return np.concatenate(parts)
 
 
 def _point_arrays(x, y, broadcast: bool = True):
@@ -190,7 +213,7 @@ class SymbolField:
         """
         _check_budget(levels, grid.nx * grid.np)
         workers = worker_count()
-        rows = min(_BLOCK_CELLS // grid.np, 64 * _BLOCK_CELLS // max(row_table, 1))
+        rows = min(_BLOCK_CELLS // grid.np, _table_rows(row_table))
         rows = max(1, min(rows, -(-grid.nx // workers)))
         x, p = grid.meshgrid()
         out = np.empty((grid.nx, grid.np))

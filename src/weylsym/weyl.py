@@ -5,9 +5,10 @@ sum_j c_j [S(m_j + q) +- S(m_j - q)] with S = sin(A d)/d from `kernel`,
 split by angle addition; the symbol of any finite-rank operator (the box
 branch of `moyal.operator_symbol_complex`) groups its rank-one terms by
 j + k and j - k.  Oscillator: Groenewold's associated-Laguerre form, one
-recurrence yielding the normalised Laguerre functions at their true scale,
-summed by the projection symbol, the operator symbol (the oscillator branch
-of `moyal.operator_symbol_complex`) and `diag.oscillator_disk_distance_sq`.
+recurrence yielding the normalised Laguerre functions at their true scale
+(on Python floats at one point), summed by the projection symbol, the
+operator symbol (the oscillator branch of `moyal.operator_symbol_complex`)
+and `diag.oscillator_disk_distance_sq`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .kernel import _check_box, _sin_ratio, box_projection_kernel, dirichlet_kernel
-from .scale import _LEVEL_CHUNK, PhaseGrid, SymbolField, _point_arrays
+from .scale import _LEVEL_CHUNK, PhaseGrid, SymbolField, _in_row_chunks, _point_arrays
 
 __all__ = [
     "symbol_projection_box",
@@ -35,7 +36,8 @@ _LN2 = math.log(2.0)
 def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sum_j coef_j [S(m_j + q) + parity S(m_j - q)], S(t) = sin(A t) / t, over
     levels m_j > 0 in arithmetic progression, for q >= 0.  A (from x) and q
-    (from p) have one ndim and broadcast; coef broadcasts to (levels,) + A.shape.
+    (from p) have one ndim and broadcast; coef broadcasts to (levels,) + A.shape,
+    or is None for unit coefficients, which skips their multiplies.
 
     By angle addition S(m + q) + e S(m - q) = cos(Aq) sin(Am) [1/(m+q) + e/(m-q)]
     + sin(Aq) cos(Am) [1/(m+q) - e/(m-q)]: per level a sine and a cosine on
@@ -47,7 +49,8 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
     Levels go in chunks of at most _LEVEL_CHUNK levels x cells, each cell
     adding them one by one in order, so no value depends on the chunking.
     """
-    coef = np.broadcast_to(coef, levels.shape + A.shape)
+    if coef is not None:
+        coef = np.broadcast_to(coef, levels.shape + A.shape)
     step = levels[1] - levels[0] if levels.size > 1 else 1.0
     near = np.clip(np.rint((q - levels[0]) / step), 0, levels.size - 1).astype(np.intp)
     m_near = levels[near]
@@ -65,7 +68,10 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
         m = levels_col[chunk]
         n = m.shape[0]
         Am = A * m
-        sin_m, cos_m = np.sin(Am) * coef[chunk], np.cos(Am) * coef[chunk]
+        sin_m, cos_m = np.sin(Am), np.cos(Am)
+        if coef is not None:
+            sin_m *= coef[chunk]
+            cos_m *= coef[chunk]
         r_plus, r_minus = 1.0 / (m + q), m - q
         r_minus[m == m_near] = np.inf
         np.divide(parity, r_minus, out=r_minus)
@@ -80,7 +86,10 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
     even *= np.cos(A * q)
     odd *= np.sin(A * q)
     even += odd
-    even += parity * _sin_ratio(A, m_near - q) * np.take_along_axis(coef, near[None], axis=0)
+    nearest = parity * _sin_ratio(A, m_near - q)
+    if coef is not None:
+        nearest = nearest * np.take_along_axis(coef, near[None], axis=0)
+    even += nearest
     return even[0]
 
 
@@ -96,16 +105,16 @@ def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np
     """
     alpha = math.pi * np.maximum(L - np.abs(x_arr), 0.0) / L
     q = np.abs(p_arr) * (2.0 * L / (math.pi * hbar))
-    tot = _level_sum(1.0, np.arange(1.0, N + 1), 1.0, alpha, q)
+    tot = _level_sum(None, np.arange(1.0, N + 1), 1.0, alpha, q)
     tot -= _sin_ratio(alpha, q) * (dirichlet_kernel(N, alpha) - 1.0)
     tot *= 1.0 / math.pi
     return np.where(np.abs(x_arr) > L, 0.0, tot)
 
 
-def _box_symbol(values, N: int, hbar: float, L: float, x, p):
+def _box_symbol(values, N: int, hbar: float, L: float, x, p, row_table: int = 0):
     _check_box(L, hbar, N)
     x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
-    return unwrap(values(N, hbar, L, x_arr, p_arr))
+    return unwrap(_in_row_chunks(partial(values, N, hbar, L), x_arr, p_arr, row_table))
 
 
 def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
@@ -115,8 +124,9 @@ def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | f
 
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the truncated box momentum; odd in p, 0 for
-    |x| >= L, O(N) per point."""
-    return _box_symbol(_momentum_symbol_values, N, hbar, L, x, p)
+    |x| >= L, O(N) per point.  Its prefix tables (N per x) bound a call's
+    chunks of points as they bound a field's blocks."""
+    return _box_symbol(_momentum_symbol_values, N, hbar, L, x, p, row_table=N)
 
 
 def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
@@ -181,7 +191,11 @@ def _laguerre_functions(d: int, z: np.ndarray, count: int):
     The recurrence runs on mantissas, renormalised at every step, beside a
     binary exponent E held as int32 (|E| <= 7.3e8 since z <= 1e9); each l_n
     is yielded as ldexp(mantissa, E).  So e^{-z/2} never underflows on its
-    own, and large z gives exact zeros, never NaNs.
+    own, and large z gives exact zeros, never NaNs.  At one point (z of
+    size 1) the start is the same numpy one, and the steps then run on
+    Python floats with `math.frexp` / `math.ldexp`, each l_n yielded as a
+    float: the same correctly rounded operations in the same order, so the
+    same bits, without numpy's per-call overhead on one-element arrays.
 
     l_0 = z^{d/2} e^{-z/2} / sqrt(d!), l_1 = (1 + d - z) l_0 / sqrt(1 + d),
     sqrt((n+1)(n+1+d)) l_{n+1} = (2n + 1 + d - z) l_n - sqrt(n (n+d)) l_{n-1}.
@@ -197,20 +211,24 @@ def _laguerre_functions(d: int, z: np.ndarray, count: int):
         expo = np.floor(log_l0 / _LN2)
         m0 = np.where(pos, np.exp(log_l0 - expo * _LN2), 0.0)
     expo = expo.astype(np.int32)
-    yield np.ldexp(m0, expo)
+    frexp, ldexp = np.frexp, np.ldexp
+    if z.size == 1:
+        z, m0, expo = z.item(), m0.item(), expo.item()
+        frexp, ldexp = math.frexp, math.ldexp
+    yield ldexp(m0, expo)
     if count == 1:
         return
     m1 = (1 + d - z) * m0 / math.sqrt(1 + d)
-    yield np.ldexp(m1, expo)
+    yield ldexp(m1, expo)
     for n in range(1, count - 1):
         m2 = ((2 * n + 1 + d - z) * m1 - math.sqrt(n * (n + d)) * m0) / math.sqrt(
             (n + 1) * (n + 1 + d)
         )
-        m2, shift = np.frexp(m2)
-        m0 = np.ldexp(m1, -shift)
+        m2, shift = frexp(m2)
+        m0 = ldexp(m1, -shift)
         m1 = m2
         expo = expo + shift
-        yield np.ldexp(m2, expo)
+        yield ldexp(m2, expo)
 
 
 def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | float:
@@ -228,7 +246,7 @@ def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | floa
     total = 0.0
     for n, ell in enumerate(_laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)):
         total = total - ell if n % 2 else total + ell
-    return unwrap(2.0 * total)
+    return unwrap(np.reshape(2.0 * total, x_arr.shape))
 
 
 def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) -> np.ndarray:

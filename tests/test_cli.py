@@ -625,6 +625,61 @@ def test_import_leaves_numpy_fft_unloaded():
     assert_cli_import_leaves_unloaded("numpy.fft")
 
 
+# runs `main` on each argv of a JSON list in one process and prints, as JSON,
+# the exit code, stdout and stderr of the last run
+RUN_MAIN_IN_TURN = """
+import contextlib, io, json, sys
+from weylsym.cli import main
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+class TestSharedParser:
+    """`main` builds its parser once per process; a run after others gives
+    what it gives in a fresh process."""
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        build = weylsym.cli.build_parser
+        monkeypatch.setattr(weylsym.cli, "build_parser", lambda: built.append(1) or build())
+        weylsym.cli._shared_parser.cache_clear()
+        assert run(["--version"]) == 0
+        assert run(["sweep", "--exp", "nope"]) == 2
+        assert built == [1]
+        assert build() is not build()  # a caller of build_parser gets its own
+
+    @pytest.mark.parametrize("last", [
+        # defaults for every flag the earlier runs set
+        ["field", "--model", "osc", "--N", "6", "--grid", "-1:1:5,-1:1:4", "-o", "last.csv"],
+        ["edge", "--kind", "p", "--v", "-1:1:3", "--N", "8", "-o", "last.csv"],
+        ["sweep", "--exp", "box-projection-l2", "--N", "4,x", "-o", "last"],  # exit 2
+    ])
+    def test_later_run_matches_a_fresh_process(self, tmp_path, last):
+        earlier = [
+            ["edge", "--kind", "x", "--u", "0.5", "--p", "0.25", "--N", "8", "--mu", "2", "--L", "1.5",
+             "-o", "first.csv"],
+            ["field", "--observable", "momentum", "--N", "5", "--mu", "0.5", "--L", "2", "--format",
+             "json", "--grid", "-1:1:4,-1:1:4", "-o", "first.json"],
+            ["field", "--N"],  # argparse exits 2
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(weylsym.cli.__file__).resolve().parents[1]))
+        seen = []
+        for name, runs in (("shared", earlier + [last]), ("fresh", [last])):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            proc = subprocess.run([sys.executable, "-c", RUN_MAIN_IN_TURN, json.dumps(runs)], cwd=cwd,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs = {f.name: f.read_bytes() for f in sorted(cwd.glob("last*"))}
+            seen.append((json.loads(proc.stdout), outputs))
+        assert seen[0] == seen[1]
+        assert seen[0][0][0] == (2 if last[0] == "sweep" else 0)
+
+
 class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == 0

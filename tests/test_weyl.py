@@ -5,9 +5,9 @@ from functools import partial
 import numpy as np
 import pytest
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from matrix_oracle import box_momentum_matrix, rank_one_box_symbol
+from matrix_oracle import box_momentum_matrix, dense_power, rank_one_box_symbol
 from quadrature_oracle import (
     CoverageWarning,
     WeylQuadratureSpec,
@@ -20,10 +20,14 @@ from quadrature_oracle import (
 
 from weylsym.basis import EigenBasis, Model
 from weylsym import scale, weyl
+from weylsym.diag import oscillator_disk_distance_sq
+from weylsym.moyal import operator_symbol_complex
+from weylsym.truncate import matrix_linear_power
 from weylsym.kernel import _sin_ratio, box_projection_kernel, dirichlet_kernel
 from weylsym.scale import PhaseGrid, SymbolField, pairwise_sum
 from weylsym.weyl import (
     _laguerre_functions,
+    _oscillator_operator_symbol,
     _level_sum,
     momentum_symbol_field,
     projection_symbol_field,
@@ -340,6 +344,17 @@ class TestLevelSum:
         points = [symbol_projection_box(400, 1.0 / 400, 1.0, x[i], p[i]) for i in picks]
         np.testing.assert_array_equal(vals[picks], points)  # each cell sums in level order
 
+    def test_unit_coefficients_are_skipped_bit_for_bit(self):
+        # coef None leaves out the multiplies by 1.0, which change no bits
+        rng = np.random.default_rng(3)
+        levels = np.arange(1.0, 31.0)
+        for A, q in (
+            (rng.uniform(0.0, 3.0, 40), rng.uniform(0.0, 35.0, 40)),
+            (rng.uniform(0.0, 3.0, (6, 1)), np.concatenate([levels[:5], rng.uniform(0.0, 35.0, 5)])[None, :]),
+        ):
+            unit = _level_sum(None, levels, 1.0, A, q)
+            assert unit.tobytes() == _level_sum(1.0, levels, 1.0, A, q).tobytes()
+
 
 def taylor_sin_ratio(A, d):
     """4-term Taylor series of sin(A d) / d, exact to rounding for |A d| < 1e-3."""
@@ -407,6 +422,43 @@ momentum_case = dict(
 
 
 class TestMomentumSymbolBox:
+    def test_point_chunks_are_bit_identical(self, monkeypatch):
+        # the prefix tables hold N doubles per x: a paired call, an x column
+        # against a p row, and x against one p, cut into chunks of 17 rows
+        # (64 * 16 // 60) and of 4 rows
+        N, hbar, L = 60, 1.0 / 60, 1.0
+        rng = np.random.default_rng(11)
+        calls = [
+            (rng.uniform(-1.1, 1.1, 500), rng.uniform(-3.0, 3.0, 500)),
+            (rng.uniform(-1.1, 1.1, (40, 1)), rng.uniform(-3.0, 3.0, (1, 9))),
+            (rng.uniform(-1.1, 1.1, 300), 0.7),
+        ]
+        whole = [symbol_truncated_momentum_box(N, hbar, L, x, p) for x, p in calls]
+        for cells in (16, 4):
+            monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+            for (x, p), want in zip(calls, whole):
+                assert symbol_truncated_momentum_box(N, hbar, L, x, p).tobytes() == want.tobytes()
+            with pytest.raises(ValueError):  # chunks would broadcast where the whole does not
+                symbol_truncated_momentum_box(N, hbar, L, np.zeros(18), np.ones(17))
+
+    def test_paired_call_tables_stay_under_the_row_table_bound(self, monkeypatch):
+        # one chunk's tables hold at most 64 _BLOCK_CELLS entries each, and
+        # about six of them are live at once; in one piece, 1e4 points at
+        # N = 400 would hold 32 MB per table and peak near 190 MB
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", 1 << 11)
+        rng = np.random.default_rng(7)
+        x, p = rng.uniform(-1.1, 1.1, 10000), rng.uniform(-2.5, 2.5, 10000)
+        tracemalloc.start()
+        try:
+            vals = symbol_truncated_momentum_box(400, 1.0 / 400, 1.0, x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (64 << 11) * 8 + vals.nbytes  # 8.5 MB; 6.5 MB here
+        picks = np.arange(0, x.size, 500)
+        points = [symbol_truncated_momentum_box(400, 1.0 / 400, 1.0, x[i], p[i]) for i in picks]
+        np.testing.assert_array_equal(vals[picks], points)
+
     @momentum_settings
     @given(**momentum_case)
     def test_matches_double_sum_oracle(self, N, mu, L, u, v):
@@ -663,6 +715,106 @@ class TestLaguerreFunctions:
         # z at the 1e9 cap: the exponent, held as int32, sends every l_n to 0
         for ell in _laguerre_functions(2, np.array([1e9, 2.0]), 5):
             assert ell[0] == 0.0 and math.isfinite(ell[1])
+
+
+# one oscillator point at z = 2 (x^2 + p^2) / hbar = u (2 N + 1): u = 0 is
+# the origin, u ~ 1 the disk's edge, u = 3 at N > 370 puts e^{-z/2} below the
+# smallest double, and u = 1e300 is capped at z = 1e9
+osc_z_scale = st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.just(1e300))
+one_point_settings = settings(deadline=None, derandomize=True, max_examples=60)
+
+
+def osc_pair(N, hbar, u, theta):
+    """(x, p) at z = u (2 N + 1) and angle theta, and a second point on the
+    other side of the disk's edge."""
+    r = math.sqrt(0.5 * hbar * u * (2 * N + 1))
+    r2 = math.sqrt(0.5 * hbar * (2 * N + 1) * (0.5 if u > 1 else 2.0))
+    return (r * math.cos(theta), r * math.sin(theta)), (r2 * math.sin(theta), -r2 * math.cos(theta))
+
+
+class TestOnePointRoute:
+    """At one point `_laguerre_functions` steps on Python floats, on two or
+    more on numpy arrays: every consumer's one-point value is the matching
+    element of a two-point call, byte for byte."""
+
+    @one_point_settings
+    @given(d=st.integers(0, 6), N=st.integers(1, 500), u=osc_z_scale)
+    @example(d=0, N=1, u=0.0)
+    @example(d=3, N=2, u=1e300)
+    @example(d=0, N=400, u=3.0)
+    def test_laguerre_functions(self, d, N, u):
+        z = min(u * (2 * N + 1), 1e9)
+        one = list(_laguerre_functions(d, np.array([z]), N))
+        two = list(_laguerre_functions(d, np.array([z, 0.5 * N]), N))
+        assert len(one) == len(two) == N
+        assert all(type(a) is float for a in one)
+        assert np.array(one).tobytes() == np.array([b[0] for b in two]).tobytes()
+
+    @one_point_settings
+    @given(N=st.integers(1, 500), mu=st.floats(0.5, 2.0), u=osc_z_scale, theta=st.floats(0.0, 6.3))
+    @example(N=1, mu=1.0, u=0.0, theta=0.0)
+    @example(N=2, mu=1.0, u=1e300, theta=1.0)
+    @example(N=400, mu=1.0, u=3.0, theta=0.3)
+    def test_projection_symbol(self, N, mu, u, theta):
+        hbar = mu / N
+        (x, p), (x2, p2) = osc_pair(N, hbar, u, theta)
+        one = symbol_oscillator_projection(N, hbar, x, p)
+        for i, (xs, ps) in enumerate((([x, x2], [p, p2]), ([x2, x], [p2, p]))):
+            two = symbol_oscillator_projection(N, hbar, np.array(xs), np.array(ps))
+            assert np.float64(one).tobytes() == two[i].tobytes()
+
+    @one_point_settings
+    @given(
+        kind=st.sampled_from(("diagonal", "ladder", "complex")), N=st.integers(1, 40),
+        hbar=st.floats(0.05, 1.0), u=osc_z_scale, theta=st.floats(0.0, 6.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="complex", N=1, hbar=1.0, u=0.0, theta=0.0, seed=0)
+    @example(kind="ladder", N=2, hbar=0.5, u=1e300, theta=2.0, seed=0)
+    def test_operator_symbol(self, kind, N, hbar, u, theta, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "diagonal":
+            m = np.diag(rng.standard_normal(N))
+        elif kind == "ladder":
+            m = dense_power(matrix_linear_power(rng.uniform(-1, 1), rng.uniform(-1, 1), 3, hbar, N))
+        else:
+            m = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        (x, p), (x2, p2) = osc_pair(N, hbar, u, theta)
+        one = _oscillator_operator_symbol(m, hbar, np.array([x]), np.array([p]))
+        two = _oscillator_operator_symbol(m, hbar, np.array([x, x2]), np.array([p, p2]))
+        assert one.tobytes() == two[:1].tobytes()
+
+    @one_point_settings
+    @given(N=st.integers(1, 2000), mu=st.floats(0.5, 2.0))
+    @example(N=1, mu=1.0)
+    @example(N=2, mu=1.0)
+    @example(N=371, mu=1.0)
+    def test_disk_distance(self, N, mu):
+        # the distance's weighted sum of l_k(4N), taken from a two-point recurrence
+        total = 0.0
+        for k, ell in enumerate(_laguerre_functions(0, np.array([4.0 * N, 1.0]), N)):
+            total = total + (-1) ** k * (4 * (N - k) - 2) * ell[0]
+        want = 2.0 * math.pi * (mu / N) * float(total)
+        assert np.float64(oscillator_disk_distance_sq(N, mu / N)).tobytes() == np.float64(want).tobytes()
+
+    def test_return_forms(self):
+        N, hbar = 9, 0.2
+        assert type(symbol_oscillator_projection(N, hbar, 0.3, 0.4)) is float
+        assert type(symbol_oscillator_projection(N, hbar, np.float64(0.3), 0.4)) is float
+        assert type(oscillator_disk_distance_sq(N, hbar)) is float
+        for x, p, shape in (
+            ([0.3], [0.4], (1,)), ([[0.3]], [[0.4]], (1, 1)), ([[0.3]], 0.4, (1, 1)), (0.3, [0.4], (1,)),
+        ):
+            got = symbol_oscillator_projection(N, hbar, x, p)
+            assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == float
+            assert got.item() == symbol_oscillator_projection(N, hbar, 0.3, 0.4)
+        basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
+        m = np.eye(N) + 0.5j * np.eye(N, k=1)
+        scalar = operator_symbol_complex(basis, m, hbar, 0.3, 0.4)
+        assert type(scalar) is complex
+        for x, p, shape in (([0.3], [0.4], (1,)), ([[0.3]], [[0.4]], (1, 1))):
+            got = operator_symbol_complex(basis, m, hbar, x, p)
+            assert isinstance(got, np.ndarray) and got.shape == shape and got.item() == scalar
 
 
 class TestFields:
