@@ -27,7 +27,7 @@ from .limits import (
 )
 from .moyal import _check_direct_grid, direct_grid, moyal_direct
 from .scale import _check_budget, pairwise_sum
-from .truncate import LadderBand, matrix_linear_power
+from .truncate import LadderBand, _check_power, _ladder_powers
 from .weyl import (
     _laguerre_functions,
     projection_symbol_field,
@@ -146,26 +146,39 @@ def edge_section(
     momentum p = fixed; kind "p" crosses the momentum edge,
     p = pi mu / 2L + hbar pi v / 2L for v = coords at position x = fixed.
     coords and fixed broadcast against each other, and one symbol call
-    covers every point; the profile is evaluated point by point.  The N
-    levels are checked against the work budget first.
+    covers every point; the profile, which does not depend on N, is
+    evaluated point by point.  The N levels are checked against the work
+    budget first.
     """
-    hbar = mu / N
     coords = np.asarray(coords, dtype=float)
     fixed = np.asarray(fixed, dtype=float)
-    points = np.broadcast(coords, fixed)
-    _check_budget(N, points.size)
-    if kind == "x":
-        if np.any(coords < 0):
-            raise ValueError("u must be >= 0")
-        sym = symbol_projection_box(N, hbar, L, L - hbar * coords, fixed)
-        prof = [edge_profile_x(float(u), float(p), mu, L) for u, p in points]
-    elif kind == "p":
-        p = math.pi * mu / (2.0 * L) + hbar * math.pi * coords / (2.0 * L)
-        sym = symbol_projection_box(N, hbar, L, fixed, p)
-        prof = [edge_profile_p(float(x), float(v), mu, L) for v, x in points]
-    else:
+    _check_budget(N, np.broadcast(coords, fixed).size)
+    if kind not in ("x", "p"):
         raise ValueError(f"edge kind must be 'x' or 'p', got {kind!r}")
-    return sym, np.reshape(prof, points.shape)
+    if kind == "x" and np.any(coords < 0):
+        raise ValueError("u must be >= 0")
+    sym = _edge_symbol(kind, N, mu, L, coords, fixed)
+    return sym, _edge_profile(kind, mu, L, coords, fixed)
+
+
+def _edge_symbol(kind: str, N: int, mu: float, L: float, coords, fixed) -> np.ndarray:
+    """The symbol half of `edge_section`, on checked float arrays."""
+    hbar = mu / N
+    if kind == "x":
+        return symbol_projection_box(N, hbar, L, L - hbar * coords, fixed)
+    p = math.pi * mu / (2.0 * L) + hbar * math.pi * coords / (2.0 * L)
+    return symbol_projection_box(N, hbar, L, fixed, p)
+
+
+def _edge_profile(kind: str, mu: float, L: float, coords, fixed) -> np.ndarray:
+    """The profile half of `edge_section`, on checked float arrays: no N
+    enters it, so a sweep evaluates it once."""
+    points = np.broadcast(coords, fixed)
+    if kind == "x":
+        prof = [edge_profile_x(float(u), float(p), mu, L) for u, p in points]
+    else:
+        prof = [edge_profile_p(float(x), float(v), mu, L) for v, x in points]
+    return np.reshape(prof, points.shape)
 
 
 _TAIL_CUTOFF = 64
@@ -413,7 +426,8 @@ def _edge_sweep(kind: str, config: SweepConfig):
     """Worst |symbol - edge profile| at every N over fixed sections: u in
     [0, 6] at p = 0 and p = P / 2 across the wall (kind "x"), or
     v = 1/4, 1/2, 3/2 at x = 0 and x = L / 2 across the momentum edge
-    (kind "p"); one `edge_section` call per N."""
+    (kind "p").  The profiles are evaluated once, the symbol at every N:
+    the same doubles as one `edge_section` call per N."""
     mu, L = config.mu, config.L
     if kind == "x":
         coords = np.linspace(0.0, 6.0, 121)
@@ -422,9 +436,10 @@ def _edge_sweep(kind: str, config: SweepConfig):
         coords = np.tile([0.25, 0.5, 1.5], 2)
         fixed = np.repeat([0.0, 0.5 * L], 3)
     _check_budget(config.n_levels[-1], np.broadcast(coords, fixed).size)
+    prof = _edge_profile(kind, mu, L, coords, fixed)
     rows = []
     for N in config.n_levels:
-        sym, prof = edge_section(kind, N, mu, L, coords, fixed)
+        sym = _edge_symbol(kind, N, mu, L, coords, fixed)
         worst = float(np.max(np.abs(sym - prof)))
         rows.append(SweepRow(N=N, hbar=mu / N, metric="max_abs_err", value=worst))
     vals = [r.value for r in rows]
@@ -532,17 +547,31 @@ def _check_linear_power(config: SweepConfig) -> None:
         raise ValueError(f"{config.experiment} needs powers n >= 1")
 
 
-def _sweep_osc_catalan(config: SweepConfig):
+def _ladder_bands(config: SweepConfig, n_levels):
+    """Yield (n, J^n on columns k < max(n_levels)) for every power n of a
+    linear-power sweep: one band per sweep, built one power at a time.  A
+    sweep reads the first N columns as matrix_linear_power(a, b, n, mu / N,
+    N) and gets the same doubles.  That call's refusals run for every (n, N)
+    in the sweep's order before any band is built."""
     _check_linear_power(config)
+    for n in config.powers:
+        for N in n_levels:
+            _check_power(n, config.mu / N, N)
+    for t, band in enumerate(_ladder_powers(config.powers[-1], n_levels[-1])):
+        if t in config.powers:
+            yield t, band
+
+
+def _sweep_osc_catalan(config: SweepConfig):
     mu, a, b = config.mu, config.a, config.b
     rows = []
     verdicts = []
-    for n in config.powers:
+    for n, band in _ladder_bands(config, config.n_levels):
         limit = catalan_limit_value(n, a, b, mu)
         rels = []
         for N in config.n_levels:
             hbar = mu / N
-            val = band_norm_sq(matrix_linear_power(a, b, n, hbar, N), 0, N)
+            val = band_norm_sq(LadderBand(a, b, hbar, band[:, :N]), 0, N)
             rel = abs(val - limit) / limit
             rels.append(rel)
             rows.append(SweepRow(N=N, hbar=hbar, metric=f"rel_err_n{n}", value=rel))
@@ -552,16 +581,16 @@ def _sweep_osc_catalan(config: SweepConfig):
 
 
 def _sweep_osc_offdiag(config: SweepConfig):
-    _check_linear_power(config)
     mu, a, b = config.mu, config.a, config.b
+    n_levels = sorted(set(config.n_levels) | {2 * N for N in config.n_levels})
     rows = []
     verdicts = []
-    for n in config.powers:
+    for n, band in _ladder_bands(config, n_levels):
         vals = {}
-        for N in sorted(set(config.n_levels) | {2 * N for N in config.n_levels}):
+        for N in n_levels:
             # the band's columns k <= N reach the block rows N+1..N+n
             hbar = mu / N
-            vals[N] = band_norm_sq(matrix_linear_power(a, b, n, hbar, N), N, N + n)
+            vals[N] = band_norm_sq(LadderBand(a, b, hbar, band[:, :N]), N, N + n)
             rows.append(SweepRow(N=N, hbar=hbar, metric=f"offdiag_n{n}", value=vals[N]))
         first = config.n_levels[0]
         c_n = vals[first] / ((a * a + b * b) ** n * (mu / first) ** (n + 1) * first**n)

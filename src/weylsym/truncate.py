@@ -76,18 +76,8 @@ class LadderBand:
         return (self.hbar / 2.0) ** self.n * (self.a * self.a + self.b * self.b) ** self.n
 
 
-def matrix_linear_power(a: float, b: float, n: int, hbar: float, N: int) -> LadderBand:
-    """(a x + b p)^n on levels 1..N as a band of the ladder power.
-
-    Every n-step path from level k to l = k + d climbs (n + d)/2 times, so
-    entry (l, k) is (hbar/2)^(n/2) (a + ib)^((n+d)/2) (a - ib)^((n-d)/2)
-    times entry (l, k) of J^n, J the real ladder matrix with
-    <k+1|J|k> = sqrt(k).  J^n is built column by column on its 2n + 1
-    diagonals, which reach level N + n: truncated to rows <= N, exactly the
-    power on N + n levels truncated to N x N, with the corner k, l <= n
-    included.  Refuses n > MAX_MATRIX_POWER, N outside 1..MAX_DIMENSION and
-    an hbar that is not finite and > 0 before it allocates anything.
-    """
+def _check_power(n: int, hbar: float, N: int) -> None:
+    """The refusals of `matrix_linear_power`, which allocate nothing."""
     if not 0 < hbar < math.inf:
         raise ValueError(f"hbar must be finite and > 0, got {hbar!r}")
     if n < 0:
@@ -98,17 +88,51 @@ def matrix_linear_power(a: float, b: float, n: int, hbar: float, N: int) -> Ladd
         raise ValueError("N must be >= 1")
     if N > MAX_DIMENSION:
         raise ValueError(f"dimension {N} exceeds the {MAX_DIMENSION} cap")
-    rows = np.arange(N)[None, :] + np.arange(-n, n + 1)[:, None]  # 0-based level of entry (d, k)
+
+
+def _ladder_step(band: np.ndarray) -> np.ndarray:
+    """The diagonals of J^t from those of J^(t - 1), on the same columns.
+
+    Entry (d + t, k) is entry (k + d, k) of J^t, 0-based.  Every entry is
+    >= 0, so a term missing at the band's edge adds the +0 a wider band
+    would have added: each entry is the same double at every band width.
+    """
+    t, N = band.shape[0] // 2 + 1, band.shape[1]
     # J couples 0-based levels j and j + 1 with sqrt(j + 1); nothing below level 0
-    up = np.sqrt(np.maximum(rows, 0.0))  # <l|J|l-1>
-    down = np.sqrt(np.maximum(rows + 1.0, 0.0))  # <l|J|l+1>
-    band = np.zeros((2 * n + 1, N))
-    band[n] = 1.0
+    up = np.sqrt(np.maximum(np.arange(N)[None, :] + np.arange(-t, t + 1)[:, None], 0.0))  # <l|J|l-1>
+    nxt = np.zeros((2 * t + 1, N))
+    nxt[2:] = up[2:] * band
+    nxt[:-2] += up[1:-1] * band  # <l|J|l+1> = <l+1|J|l>
+    return nxt
+
+
+def _ladder_powers(n: int, N: int):
+    """Yield the diagonals of J^t on columns k < N, t = 0..n, each a
+    (2t + 1, N) array built from the one before.  No column depends on N,
+    so a sweep builds the band once at its largest N and reads the first N
+    columns of it.  Only the band is held between steps."""
+    band = np.ones((1, N))
+    yield band
     for _ in range(n):
-        nxt = np.zeros_like(band)
-        nxt[1:] = up[1:] * band[:-1]
-        nxt[:-1] += down[:-1] * band[1:]
-        band = nxt
+        band = _ladder_step(band)
+        yield band
+
+
+def matrix_linear_power(a: float, b: float, n: int, hbar: float, N: int) -> LadderBand:
+    """(a x + b p)^n on levels 1..N as a band of the ladder power.
+
+    Every n-step path from level k to l = k + d climbs (n + d)/2 times, so
+    entry (l, k) is (hbar/2)^(n/2) (a + ib)^((n+d)/2) (a - ib)^((n-d)/2)
+    times entry (l, k) of J^n, J the real ladder matrix with
+    <k+1|J|k> = sqrt(k).  J^n is the last band of `_ladder_powers`, built
+    column by column on its 2n + 1 diagonals, which reach level N + n:
+    truncated to rows <= N, exactly the power on N + n levels truncated to
+    N x N, with the corner k, l <= n included.  Refuses n > MAX_MATRIX_POWER,
+    N outside 1..MAX_DIMENSION and an hbar that is not finite and > 0 before
+    it allocates anything.
+    """
+    _check_power(n, hbar, N)
+    for band in _ladder_powers(n, N):
+        pass
     band.flags.writeable = False
     return LadderBand(a=a, b=b, hbar=hbar, diagonals=band)
-

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import _check_box, _sin_ratio, box_projection_kernel, dirichlet_kernel
+from .kernel import _check_box, _sin_ratio, dirichlet_kernel
 from .scale import _LEVEL_CHUNK, PhaseGrid, SymbolField, _in_row_chunks, _point_arrays
 
 __all__ = [
@@ -150,15 +150,28 @@ def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.n
     """
     m = np.arange(1.0, 2 * N, 2).reshape((-1,) + (1,) * x_arr.ndim)  # m = 2i + 1
     sines = np.sin(m * (math.pi * (x_arr + L) / (2.0 * L)))
-    start = np.zeros((1,) + x_arr.shape)
-    # q[c]: sums over the first c odd indices
-    q1 = np.concatenate([start, np.cumsum(sines / m, axis=0)])
-    q2 = np.concatenate([start, np.cumsum(sines * m, axis=0)])
     i = np.arange(N)
     n_d = np.minimum(i, N - i)  # odd d <= D
     hi, lo = N - i, np.minimum(i + 1, N - i)  # odd s in [m + 2, 2N - m], empty for m >= N
-    coef = m * (q1[n_d] + q1[hi] - q1[lo])
-    coef -= (q2[n_d] + q2[hi] - q2[lo]) / m
+    # prefix[c]: sums over the first c odd indices, of sin / m and then of
+    # m sin, in one buffer; at most five tables of N rows are live at once
+    prefix = np.empty((N + 1,) + x_arr.shape)
+    prefix[0] = 0.0
+    np.cumsum(sines / m, axis=0, out=prefix[1:])
+    coef = prefix[n_d]
+    coef += prefix[hi]
+    coef -= prefix[lo]
+    coef *= m
+    sines *= m
+    np.cumsum(sines, axis=0, out=prefix[1:])
+    del sines
+    term = prefix[n_d]
+    term += prefix[hi]
+    term -= prefix[lo]
+    del prefix
+    term /= m
+    coef -= term
+    del term
     alpha = math.pi * np.maximum(L - np.abs(x_arr), 0.0) / (2.0 * L)
     q = np.abs(p_arr) * (4.0 * L / (math.pi * hbar))
     tot = _level_sum(coef, m.ravel(), -1.0, alpha, q)
@@ -169,10 +182,23 @@ def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.n
 def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | float:
     """2 pi hbar K_N(x - hbar y/2, x + hbar y/2) for the rank-N box kernel:
     the partial Fourier transform of the symbol in p, compared against the
-    bulk sine profile."""
-    _check_box(L, hbar)
-    shift = hbar * np.asarray(y) / 2.0
-    return 2.0 * math.pi * hbar * box_projection_kernel(N, L, x - shift, x + shift)
+    bulk sine profile.
+
+    With x1, y1 = x -+ hbar y/2 the kernel's two Dirichlet factors are
+    separable: D_N(c (x1 - y1)) = D_N(c hbar y) (D_N is even) depends on y
+    alone and D_N(c (x1 + y1 + 2L)) = D_N(c (2x + 2L)) on x alone,
+    c = pi / 2L.  Each is evaluated on its own coordinate's points; only
+    their difference and the mask |x1|, |y1| <= L take the broadcast shape.
+    """
+    _check_box(L, hbar, N)
+    x_arr, y_arr, unwrap = _point_arrays(x, y, broadcast=False)
+    shift = hbar * y_arr / 2.0
+    c = math.pi / (2.0 * L)
+    inside = (np.abs(x_arr - shift) <= L) & (np.abs(x_arr + shift) <= L)
+    across = dirichlet_kernel(N, c * (hbar * y_arr))
+    along = dirichlet_kernel(N, c * (2.0 * x_arr + 2.0 * L))
+    out = (across - along) / (4.0 * L)
+    return unwrap(2.0 * math.pi * hbar * np.where(inside, out, 0.0))
 
 
 def _oscillator_z(hbar: float, x_arr: np.ndarray, p_arr: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ from weylsym.diag import (
     oscillator_disk_distance_sq,
     run_sweep,
 )
+import weylsym.truncate
+from weylsym import diag
 from weylsym.scale import PhaseGrid
 from weylsym.truncate import matrix_linear_power
 from weylsym.weyl import projection_symbol_field, symbol_oscillator_projection
@@ -532,3 +534,135 @@ class TestSweeps:
         lines = cpath.read_text().strip().splitlines()
         assert lines[0] == "N,hbar,metric,value"
         assert len(lines) == 1 + len(payload["rows"])
+
+
+def _ladder_oracle(config, n_levels, block):
+    """One matrix_linear_power call per (n, N), as the sweeps once made
+    them: the norms of rows [0, N), or of the block rows [N, N + n)."""
+    mu, a, b = config.mu, config.a, config.b
+    out = {}
+    for n in config.powers:
+        for N in n_levels:
+            lo, hi = (N, N + n) if block else (0, N)
+            out[n, N] = band_norm_sq(matrix_linear_power(a, b, n, mu / N, N), lo, hi)
+    return out
+
+
+def _first_refusal(config, n_levels):
+    for n in config.powers:
+        for N in n_levels:
+            try:
+                matrix_linear_power(config.a, config.b, n, config.mu / N, N)
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+ladder_case = dict(
+    a=st.floats(-2.0, 2.0),
+    b=st.floats(-2.0, 2.0),
+    mu=st.floats(0.5, 2.0),
+    powers=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+    n_levels=st.lists(st.integers(1, 300), min_size=1, max_size=4, unique=True).map(sorted),
+)
+
+
+class TestSweepsHoistNIndependentWork:
+    """Each sweep computes what does not depend on N once: the same doubles
+    as the per-N calls, and the work counted through wrappers."""
+
+    @pytest.mark.parametrize("kind, n_levels, mu, L", [
+        ("x", (100, 400), 1.0, 1.0),
+        ("x", (7, 50, 130), 1.013, 0.987),
+        ("p", (250, 1000, 4000), 0.991, 1.017),
+        ("p", (10, 40), 1.0, 1.0),
+    ])
+    def test_edge_rows_match_per_n_sections(self, kind, n_levels, mu, L):
+        if kind == "x":
+            coords = np.linspace(0.0, 6.0, 121)
+            fixed = np.array([[0.0], [math.pi * mu / (4.0 * L)]])
+        else:
+            coords = np.tile([0.25, 0.5, 1.5], 2)
+            fixed = np.repeat([0.0, 0.5 * L], 3)
+        rep = run_sweep(SweepConfig(f"box-edge-{kind}", n_levels, mu=mu, L=L))
+        want = []
+        for N in n_levels:
+            sym, prof = edge_section(kind, N, mu, L, coords, fixed)
+            want.append(float(np.max(np.abs(sym - prof))))
+        assert rep.values("max_abs_err") == want
+
+    @pytest.mark.parametrize("kind, n_levels, calls", [
+        ("x", (100, 400), 242), ("p", (250, 1000, 4000), 6),
+    ])
+    def test_edge_profiles_once_per_sweep(self, monkeypatch, kind, n_levels, calls):
+        name = f"edge_profile_{kind}"
+        count = []
+        profile = getattr(diag, name)
+
+        def counted(*args):
+            count.append(args)
+            return profile(*args)
+
+        monkeypatch.setattr(diag, name, counted)
+        run_sweep(SweepConfig(f"box-edge-{kind}", n_levels))
+        assert len(count) == calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(**ladder_case)
+    def test_catalan_rows_match_per_n_bands(self, a, b, mu, powers, n_levels):
+        assume(a * a + b * b > 1e-6)
+        config = SweepConfig("osc-catalan", tuple(n_levels), mu=mu, powers=tuple(powers), a=a, b=b)
+        vals = _ladder_oracle(config, n_levels, block=False)
+        want = []
+        for n in powers:
+            limit = catalan_limit_value(n, a, b, mu)
+            want += [abs(vals[n, N] - limit) / limit for N in n_levels]
+        assert [r.value for r in run_sweep(config).rows] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(**ladder_case)
+    def test_offdiag_rows_match_per_n_bands(self, a, b, mu, powers, n_levels):
+        # the sweep also reads N = 2 N_i, beyond its largest listed N
+        assume(a * a + b * b > 1e-6)
+        config = SweepConfig("osc-offdiag", tuple(n_levels), mu=mu, powers=tuple(powers), a=a, b=b)
+        read = sorted(set(n_levels) | {2 * N for N in n_levels})
+        vals = _ladder_oracle(config, read, block=True)
+        want = [vals[n, N] for n in powers for N in read]
+        assert [r.value for r in run_sweep(config).rows] == want
+
+    @pytest.mark.parametrize("experiment, n_levels, powers, mu", [
+        ("osc-offdiag", (2100, 2200), (1, 2), 1.0),
+        ("osc-catalan", (64, 5000), (3,), 1.0),
+        ("osc-catalan", (64, 128), (1, 13), 1.0),
+        ("osc-offdiag", (64,), (2,), 5e-324),
+    ])
+    def test_refusals_come_first_with_the_per_n_messages(self, monkeypatch, experiment, n_levels, powers, mu):
+        config = SweepConfig(experiment, n_levels, mu=mu, powers=powers)
+        read = n_levels
+        if experiment == "osc-offdiag":
+            read = sorted(set(n_levels) | {2 * N for N in n_levels})
+        message = _first_refusal(config, read)
+        assert message is not None
+        # with numpy gone from truncate, a band built before the refusal fails
+        monkeypatch.setattr(weylsym.truncate, "np", None)
+        with pytest.raises(ValueError) as err:
+            run_sweep(config)
+        assert str(err.value) == message
+
+    def test_catalan_builds_one_band_one_power_at_a_time(self, monkeypatch):
+        calls, steps = [], []
+        powers, step = diag._ladder_powers, weylsym.truncate._ladder_step
+
+        def counted_powers(n, N):
+            calls.append((n, N))
+            return powers(n, N)
+
+        def counted_step(band):
+            steps.append(band.shape)
+            return step(band)
+
+        monkeypatch.setattr(diag, "_ladder_powers", counted_powers)
+        monkeypatch.setattr(weylsym.truncate, "_ladder_step", counted_step)
+        run_sweep(SweepConfig("osc-catalan", (64, 128, 256, 512, 1024), powers=(2, 5, 8)))
+        assert calls == [(8, 1024)]
+        assert steps == [(2 * t + 1, 1024) for t in range(8)]  # max(powers) ladder steps

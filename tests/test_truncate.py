@@ -18,7 +18,7 @@ from matrix_oracle import (
 )
 
 import weylsym.truncate
-from weylsym.truncate import MAX_DIMENSION, MAX_MATRIX_POWER, matrix_linear_power
+from weylsym.truncate import MAX_DIMENSION, MAX_MATRIX_POWER, _ladder_powers, matrix_linear_power
 
 
 class TestLadderMatrices:
@@ -141,6 +141,16 @@ class TestMatrixLinearPower:
                 for h in (0.2, 0.8)
             )
             np.testing.assert_allclose(m2, m1 * 2.0**n, rtol=1e-12)
+
+    def test_is_a_slice_of_the_shared_recurrence(self):
+        # the sweeps build J^n once at their largest N and read its first N
+        # columns: every band must be those doubles, for every n and N
+        bands = list(_ladder_powers(MAX_MATRIX_POWER, 64))
+        assert [band.shape for band in bands] == [(2 * n + 1, 64) for n in range(MAX_MATRIX_POWER + 1)]
+        for n, band in enumerate(bands):
+            for N in range(1, 65):
+                got = matrix_linear_power(0.3, -1.1, n, 0.7, N).diagonals
+                assert got.tobytes() == band[:, :N].tobytes(), (n, N)
 
     def test_power_guard(self):
         hbar = 1.0 / 4

@@ -443,8 +443,8 @@ class TestMomentumSymbolBox:
 
     def test_paired_call_tables_stay_under_the_row_table_bound(self, monkeypatch):
         # one chunk's tables hold at most 64 _BLOCK_CELLS entries each, and
-        # about six of them are live at once; in one piece, 1e4 points at
-        # N = 400 would hold 32 MB per table and peak near 190 MB
+        # at most five of them are live at once (about four at the peak); in
+        # one piece, 1e4 points at N = 400 would hold 32 MB per table
         monkeypatch.setattr(scale, "_BLOCK_CELLS", 1 << 11)
         rng = np.random.default_rng(7)
         x, p = rng.uniform(-1.1, 1.1, 10000), rng.uniform(-2.5, 2.5, 10000)
@@ -454,7 +454,7 @@ class TestMomentumSymbolBox:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (64 << 11) * 8 + vals.nbytes  # 8.5 MB; 6.5 MB here
+        assert peak < 5 * (64 << 11) * 8 + vals.nbytes  # 5.3 MB; 4.3 MB here
         picks = np.arange(0, x.size, 500)
         points = [symbol_truncated_momentum_box(400, 1.0 / 400, 1.0, x[i], p[i]) for i in picks]
         np.testing.assert_array_equal(vals[picks], points)
@@ -551,6 +551,59 @@ class TestRescaledKernel:
 
     def test_outside_box_is_zero(self):
         assert rescaled_kernel_f2(5, 0.2, 1.0, 1.5, 0.4) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(1, 400), mu=st.floats(0.5, 2.0), L=st.floats(0.2, 3.0),
+        u=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=6),
+        y=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=7),
+    )
+    def test_separable_factors_match_the_kernel_and_the_mode_sum(self, N, mu, L, u, y):
+        # each Dirichlet factor on its own axis: against the two-point kernel
+        # at (x - hbar y/2, x + hbar y/2) and the sum over the sine modes,
+        # and exactly 0 wherever either point leaves the box
+        hbar = mu / N
+        x = L * np.array(u)[:, None]
+        y = np.array(y)[None, :]
+        got = rescaled_kernel_f2(N, hbar, L, x, y)
+        x1, y1 = x - hbar * y / 2.0, x + hbar * y / 2.0
+        tol = 1e-12 * (2 * N + 1)
+        kernel = 2.0 * math.pi * hbar * box_projection_kernel(N, L, x1, y1)
+        np.testing.assert_allclose(got, kernel, rtol=0, atol=tol)
+        modes = [box_wavefunctions(N, L, a.ravel()) for a in np.broadcast_arrays(x1, y1)]
+        mode_sum = 2.0 * math.pi * hbar * np.sum(modes[0] * modes[1], axis=0).reshape(got.shape)
+        np.testing.assert_allclose(got, mode_sum, rtol=0, atol=tol)
+        outside = (np.abs(x1) > L) | (np.abs(y1) > L)
+        assert np.all(got[outside] == 0.0)
+
+    def test_each_factor_takes_its_own_axis(self, monkeypatch):
+        # on an (nx, 1) x (1, ny) grid: ny + nx Dirichlet points, not 2 nx ny
+        sizes = []
+
+        def counted(N, x):
+            sizes.append(np.size(x))
+            return dirichlet_kernel(N, x)
+
+        monkeypatch.setattr(weyl, "dirichlet_kernel", counted)
+        xs, ys = np.linspace(-0.5, 0.5, 101)[:, None], np.linspace(-4.0, 4.0, 161)[None, :]
+        assert rescaled_kernel_f2(100, 0.01, 1.0, xs, ys).shape == (101, 161)
+        assert sorted(sizes) == [101, 161]
+
+    def test_return_forms(self):
+        assert isinstance(rescaled_kernel_f2(6, 0.1, 1.0, 0.2, 0.3), float)
+        assert rescaled_kernel_f2(6, 0.1, 1.0, np.zeros(3), 0.3).shape == (3,)
+        assert rescaled_kernel_f2(6, 0.1, 1.0, 0.2, np.zeros((2, 1))).shape == (2, 1)
+
+    @pytest.mark.parametrize("N, hbar, L, message", [
+        (0, 0.1, 1.0, "N must be >= 1"),
+        (4, 0.1, 0.0, "L must be positive"),
+        (4, 0.1, -1.0, "L must be positive"),
+        (4, 0.0, 1.0, "hbar must be positive"),
+        (4, -0.1, 1.0, "hbar must be positive"),
+    ])
+    def test_refusals(self, N, hbar, L, message):
+        with pytest.raises(ValueError, match=message):
+            rescaled_kernel_f2(N, hbar, L, 0.0, 0.0)
 
     def test_bulk_limit_with_explicit_constant(self):
         from weylsym.limits import bulk_profile_box, bulk_sup_constant
