@@ -163,8 +163,8 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     name = args.exp
-    n_levels = _parse_int_list(args.N, "--N") if args.N else default_n_levels(name)
-    powers = _parse_int_list(args.n, "--n") if args.n else (1, 2, 3)
+    n_levels = _parse_int_list(args.N, "--N") if args.N is not None else default_n_levels(name)
+    powers = _parse_int_list(args.n, "--n") if args.n is not None else (1, 2, 3)
     config = SweepConfig(
         experiment=name,
         n_levels=n_levels,
@@ -215,6 +215,8 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
     L = _positive(args.L, "L")
     if args.points < 1:
         raise ValueError("points must be >= 1")
+    if args.tol < 0:
+        raise ValueError("tol must be >= 0")
     hbar = mu / N
     grid = direct_grid(N, mu, L)
     _check_direct_grid(N, grid)  # the moyal-idempotency guard

@@ -18,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from .kernel import _check_box, _check_levels
 from .limits import (
     _e1_imaginary,
     bulk_profile_box,
@@ -67,13 +68,6 @@ def band_norm_sq(power: LadderBand, lo: int, hi: int) -> float:
     return 2.0 * math.pi * power.hbar * power.weight_sq * pairwise_sum(inside * inside)
 
 
-def _check_levels(N: int, hbar: float) -> None:
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not hbar > 0:
-        raise ValueError("hbar must be positive")
-
-
 def box_projection_distance_sq(N: int, hbar: float, L: float) -> float:
     """Squared L2 distance, over the whole phase plane, from the rank-N box
     projection symbol to the indicator of |x| <= L, |p| <= P = pi hbar N / 2L.
@@ -92,9 +86,7 @@ def box_projection_distance_sq(N: int, hbar: float, L: float) -> float:
 
     the pi/2 of each Si having cancelled 4 pi mu exactly.  O(N) work.
     """
-    _check_levels(N, hbar)
-    if not L > 0:
-        raise ValueError("L must be positive")
+    _check_box(L, hbar, N)
     m = np.arange(1, 2 * N + 1)
     # E1(i m pi) = -Ci(m pi) + i (Si(m pi) - pi/2)
     e1 = np.array([_e1_imaginary(math.pi * j) for j in range(1, 2 * N + 1)])
@@ -238,8 +230,7 @@ def box_momentum_tail_norm_sq(N: int, L: float, hbar: float) -> float:
     j + k over [N + 1 + k, c N + k] (c = _TAIL_CUTOFF); the 1/m difference
     telescopes to the windows [N + 1 - k, N + k] and [c N - k + 1, c N + k].
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_box(L, hbar, N)
     top = _TAIL_CUTOFF * N
     k = np.arange(1, N + 1)
     between = _odd_inverse_square_sums(top + N)

@@ -3,7 +3,8 @@
 The rank-N box projection kernel sum_{k<=N} u_k(x) u_k(y) is a difference
 of two Dirichlet kernels, O(1) per point; every evaluator broadcasts over
 numpy arrays of points.  One singularity-safe sin(A d)/d quotient serves the
-kernels here and every closed-form box symbol in `weyl`.
+kernels here and every closed-form box symbol in `weyl`, as the checks of
+N, hbar and L serve every symbol, kernel and distance of both models.
 """
 
 from __future__ import annotations
@@ -31,15 +32,21 @@ def _sin_ratio(amplitude, d):
     return np.where(zero, A, np.sin(A * safe) / safe)
 
 
+def _check_levels(N: int, hbar: float | None = None) -> None:
+    """Reject a rank N that is not an integer >= 1 and, when one is given,
+    an hbar that is not finite and > 0 (NaN fails both tests)."""
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError(f"N must be >= 1 and an integer, got {N!r}")
+    if hbar is not None and not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+
+
 def _check_box(L: float, hbar: float | None = None, N: int = 1) -> None:
-    """Reject a rank N < 1, a box half width L <= 0, and hbar <= 0 when one
-    is given (NaN fails both); called once per public box call."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if hbar is not None and not hbar > 0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L}")
+    """`_check_levels`, and reject a box half width L that is not finite
+    and > 0; called once per public box call."""
+    _check_levels(N, hbar)
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L!r}")
 
 
 def dirichlet_kernel(N: int, x) -> np.ndarray | float:

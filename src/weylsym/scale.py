@@ -10,10 +10,11 @@ budget that every layer shares.
 A block holds at most _BLOCK_CELLS = 2^15 cells and, by the `row_table`
 rule, at most 64 _BLOCK_CELLS entries of its symbol's whole-level tables
 per x row (the momentum's prefix sums); a point call with such tables is cut
-into chunks of points under the same rule (`_in_row_chunks`), so point
-calls and fields share one bound.  Inside a block, the box closed
-forms take their levels in chunks of at most _LEVEL_CHUNK = 2^12 entries
-(levels x cells): a full block one level at a time, a few points many.
+into blocks of points under the same rule by the same loop
+(`_in_row_blocks`), so point calls and fields share one bound.  Inside a
+block, the box closed forms take their levels in chunks of at most
+_LEVEL_CHUNK = 2^12 entries (levels x cells): a full block one level at a
+time, a few points many.
 Each cell adds its levels in order whatever the chunk, so the chunk bound
 is its own constant, not a share of _BLOCK_CELLS: a field keeps the bytes
 of point calls for every block size.
@@ -21,7 +22,6 @@ of point calls for every block size.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "PhaseGrid",
     "SymbolField",
     "pairwise_sum",
-    "worker_count",
 ]
 
 _BUDGET = 2_000_000_000  # largest N * (grid cells or terms per level) of a request
@@ -51,19 +50,17 @@ def _table_rows(row_table: int) -> int:
     return max(1, 64 * _BLOCK_CELLS // max(row_table, 1))
 
 
-def _in_row_chunks(fn, x: np.ndarray, p: np.ndarray, row_table: int) -> np.ndarray:
-    """fn(x, p) on arrays of one ndim that broadcast, called on chunks of
-    leading-axis rows under the `row_table` rule, fn's tables holding
-    `row_table` doubles per element of x.  Points are independent, so every
-    chunking is bit-identical to one call."""
-    np.broadcast_shapes(x.shape, p.shape)  # raises on shapes that do not broadcast
-    n = x.shape[0]
-    rows = _table_rows(row_table * x[:1].size)
-    if rows >= n:
-        return fn(x, p)
-    p_rows = p.shape[0] > 1  # then p.shape[0] == n
-    parts = [fn(x[i : i + rows], p[i : i + rows] if p_rows else p) for i in range(0, n, rows)]
-    return np.concatenate(parts)
+def _in_row_blocks(fn, x: np.ndarray, p: np.ndarray, rows: int) -> np.ndarray:
+    """fn(x, p) on arrays of one ndim that broadcast, called on blocks of at
+    most `rows` leading-axis rows and written into one array of the broadcast
+    shape; an argument with one leading row goes whole to every block.
+    Rows are independent, so every blocking is bit-identical to one call."""
+    out = np.empty(np.broadcast_shapes(x.shape, p.shape))  # raises on shapes that do not broadcast
+    x_rows, p_rows = x.shape[0] > 1, p.shape[0] > 1
+    for i in range(0, out.shape[0], rows):
+        block = slice(i, i + rows)
+        out[block] = fn(x[block] if x_rows else x, p[block] if p_rows else p)
+    return out
 
 
 def _point_arrays(x, y, broadcast: bool = True):
@@ -85,27 +82,13 @@ def _point_arrays(x, y, broadcast: bool = True):
     return x_arr, y_arr, lambda out: out
 
 
-def worker_count() -> int:
-    """Worker-thread cap from the WEYL_THREADS environment variable (>= 1)."""
-    raw = os.environ.get("WEYL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"WEYL_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"WEYL_THREADS must be a positive integer, got {n}")
-    return n
-
-
 def pairwise_sum(values: np.ndarray) -> float:
     """Sum with a strict binary reduction tree.
 
     The array is zero-padded to the next power of two and folded in halves,
     so the tree shape is a pure function of the array length: rounding error
     grows like O(log n), and the result never depends on how the array was
-    produced (row chunking, threading) as long as element order is fixed.
+    produced (in row blocks or whole) as long as element order is fixed.
     """
     flat = np.ascontiguousarray(values, dtype=float).ravel()
     n = flat.size
@@ -207,30 +190,13 @@ class SymbolField:
         fn makes `levels` passes over the cells, checked against the work
         budget before fn is called.  A block holds at most _BLOCK_CELLS cells
         (or one row), and at most 64 _BLOCK_CELLS entries of fn's tables of
-        `row_table` doubles per x row.  WEYL_THREADS = k > 1 hands at least k
-        blocks to worker threads.  Rows are independent, so every blocking is
-        bit-identical to one call; the filled array is adopted, not copied.
+        `row_table` doubles per x row.  Rows are independent, so every
+        blocking is bit-identical to one call; the filled array is adopted,
+        not copied.
         """
         _check_budget(levels, grid.nx * grid.np)
-        workers = worker_count()
-        rows = min(_BLOCK_CELLS // grid.np, _table_rows(row_table))
-        rows = max(1, min(rows, -(-grid.nx // workers)))
-        x, p = grid.meshgrid()
-        out = np.empty((grid.nx, grid.np))
-
-        def block(start: int) -> None:
-            out[start : start + rows] = fn(x[start : start + rows], p)
-
-        starts = range(0, grid.nx, rows)
-        if workers <= 1:
-            for start in starts:
-                block(start)
-        else:
-            import concurrent.futures  # loaded only when threads are asked for
-
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(block, starts))
-        return cls._adopt(grid, out)
+        rows = max(1, min(_BLOCK_CELLS // grid.np, _table_rows(row_table)))
+        return cls._adopt(grid, _in_row_blocks(fn, *grid.meshgrid(), rows))
 
     def to_csv(self, path) -> None:
         """Write rows `x,p,value`, x outer ascending, p inner ascending, each

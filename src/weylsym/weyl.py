@@ -18,8 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import _check_box, _sin_ratio, dirichlet_kernel
-from .scale import _LEVEL_CHUNK, PhaseGrid, SymbolField, _in_row_chunks, _point_arrays
+from .kernel import _check_box, _check_levels, _sin_ratio, dirichlet_kernel
+from .scale import _LEVEL_CHUNK, PhaseGrid, SymbolField, _in_row_blocks, _point_arrays, _table_rows
 
 __all__ = [
     "symbol_projection_box",
@@ -114,7 +114,8 @@ def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np
 def _box_symbol(values, N: int, hbar: float, L: float, x, p, row_table: int = 0):
     _check_box(L, hbar, N)
     x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
-    return unwrap(_in_row_chunks(partial(values, N, hbar, L), x_arr, p_arr, row_table))
+    rows = _table_rows(row_table * x_arr[:1].size)
+    return unwrap(_in_row_blocks(partial(values, N, hbar, L), x_arr, p_arr, rows))
 
 
 def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
@@ -125,7 +126,7 @@ def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | f
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the truncated box momentum; odd in p, 0 for
     |x| >= L, O(N) per point.  Its prefix tables (N per x) bound a call's
-    chunks of points as they bound a field's blocks."""
+    blocks of points as they bound a field's."""
     return _box_symbol(_momentum_symbol_values, N, hbar, L, x, p, row_table=N)
 
 
@@ -264,10 +265,7 @@ def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | floa
     twice the alternating sum of the d = 0 Laguerre functions.  O(N) vector
     operations per call; broadcasts x against p.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not hbar > 0:
-        raise ValueError("hbar must be positive")
+    _check_levels(N, hbar)
     x_arr, p_arr, unwrap = _point_arrays(x, p)
     total = 0.0
     for n, ell in enumerate(_laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 import weylsym.cli
 import weylsym.diag
 import weylsym.weyl
+from weylsym import scale
 from weylsym.cli import main
 from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.weyl import projection_symbol_field, symbol_oscillator_projection, symbol_projection_box
@@ -197,6 +199,27 @@ class TestFieldCommand:
         )
         assert not out.exists()
 
+    def test_thread_variable_changes_nothing(self, tmp_path, monkeypatch):
+        # WEYL_THREADS once chose a thread pool, and 0 or soup exited 2; the
+        # fields, here of 20 blocks each, come from one serial loop
+        def no_thread(self):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", 64)
+        for model in ("box", "osc"):
+            outputs = []
+            for value in (None, "0", "soup", "3"):
+                if value is None:
+                    monkeypatch.delenv("WEYL_THREADS", raising=False)
+                else:
+                    monkeypatch.setenv("WEYL_THREADS", value)
+                out = tmp_path / f"{model}.csv"
+                assert run(["field", "--model", model, "--N", "12", "--grid", "-1.5:1.5:40,-3:3:30",
+                            "-o", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[1:] == outputs[:1] * 3
+
     def test_oscillator_momentum_field_refused(self, tmp_path, capsys):
         code = run([
             "field", "--model", "osc", "--observable", "momentum", "--N", "8",
@@ -319,6 +342,14 @@ class TestSweepCommand:
         code = run(["sweep", "--exp", "osc-catalan", flag, "1,x", "-o", str(tmp_path / "c")])
         assert code == 2
         assert capsys.readouterr().err == f"error: bad {flag} list '1,x'\n"
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("exp,flag", [("box-projection-l2", "--N"), ("osc-catalan", "--n")])
+    def test_empty_int_list_refused(self, tmp_path, capsys, exp, flag):
+        # an empty list once ran the default list and exited 0
+        code = run(["sweep", "--exp", exp, flag, "", "-o", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: bad {flag} list ''\n")
         assert not (tmp_path / "c.json").exists()
 
     def test_moyal_idempotency_below_l_over_pi(self, tmp_path):
@@ -531,6 +562,13 @@ class TestMoyalCheckCommand:
         assert capsys.readouterr().err == "error: points must be >= 1\n"
         assert not out.exists()
 
+    def test_negative_tolerance_refused(self, tmp_path, capsys):
+        # no error is below a negative tolerance: the check could only fail
+        out = tmp_path / "moyal.json"
+        assert run(["moyal-check", "--N", "4", "--tol", "-1", "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: tol must be >= 0\n")
+        assert not out.exists()
+
     def test_resource_guard_refuses_before_any_field(self, tmp_path, monkeypatch, capsys):
         # the moyal-idempotency guard: the default grid at N = 202 is
         # 202 * 3232 * 3087 > 2e9 cells (N = 201 fits)
@@ -615,7 +653,7 @@ def assert_cli_import_leaves_unloaded(module):
 
 
 def test_import_leaves_concurrent_futures_unloaded():
-    # SymbolField.sample imports it only when WEYL_THREADS asks for threads
+    # fields are filled by one serial loop, so nothing the CLI runs needs it
     assert_cli_import_leaves_unloaded("concurrent.futures")
 
 

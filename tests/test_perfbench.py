@@ -18,7 +18,6 @@ def _traced_pass(tmp_path, workload):
     # the symbol fields), so a traced pass fails if a traced signature drifts
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("WEYL_THREADS", None)  # the tracer assumes one thread
     cmd = [sys.executable, str(ROOT / "perfbench" / "passrun.py"), "--workload", workload,
            "--seed", "0", "--t0", "0", "--record", str(record), "--trace"]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
@@ -45,7 +44,6 @@ def test_box_point_pass_within_reference_tolerances(tmp_path, monkeypatch):
     # against the benchmark's independent references
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("WEYL_THREADS", None)
     cmd = [sys.executable, str(ROOT / "perfbench" / "passrun.py"), "--workload", "box-point",
            "--seed", "0", "--t0", "0", "--record", str(record)]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
@@ -67,7 +65,6 @@ def test_box_grid_pass_within_reference_tolerances(tmp_path, monkeypatch):
     # independent references
     record = tmp_path / "record.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("WEYL_THREADS", None)
     cmd = [sys.executable, str(ROOT / "perfbench" / "passrun.py"), "--workload", "box-grid",
            "--seed", "0", "--t0", "0", "--record", str(record)]
     proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)

@@ -161,23 +161,3 @@ class TestPairwiseSum:
 
     def test_empty(self):
         assert pairwise_sum(np.array([])) == 0.0
-
-
-class TestThreading:
-    def test_field_identical_under_threads(self, monkeypatch):
-        g = PhaseGrid(-1.5, 1.5, -3.0, 3.0, 64, 64)
-        monkeypatch.delenv("WEYL_THREADS", raising=False)
-        serial = projection_symbol_field(8, 0.125, 1.0, g)
-        monkeypatch.setenv("WEYL_THREADS", "3")
-        threaded = projection_symbol_field(8, 0.125, 1.0, g)
-        assert np.array_equal(serial.values, threaded.values)
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        from weylsym.scale import worker_count
-
-        monkeypatch.setenv("WEYL_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("WEYL_THREADS", "soup")
-        with pytest.raises(ValueError):
-            worker_count()

@@ -20,7 +20,7 @@ from quadrature_oracle import (
 
 from weylsym.basis import EigenBasis, Model
 from weylsym import scale, weyl
-from weylsym.diag import oscillator_disk_distance_sq
+from weylsym.diag import box_momentum_tail_norm_sq, box_projection_distance_sq, oscillator_disk_distance_sq
 from weylsym.moyal import operator_symbol_complex
 from weylsym.truncate import matrix_linear_power
 from weylsym.kernel import _sin_ratio, box_projection_kernel, dirichlet_kernel
@@ -424,25 +424,26 @@ momentum_case = dict(
 class TestMomentumSymbolBox:
     def test_point_chunks_are_bit_identical(self, monkeypatch):
         # the prefix tables hold N doubles per x: a paired call, an x column
-        # against a p row, and x against one p, cut into chunks of 17 rows
-        # (64 * 16 // 60) and of 4 rows
+        # against a p row, x against one p and one x against p, cut into
+        # blocks of 17 rows (64 * 16 // 60) and of 4 rows
         N, hbar, L = 60, 1.0 / 60, 1.0
         rng = np.random.default_rng(11)
         calls = [
             (rng.uniform(-1.1, 1.1, 500), rng.uniform(-3.0, 3.0, 500)),
             (rng.uniform(-1.1, 1.1, (40, 1)), rng.uniform(-3.0, 3.0, (1, 9))),
             (rng.uniform(-1.1, 1.1, 300), 0.7),
+            (0.4, rng.uniform(-3.0, 3.0, 300)),
         ]
         whole = [symbol_truncated_momentum_box(N, hbar, L, x, p) for x, p in calls]
         for cells in (16, 4):
             monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
             for (x, p), want in zip(calls, whole):
                 assert symbol_truncated_momentum_box(N, hbar, L, x, p).tobytes() == want.tobytes()
-            with pytest.raises(ValueError):  # chunks would broadcast where the whole does not
+            with pytest.raises(ValueError):  # blocks would broadcast where the whole does not
                 symbol_truncated_momentum_box(N, hbar, L, np.zeros(18), np.ones(17))
 
     def test_paired_call_tables_stay_under_the_row_table_bound(self, monkeypatch):
-        # one chunk's tables hold at most 64 _BLOCK_CELLS entries each, and
+        # one block's tables hold at most 64 _BLOCK_CELLS entries each, and
         # at most five of them are live at once (about four at the peak); in
         # one piece, 1e4 points at N = 400 would hold 32 MB per table
         monkeypatch.setattr(scale, "_BLOCK_CELLS", 1 << 11)
@@ -917,6 +918,33 @@ class TestBoxScaleValidation:
             field(0, 0.1, 1.0, _grid)
 
 
+# every entry point that takes a rank N, an hbar or an L, with the names of
+# the arguments it takes; at N = 4.5 the box projection summed 5 levels
+# against a Dirichlet kernel of 4.5 and returned 0.379, at L = inf it gave
+# nan and at hbar = inf 0.787, and the disk distance at hbar = inf was inf
+RANK_SCALE_CALLS = {
+    "projection": (lambda N, hbar, L: symbol_projection_box(N, hbar, L, 0.1, 0.2), "N hbar L"),
+    "momentum": (lambda N, hbar, L: symbol_truncated_momentum_box(N, hbar, L, 0.1, 0.2), "N hbar L"),
+    "projection_field": (lambda N, hbar, L: projection_symbol_field(N, hbar, L, _grid), "N hbar L"),
+    "momentum_field": (lambda N, hbar, L: momentum_symbol_field(N, hbar, L, _grid), "N hbar L"),
+    "rescaled_kernel": (lambda N, hbar, L: rescaled_kernel_f2(N, hbar, L, 0.0, 0.0), "N hbar L"),
+    "box_kernel": (lambda N, hbar, L: box_projection_kernel(N, L, 0.1, 0.2), "N L"),
+    "box_distance": (lambda N, hbar, L: box_projection_distance_sq(N, hbar, L), "N hbar L"),
+    "momentum_tail": (lambda N, hbar, L: box_momentum_tail_norm_sq(N, L, hbar), "N hbar L"),
+    "oscillator": (lambda N, hbar, L: symbol_oscillator_projection(N, hbar, 0.1, 0.2), "N hbar"),
+    "disk_distance": (lambda N, hbar, L: oscillator_disk_distance_sq(N, hbar), "N hbar"),
+}
+BAD_RANK_SCALE = {"N": (4.5, 0.25, 1.0), "hbar": (4, math.inf, 1.0), "L": (4, 0.25, math.inf)}
+
+
+@pytest.mark.parametrize("call,name", [
+    (call, name) for call, (_, names) in sorted(RANK_SCALE_CALLS.items()) for name in names.split()
+])
+def test_rejects_fractional_rank_and_infinite_scale(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        RANK_SCALE_CALLS[call][0](*BAD_RANK_SCALE[name])
+
+
 box_settings = settings(deadline=None, derandomize=True, max_examples=40)
 
 
@@ -984,30 +1012,3 @@ class TestBoxWallsAndResonances:
 
         want = symbol_from_kernel_complex(kernel, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
         assert abs(rank_one_box_symbol(j, k, hbar, L, x, p) - want) <= 1e-8
-
-
-class TestFieldThreads:
-    @settings(deadline=None, derandomize=True, max_examples=10)
-    @given(
-        N=st.integers(1, 24), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
-        nx=st.integers(6, 17), npts=st.integers(2, 9),
-    )
-    def test_fields_bit_identical_across_thread_counts(self, N, mu, L, nx, npts):
-        # field rows are independent, so chunking them over workers must not
-        # change a bit
-        hbar = mu / N
-        grid = PhaseGrid(-1.3 * L, 1.3 * L, -4.0, 4.0, nx, npts)
-        fields = []
-        for threads in (None, "1", "3"):
-            with pytest.MonkeyPatch.context() as mp:
-                if threads is None:
-                    mp.delenv("WEYL_THREADS", raising=False)
-                else:
-                    mp.setenv("WEYL_THREADS", threads)
-                fields.append((
-                    projection_symbol_field(N, hbar, L, grid).values,
-                    momentum_symbol_field(N, hbar, L, grid).values,
-                ))
-        for proj, mom in fields[1:]:
-            assert proj.tobytes() == fields[0][0].tobytes()
-            assert mom.tobytes() == fields[0][1].tobytes()
