@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .kernel import _check_box, _check_levels
+
 __all__ = ["Model", "EigenBasis"]
 
 
@@ -27,11 +29,12 @@ class EigenBasis:
     box_half_width: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.model is Model.BOX:
-            if self.box_half_width is None or not self.box_half_width > 0:
-                raise ValueError(f"L must be positive, got {self.box_half_width}")
+        if self.model is not Model.BOX:
+            _check_levels(1, self.hbar)
+        elif self.box_half_width is None:
+            raise ValueError("the box model needs its half width L")
+        else:
+            _check_box(self.box_half_width, self.hbar)
 
     @property
     def L(self) -> float:

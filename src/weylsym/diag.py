@@ -27,7 +27,7 @@ from .limits import (
     edge_profile_x,
 )
 from .moyal import _check_direct_grid, direct_grid, moyal_direct
-from .scale import _check_budget, pairwise_sum
+from .scale import _check_budget
 from .truncate import LadderBand, _check_power, _ladder_powers
 from .weyl import (
     _laguerre_functions,
@@ -65,7 +65,7 @@ def band_norm_sq(power: LadderBand, lo: int, hi: int) -> float:
     """
     rows = power.offsets[:, None] + np.arange(power.N)[None, :]
     inside = power.diagonals[(rows >= lo) & (rows < hi)]
-    return 2.0 * math.pi * power.hbar * power.weight_sq * pairwise_sum(inside * inside)
+    return 2.0 * math.pi * power.hbar * power.weight_sq * float(np.sum(inside * inside))
 
 
 def box_projection_distance_sq(N: int, hbar: float, L: float) -> float:
@@ -473,8 +473,7 @@ def _sweep_box_bulk_sup(config: SweepConfig):
 def _sweep_box_tridiag_norm(config: SweepConfig):
     """Multiplication by sin(pi x / 2L) / sqrt(L) couples level k to k +- 1
     alone, with entry -1/(2 sqrt L): its truncated norm is 2 pi hbar times
-    the pairwise sum of the 2(N - 1) squared entries, the same float as the
-    sum over the whole N x N matrix."""
+    the sum of the 2(N - 1) squared entries."""
     mu, L = config.mu, config.L
     N_max = config.n_levels[-1]
     _check_budget(N_max, 2 * N_max)
@@ -485,7 +484,7 @@ def _sweep_box_tridiag_norm(config: SweepConfig):
     gaps = []
     for N in config.n_levels:
         hbar = mu / N
-        val = 2.0 * math.pi * hbar * pairwise_sum(np.full(2 * (N - 1), entry) ** 2)
+        val = 2.0 * math.pi * hbar * float(np.sum(np.full(2 * (N - 1), entry) ** 2))
         exact = math.pi * hbar * (N - 1) / L
         rel = abs(val - exact) / exact if exact else abs(val)
         id_ok = id_ok and rel <= 1e-12
@@ -640,14 +639,9 @@ def _sweep_moyal_idempotency(config: SweepConfig):
     for N in config.n_levels:
         hbar = mu / N
         fld = projection_symbol_field(N, hbar, L, direct_grid(N, mu, L))
-        acc = 0.0
-        for x0 in ex:
-            diff = moyal_direct(fld, fld, hbar, float(x0), ep) - symbol_projection_box(
-                N, hbar, L, float(x0), ep
-            )
-            for d_p in diff:
-                acc += d_p * d_p
-        d = acc * (ex[1] - ex[0]) * (ep[1] - ep[0])
+        diff = np.array([moyal_direct(fld, fld, hbar, float(x0), ep) for x0 in ex])
+        diff -= symbol_projection_box(N, hbar, L, ex[:, None], ep[None, :])
+        d = float(np.sum(diff * diff)) * (ex[1] - ex[0]) * (ep[1] - ep[0])
         rows.append(SweepRow(N=N, hbar=hbar, metric="idempotency_defect_sq", value=d))
     vals = [r.value for r in rows]
     return rows, (_decrease_verdict("defect-decreasing", vals),)

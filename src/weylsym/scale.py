@@ -1,4 +1,4 @@
-"""Phase-space grids, sampled symbol fields and a deterministic sum.
+"""Phase-space grids and sampled symbol fields.
 
 The joint limit studied by this package couples the Planck constant to the
 truncation rank through hbar * N = mu; every caller passes hbar = mu / N
@@ -7,17 +7,12 @@ grids (:class:`PhaseGrid`) as plain real arrays (:class:`SymbolField`),
 each filled by `SymbolField.sample` in blocks of x rows under the one work
 budget that every layer shares.
 
-A block holds at most _BLOCK_CELLS = 2^15 cells and, by the `row_table`
-rule, at most 64 _BLOCK_CELLS entries of its symbol's whole-level tables
-per x row (the momentum's prefix sums); a point call with such tables is cut
-into blocks of points under the same rule by the same loop
-(`_in_row_blocks`), so point calls and fields share one bound.  Inside a
-block, the box closed forms take their levels in chunks of at most
-_LEVEL_CHUNK = 2^12 entries (levels x cells): a full block one level at a
-time, a few points many.
-Each cell adds its levels in order whatever the chunk, so the chunk bound
-is its own constant, not a share of _BLOCK_CELLS: a field keeps the bytes
-of point calls for every block size.
+A block holds at most _BLOCK_CELLS = 2^15 cells and at most 64 _BLOCK_CELLS
+entries of its symbol's tables of one entry per level and x entry (the
+momentum's prefix sums): `levels` entries per x row for a field, N per x
+entry for a box point call, which the same loop (`_in_row_blocks`) cuts
+into blocks of points under the same rule.  Rows are independent, so every
+blocking gives the same bits.
 """
 
 from __future__ import annotations
@@ -26,15 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "PhaseGrid",
-    "SymbolField",
-    "pairwise_sum",
-]
+__all__ = ["PhaseGrid", "SymbolField"]
 
 _BUDGET = 2_000_000_000  # largest N * (grid cells or terms per level) of a request
 _BLOCK_CELLS = 1 << 15  # cells per block of a grid field (256 KiB per temporary)
-_LEVEL_CHUNK = 1 << 12  # entries (levels x cells) per chunk of a closed-form level sum
 
 
 def _check_budget(N: int, points: int) -> None:
@@ -44,10 +34,10 @@ def _check_budget(N: int, points: int) -> None:
         raise ValueError(f"resource guard exceeded (N * points budget) at N = {N}")
 
 
-def _table_rows(row_table: int) -> int:
-    """Rows of `row_table` table entries each that fit in 64 _BLOCK_CELLS
-    entries, at least one: the `row_table` rule of fields and point calls."""
-    return max(1, 64 * _BLOCK_CELLS // max(row_table, 1))
+def _table_rows(entries: int) -> int:
+    """Rows of `entries` table entries each that fit in 64 _BLOCK_CELLS
+    entries, at least one: the table rule of fields and point calls."""
+    return max(1, 64 * _BLOCK_CELLS // max(entries, 1))
 
 
 def _in_row_blocks(fn, x: np.ndarray, p: np.ndarray, rows: int) -> np.ndarray:
@@ -63,48 +53,19 @@ def _in_row_blocks(fn, x: np.ndarray, p: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _point_arrays(x, y, broadcast: bool = True):
-    """Broadcast float arrays (at least 1-d) of two point coordinates, and the
-    function that hands a result on them back in the caller's form: the
+def _point_arrays(x, y):
+    """Float arrays of two point coordinates, each of its own size with
+    leading unit axes up to one ndim (at least 1), and the function that
+    hands a result on their broadcast shape back in the caller's form: the
     single element (float or complex, from the dtype) when both coordinates
-    were scalars, else the array.  With broadcast=False the arrays keep
-    their own sizes, with leading unit axes up to one ndim, for a caller
-    that builds per-coordinate tables."""
+    were scalars, else the array."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if broadcast:
-        x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
-    else:
-        nd = max(x_arr.ndim, y_arr.ndim)
-        x_arr, y_arr = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (x_arr, y_arr))
+    nd = max(x_arr.ndim, y_arr.ndim)
+    x_arr, y_arr = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (x_arr, y_arr))
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return x_arr, y_arr, lambda out: out.item()
     return x_arr, y_arr, lambda out: out
-
-
-def pairwise_sum(values: np.ndarray) -> float:
-    """Sum with a strict binary reduction tree.
-
-    The array is zero-padded to the next power of two and folded in halves,
-    so the tree shape is a pure function of the array length: rounding error
-    grows like O(log n), and the result never depends on how the array was
-    produced (in row blocks or whole) as long as element order is fixed.
-    """
-    flat = np.ascontiguousarray(values, dtype=float).ravel()
-    n = flat.size
-    if n == 0:
-        return 0.0
-    width = 1 << (n - 1).bit_length()
-    if width != n:
-        padded = np.zeros(width)
-        padded[:n] = flat
-        flat = padded
-    else:
-        flat = flat.copy()
-    while flat.size > 1:
-        half = flat.size // 2
-        flat = flat[:half] + flat[half:]
-    return float(flat[0])
 
 
 @dataclass(frozen=True)
@@ -184,18 +145,17 @@ class SymbolField:
         return fld
 
     @classmethod
-    def sample(cls, fn, grid: PhaseGrid, levels: int = 1, row_table: int = 0) -> "SymbolField":
+    def sample(cls, fn, grid: PhaseGrid, levels: int = 1) -> "SymbolField":
         """Sample a broadcastable fn(x, p) on the grid, one call per block of x rows.
 
         fn makes `levels` passes over the cells, checked against the work
         budget before fn is called.  A block holds at most _BLOCK_CELLS cells
         (or one row), and at most 64 _BLOCK_CELLS entries of fn's tables of
-        `row_table` doubles per x row.  Rows are independent, so every
-        blocking is bit-identical to one call; the filled array is adopted,
-        not copied.
+        `levels` doubles per x row.  Rows are independent, so every blocking
+        is bit-identical to one call; the filled array is adopted, not copied.
         """
         _check_budget(levels, grid.nx * grid.np)
-        rows = max(1, min(_BLOCK_CELLS // grid.np, _table_rows(row_table)))
+        rows = max(1, min(_BLOCK_CELLS // grid.np, _table_rows(levels)))
         return cls._adopt(grid, _in_row_blocks(fn, *grid.meshgrid(), rows))
 
     def to_csv(self, path) -> None:

@@ -11,10 +11,11 @@ against the eigenfunctions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernel import _check_levels
 
 __all__ = [
     "LadderBand",
@@ -78,14 +79,11 @@ class LadderBand:
 
 def _check_power(n: int, hbar: float, N: int) -> None:
     """The refusals of `matrix_linear_power`, which allocate nothing."""
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be finite and > 0, got {hbar!r}")
+    _check_levels(N, hbar)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_MATRIX_POWER:
         raise ValueError(f"matrix build refused for n > {MAX_MATRIX_POWER}")
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if N > MAX_DIMENSION:
         raise ValueError(f"dimension {N} exceeds the {MAX_DIMENSION} cap")
 
@@ -128,11 +126,12 @@ def matrix_linear_power(a: float, b: float, n: int, hbar: float, N: int) -> Ladd
     column by column on its 2n + 1 diagonals, which reach level N + n:
     truncated to rows <= N, exactly the power on N + n levels truncated to
     N x N, with the corner k, l <= n included.  Refuses n > MAX_MATRIX_POWER,
-    N outside 1..MAX_DIMENSION and an hbar that is not finite and > 0 before
+    an N that is not an integer in 1..MAX_DIMENSION (an integer-valued float
+    is taken as its integer) and an hbar that is not finite and > 0 before
     it allocates anything.
     """
     _check_power(n, hbar, N)
-    for band in _ladder_powers(n, N):
+    for band in _ladder_powers(n, int(N)):
         pass
     band.flags.writeable = False
     return LadderBand(a=a, b=b, hbar=hbar, diagonals=band)

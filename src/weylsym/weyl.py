@@ -4,7 +4,12 @@ Box: the projection and truncated momentum symbols share one level sum,
 sum_j c_j [S(m_j + q) +- S(m_j - q)] with S = sin(A d)/d from `kernel`,
 split by angle addition; the symbol of any finite-rank operator (the box
 branch of `moyal.operator_symbol_complex`) groups its rank-one terms by
-j + k and j - k.  Oscillator: Groenewold's associated-Laguerre form, one
+j + k and j - k.  The level sum takes its levels in chunks of at most
+_LEVEL_CHUNK = 2^12 entries (levels x cells): a full field block one level
+at a time, a few points many.  Each cell adds its levels in order whatever
+the chunk, so the chunk bound is its own constant, not a share of
+`scale`'s block size: a field keeps the bytes of point calls for every
+block size.  Oscillator: Groenewold's associated-Laguerre form, one
 recurrence yielding the normalised Laguerre functions at their true scale
 (on Python floats at one point), summed by the projection symbol, the
 operator symbol (the oscillator branch of `moyal.operator_symbol_complex`)
@@ -19,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .kernel import _check_box, _check_levels, _sin_ratio, dirichlet_kernel
-from .scale import _LEVEL_CHUNK, PhaseGrid, SymbolField, _in_row_blocks, _point_arrays, _table_rows
+from .scale import PhaseGrid, SymbolField, _in_row_blocks, _point_arrays, _table_rows
 
 __all__ = [
     "symbol_projection_box",
@@ -31,6 +36,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LEVEL_CHUNK = 1 << 12  # entries (levels x cells) per chunk of `_level_sum`
 
 
 def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -111,10 +117,12 @@ def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np
     return np.where(np.abs(x_arr) > L, 0.0, tot)
 
 
-def _box_symbol(values, N: int, hbar: float, L: float, x, p, row_table: int = 0):
+def _box_symbol(values, N: int, hbar: float, L: float, x, p):
+    """A box closed form at points, in blocks of points whose tables of N
+    entries per x entry stay under the field's table bound."""
     _check_box(L, hbar, N)
-    x_arr, p_arr, unwrap = _point_arrays(x, p, broadcast=False)
-    rows = _table_rows(row_table * x_arr[:1].size)
+    x_arr, p_arr, unwrap = _point_arrays(x, p)
+    rows = _table_rows(N * x_arr[:1].size)
     return unwrap(_in_row_blocks(partial(values, N, hbar, L), x_arr, p_arr, rows))
 
 
@@ -125,9 +133,8 @@ def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | f
 
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the truncated box momentum; odd in p, 0 for
-    |x| >= L, O(N) per point.  Its prefix tables (N per x) bound a call's
-    blocks of points as they bound a field's."""
-    return _box_symbol(_momentum_symbol_values, N, hbar, L, x, p, row_table=N)
+    |x| >= L, O(N) per point."""
+    return _box_symbol(_momentum_symbol_values, N, hbar, L, x, p)
 
 
 def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
@@ -192,7 +199,7 @@ def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | floa
     their difference and the mask |x1|, |y1| <= L take the broadcast shape.
     """
     _check_box(L, hbar, N)
-    x_arr, y_arr, unwrap = _point_arrays(x, y, broadcast=False)
+    x_arr, y_arr, unwrap = _point_arrays(x, y)
     shift = hbar * y_arr / 2.0
     c = math.pi / (2.0 * L)
     inside = (np.abs(x_arr - shift) <= L) & (np.abs(x_arr + shift) <= L)
@@ -270,7 +277,7 @@ def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | floa
     total = 0.0
     for n, ell in enumerate(_laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)):
         total = total - ell if n % 2 else total + ell
-    return unwrap(np.reshape(2.0 * total, x_arr.shape))
+    return unwrap(np.reshape(2.0 * total, np.broadcast_shapes(x_arr.shape, p_arr.shape)))
 
 
 def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) -> np.ndarray:
@@ -304,7 +311,7 @@ def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) ->
 
 
 def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
-    """Symbol of sum_{j,k} M_jk |u_j><u_k| for the box, on x and p of one shape.
+    """Symbol of sum_{j,k} M_jk |u_j><u_k| for the box, x and p broadcasting.
 
     With s = j + k, t = j - k, theta = pi (x + L) / 2L, g = pi hbar / 4L,
     A = 2 (L - |x|) / hbar and S(d) = sin(A d) / d, the symbol of |u_j><u_k| is
@@ -323,6 +330,7 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
     j, k = np.indices(coeff.shape)
     W = np.zeros((t.size, s.size), dtype=complex)
     W[j - k + N - 1, j + k] = coeff
+    x_arr, p_arr = np.broadcast_arrays(x_arr, p_arr)
     x = x_arr.reshape(-1, 1)
     p = p_arr.reshape(-1, 1)
     A = 2.0 * np.maximum(L - np.abs(x), 0.0) / hbar
@@ -346,7 +354,6 @@ def projection_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> S
 
 
 def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
-    """Truncated box momentum symbol sampled on a grid (prefix tables of N per x row)."""
+    """Truncated box momentum symbol sampled on a grid."""
     _check_box(L, hbar, N)
-    fn = partial(_momentum_symbol_values, N, hbar, L)
-    return SymbolField.sample(fn, grid, levels=N, row_table=N)
+    return SymbolField.sample(partial(_momentum_symbol_values, N, hbar, L), grid, levels=N)

@@ -117,6 +117,7 @@ def projection_kernel_sum(basis: EigenBasis, N: int, x, y) -> np.ndarray | float
     if N < 1:
         raise ValueError("N must be >= 1")
     x_arr, y_arr, unwrap = _point_arrays(x, y)
+    x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
     ux = wavefunctions(basis, N, x_arr.ravel())
     uy = wavefunctions(basis, N, y_arr.ravel())
     return unwrap(np.einsum("kq,kq->q", ux, uy).reshape(x_arr.shape))
@@ -133,6 +134,7 @@ def truncated_operator_kernel(matrix, basis: EigenBasis, x, y) -> np.ndarray | c
         raise ValueError("coefficient matrix must be square")
     N = entries.shape[0]
     x_arr, y_arr, unwrap = _point_arrays(x, y)
+    x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
     ux = wavefunctions(basis, N, x_arr.ravel())
     uy = wavefunctions(basis, N, y_arr.ravel())
     return unwrap(np.einsum("jq,jk,kq->q", ux, entries, uy).reshape(x_arr.shape))

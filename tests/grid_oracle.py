@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 from matrix_oracle import hs_norm_sq
 
-from weylsym.scale import SymbolField, pairwise_sum
+from weylsym.scale import SymbolField
 
 
 def rectangle(mu: float, L: float):
@@ -44,8 +44,8 @@ def l2_distance_with_tail(field: SymbolField, target, matrix: np.ndarray, hbar: 
         raise ValueError("target support exceeds window")
 
     cell = g.dx * g.dp
-    windowed_dist = pairwise_sum((field.values - tvals) ** 2) * cell
-    windowed_mass = pairwise_sum(field.values**2) * cell
+    windowed_dist = float(np.sum((field.values - tvals) ** 2)) * cell
+    windowed_mass = float(np.sum(field.values**2)) * cell
     total = hs_norm_sq(matrix, hbar)
     tail = total - windowed_mass
     if tail < -1e-3 * total:

@@ -32,13 +32,12 @@ import numpy as np
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import operator_symbol_complex
-from weylsym.scale import pairwise_sum
 from weylsym.truncate import LadderBand
 
 
 def hs_norm_sq(entries: np.ndarray, hbar: float) -> float:
     """Exact squared L2 norm of the symbol of a dense matrix: 2 pi hbar sum |M_jk|^2."""
-    return 2.0 * math.pi * hbar * pairwise_sum(np.abs(entries) ** 2)
+    return 2.0 * math.pi * hbar * float(np.sum(np.abs(entries) ** 2))
 
 
 def offdiag_block_norm_sq(padded: np.ndarray, N: int, hbar: float) -> float:

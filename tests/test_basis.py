@@ -225,6 +225,17 @@ class TestEigenBasis:
         with pytest.raises(ValueError):
             EigenBasis(model=Model.BOX, hbar=1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("model", list(Model))
+    def test_refuses_bad_hbar(self, model, bad):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            EigenBasis(model=model, hbar=bad, box_half_width=1.0 if model is Model.BOX else None)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_refuses_bad_box_width(self, bad):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            EigenBasis(model=Model.BOX, hbar=0.25, box_half_width=bad)
+
     def test_oscillator_has_no_width(self):
         with pytest.raises(ValueError):
             _ = osc(1.0).L

@@ -62,12 +62,12 @@ class TestHsNorm:
     @settings(max_examples=60, deadline=None)
     @given(N=st.integers(1, 300), mu=st.floats(0.05, 20.0), L=st.floats(0.05, 20.0))
     def test_tridiag_exact_identity(self, N, mu, L):
-        # the sweep sums the 2(N - 1) nonzero entries alone: the same float as
-        # the sum over the whole dense matrix, and pi hbar (N - 1) / L
+        # the sweep sums the 2(N - 1) nonzero entries alone: the sum over the
+        # whole dense matrix up to rounding, and pi hbar (N - 1) / L
         rep = run_sweep(SweepConfig("box-tridiag-norm", (N,), mu=mu, L=L))
         hbar = mu / N
         (val,) = rep.values("hs_norm_sq")
-        assert val == hs_norm_sq(box_multiplication_matrix(N, L), hbar)
+        assert val == pytest.approx(hs_norm_sq(box_multiplication_matrix(N, L), hbar), rel=1e-14)
         assert val == pytest.approx(math.pi * hbar * (N - 1) / L, rel=1e-12)
 
     def test_tridiag_sweep_builds_no_square_matrix(self):

@@ -1,11 +1,10 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from weylsym import scale
-from weylsym.scale import PhaseGrid, SymbolField, pairwise_sum
+from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.weyl import momentum_symbol_field, projection_symbol_field
 
 
@@ -147,17 +146,3 @@ def savetxt_oracle(field, path):
     data = np.column_stack([xs, ps, field.values.ravel(order="C")])
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header="x,p,value", comments="")
 
-
-class TestPairwiseSum:
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(3)
-        vals = rng.normal(size=100_001)
-        assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-13)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        vals = rng.normal(size=12_345)
-        assert pairwise_sum(vals) == pairwise_sum(vals.copy())
-
-    def test_empty(self):
-        assert pairwise_sum(np.array([])) == 0.0

@@ -174,8 +174,16 @@ class TestMatrixLinearPower:
     @pytest.mark.parametrize("hbar", [0.0, -0.25, math.nan, math.inf])
     def test_refuses_bad_hbar_before_allocating(self, monkeypatch, hbar):
         monkeypatch.setattr(weylsym.truncate, "np", None)
-        with pytest.raises(ValueError, match="hbar must be finite and > 0"):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
             matrix_linear_power(1.0, 0.0, 2, hbar, 4)
+
+    def test_integer_valued_float_rank(self):
+        # N = 3.0 is the rank 3, and a fractional N is refused
+        want = matrix_linear_power(1.0, 0.5, 2, 0.1, 3).diagonals
+        for N in (3.0, np.float64(3.0)):
+            assert matrix_linear_power(1.0, 0.5, 2, 0.1, N).diagonals.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="N must be >= 1 and an integer"):
+            matrix_linear_power(1.0, 0.0, 1, 0.1, 2.5)
 
     def test_live_weights_share_one_modulus(self):
         # the band norms rest on |weight|^2 = (hbar/2)^n (a^2 + b^2)^n on every

@@ -24,7 +24,7 @@ from weylsym.diag import box_momentum_tail_norm_sq, box_projection_distance_sq, 
 from weylsym.moyal import operator_symbol_complex
 from weylsym.truncate import matrix_linear_power
 from weylsym.kernel import _sin_ratio, box_projection_kernel, dirichlet_kernel
-from weylsym.scale import PhaseGrid, SymbolField, pairwise_sum
+from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.weyl import (
     _laguerre_functions,
     _oscillator_operator_symbol,
@@ -422,10 +422,11 @@ momentum_case = dict(
 
 
 class TestMomentumSymbolBox:
-    def test_point_chunks_are_bit_identical(self, monkeypatch):
-        # the prefix tables hold N doubles per x: a paired call, an x column
-        # against a p row, x against one p and one x against p, cut into
-        # blocks of 17 rows (64 * 16 // 60) and of 4 rows
+    @pytest.mark.parametrize("symbol", [symbol_truncated_momentum_box, symbol_projection_box])
+    def test_point_chunks_are_bit_identical(self, monkeypatch, symbol):
+        # blocks hold 64 _BLOCK_CELLS table entries of N per x: a paired
+        # call, an x column against a p row, x against one p and one x
+        # against p, cut into blocks of 17 rows (64 * 16 // 60) and of 4 rows
         N, hbar, L = 60, 1.0 / 60, 1.0
         rng = np.random.default_rng(11)
         calls = [
@@ -434,13 +435,13 @@ class TestMomentumSymbolBox:
             (rng.uniform(-1.1, 1.1, 300), 0.7),
             (0.4, rng.uniform(-3.0, 3.0, 300)),
         ]
-        whole = [symbol_truncated_momentum_box(N, hbar, L, x, p) for x, p in calls]
+        whole = [symbol(N, hbar, L, x, p) for x, p in calls]
         for cells in (16, 4):
             monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
             for (x, p), want in zip(calls, whole):
-                assert symbol_truncated_momentum_box(N, hbar, L, x, p).tobytes() == want.tobytes()
+                assert symbol(N, hbar, L, x, p).tobytes() == want.tobytes()
             with pytest.raises(ValueError):  # blocks would broadcast where the whole does not
-                symbol_truncated_momentum_box(N, hbar, L, np.zeros(18), np.ones(17))
+                symbol(N, hbar, L, np.zeros(18), np.ones(17))
 
     def test_paired_call_tables_stay_under_the_row_table_bound(self, monkeypatch):
         # one block's tables hold at most 64 _BLOCK_CELLS entries each, and
@@ -627,7 +628,7 @@ class TestNormIdentityOnGrid:
         hbar = mu / N
         grid = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, 500, 500)
         fld = projection_symbol_field(N, hbar, L, grid)
-        windowed = pairwise_sum(fld.values**2) * grid.dx * grid.dp
+        windowed = float(np.sum(fld.values**2)) * grid.dx * grid.dp
         total = 2 * math.pi * hbar * N
         assert windowed <= total * 1.005
         assert windowed >= total * 0.99  # tails hold < 1% of the mass here
