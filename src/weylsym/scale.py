@@ -4,15 +4,17 @@ The joint limit studied by this package couples the Planck constant to the
 truncation rank through hbar * N = mu; every caller passes hbar = mu / N
 as a plain float.  Phase-space data lives on midpoint-rule rectangular
 grids (:class:`PhaseGrid`) as plain real arrays (:class:`SymbolField`),
-each filled by `SymbolField.sample` in blocks of x rows under the one work
+each filled by `SymbolField.sample` in blocks of cells under the one work
 budget that every layer shares.
 
-A block holds at most _BLOCK_CELLS = 2^15 cells and at most 64 _BLOCK_CELLS
-entries of its symbol's tables of one entry per level and x entry (the
-momentum's prefix sums): `levels` entries per x row for a field, N per x
-entry for a box point call, which the same loop (`_in_row_blocks`) cuts
-into blocks of points under the same rule.  Rows are independent, so every
-blocking gives the same bits.
+A block holds at most _BLOCK_CELLS = 2^15 cells (or one row) and at most 64
+_BLOCK_CELLS entries of each of its symbol's tables of one entry per level
+and x entry (the momentum's prefix sums, the level sum's sines) or per
+level and p entry (the level sum's reciprocals): `levels` entries per x row
+and per p column for a field, N per x entry and per p entry for a box point
+call, which the same loop (`_in_blocks`) cuts into blocks of points under
+the same rule.  Blocks take x rows and, on two or more axes, p columns.
+Cells are independent, so every blocking gives the same bits.
 """
 
 from __future__ import annotations
@@ -40,16 +42,23 @@ def _table_rows(entries: int) -> int:
     return max(1, 64 * _BLOCK_CELLS // max(entries, 1))
 
 
-def _in_row_blocks(fn, x: np.ndarray, p: np.ndarray, rows: int) -> np.ndarray:
+def _in_blocks(fn, x: np.ndarray, p: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """fn(x, p) on arrays of one ndim that broadcast, called on blocks of at
-    most `rows` leading-axis rows and written into one array of the broadcast
-    shape; an argument with one leading row goes whole to every block.
-    Rows are independent, so every blocking is bit-identical to one call."""
+    most `rows` leading-axis rows and, with two or more axes, `cols`
+    last-axis columns, and written into one array of the broadcast shape.
+    An argument of length one on a cut axis goes whole to every block; an
+    empty block is never computed.  Cells are independent, so every
+    blocking is bit-identical to one call."""
     out = np.empty(np.broadcast_shapes(x.shape, p.shape))  # raises on shapes that do not broadcast
-    x_rows, p_rows = x.shape[0] > 1, p.shape[0] > 1
     for i in range(0, out.shape[0], rows):
-        block = slice(i, i + rows)
-        out[block] = fn(x[block] if x_rows else x, p[block] if p_rows else p)
+        r = slice(i, i + rows)
+        x_r, p_r = (a[r] if a.shape[0] > 1 else a for a in (x, p))
+        if out.ndim == 1:
+            out[r] = fn(x_r, p_r)
+            continue
+        for j in range(0, out.shape[-1], cols):
+            c = slice(j, j + cols)
+            out[r, ..., c] = fn(*(a[..., c] if a.shape[-1] > 1 else a for a in (x_r, p_r)))
     return out
 
 
@@ -146,17 +155,19 @@ class SymbolField:
 
     @classmethod
     def sample(cls, fn, grid: PhaseGrid, levels: int = 1) -> "SymbolField":
-        """Sample a broadcastable fn(x, p) on the grid, one call per block of x rows.
+        """Sample a broadcastable fn(x, p) on the grid, one call per block of cells.
 
         fn makes `levels` passes over the cells, checked against the work
         budget before fn is called.  A block holds at most _BLOCK_CELLS cells
         (or one row), and at most 64 _BLOCK_CELLS entries of fn's tables of
-        `levels` doubles per x row.  Rows are independent, so every blocking
-        is bit-identical to one call; the filled array is adopted, not copied.
+        `levels` doubles per x row and of those per p column: a grid row
+        longer than that goes in blocks of columns.  Cells are independent,
+        so every blocking is bit-identical to one call; the filled array is
+        adopted, not copied.
         """
         _check_budget(levels, grid.nx * grid.np)
         rows = max(1, min(_BLOCK_CELLS // grid.np, _table_rows(levels)))
-        return cls._adopt(grid, _in_row_blocks(fn, *grid.meshgrid(), rows))
+        return cls._adopt(grid, _in_blocks(fn, *grid.meshgrid(), rows, _table_rows(levels)))
 
     def to_csv(self, path) -> None:
         """Write rows `x,p,value`, x outer ascending, p inner ascending, each

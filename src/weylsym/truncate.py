@@ -80,8 +80,8 @@ class LadderBand:
 def _check_power(n: int, hbar: float, N: int) -> None:
     """The refusals of `matrix_linear_power`, which allocate nothing."""
     _check_levels(N, hbar)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
     if n > MAX_MATRIX_POWER:
         raise ValueError(f"matrix build refused for n > {MAX_MATRIX_POWER}")
     if N > MAX_DIMENSION:
@@ -125,13 +125,14 @@ def matrix_linear_power(a: float, b: float, n: int, hbar: float, N: int) -> Ladd
     <k+1|J|k> = sqrt(k).  J^n is the last band of `_ladder_powers`, built
     column by column on its 2n + 1 diagonals, which reach level N + n:
     truncated to rows <= N, exactly the power on N + n levels truncated to
-    N x N, with the corner k, l <= n included.  Refuses n > MAX_MATRIX_POWER,
-    an N that is not an integer in 1..MAX_DIMENSION (an integer-valued float
-    is taken as its integer) and an hbar that is not finite and > 0 before
-    it allocates anything.
+    N x N, with the corner k, l <= n included.  Refuses an n that is not an
+    integer in 0..MAX_MATRIX_POWER, an N that is not an integer in
+    1..MAX_DIMENSION (an integer-valued float is taken as its integer, for
+    both) and an hbar that is not finite and > 0 before it allocates
+    anything.
     """
     _check_power(n, hbar, N)
-    for band in _ladder_powers(n, int(N)):
+    for band in _ladder_powers(int(n), int(N)):
         pass
     band.flags.writeable = False
     return LadderBand(a=a, b=b, hbar=hbar, diagonals=band)

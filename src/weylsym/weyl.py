@@ -4,16 +4,19 @@ Box: the projection and truncated momentum symbols share one level sum,
 sum_j c_j [S(m_j + q) +- S(m_j - q)] with S = sin(A d)/d from `kernel`,
 split by angle addition; the symbol of any finite-rank operator (the box
 branch of `moyal.operator_symbol_complex`) groups its rank-one terms by
-j + k and j - k.  The level sum takes its levels in chunks of at most
-_LEVEL_CHUNK = 2^12 entries (levels x cells): a full field block one level
-at a time, a few points many.  Each cell adds its levels in order whatever
-the chunk, so the chunk bound is its own constant, not a share of
-`scale`'s block size: a field keeps the bytes of point calls for every
-block size.  Oscillator: Groenewold's associated-Laguerre form, one
-recurrence yielding the normalised Laguerre functions at their true scale
-(on Python floats at one point), summed by the projection symbol, the
-operator symbol (the oscillator branch of `moyal.operator_symbol_complex`)
-and `diag.oscillator_disk_distance_sq`.
+j + k and j - k.  On an outer product of more than one cell (an x column
+against a p row: a field block, a grid or a row of points) the level sum
+is two in-order contractions of a (levels x rows) table from x with a
+(levels x columns) table from p.  Paired points and one cell take its
+levels in chunks of at most _LEVEL_CHUNK = 2^12 entries (levels x cells):
+many paired points one level at a time, a point alone all of them.  Every
+cell adds its levels one by one in order on either route, so a field
+keeps the bytes of point calls for every block size.  Oscillator:
+Groenewold's associated-Laguerre form, one recurrence yielding the
+normalised Laguerre functions at their true scale (on Python floats at one
+point), summed by the projection symbol, the operator symbol (the
+oscillator branch of `moyal.operator_symbol_complex`) and
+`diag.oscillator_disk_distance_sq`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .kernel import _check_box, _check_levels, _sin_ratio, dirichlet_kernel
-from .scale import PhaseGrid, SymbolField, _in_row_blocks, _point_arrays, _table_rows
+from .scale import PhaseGrid, SymbolField, _in_blocks, _point_arrays, _table_rows
 
 __all__ = [
     "symbol_projection_box",
@@ -52,8 +55,15 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
     nearest level is left out of the reciprocals and its S(m - q) is added
     directly; every other level is at least half a spacing from q.
 
-    Levels go in chunks of at most _LEVEL_CHUNK levels x cells, each cell
-    adding them one by one in order, so no value depends on the chunking.
+    When A and q broadcast as an outer product of more than one cell (A
+    varies only on axes before every axis q varies on), each sum is one
+    `np.einsum('kx,kp->xp', T, R, optimize=False)` of the (levels x A) table
+    T by the (levels x q) table R: with the levels outermost, numpy adds
+    out[x, :] += T[k, x] R[k, :] for k in order.  Otherwise (paired points,
+    one cell) levels go in chunks of at most _LEVEL_CHUNK levels x cells,
+    each cell adding them one by one in order.  So no value depends on the
+    route or the chunking.  einsum sums a one-cell result unrolled, and BLAS
+    matrix products round differently by layout, so neither serves there.
     """
     if coef is not None:
         coef = np.broadcast_to(coef, levels.shape + A.shape)
@@ -61,18 +71,10 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
     near = np.clip(np.rint((q - levels[0]) / step), 0, levels.size - 1).astype(np.intp)
     m_near = levels[near]
     levels_col = levels.reshape((-1,) + (1,) * A.ndim)
-    shape = np.broadcast_shapes(A.shape, q.shape)
-    c = max(1, min(levels.size, _LEVEL_CHUNK // math.prod(shape)))
-    # run[0] holds the (even, odd) sums and run[1:] a chunk's products; the
-    # pair axis keeps the levels off the innermost axis, which numpy would
-    # reduce pairwise.  One level per chunk adds in place, with no run.
-    run = np.zeros((c + 1, 2) + shape) if c > 1 else None
-    sums = run[:1] if c > 1 else np.zeros((1, 2) + shape)
-    even, odd = sums[:, 0], sums[:, 1]
-    for j0 in range(0, levels.size, c):
-        chunk = slice(j0, j0 + c)
+
+    def tables(chunk):
+        """sin(A m) coef and cos(A m) coef on A's shape, u and v on q's."""
         m = levels_col[chunk]
-        n = m.shape[0]
         Am = A * m
         sin_m, cos_m = np.sin(Am), np.cos(Am)
         if coef is not None:
@@ -81,14 +83,36 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
         r_plus, r_minus = 1.0 / (m + q), m - q
         r_minus[m == m_near] = np.inf
         np.divide(parity, r_minus, out=r_minus)
-        u, v = r_plus + r_minus, r_plus - r_minus
-        if n == 1:  # the same sums; numpy would copy run[0] for the overlap
-            even += sin_m * u
-            odd += cos_m * v
-        else:
-            np.multiply(sin_m, u, out=run[1 : n + 1, 0])
-            np.multiply(cos_m, v, out=run[1 : n + 1, 1])
-            np.add.reduce(run[: n + 1], axis=0, out=run[0])
+        return sin_m, cos_m, r_plus + r_minus, r_plus - r_minus
+
+    shape = np.broadcast_shapes(A.shape, q.shape)
+    cells = math.prod(shape)
+    x_axes = max((i + 1 for i, n in enumerate(A.shape) if n > 1), default=0)
+    if cells > 1 and math.prod(q.shape[:x_axes]) == 1:
+        sin_m, cos_m, u, v = tables(slice(None))
+        k = levels.size
+        even, odd = (
+            np.einsum("kx,kp->xp", a.reshape(k, -1), b.reshape(k, -1), optimize=False).reshape((1,) + shape)
+            for a, b in ((sin_m, u), (cos_m, v))
+        )
+    else:
+        c = max(1, min(levels.size, _LEVEL_CHUNK // cells))
+        # run[0] holds the (even, odd) sums and run[1:] a chunk's products; the
+        # pair axis keeps the levels off the innermost axis, which numpy would
+        # reduce pairwise.  One level per chunk adds in place, with no run.
+        run = np.zeros((c + 1, 2) + shape) if c > 1 else None
+        sums = run[:1] if c > 1 else np.zeros((1, 2) + shape)
+        even, odd = sums[:, 0], sums[:, 1]
+        for j0 in range(0, levels.size, c):
+            sin_m, cos_m, u, v = tables(slice(j0, j0 + c))
+            n = sin_m.shape[0]
+            if n == 1:  # the same sums; numpy would copy run[0] for the overlap
+                even += sin_m * u
+                odd += cos_m * v
+            else:
+                np.multiply(sin_m, u, out=run[1 : n + 1, 0])
+                np.multiply(cos_m, v, out=run[1 : n + 1, 1])
+                np.add.reduce(run[: n + 1], axis=0, out=run[0])
     even *= np.cos(A * q)
     odd *= np.sin(A * q)
     even += odd
@@ -119,11 +143,13 @@ def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np
 
 def _box_symbol(values, N: int, hbar: float, L: float, x, p):
     """A box closed form at points, in blocks of points whose tables of N
-    entries per x entry stay under the field's table bound."""
+    entries per x entry and per p entry stay under the field's table bound:
+    rows by x's entries per row, columns by p's per column of one row."""
     _check_box(L, hbar, N)
     x_arr, p_arr, unwrap = _point_arrays(x, p)
     rows = _table_rows(N * x_arr[:1].size)
-    return unwrap(_in_row_blocks(partial(values, N, hbar, L), x_arr, p_arr, rows))
+    cols = _table_rows(N * math.prod(p_arr.shape[1:-1]))
+    return unwrap(_in_blocks(partial(values, N, hbar, L), x_arr, p_arr, rows, cols))
 
 
 def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:

@@ -5,7 +5,12 @@ import pytest
 
 from weylsym import scale
 from weylsym.scale import PhaseGrid, SymbolField
-from weylsym.weyl import momentum_symbol_field, projection_symbol_field
+from weylsym.weyl import (
+    momentum_symbol_field,
+    projection_symbol_field,
+    symbol_projection_box,
+    symbol_truncated_momentum_box,
+)
 
 
 def unit_grid(n=50):
@@ -84,6 +89,42 @@ class TestSymbolField:
         tracemalloc.start()
         try:
             blocked = momentum_symbol_field(N, 1.0 / N, 1.0, grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (64 * cells) * 8
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("builder", [projection_symbol_field, momentum_symbol_field])
+    def test_blocks_are_sized_by_p_side_tables(self, monkeypatch, builder):
+        # a wide two-row grid: the contraction's (levels x p) tables of a
+        # whole 512-cell row hold 2 MB each here; blocks of columns under 64
+        # _BLOCK_CELLS table entries keep the peak a few tables of that size
+        N, grid = 500, PhaseGrid(-1.0, 1.0, -1.0, 1.0, 2, 512)
+        whole = builder(N, 1.0 / N, 1.0, grid).values
+        cells = 1 << 10
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+        tracemalloc.start()
+        try:
+            blocked = builder(N, 1.0 / N, 1.0, grid).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (64 * cells) * 8
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
+    def test_point_calls_are_sized_by_p_side_tables(self, monkeypatch, symbol):
+        # an x column against a 20000-long p row: in one piece the (levels x
+        # p) tables would hold 64 MB each at N = 400
+        N = 400
+        x, p = np.array([[-0.5], [0.1], [0.7]]), np.linspace(-3.0, 3.0, 20000)[None, :]
+        whole = symbol(N, 1.0 / N, 1.0, x, p)
+        cells = 1 << 10
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+        tracemalloc.start()
+        try:
+            blocked = symbol(N, 1.0 / N, 1.0, x, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -185,6 +185,17 @@ class TestMatrixLinearPower:
         with pytest.raises(ValueError, match="N must be >= 1 and an integer"):
             matrix_linear_power(1.0, 0.0, 1, 0.1, 2.5)
 
+    def test_integer_valued_float_power(self):
+        # n = 2.0 is the power 2, and a fractional or non-finite n is refused
+        want = matrix_linear_power(1.0, 0.5, 2, 0.1, 3)
+        for n in (2.0, np.float64(2.0)):
+            got = matrix_linear_power(1.0, 0.5, n, 0.1, 3)
+            assert got.diagonals.tobytes() == want.diagonals.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+        for n in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="n must be >= 0 and an integer"):
+                matrix_linear_power(1.0, 0.0, n, 0.1, 3)
+
     def test_live_weights_share_one_modulus(self):
         # the band norms rest on |weight|^2 = (hbar/2)^n (a^2 + b^2)^n on every
         # diagonal that carries entries; the others are zero

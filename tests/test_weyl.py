@@ -317,15 +317,59 @@ class TestLevelSum:
     @pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
     def test_values_do_not_depend_on_the_chunk_bound(self, monkeypatch, symbol):
         # every cell adds its levels one by one, whether a chunk holds one
-        # level (in place), a few (numpy's reduce) or all of them
+        # level (in place), a few (numpy's reduce) or all of them; a grid
+        # takes the contraction, so it is compared with the paired call on
+        # its cells, which takes the chunks
         N, hbar, L = 37, 1.0 / 37, 1.0
         grid = (np.linspace(-1.1, 1.1, 23)[:, None], np.linspace(-2.2, 2.2, 17)[None, :])
+        cells = [a.ravel() for a in np.broadcast_arrays(*grid)]
         paired = (np.linspace(-1.0, 1.0, 50), np.linspace(2.0, -2.0, 50))
         seen = set()
         for chunk in (1, 1000, 5000, 1 << 20):
             monkeypatch.setattr(weyl, "_LEVEL_CHUNK", chunk)
-            seen.add((symbol(N, hbar, L, *grid).tobytes(), symbol(N, hbar, L, *paired).tobytes()))
+            on_grid = symbol(N, hbar, L, *grid).tobytes()
+            assert symbol(N, hbar, L, *cells).tobytes() == on_grid
+            seen.add((on_grid, symbol(N, hbar, L, *paired).tobytes()))
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
+    @pytest.mark.parametrize("N, cells", [(17, 1), (60, 3)])
+    def test_grid_contraction_equals_point_calls(self, monkeypatch, symbol, N, cells):
+        # an x column against a p row sums by the contraction, the paired
+        # call on its cells and each point alone by the chunked loop: the
+        # same levels in the same order, so the same bits.  p sits on
+        # resonances, one ulp either side of them and at +-0.  With
+        # _BLOCK_CELLS = cells the 7 x 16 grid goes in blocks of at most
+        # 64 cells // N = 3 rows and columns, so one-row, one-column and
+        # one-cell blocks all occur
+        hbar, L = 1.3 / N, 0.9
+        g = math.pi * hbar / (2.0 * L)
+        on = g * np.array([1.0, 2.0, 5.0, -3.0])
+        ps = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf), [0.0, -0.0, 0.37, -1.1]])
+        xs = np.array([-1.0, -0.9, -0.5, 0.0, 0.2, 0.81, 0.95]) * L
+        X, P = (a.ravel() for a in np.broadcast_arrays(xs[:, None], ps[None, :]))
+        points = np.array([symbol(N, hbar, L, x, p) for x, p in zip(X, P)])
+        assert symbol(N, hbar, L, X, P).tobytes() == points.tobytes()
+        for block_cells in (1 << 15, cells):
+            monkeypatch.setattr(scale, "_BLOCK_CELLS", block_cells)
+            for x, p in ((xs[:, None], ps[None, :]), (xs, ps[4]), (xs[3], ps)):
+                got = symbol(N, hbar, L, x, p)
+                want = symbol(N, hbar, L, *np.broadcast_arrays(x, p))
+                assert got.tobytes() == want.tobytes()
+            assert symbol(N, hbar, L, xs[:, None], ps[None, :]).ravel().tobytes() == points.tobytes()
+
+    @pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
+    @pytest.mark.parametrize("x, p", [
+        (np.zeros((3, 0)), 0.5),
+        (np.zeros((3, 1)), np.zeros((1, 0))),
+        (np.zeros((0, 1)), np.zeros((1, 4))),
+        (np.zeros(0), 0.5),
+    ])
+    def test_empty_axes_give_empty_arrays(self, symbol, x, p):
+        # the broadcast shape, empty, as the oscillator gives
+        got = symbol(20, 0.05, 1.0, x, p)
+        assert got.shape == np.broadcast_shapes(np.shape(x), np.shape(p))
+        assert got.shape == symbol_oscillator_projection(20, 0.05, x, p).shape
 
     def test_chunked_call_matches_point_calls(self):
         # 3e4 paired points take one level per chunk, a point alone all 400
