@@ -28,7 +28,7 @@ from .limits import (
 )
 from .moyal import _check_direct_grid, direct_grid, moyal_direct
 from .scale import _check_budget
-from .truncate import LadderBand, _check_power, _ladder_powers
+from .truncate import LadderBand, _check_exponent, _check_power, _ladder_powers
 from .weyl import (
     _laguerre_functions,
     projection_symbol_field,
@@ -86,7 +86,7 @@ def box_projection_distance_sq(N: int, hbar: float, L: float) -> float:
 
     the pi/2 of each Si having cancelled 4 pi mu exactly.  O(N) work.
     """
-    _check_box(L, hbar, N)
+    N = _check_box(L, hbar, N)
     m = np.arange(1, 2 * N + 1)
     # E1(i m pi) = -Ci(m pi) + i (Si(m pi) - pi/2)
     e1 = np.array([_e1_imaginary(math.pi * j) for j in range(1, 2 * N + 1)])
@@ -112,7 +112,7 @@ def oscillator_disk_distance_sq(N: int, hbar: float) -> float:
     one Laguerre recurrence at z = 4N, whose binary exponent keeps every
     l_k finite though e^{-2N} underflows past N ~ 370.  O(N) work.
     """
-    _check_levels(N, hbar)
+    N = _check_levels(N, hbar)
     total = 0.0
     for k, ell in enumerate(_laguerre_functions(0, np.float64(4 * N), N)):
         total = total + (-1) ** k * (4 * (N - k) - 2) * ell
@@ -121,9 +121,9 @@ def oscillator_disk_distance_sq(N: int, hbar: float) -> float:
 
 def catalan_limit_value(n: int, a: float, b: float, mu: float) -> float:
     """Limit of the squared symbol norm of truncated (a x + b p)^n:
-    2 pi mu^(n+1) ((a^2 + b^2)/2)^n C_n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    2 pi mu^(n+1) ((a^2 + b^2)/2)^n C_n.  n is refused as by
+    `matrix_linear_power` (an integer-valued float is taken as its integer)."""
+    n = _check_exponent(n)
     catalan = math.comb(2 * n, n) // (n + 1)
     return 2.0 * math.pi * mu ** (n + 1) * ((a * a + b * b) / 2.0) ** n * catalan
 
@@ -139,9 +139,10 @@ def edge_section(
     p = pi mu / 2L + hbar pi v / 2L for v = coords at position x = fixed.
     coords and fixed broadcast against each other, and one symbol call
     covers every point; the profile, which does not depend on N, is
-    evaluated point by point.  The N levels are checked against the work
-    budget first.
+    evaluated point by point.  N is checked first (an integer-valued float
+    is taken as its integer), then its levels against the work budget.
     """
+    N = _check_levels(N)
     coords = np.asarray(coords, dtype=float)
     fixed = np.asarray(fixed, dtype=float)
     _check_budget(N, np.broadcast(coords, fixed).size)
@@ -230,7 +231,7 @@ def box_momentum_tail_norm_sq(N: int, L: float, hbar: float) -> float:
     j + k over [N + 1 + k, c N + k] (c = _TAIL_CUTOFF); the 1/m difference
     telescopes to the windows [N + 1 - k, N + k] and [c N - k + 1, c N + k].
     """
-    _check_box(L, hbar, N)
+    N = _check_box(L, hbar, N)
     top = _TAIL_CUTOFF * N
     k = np.arange(1, N + 1)
     between = _odd_inverse_square_sums(top + N)

@@ -32,21 +32,24 @@ def _sin_ratio(amplitude, d):
     return np.where(zero, A, np.sin(A * safe) / safe)
 
 
-def _check_levels(N: int, hbar: float | None = None) -> None:
+def _check_levels(N: int, hbar: float | None = None) -> int:
     """Reject a rank N that is not an integer >= 1 and, when one is given,
-    an hbar that is not finite and > 0 (NaN fails both tests)."""
+    an hbar that is not finite and > 0 (NaN fails both tests); hand N back
+    as an int, so an integer-valued float N (4.0) acts as its integer."""
     if not (N >= 1 and float(N).is_integer()):
         raise ValueError(f"N must be >= 1 and an integer, got {N!r}")
     if hbar is not None and not 0 < hbar < math.inf:
         raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+    return int(N)
 
 
-def _check_box(L: float, hbar: float | None = None, N: int = 1) -> None:
+def _check_box(L: float, hbar: float | None = None, N: int = 1) -> int:
     """`_check_levels`, and reject a box half width L that is not finite
-    and > 0; called once per public box call."""
-    _check_levels(N, hbar)
+    and > 0; called once per public box call.  Hands N back as an int."""
+    N = _check_levels(N, hbar)
     if not 0 < L < math.inf:
         raise ValueError(f"L must be positive and finite, got {L!r}")
+    return N
 
 
 def dirichlet_kernel(N: int, x) -> np.ndarray | float:
@@ -76,7 +79,7 @@ def box_projection_kernel(N: int, L: float, x, y) -> np.ndarray | float:
 
         sum_{k<=N} u_k(x) u_k(y) = [D_N(c (x - y)) - D_N(c (x + y + 2L))] / 4L.
     """
-    _check_box(L, N=N)
+    N = _check_box(L, N=N)
     x_arr, y_arr, unwrap = _point_arrays(x, y)
     c = math.pi / (2.0 * L)
     out = (dirichlet_kernel(N, c * (x_arr - y_arr)) - dirichlet_kernel(N, c * (x_arr + y_arr + 2.0 * L))) / (4.0 * L)

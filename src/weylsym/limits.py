@@ -77,11 +77,16 @@ def si(x: float) -> float:
 
     Power series for |x| <= 6; beyond, Si(x) = pi/2 + Im E1(ix) (DLMF 6.5),
     with E1 from its continued fraction, in a cost that does not grow with x.
+    Si(+-inf) = +-pi/2; NaN is refused.
     """
     if x < 0:
         return -si(-x)
     if x <= _SI_SWITCH:
         return _si_series(x)
+    if not x < math.inf:
+        if x == math.inf:
+            return 0.5 * math.pi
+        raise ValueError(f"Si needs a number, got {x!r}")
     return 0.5 * math.pi + _e1_imaginary(x).imag
 
 

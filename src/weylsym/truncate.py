@@ -77,15 +77,24 @@ class LadderBand:
         return (self.hbar / 2.0) ** self.n * (self.a * self.a + self.b * self.b) ** self.n
 
 
-def _check_power(n: int, hbar: float, N: int) -> None:
-    """The refusals of `matrix_linear_power`, which allocate nothing."""
-    _check_levels(N, hbar)
+def _check_exponent(n: int) -> int:
+    """Reject a power n that is not an integer >= 0 (NaN and inf included)
+    and hand it back as an int, an integer-valued float as its integer."""
     if not (n >= 0 and float(n).is_integer()):
         raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
+    return int(n)
+
+
+def _check_power(n: int, hbar: float, N: int) -> tuple[int, int]:
+    """The refusals of `matrix_linear_power`, which allocate nothing; n and
+    N handed back as ints."""
+    N = _check_levels(N, hbar)
+    n = _check_exponent(n)
     if n > MAX_MATRIX_POWER:
         raise ValueError(f"matrix build refused for n > {MAX_MATRIX_POWER}")
     if N > MAX_DIMENSION:
         raise ValueError(f"dimension {N} exceeds the {MAX_DIMENSION} cap")
+    return n, N
 
 
 def _ladder_step(band: np.ndarray) -> np.ndarray:
@@ -131,8 +140,8 @@ def matrix_linear_power(a: float, b: float, n: int, hbar: float, N: int) -> Ladd
     both) and an hbar that is not finite and > 0 before it allocates
     anything.
     """
-    _check_power(n, hbar, N)
-    for band in _ladder_powers(int(n), int(N)):
+    n, N = _check_power(n, hbar, N)
+    for band in _ladder_powers(n, N):
         pass
     band.flags.writeable = False
     return LadderBand(a=a, b=b, hbar=hbar, diagonals=band)

@@ -145,7 +145,7 @@ def _box_symbol(values, N: int, hbar: float, L: float, x, p):
     """A box closed form at points, in blocks of points whose tables of N
     entries per x entry and per p entry stay under the field's table bound:
     rows by x's entries per row, columns by p's per column of one row."""
-    _check_box(L, hbar, N)
+    N = _check_box(L, hbar, N)
     x_arr, p_arr, unwrap = _point_arrays(x, p)
     rows = _table_rows(N * x_arr[:1].size)
     cols = _table_rows(N * math.prod(p_arr.shape[1:-1]))
@@ -224,7 +224,7 @@ def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | floa
     c = pi / 2L.  Each is evaluated on its own coordinate's points; only
     their difference and the mask |x1|, |y1| <= L take the broadcast shape.
     """
-    _check_box(L, hbar, N)
+    N = _check_box(L, hbar, N)
     x_arr, y_arr, unwrap = _point_arrays(x, y)
     shift = hbar * y_arr / 2.0
     c = math.pi / (2.0 * L)
@@ -298,7 +298,7 @@ def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | floa
     twice the alternating sum of the d = 0 Laguerre functions.  O(N) vector
     operations per call; broadcasts x against p.
     """
-    _check_levels(N, hbar)
+    N = _check_levels(N, hbar)
     x_arr, p_arr, unwrap = _point_arrays(x, p)
     total = 0.0
     for n, ell in enumerate(_laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)):
@@ -375,11 +375,11 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
 
 def projection_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
     """Box projection symbol sampled on a grid."""
-    _check_box(L, hbar, N)
+    N = _check_box(L, hbar, N)
     return SymbolField.sample(partial(_projection_symbol_values, N, hbar, L), grid, levels=N)
 
 
 def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> SymbolField:
     """Truncated box momentum symbol sampled on a grid."""
-    _check_box(L, hbar, N)
+    N = _check_box(L, hbar, N)
     return SymbolField.sample(partial(_momentum_symbol_values, N, hbar, L), grid, levels=N)

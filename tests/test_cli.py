@@ -48,6 +48,15 @@ class TestFieldCommand:
         ])
         assert code == 2
 
+    def test_refuses_a_span_whose_cell_width_overflows(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows: the field once exited 0 with rows of inf
+        out = tmp_path / "x.csv"
+        code = run(["field", "--N", "4", "--mu", "1", "--L", "1",
+                    "--grid", "-1e308:1e308:4,0:1:3", "-o", str(out)])
+        assert code == 2
+        assert "grid span overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

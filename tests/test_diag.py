@@ -334,6 +334,15 @@ class TestCatalanAndAngular:
         # 2 pi mu^3 ((a^2+b^2)/2)^2 C_2 at a=b=1, mu=1: 2 pi * 1 * 2 = 4 pi
         assert catalan_limit_value(2, 1.0, 1.0, 1.0) == pytest.approx(4 * math.pi, rel=1e-14)
 
+    def test_catalan_integer_valued_float_n(self):
+        assert catalan_limit_value(2.0, 1.0, 0.5, 1.3) == catalan_limit_value(2, 1.0, 0.5, 1.3)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -1])
+    def test_catalan_refuses_bad_n(self, n):
+        # the refusal of matrix_linear_power; TypeError from math.comb before
+        with pytest.raises(ValueError, match="n must be >= 0 and an integer"):
+            catalan_limit_value(n, 1.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("n,a,b", [(1, 1.0, 0.0), (2, 0.3, 1.1), (3, 2.0, 1.0), (4, -1.0, 2.5)])
     def test_angular_matches_trapezoid(self, n, a, b):
         # the limit is the integral of (a x + b p)^{2n} over the disk of

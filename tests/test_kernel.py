@@ -8,7 +8,21 @@ from hypothesis import strategies as st
 from matrix_oracle import box_momentum_matrix, box_multiplication_matrix
 
 from weylsym.basis import EigenBasis, Model
+from weylsym.diag import (
+    box_momentum_tail_norm_sq,
+    box_projection_distance_sq,
+    edge_section,
+    oscillator_disk_distance_sq,
+)
 from weylsym.kernel import box_projection_kernel, dirichlet_kernel, sine_kernel
+from weylsym.scale import PhaseGrid
+from weylsym.weyl import (
+    momentum_symbol_field,
+    projection_symbol_field,
+    symbol_oscillator_projection,
+    symbol_projection_box,
+    symbol_truncated_momentum_box,
+)
 
 
 def box_basis(L, hbar=1.0):
@@ -184,3 +198,32 @@ class TestTruncatedOperatorKernel:
         basis = box_basis(1.0)
         with pytest.raises(ValueError):
             truncated_operator_kernel(np.zeros((2, 3)), basis, 0.0, 0.0)
+
+
+_X, _P = np.array([[-0.4], [0.2], [0.9]]), np.array([[0.1, -1.3, 2.2]])
+
+# entry points that check N, each called with the N under test
+_N_CALLS = {
+    "symbol_projection_box": lambda N: symbol_projection_box(N, 0.25, 1.0, _X, _P),
+    "symbol_truncated_momentum_box": lambda N: symbol_truncated_momentum_box(N, 0.25, 1.0, _X, _P),
+    "projection_symbol_field": lambda N: projection_symbol_field(
+        N, 0.25, 1.0, PhaseGrid(-1.2, 1.2, -2.0, 2.0, 5, 6)
+    ).values,
+    "momentum_symbol_field": lambda N: momentum_symbol_field(
+        N, 0.25, 1.0, PhaseGrid(-1.2, 1.2, -2.0, 2.0, 5, 6)
+    ).values,
+    "box_momentum_tail_norm_sq": lambda N: box_momentum_tail_norm_sq(N, 1.0, 0.25),
+    "symbol_oscillator_projection": lambda N: symbol_oscillator_projection(N, 0.25, _X, _P),
+    "box_projection_distance_sq": lambda N: box_projection_distance_sq(N, 0.25, 1.0),
+    "oscillator_disk_distance_sq": lambda N: oscillator_disk_distance_sq(N, 0.25),
+    "edge_section": lambda N: np.array(edge_section("x", N, 1.0, 1.0, np.array([0.0, 0.5, 2.0]), 0.3)),
+    "box_projection_kernel": lambda N: box_projection_kernel(N, 1.0, _X, _P),
+}
+
+
+@pytest.mark.parametrize("N", [4.0, np.float64(4.0)], ids=["float", "float64"])
+@pytest.mark.parametrize("name", sorted(_N_CALLS))
+def test_integer_valued_float_N_is_bit_equal_to_its_integer(name, N):
+    # N sizes ranges and tables, where a float N raised TypeError
+    call = _N_CALLS[name]
+    assert np.asarray(call(N)).tobytes() == np.asarray(call(4)).tobytes()

@@ -213,6 +213,15 @@ class TestSineIntegral:
     def test_matches_panel_oracle(self, x):
         assert abs(si(x) - si_panel_oracle(x)) <= 1e-13
 
+    def test_infinity(self):
+        assert si(math.inf) == math.pi / 2
+        assert si(-math.inf) == -math.pi / 2
+
+    def test_refuses_nan(self):
+        # the continued fraction ran out of steps and raised RuntimeError
+        with pytest.raises(ValueError, match="Si needs a number"):
+            si(math.nan)
+
     def test_large_argument_in_one_step(self):
         # Si(x) = pi/2 - cos(x)/x - sin(x)/x^2 + O(x^-3)
         for x in (1e6, 1e9, 1e15):
@@ -239,6 +248,12 @@ class TestEdgeProfileX:
     def test_deep_interior_limit_is_one(self):
         # u -> infinity inside |p| < pi mu / 2L: profile -> 1 like 1/u
         assert edge_profile_x(200.0, 0.0, 1.0, 1.0) == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.3, 1.0, 1.0), (1.5, math.nan, 1.0, 1.0),
+                                      (1.5, 0.3, math.nan, 1.0)])
+    def test_refuses_nan(self, args):
+        with pytest.raises(ValueError, match="Si needs a number"):
+            edge_profile_x(*args)
 
     def test_sinc_factor_continuity_at_p_zero(self):
         below = edge_profile_x(2.0, 1e-6, 1.0, 1.0)

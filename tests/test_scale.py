@@ -1,7 +1,11 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylsym import scale
 from weylsym.scale import PhaseGrid, SymbolField
@@ -30,10 +34,27 @@ class TestPhaseGrid:
         dict(x_min=0.0, x_max=1.0, p_min=2.0, p_max=1.0, nx=4, np=4),
         dict(x_min=0.0, x_max=1.0, p_min=0.0, p_max=1.0, nx=1, np=4),
         dict(x_min=0.0, x_max=1.0, p_min=0.0, p_max=1.0, nx=4, np=1),
+        # a count that is not an integer once built a grid of ceil(count) centers
+        dict(x_min=0.0, x_max=1.0, p_min=0.0, p_max=1.0, nx=2.5, np=4),
+        dict(x_min=0.0, x_max=1.0, p_min=0.0, p_max=1.0, nx=4, np=float("inf")),
+        dict(x_min=0.0, x_max=1.0, p_min=0.0, p_max=1.0, nx=float("nan"), np=4),
+        # bounds that are not finite
+        dict(x_min=0.0, x_max=float("inf"), p_min=0.0, p_max=1.0, nx=4, np=4),
+        dict(x_min=0.0, x_max=1.0, p_min=float("-inf"), p_max=1.0, nx=4, np=4),
+        dict(x_min=float("nan"), x_max=1.0, p_min=0.0, p_max=1.0, nx=4, np=4),
+        # a span whose cell width overflows
+        dict(x_min=-1e308, x_max=1e308, p_min=0.0, p_max=1.0, nx=4, np=3),
+        dict(x_min=0.0, x_max=1.0, p_min=-1.5e308, p_max=1.5e308, nx=4, np=3),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PhaseGrid(**kwargs)
+
+    @pytest.mark.parametrize("count", [4.0, np.float64(4.0), np.int64(4)], ids=["float", "float64", "int64"])
+    def test_integer_valued_count_is_taken_as_its_integer(self, count):
+        g = PhaseGrid(0.0, 1.0, 0.0, 1.0, count, count)
+        assert type(g.nx) is int and type(g.np) is int
+        assert g.x_centers().tobytes() == PhaseGrid(0.0, 1.0, 0.0, 1.0, 4, 4).x_centers().tobytes()
 
 
 class TestSymbolField:
@@ -176,6 +197,61 @@ class TestSymbolField:
         f.to_csv(tmp_path / "field.csv")
         savetxt_oracle(f, tmp_path / "oracle.csv")
         assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+class TestCsvDigits:
+    """The numpy `%.17g` route of `SymbolField.to_csv` against the savetxt
+    oracle, value by value, on the cases that decide its digits."""
+
+    @staticmethod
+    def assert_matches_oracle(values, path: Path, cols: int = 4):
+        vals = np.asarray(values, dtype=float).ravel()
+        vals = np.concatenate([vals, np.zeros(-len(vals) % cols)]).reshape(-1, cols)
+        if len(vals) < 2:
+            vals = np.vstack([vals, vals])
+        f = SymbolField(grid=PhaseGrid(-1.3, 1.7, -2.5, 0.5, len(vals), cols), values=vals)
+        f.to_csv(path / "field.csv")
+        savetxt_oracle(f, path / "oracle.csv")
+        assert (path / "field.csv").read_bytes() == (path / "oracle.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
+    def test_any_finite_doubles(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_matches_oracle(values, Path(tmp))
+
+    def test_exact_half_way_cases(self, tmp_path):
+        # m / 2^k with m odd and m 5^k of 18 digits ends in ...5 exactly:
+        # the 17-digit rounding is a tie, broken to even
+        rng = np.random.default_rng(5)
+        values = []
+        for k in range(2, 26):
+            lo, hi = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+            m = rng.integers(lo, hi, 64) | 1
+            m = m[(m < hi) & (m * 5**k >= 10**17)]
+            values.append(m.astype(float) / 2.0**k)
+        values = np.concatenate(values)
+        assert len(values) > 1000
+        self.assert_matches_oracle(np.concatenate([values, -values]), tmp_path, cols=64)
+
+    def test_neighbours_of_powers_of_ten(self, tmp_path):
+        tens = 10.0 ** np.arange(-7, 18)
+        values = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+        self.assert_matches_oracle(np.concatenate([values, -values]), tmp_path, cols=25)
+
+    def test_integers_with_trailing_zeros_and_signed_zeros(self, tmp_path):
+        values = [120.0, 1e16, 0.0, -0.0, 100.0, -1200.0, 1e15, 9e16, 10.0, 1.0, -5e3, 0.5]
+        self.assert_matches_oracle(values, tmp_path)
+
+    @pytest.mark.parametrize("cells", [1, 4])
+    def test_bytes_do_not_depend_on_the_block_size(self, monkeypatch, tmp_path, cells):
+        f = projection_symbol_field(9, 1.0 / 9, 1.0, PhaseGrid(-1.2, 1.2, -2.0, 2.0, 23, 31))
+        f.to_csv(tmp_path / "whole.csv")
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+        f.to_csv(tmp_path / "blocked.csv")
+        savetxt_oracle(f, tmp_path / "oracle.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def savetxt_oracle(field, path):
