@@ -18,9 +18,9 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import _check_box, _check_levels
+from .kernel import _check_box, _check_count, _check_levels
 from .limits import (
-    _e1_imaginary,
+    _si_ci,
     bulk_profile_box,
     bulk_sup_constant,
     edge_profile_p,
@@ -28,7 +28,7 @@ from .limits import (
 )
 from .moyal import _check_direct_grid, direct_grid, moyal_direct
 from .scale import _check_budget
-from .truncate import LadderBand, _check_exponent, _check_power, _ladder_powers
+from .truncate import LadderBand, _check_power, _ladder_powers
 from .weyl import (
     _laguerre_functions,
     projection_symbol_field,
@@ -84,14 +84,14 @@ def box_projection_distance_sq(N: int, hbar: float, L: float) -> float:
         d^2 = 2 pi hbar - 2 hbar sum_{k<=N} [2 (f(N + k) + f(N - k))
                                              + (4 / k pi) (G(N + k) - G(N - k))],
 
-    the pi/2 of each Si having cancelled 4 pi mu exactly.  O(N) work.
+    the pi/2 of each Si having cancelled 4 pi mu exactly.  O(N) work: Si
+    and Ci at the 2N multiples come from one array call of `_si_ci`.
     """
     N = _check_box(L, hbar, N)
     m = np.arange(1, 2 * N + 1)
-    # E1(i m pi) = -Ci(m pi) + i (Si(m pi) - pi/2)
-    e1 = np.array([_e1_imaginary(math.pi * j) for j in range(1, 2 * N + 1)])
-    f = np.concatenate([[0.0], e1.imag - np.where(m % 2, 2.0 / (math.pi * m), 0.0)])
-    G = np.concatenate([[0.0], 0.5 * (np.euler_gamma + np.log(math.pi * m) + e1.real)])
+    si_m, ci_m = _si_ci(math.pi * m)
+    f = np.concatenate([[0.0], si_m - 0.5 * math.pi - np.where(m % 2, 2.0 / (math.pi * m), 0.0)])
+    G = np.concatenate([[0.0], 0.5 * (np.euler_gamma + np.log(math.pi * m) - ci_m)])
     k = np.arange(1, N + 1)
     terms = 2.0 * (f[N + k] + f[N - k]) + (4.0 / (math.pi * k)) * (G[N + k] - G[N - k])
     return 2.0 * math.pi * hbar - 2.0 * hbar * float(np.sum(terms))
@@ -123,7 +123,7 @@ def catalan_limit_value(n: int, a: float, b: float, mu: float) -> float:
     """Limit of the squared symbol norm of truncated (a x + b p)^n:
     2 pi mu^(n+1) ((a^2 + b^2)/2)^n C_n.  n is refused as by
     `matrix_linear_power` (an integer-valued float is taken as its integer)."""
-    n = _check_exponent(n)
+    n = _check_count(n, "n")
     catalan = math.comb(2 * n, n) // (n + 1)
     return 2.0 * math.pi * mu ** (n + 1) * ((a * a + b * b) / 2.0) ** n * catalan
 
@@ -138,9 +138,10 @@ def edge_section(
     momentum p = fixed; kind "p" crosses the momentum edge,
     p = pi mu / 2L + hbar pi v / 2L for v = coords at position x = fixed.
     coords and fixed broadcast against each other, and one symbol call
-    covers every point; the profile, which does not depend on N, is
-    evaluated point by point.  N is checked first (an integer-valued float
-    is taken as its integer), then its levels against the work budget.
+    covers every point; the profile, which does not depend on N, takes one
+    call for kind "x", one per point for kind "p".  N is checked first (an
+    integer-valued float is taken as its integer), then its levels against
+    the work budget.
     """
     N = _check_levels(N)
     coords = np.asarray(coords, dtype=float)
@@ -168,10 +169,8 @@ def _edge_profile(kind: str, mu: float, L: float, coords, fixed) -> np.ndarray:
     enters it, so a sweep evaluates it once."""
     points = np.broadcast(coords, fixed)
     if kind == "x":
-        prof = [edge_profile_x(float(u), float(p), mu, L) for u, p in points]
-    else:
-        prof = [edge_profile_p(float(x), float(v), mu, L) for v, x in points]
-    return np.reshape(prof, points.shape)
+        return np.reshape(edge_profile_x(coords, fixed, mu, L), points.shape)
+    return np.reshape([edge_profile_p(float(x), float(v), mu, L) for v, x in points], points.shape)
 
 
 _TAIL_CUTOFF = 64

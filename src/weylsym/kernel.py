@@ -32,6 +32,14 @@ def _sin_ratio(amplitude, d):
     return np.where(zero, A, np.sin(A * safe) / safe)
 
 
+def _check_count(n: int, name: str) -> int:
+    """Reject a count that is not an integer >= 0 (NaN and inf included) and
+    hand it back as an int, an integer-valued float as its integer."""
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError(f"{name} must be >= 0 and an integer, got {n!r}")
+    return int(n)
+
+
 def _check_levels(N: int, hbar: float | None = None) -> int:
     """Reject a rank N that is not an integer >= 1 and, when one is given,
     an hbar that is not finite and > 0 (NaN fails both tests); hand N back
@@ -58,8 +66,7 @@ def dirichlet_kernel(N: int, x) -> np.ndarray | float:
     Both sines are taken at h = r/2, r = x - 2 pi rint(x / 2 pi): D_N has
     period 2 pi, and at x itself sin(x/2) loses its digits near 2 pi Z.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = _check_count(N, "N")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     h = 0.5 * (x_arr - 2.0 * math.pi * np.rint(x_arr / (2.0 * math.pi)))
     out = _sin_ratio(2 * N + 1, h) / _sin_ratio(1.0, h)

@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import sine_kernel
+from .kernel import _check_box, _sin_ratio, sine_kernel
+from .scale import _point_arrays
 
 __all__ = [
     "bulk_profile_box",
@@ -26,6 +27,7 @@ __all__ = [
 
 def bulk_profile_box(mu: float, L: float, y) -> np.ndarray | float:
     """(pi mu / L) S(pi mu y / L): bulk limit of the rescaled box kernel."""
+    _check_scales(mu, L, y=y)
     c = math.pi * mu / L
     return c * sine_kernel(c * np.asarray(y) if np.ndim(y) else c * y)
 
@@ -38,80 +40,79 @@ def bulk_sup_constant(mu: float, L: float, c_u: float, c_v: float) -> float:
     return math.pi / (2.0 * L) * (L / (L - c_u) + math.pi * mu / (2.0 * L) * c_v + 1.0)
 
 
-# --- sine integral -----------------------------------------------------------
+# --- sine and cosine integrals ------------------------------------------------
 
-_SI_SWITCH = 6.0
-
-
-def _si_series(x: float) -> float:
-    # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!), terms until < 1e-16
-    term = x
-    total = x
-    k = 0
-    while abs(term) >= 1e-16:
-        # t_{k+1} = -t_k x^2 (2k+1) / ((2k+3)^2 (2k+2))
-        term *= -x * x * (2 * k + 1) / ((2 * k + 3) ** 2 * (2 * k + 2))
-        total += term
-        k += 1
-    return total
+_SI_SWITCH = 4.0  # power series up to here, continued fraction beyond
+_FRACTION_STEPS = 60  # truncation error 4e-19 at x = 4, 2e-21 at x = 5
+# Si(x) / x and (Ci(x) - gamma - ln x) / x^2 in powers of x^2 (DLMF 6.6.5, 6.6.6), to
+# 17 terms: the first omitted one is below 4e-21 at x = 4
+_SI_COEFFS = [(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(17)]
+_CI_COEFFS = [-((-1) ** k) / ((2 * k + 2) * math.factorial(2 * k + 2)) for k in range(17)]
 
 
-def _e1_imaginary(x: float) -> complex:
-    """E1(ix) from E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))
-    (DLMF 6.9) by modified Lentz; under 40 steps for x >= 6."""
-    b = complex(1.0, x)
-    h = d = 1.0 / b
-    c = math.inf  # Lentz's 1/tiny start: the first step sets c = b
-    for k in range(1, 200):
-        b += 2.0
-        d = 1.0 / (b - k * k * d)
-        c = b - k * k / c
-        h *= c * d
-        if abs(c * d - 1.0) <= 1e-16:
-            return h * complex(math.cos(x), -math.sin(x))
-    raise RuntimeError(f"E1 continued fraction did not converge at x = {x!r}")
+def _si_ci(x) -> tuple[np.ndarray, np.ndarray]:
+    """Si(x) and Ci(x) on an array of x >= 0, within 1e-15 of both, in the
+    same fixed steps for every element, so that an array call gives the bits
+    of its one-element calls: up to x = 4 the power series, beyond it
+    E1(ix) = -Ci(x) + i (Si(x) - pi/2) (DLMF 6.5.5) from the continued
+    fraction E1(z) = e^{-z} / (z + 1 - 1^2/(z + 3 - 2^2/(z + 5 - ...)))
+    (DLMF 6.9.1) at z = ix, evaluated from its 60th step back."""
+    x = np.asarray(x, dtype=float)
+    s = np.minimum(x, _SI_SWITCH)
+    t = s * s
+    si_sum = ci_sum = 0.0
+    for a, b in zip(reversed(_SI_COEFFS), reversed(_CI_COEFFS)):  # Horner's rule
+        si_sum, ci_sum = si_sum * t + a, ci_sum * t + b
+    with np.errstate(divide="ignore"):  # Ci(0) = -inf
+        ci = np.euler_gamma + np.log(s) + t * ci_sum
+    # the denominators d_{k-1} = z + 2k - 1 - k^2 / d_k from d_60 = z + 121
+    z = 1j * np.clip(x, _SI_SWITCH, np.finfo(float).max)
+    d = z + (2 * _FRACTION_STEPS + 1)
+    for k in range(_FRACTION_STEPS, 0, -1):
+        d = (z + (2 * k - 1)) - k * k / d
+    e1 = np.where(x < math.inf, np.exp(-z) / d, 0.0)  # Si(inf) = pi/2, Ci(inf) = 0
+    return (np.where(x <= _SI_SWITCH, s * si_sum, 0.5 * math.pi + e1.imag),
+            np.where(x <= _SI_SWITCH, ci, -e1.real))
 
 
-def si(x: float) -> float:
-    """Sine integral Si(x) = int_0^x sin(t)/t dt; odd.
-
-    Power series for |x| <= 6; beyond, Si(x) = pi/2 + Im E1(ix) (DLMF 6.5),
-    with E1 from its continued fraction, in a cost that does not grow with x.
-    Si(+-inf) = +-pi/2; NaN is refused.
-    """
-    if x < 0:
-        return -si(-x)
-    if x <= _SI_SWITCH:
-        return _si_series(x)
-    if not x < math.inf:
-        if x == math.inf:
-            return 0.5 * math.pi
+def si(x) -> np.ndarray | float:
+    """Sine integral Si(x) = int_0^x sin(t)/t dt, odd, from `_si_ci`: within
+    1e-15 on the whole line, Si(+-inf) = +-pi/2, NaN refused.  Broadcasts
+    over an array of x and returns a float for a scalar."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(x_arr).any():
         raise ValueError(f"Si needs a number, got {x!r}")
-    return 0.5 * math.pi + _e1_imaginary(x).imag
+    out = np.copysign(_si_ci(np.abs(x_arr))[0], x_arr)
+    return out if np.ndim(x) else float(out[0])
 
 
 # --- microscopic edge profiles ----------------------------------------------
 
 
-def _sin2z_over_z(z: float) -> float:
-    """sin(2z)/z with limit 2 at z = 0."""
-    return 2.0 if z == 0 else math.sin(2.0 * z) / z
+def _check_scales(mu: float, L: float, **coords) -> None:
+    """Refuse a mu or a box half width L that is not finite and > 0 (L by
+    `_check_box`, mu by the same rule), and non-finite named coordinates."""
+    _check_box(L)
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
+    for name, value in coords.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def edge_profile_x(u: float, p: float, mu: float, L: float) -> float:
+def edge_profile_x(u, p, mu: float, L: float) -> np.ndarray | float:
     """Hard-wall profile: limit of the symbol at x = L - hbar u, fixed p.
 
     (1/pi)[Si(2u(p + pi mu/2L)) - Si(2u(p - pi mu/2L))
-           - (sin(2pu)/(pu)) sin(pi mu u / L)] for u >= 0, else 0.
+           - (sin(2pu)/(pu)) sin(pi mu u / L)] for u >= 0, else 0; u and p
+    broadcast as the kernel functions' points do (a float for two scalars).
     """
-    if u < 0:
-        return 0.0
+    _check_scales(mu, L, u=u, p=p)
+    u_arr, p_arr, unwrap = _point_arrays(u, p)
     half = math.pi * mu / (2.0 * L)
-    return (
-        si(2.0 * u * (p + half))
-        - si(2.0 * u * (p - half))
-        - _sin2z_over_z(p * u) * math.sin(math.pi * mu * u / L)
-    ) / math.pi
+    plus, minus = si(np.stack([2.0 * u_arr * (p_arr + half), 2.0 * u_arr * (p_arr - half)]))
+    prof = (plus - minus - _sin_ratio(2.0, p_arr * u_arr) * np.sin(math.pi * mu * u_arr / L)) / math.pi
+    return unwrap(np.where(u_arr < 0, 0.0, prof))
 
 
 _EDGE_P_SWITCH = 64.0  # c |v - 1/2| above which the Laplace form takes over
@@ -164,8 +165,7 @@ def edge_profile_p(x: float, v: float, mu: float, L: float) -> float:
     the reflection F(c, v) + F(c, 1 - v) = pi (exact: g_v + g_{1-v} = 0)
     for v < 0.  At v = 1/2, g = 0 and the profile is exactly 1/2.
     """
-    if not math.isfinite(v):
-        raise ValueError(f"v must be finite, got {v}")
+    _check_scales(mu, L, x=x, v=v)
     if abs(x) >= L:
         return 0.0
     c = math.pi * (L - abs(x)) / L

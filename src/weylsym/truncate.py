@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_levels
+from .kernel import _check_count, _check_levels
 
 __all__ = [
     "LadderBand",
@@ -77,19 +77,11 @@ class LadderBand:
         return (self.hbar / 2.0) ** self.n * (self.a * self.a + self.b * self.b) ** self.n
 
 
-def _check_exponent(n: int) -> int:
-    """Reject a power n that is not an integer >= 0 (NaN and inf included)
-    and hand it back as an int, an integer-valued float as its integer."""
-    if not (n >= 0 and float(n).is_integer()):
-        raise ValueError(f"n must be >= 0 and an integer, got {n!r}")
-    return int(n)
-
-
 def _check_power(n: int, hbar: float, N: int) -> tuple[int, int]:
     """The refusals of `matrix_linear_power`, which allocate nothing; n and
     N handed back as ints."""
     N = _check_levels(N, hbar)
-    n = _check_exponent(n)
+    n = _check_count(n, "n")
     if n > MAX_MATRIX_POWER:
         raise ValueError(f"matrix build refused for n > {MAX_MATRIX_POWER}")
     if N > MAX_DIMENSION:

@@ -424,6 +424,15 @@ class TestEdgeCommand:
         assert lines[0] == "u,finite_N_value,limit_value,abs_error"
         assert len(lines) == 1 + 121
 
+    def test_x_edge_at_large_u(self, tmp_path):
+        # Si at 2u(p -+ P) up to 4e12: a stopping continued fraction ran out
+        # of steps on this section and the command exited 4
+        out = tmp_path / "edge.csv"
+        assert run(["edge", "--kind", "x", "--u", "0:1e12:11", "--p", "0.3", "--N", "400",
+                    "-o", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (11, 4) and np.all(np.isfinite(rows))
+
     @pytest.mark.parametrize("section", [["--kind", "p", "--x", "0", "--v", "0.5"],
                                          ["--kind", "x", "--u", "0:6:121"]])
     def test_resource_guard_refuses_before_any_symbol(self, tmp_path, monkeypatch, capsys,

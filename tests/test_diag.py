@@ -604,17 +604,19 @@ class TestSweepsHoistNIndependentWork:
         ("x", (100, 400), 242), ("p", (250, 1000, 4000), 6),
     ])
     def test_edge_profiles_once_per_sweep(self, monkeypatch, kind, n_levels, calls):
+        # counts the points evaluated: the x profile takes a whole section
+        # set per call, the p profile one point
         name = f"edge_profile_{kind}"
         count = []
         profile = getattr(diag, name)
 
         def counted(*args):
-            count.append(args)
+            count.append(np.broadcast(*args[:2]).size)
             return profile(*args)
 
         monkeypatch.setattr(diag, name, counted)
         run_sweep(SweepConfig(f"box-edge-{kind}", n_levels))
-        assert len(count) == calls
+        assert sum(count) == calls
 
     @settings(max_examples=40, deadline=None)
     @given(**ladder_case)

@@ -218,6 +218,7 @@ _N_CALLS = {
     "oscillator_disk_distance_sq": lambda N: oscillator_disk_distance_sq(N, 0.25),
     "edge_section": lambda N: np.array(edge_section("x", N, 1.0, 1.0, np.array([0.0, 0.5, 2.0]), 0.3)),
     "box_projection_kernel": lambda N: box_projection_kernel(N, 1.0, _X, _P),
+    "dirichlet_kernel": lambda N: dirichlet_kernel(N, _P),
 }
 
 
@@ -227,3 +228,10 @@ def test_integer_valued_float_N_is_bit_equal_to_its_integer(name, N):
     # N sizes ranges and tables, where a float N raised TypeError
     call = _N_CALLS[name]
     assert np.asarray(call(N)).tobytes() == np.asarray(call(4)).tobytes()
+
+
+@pytest.mark.parametrize("N", [2.5, math.nan, math.inf, -1, -1.0])
+def test_dirichlet_kernel_refuses_bad_N(N):
+    # 2.5 gave 0.294 at x = 1 and nan gave nan
+    with pytest.raises(ValueError, match="N must be >= 0 and an integer"):
+        dirichlet_kernel(N, 1.0)

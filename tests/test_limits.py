@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from grid_oracle import rectangle
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from weylsym.limits import (
     _EDGE_P_SWITCH,
+    _SI_SWITCH,
     _edge_p_laguerre,
     _edge_p_legendre,
-    _si_series,
+    _si_ci,
     bulk_profile_box,
     bulk_sup_constant,
     edge_profile_p,
@@ -59,9 +61,10 @@ def _gk_panel(a: float, b: float, depth: int = 0) -> float:
 
 
 def si_panel_oracle(x: float) -> float:
-    """Si(x) for x >= 6: the series up to 6, then pi-wide G7/K15 panels."""
-    total = _si_series(6.0)
-    a = 6.0
+    """Si(x) for x >= 0 from pi-wide G7/K15 panels of sin(t)/t on [0, x]
+    (no panel node sits at t = 0)."""
+    total = 0.0
+    a = 0.0
     while a < x:
         b = min(a + math.pi, x)
         total += _gk_panel(a, b)
@@ -161,6 +164,18 @@ class TestBulkProfile:
         with pytest.raises(ValueError):
             bulk_sup_constant(1.0, 1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.0, 0.3), "L must be positive and finite"),  # was ZeroDivisionError
+        ((1.0, math.nan, 0.3), "L must be positive and finite"),
+        ((0.0, 1.0, 0.3), "mu must be positive and finite"),
+        ((math.inf, 1.0, 0.3), "mu must be positive and finite"),
+        ((1.0, 1.0, math.nan), "y must be finite"),
+        ((1.0, 1.0, np.array([0.0, math.inf])), "y must be finite"),
+    ])
+    def test_refuses_bad_input(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            bulk_profile_box(*args)
+
 
 class TestSineIntegral:
     def test_zero(self):
@@ -193,15 +208,16 @@ class TestSineIntegral:
         assert si(x) == pytest.approx(want, abs=1e-9)
 
     def test_switchover_continuity(self):
-        assert si(6.0 - 1e-12) == pytest.approx(si(6.0 + 1e-12), abs=1e-12)
+        assert si(_SI_SWITCH - 1e-12) == pytest.approx(si(_SI_SWITCH + 1e-12), abs=1e-12)
 
     @limit_settings
     @given(d=st.floats(0.0, 1e-3))
     def test_continuous_across_switch(self, d):
-        # Si(6 + d) - Si(6 - d) = 2 d sin(6)/6 + O(d^3)
-        jump = si(6.0 + d) - si(6.0 - d)
-        # the series carries ~1e-15 of rounding at 6 (terms up to ~30 cancel)
-        assert abs(jump - 2.0 * d * math.sin(6.0) / 6.0) <= 4e-15 + d**3
+        # Si(X + d) - Si(X - d) = 2 d sin(X)/X + O(d^3) at the switch X
+        X = _SI_SWITCH
+        jump = si(X + d) - si(X - d)
+        # the series carries ~1e-15 of rounding at the switch (terms up to ~3 cancel)
+        assert abs(jump - 2.0 * d * math.sin(X) / X) <= 4e-15 + d**3
 
     @limit_settings
     @given(x=st.floats(0.0, 1e6))
@@ -223,10 +239,56 @@ class TestSineIntegral:
             si(math.nan)
 
     def test_large_argument_in_one_step(self):
-        # Si(x) = pi/2 - cos(x)/x - sin(x)/x^2 + O(x^-3)
-        for x in (1e6, 1e9, 1e15):
+        # Si(x) = pi/2 - cos(x)/x - sin(x)/x^2 + O(x^-3); at 716678418685.5199
+        # a continued fraction stopped by |c d - 1| <= 1e-16 never stopped
+        # (c d stays at 1 - 2^-53) and raised RuntimeError
+        for x in (1e6, 1e9, 716678418685.5199, 1e15):
             want = math.pi / 2 - math.cos(x) / x - math.sin(x) / x**2
             assert abs(si(x) - want) <= 1e-15 + 2.0 / x**3
+
+    def test_broadcasts(self):
+        xs = np.array([[-7.5, 0.0], [3.0, 1e12]])
+        got = si(xs)
+        assert got.shape == (2, 2)
+        assert [got[i, j] for i in range(2) for j in range(2)] == [si(v) for v in xs.ravel()]
+        assert type(si(3.0)) is float
+
+
+# x on both branches, on both sides of the switch and up to 1e15
+_SI_CI_POINTS = np.concatenate([
+    np.geomspace(1e-3, 1e15, 181),
+    np.linspace(0.5, 8.0, 31),
+    [np.nextafter(_SI_SWITCH, 0.0), _SI_SWITCH, np.nextafter(_SI_SWITCH, 9.0),
+     _SI_SWITCH - 1e-6, _SI_SWITCH + 1e-6, 716678418685.5199],
+])
+
+
+class TestSiCi:
+    """`_si_ci` against 30-digit mpmath: Si and Ci, and E1(ix) = -Ci + i (Si - pi/2)."""
+
+    def test_against_mpmath(self):
+        s, c = _si_ci(_SI_CI_POINTS)
+        with mpmath.workdps(30):
+            for x, s_x, c_x in zip(_SI_CI_POINTS, s, c):
+                e1 = mpmath.e1(1j * mpmath.mpf(x))
+                assert abs(-c_x - float(e1.real)) <= 4e-15, x
+                assert abs(s_x - 0.5 * math.pi - float(e1.imag)) <= 4e-15, x
+                assert abs(s_x - float(mpmath.si(x))) <= 4e-15, x
+                assert abs(c_x - float(mpmath.ci(x))) <= 4e-15, x
+
+    def test_ends(self):
+        s, c = _si_ci([0.0, math.inf, 1e200, np.finfo(float).max])
+        assert list(s) == [0.0, math.pi / 2, math.pi / 2, math.pi / 2]
+        assert c[:2].tolist() == [-math.inf, 0.0]
+        assert abs(c[2]) <= 1e-200 and abs(c[3]) <= 1e-308
+
+    @limit_settings
+    @given(xs=st.lists(st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e15)), min_size=1, max_size=12))
+    def test_section_equals_its_one_element_calls_bit_for_bit(self, xs):
+        s, c = _si_ci(np.array(xs))
+        for i, x in enumerate(xs):
+            s_1, c_1 = _si_ci(np.array([x]))
+            assert s[i].tobytes() == s_1[0].tobytes() and c[i].tobytes() == c_1[0].tobytes()
 
 
 class TestEdgeProfileX:
@@ -252,8 +314,40 @@ class TestEdgeProfileX:
     @pytest.mark.parametrize("args", [(math.nan, 0.3, 1.0, 1.0), (1.5, math.nan, 1.0, 1.0),
                                       (1.5, 0.3, math.nan, 1.0)])
     def test_refuses_nan(self, args):
-        with pytest.raises(ValueError, match="Si needs a number"):
+        name = ("u", "p", "mu")[[math.isnan(a) for a in args].index(True)]
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             edge_profile_x(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.3, 1.0, 0.0), "L must be positive and finite"),  # was ZeroDivisionError
+        ((1.0, 0.3, 1.0, -1.0), "L must be positive and finite"),  # was -1.1429
+        ((1.0, 0.3, -1.0, 1.0), "mu must be positive and finite"),  # was -1.1429
+        ((1.0, 0.3, math.inf, 1.0), "mu must be positive and finite"),
+        ((1.0, 0.3, 1.0, math.inf), "L must be positive and finite"),
+        ((1.0, 0.3, 1.0, math.nan), "L must be positive and finite"),
+        ((1.0, math.inf, 1.0, 1.0), "p must be finite"),  # was a math domain error
+        ((math.inf, 0.3, 1.0, 1.0), "u must be finite"),
+        ((np.array([0.5, -math.inf]), 0.3, 1.0, 1.0), "u must be finite"),
+    ])
+    def test_refuses_bad_input(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            edge_profile_x(*args)
+
+    @limit_settings
+    @given(
+        us=st.lists(st.floats(-1.0, 50.0), min_size=1, max_size=10),
+        ps=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+        mu=st.floats(0.1, 4.0), L=st.floats(0.5, 2.0),
+    )
+    def test_section_equals_its_one_element_calls_bit_for_bit(self, us, ps, mu, L):
+        u, p = np.array(us), np.array(ps)[:, None]
+        prof = edge_profile_x(u, p, mu, L)
+        assert prof.shape == (len(ps), len(us))
+        for i, p_i in enumerate(ps):
+            for j, u_j in enumerate(us):
+                one = edge_profile_x(u_j, p_i, mu, L)
+                assert type(one) is float
+                assert np.float64(one).tobytes() == prof[i, j].tobytes()
 
     def test_sinc_factor_continuity_at_p_zero(self):
         below = edge_profile_x(2.0, 1e-6, 1.0, 1.0)
@@ -289,6 +383,20 @@ class TestEdgeProfileP:
     def test_non_finite_v_raises(self, v):
         with pytest.raises(ValueError):
             edge_profile_p(0.0, v, 1.0, 1.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, 0.5, 1.0, 0.0), "L must be positive and finite"),  # was 0.0
+        ((0.0, 0.5, 1.0, -1.0), "L must be positive and finite"),  # was 0.0
+        ((0.0, 0.5, 1.0, math.nan), "L must be positive and finite"),  # was nan
+        ((0.0, 0.5, 1.0, math.inf), "L must be positive and finite"),
+        ((0.0, 0.5, -1.0, 1.0), "mu must be positive and finite"),
+        ((0.0, 0.5, math.nan, 1.0), "mu must be positive and finite"),
+        ((math.nan, 0.5, 1.0, 1.0), "x must be finite"),  # was nan
+        ((math.inf, 0.5, 1.0, 1.0), "x must be finite"),
+    ])
+    def test_refuses_bad_input(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            edge_profile_p(*args)
 
     def test_half_integer_on_edge(self):
         # exactly half the plateau at v = 1/2, x = 0 (alternating series);
