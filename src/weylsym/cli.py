@@ -7,9 +7,9 @@ limit profile; `moyal-check` spot-checks the direct star product against the
 exact composition route.
 
 Exit codes: 0 success (all verdicts pass), 1 a verdict failed (report still
-written), 2 invalid configuration, 3 I/O failure, 4 a numerical method did
-not converge.  Outputs are byte-stable under re-runs of the same command
-line: fixed summation orders, fixed seeds, no timestamps.
+written), 2 invalid configuration, 3 I/O failure.  Outputs are byte-stable
+under re-runs of the same command line: fixed summation orders, fixed seeds,
+no timestamps.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ _EXIT_OK = 0
 _EXIT_VERDICT = 1
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
-_EXIT_NUMERIC = 4
 
 
 def _parse_axis(text: str) -> tuple[float, float, int]:
@@ -360,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -151,8 +151,9 @@ def edge_section(
         raise ValueError(f"edge kind must be 'x' or 'p', got {kind!r}")
     if kind == "x" and np.any(coords < 0):
         raise ValueError("u must be >= 0")
-    sym = _edge_symbol(kind, N, mu, L, coords, fixed)
-    return sym, _edge_profile(kind, mu, L, coords, fixed)
+    # the profile first: its refusals name u, v, x or p as the caller gave them
+    prof = _edge_profile(kind, mu, L, coords, fixed)
+    return _edge_symbol(kind, N, mu, L, coords, fixed), prof
 
 
 def _edge_symbol(kind: str, N: int, mu: float, L: float, coords, fixed) -> np.ndarray:

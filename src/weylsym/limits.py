@@ -106,12 +106,23 @@ def edge_profile_x(u, p, mu: float, L: float) -> np.ndarray | float:
     (1/pi)[Si(2u(p + pi mu/2L)) - Si(2u(p - pi mu/2L))
            - (sin(2pu)/(pu)) sin(pi mu u / L)] for u >= 0, else 0; u and p
     broadcast as the kernel functions' points do (a float for two scalars).
+    Where 2u(p -+ pi mu/2L) overflows, Si is +-pi/2; where 2pu overflows, the
+    last term, below 1/|pu|, is 0.  A u >= 0 whose phase pi mu u / L
+    overflows while pu does not is refused.
     """
     _check_scales(mu, L, u=u, p=p)
     u_arr, p_arr, unwrap = _point_arrays(u, p)
     half = math.pi * mu / (2.0 * L)
-    plus, minus = si(np.stack([2.0 * u_arr * (p_arr + half), 2.0 * u_arr * (p_arr - half)]))
-    prof = (plus - minus - _sin_ratio(2.0, p_arr * u_arr) * np.sin(math.pi * mu * u_arr / L)) / math.pi
+    with np.errstate(over="ignore"):
+        plus, minus = si(np.stack([2.0 * u_arr * (p_arr + half), 2.0 * u_arr * (p_arr - half)]))
+        pu = p_arr * u_arr
+        phase = math.pi * mu * u_arr / L
+    far = np.abs(pu) > 0.5 * np.finfo(float).max  # sin(2 pu) would take inf
+    lost = np.isinf(phase)
+    if (lost & ~far & (u_arr >= 0)).any():
+        raise ValueError(f"u is too large: pi mu u / L overflows, got u = {u!r}")
+    sinc = np.where(far, 0.0, _sin_ratio(2.0, np.where(far, 1.0, pu)))
+    prof = (plus - minus - sinc * np.sin(np.where(lost, 0.0, phase))) / math.pi
     return unwrap(np.where(u_arr < 0, 0.0, prof))
 
 
@@ -143,6 +154,9 @@ def _edge_p_laguerre(c: float, v: float) -> float:
     """F(c, v) / pi for v > 0 by 48-node Gauss-Laguerre on the Laplace form
     F = (1/v) int_0^inf e^{-u} Im[e^{icv} / (1 - e^{ic - u/v})] du, whose
     nearest pole lies c v from the real u axis."""
+    if c * v == math.inf:
+        # |F| / pi < 1 / (pi v sin(c/2)) <= 1 / (c v) < 6e-309 (Abel summation)
+        return 0.0
     u, wt = _laguerre48()
     # 1 - e^{ic - u/v} by expm1, which keeps its digits as c, u/v -> 0
     vals = (-complex(math.cos(c * v), math.sin(c * v)) / np.expm1(1j * c - u / v)).imag

@@ -22,6 +22,7 @@ oscillator branch of `moyal.operator_symbol_complex`) and
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LEVEL_CHUNK = 1 << 12  # entries (levels x cells) per chunk of `_level_sum`
+_Q_FAR = sys.float_info.max / 4  # q beyond which a phase A q <= pi q may overflow
 
 
 def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -123,6 +125,16 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
     return even[0]
 
 
+def _level_units(p_arr, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """q = |p| scale, and the momenta with q > _Q_FAR, where the phases of the
+    level sum could overflow: every quotient sin(A t)/t there is below 1/q,
+    so the symbol is 0.  Those take q = 0 in the sum, whose value is then
+    replaced."""
+    size = np.abs(p_arr)
+    far = size > _Q_FAR / scale
+    return np.where(far, 0.0, size) * scale, far
+
+
 def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
     """The projection symbol, x and p broadcasting.  With A = 2 (L - |x|) / hbar,
     S(t) = sin(A t) / t, q = |p| and m_k = k g, g = pi hbar / 2L,
@@ -134,19 +146,24 @@ def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np
     first sum is `_level_sum`, and 2 sum_k cos(k alpha) = D_N(alpha) - 1.
     """
     alpha = math.pi * np.maximum(L - np.abs(x_arr), 0.0) / L
-    q = np.abs(p_arr) * (2.0 * L / (math.pi * hbar))
+    q, far = _level_units(p_arr, 2.0 * L / (math.pi * hbar))
     tot = _level_sum(None, np.arange(1.0, N + 1), 1.0, alpha, q)
     tot -= _sin_ratio(alpha, q) * (dirichlet_kernel(N, alpha) - 1.0)
     tot *= 1.0 / math.pi
-    return np.where(np.abs(x_arr) > L, 0.0, tot)
+    tot = np.where(np.abs(x_arr) > L, 0.0, tot)
+    return np.where(far, 0.0, tot) if far.any() else tot
 
 
 def _box_symbol(values, N: int, hbar: float, L: float, x, p):
     """A box closed form at points, in blocks of points whose tables of N
     entries per x entry and per p entry stay under the field's table bound:
-    rows by x's entries per row, columns by p's per column of one row."""
+    rows by x's entries per row, columns by p's per column of one row.
+    A NaN coordinate is refused."""
     N = _check_box(L, hbar, N)
     x_arr, p_arr, unwrap = _point_arrays(x, p)
+    for name, arr in (("x", x_arr), ("p", p_arr)):
+        if np.isnan(arr).any():
+            raise ValueError(f"{name} must be a number, not NaN")
     rows = _table_rows(N * x_arr[:1].size)
     cols = _table_rows(N * math.prod(p_arr.shape[1:-1]))
     return unwrap(_in_blocks(partial(values, N, hbar, L), x_arr, p_arr, rows, cols))
@@ -207,10 +224,10 @@ def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.n
     coef -= term
     del term
     alpha = math.pi * np.maximum(L - np.abs(x_arr), 0.0) / (2.0 * L)
-    q = np.abs(p_arr) * (4.0 * L / (math.pi * hbar))
+    q, far = _level_units(p_arr, 4.0 * L / (math.pi * hbar))
     tot = _level_sum(coef, m.ravel(), -1.0, alpha, q)
     tot *= np.sign(p_arr) * (-2.0 * hbar / (math.pi * L))
-    return np.where((np.abs(x_arr) >= L) | (p_arr == 0), 0.0, tot)
+    return np.where((np.abs(x_arr) >= L) | (p_arr == 0) | far, 0.0, tot)
 
 
 def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | float:
@@ -348,7 +365,8 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
     the other.  So M is written once into W[t + N - 1, s - 2] = M_jk, and
     for each sign e the coefficients a_s = sum_t e^{-i e theta t} W[t, s]
     and b_t = sum_s e^{-i e theta s} W[t, s] of every point are two matrix
-    products; each point then takes 4 (2N - 1) quotients.  0 for |x| > L.
+    products; each point then takes 4 (2N - 1) quotients.  0 for |x| > L,
+    and where the projection symbol's q = |p| / 2g passes _Q_FAR.
     """
     N = coeff.shape[0]
     s = np.arange(2, 2 * N + 1)
@@ -362,6 +380,9 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
     A = 2.0 * np.maximum(L - np.abs(x), 0.0) / hbar
     theta = math.pi * (x + L) / (2.0 * L)
     g = math.pi * hbar / (4.0 * L)
+    # as for the projection symbol's q = |p| / 2g; A g <= pi / 2 keeps the rest finite
+    far = (np.abs(p[:, 0]) > _Q_FAR * 2.0 * g) & ~np.isnan(x[:, 0])
+    p = np.where(far[:, None], 0.0, p)
     out = np.zeros(x.shape[0], dtype=complex)
     for e in (1, -1):
         a = np.exp(-1j * e * theta * t) @ W
@@ -369,7 +390,7 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
         out += np.sum(a * _sin_ratio(A, g * s + e * p), axis=1)
         out -= np.sum(b * _sin_ratio(A, g * t + e * p), axis=1)
     out *= hbar / (2.0 * L)
-    out[np.abs(x[:, 0]) > L] = 0.0
+    out[(np.abs(x[:, 0]) > L) | far] = 0.0
     return out.reshape(x_arr.shape)
 
 

@@ -1,6 +1,7 @@
-"""Eigenfunction sums, kept as the one slow oracle of the closed forms
-(`kernel.box_projection_kernel`, the symbols in `weyl`, the operator
-symbols in `moyal`) and of the matrix elements in `truncate`.
+"""Eigenfunction sums, kept as the one slow oracle of the box projection
+kernel (`kernel.box_projection_kernel`, and `weyl.rescaled_kernel_f2`
+built on it); the eigenfunctions also feed the quadratures of
+`quadrature_oracle` and the checks of the matrix elements in `matrix_oracle`.
 
 Oscillator states are Hermite wavefunctions by the normalized three-term
 recurrence with the Gaussian folded in; a carried binary exponent keeps the
@@ -18,7 +19,6 @@ import math
 import numpy as np
 
 from weylsym.basis import EigenBasis, Model
-from weylsym.scale import _point_arrays
 
 _LN2 = math.log(2.0)
 
@@ -112,15 +112,21 @@ def eigenvalue(basis: EigenBasis, k: int) -> float:
     return 0.5 * basis.hbar**2 * (k * math.pi / (2.0 * basis.L)) ** 2
 
 
+def _kernel_sum(basis: EigenBasis, entries: np.ndarray, x, y):
+    """sum_{j,k} entries_jk u_j(x) u_k(y), x broadcast against y; a number
+    for two scalars."""
+    x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    ux = wavefunctions(basis, entries.shape[0], x_arr.ravel())
+    uy = wavefunctions(basis, entries.shape[0], y_arr.ravel())
+    out = np.einsum("jq,jk,kq->q", ux, entries, uy).reshape(x_arr.shape)
+    return out if out.ndim else out.item()
+
+
 def projection_kernel_sum(basis: EigenBasis, N: int, x, y) -> np.ndarray | float:
     """Rank-N projection kernel sum_{k<=N} u_k(x) u_k(y); broadcasts x against y."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    x_arr, y_arr, unwrap = _point_arrays(x, y)
-    x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
-    ux = wavefunctions(basis, N, x_arr.ravel())
-    uy = wavefunctions(basis, N, y_arr.ravel())
-    return unwrap(np.einsum("kq,kq->q", ux, uy).reshape(x_arr.shape))
+    return _kernel_sum(basis, np.eye(N), x, y)
 
 
 def truncated_operator_kernel(matrix, basis: EigenBasis, x, y) -> np.ndarray | complex:
@@ -132,9 +138,4 @@ def truncated_operator_kernel(matrix, basis: EigenBasis, x, y) -> np.ndarray | c
     entries = np.asarray(matrix, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("coefficient matrix must be square")
-    N = entries.shape[0]
-    x_arr, y_arr, unwrap = _point_arrays(x, y)
-    x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
-    ux = wavefunctions(basis, N, x_arr.ravel())
-    uy = wavefunctions(basis, N, y_arr.ravel())
-    return unwrap(np.einsum("jq,jk,kq->q", ux, entries, uy).reshape(x_arr.shape))
+    return _kernel_sum(basis, entries, x, y)

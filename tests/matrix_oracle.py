@@ -1,31 +1,30 @@
 """Dense coefficient matrices as plain complex arrays, kept as the one slow
-oracle of the banded ladder power (`truncate.matrix_linear_power`, read by
-`diag.band_norm_sq`), of the box tridiagonal norm sweep and of the matrix
-elements the program only uses in closed form.
+oracle of the banded ladder power and its norms (`truncate.matrix_linear_power`,
+`diag.band_norm_sq`) and of the box momentum norm
+(`diag._box_momentum_inner_norm_sq`).
 
+- `ladder_power` is (a x + b p)^n on levels 1..N + n: the identity
+  multiplied n times by the tridiagonal a X + b P of `ladder_matrices`.
+  Each product sums the weights of every up-or-down step from a level, so
+  entry (l, k) is the sum over all n-step sign sequences from k to l.
 - `hs_norm_sq` and `offdiag_block_norm_sq` are the dense definitions of
   the trace-identity norms: 2 pi hbar sum |M_jk|^2 over the whole matrix,
   or over the block coupling levels <= N to levels > N.
 - `dense_power` scatters a band into the N x N complex matrix it stands
-  for; the two norms of that matrix are those of the band.
+  for, to compare it with `ladder_power`.
 - `box_multiplication_matrix` is the tridiagonal matrix of multiplication
   by sin(pi x / 2L) / sqrt(L), whose norm the `box-tridiag-norm` sweep
   takes from its nonzero entries alone.
-- `path_sum_matrix` builds (a x + b p)^n entry by entry from the 2^n
-  sign-sequence path sums, independent of the band.
-- `ladder_matrices` are the tridiagonal X and P, whose explicit matrix
-  power is a third route to the same entries.
 - `box_momentum_entry` / `box_momentum_matrix` are the box momentum C_jk;
-  the program reaches their norms in O(N) (`diag`) and their symbol in
+  the program reaches their norm in O(N) (`diag`) and their symbol in
   closed form (`weyl`).
-- `rank_one_box_symbol` is the symbol of |u_j><u_k|: the program's box
-  operator symbol at the one-entry coefficient matrix.
+- `rank_one_box_symbol` is no oracle: it is the program's box operator
+  symbol at the one-entry coefficient matrix of |u_j><u_k|.
 
 Level indices are 1-based (u_1 is the ground state); rows of the arrays
 are 0-based.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -61,48 +60,6 @@ def dense_power(band: LadderBand) -> np.ndarray:
     return M
 
 
-def sign_sequences(n, d):
-    """All +-1 step sequences of length n with sum d, plus their exclusive
-    prefix sums.  Shapes (m, n); m = binom(n, (n+d)/2)."""
-    if n == 0:
-        z = np.zeros((1, 0), dtype=np.int64)
-        return z, z
-    signs = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int64)
-    signs = signs[signs.sum(axis=1) == d]
-    prefix = np.zeros_like(signs)
-    prefix[:, 1:] = np.cumsum(signs[:, :-1], axis=1)
-    return signs, prefix
-
-
-def path_weight_sum(n, k, d, a, b):
-    """Sum of ladder path weights over n-step paths from k to k + d.
-
-    Per step from level j, the ladder factor is sqrt(j) going up and
-    sqrt(j - 1) going down, i.e. sqrt(min of the two levels); clamping at
-    zero makes below-ground excursions vanish identically, which is exactly
-    the exclusion of paths touching level 0.
-    """
-    signs, prefix = sign_sequences(n, d)
-    if signs.shape[0] == 0:
-        return 0.0j
-    levels = k + prefix  # level before each step
-    ladder = np.maximum(levels + (signs - 1) // 2, 0).astype(float)
-    radical = float(np.sum(np.sqrt(np.prod(ladder, axis=1))) if n else 1.0)
-    s_up = (n + d) // 2
-    return (a + 1j * b) ** s_up * (a - 1j * b) ** (n - s_up) * radical
-
-
-def path_sum_matrix(a, b, n, hbar, N):
-    """(a x + b p)^n on levels 1..N entry by entry from the sign-sequence sums."""
-    pref = (hbar / 2.0) ** (n / 2.0)
-    M = np.zeros((N, N), dtype=complex)
-    for k in range(1, N + 1):
-        for l in range(max(1, k - n), min(N, k + n) + 1):
-            if (l - k + n) % 2 == 0:
-                M[l - 1, k - 1] = pref * path_weight_sum(n, k, l - k, a, b)
-    return M
-
-
 def ladder_matrices(hbar: float, N: int, pad: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum matrices on levels 1..N+pad.
 
@@ -121,6 +78,22 @@ def ladder_matrices(hbar: float, N: int, pad: int = 0) -> tuple[np.ndarray, np.n
     P[idx + 1, idx] = 1j * c
     P[idx, idx + 1] = -1j * c
     return X, P
+
+
+def ladder_power(a: float, b: float, n: int, hbar: float, N: int) -> np.ndarray:
+    """(a x + b p)^n on levels 1..N + n, enough for every entry of the rows
+    up to N + n in columns up to N: n products of the identity with the two
+    off-diagonals of a X + b P."""
+    X, P = ladder_matrices(hbar, N, pad=n)
+    A = a * X + b * P
+    lower, upper = np.diagonal(A, -1)[:, None], np.diagonal(A, 1)[:, None]
+    M = np.eye(N + n, dtype=complex)
+    for _ in range(n):
+        step = np.zeros_like(M)
+        step[1:] += lower * M[:-1]
+        step[:-1] += upper * M[1:]
+        M = step
+    return M
 
 
 def box_multiplication_matrix(N: int, L: float) -> np.ndarray:

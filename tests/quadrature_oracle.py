@@ -1,9 +1,15 @@
-"""The y-quadrature route to Weyl symbols, kept as the one slow oracle of the
-closed forms (`weyl.symbol_*`, and both branches of
-`moyal.operator_symbol_complex`).
+"""Quadratures kept as slow oracles.
 
-It integrates hbar * K(x - hbar y/2, x + hbar y/2) e^{ipy} over a
-Gauss-Legendre rule on a window [-Y, Y], one cold quadrature per point.
+- The y-quadrature of Weyl symbols is the one oracle of both operator
+  symbols (`weyl._box_operator_symbol` and `weyl._oscillator_operator_symbol`,
+  the two branches of `moyal.operator_symbol_complex`), and checks the
+  direct sums of `sum_oracle` at some points.  It integrates
+  hbar * K(x - hbar y/2, x + hbar y/2) e^{ipy} over a Gauss-Legendre rule on
+  a window [-Y, Y], one cold quadrature per point.
+- `box_distance_x_space` and `osc_distance_z_space` are the one oracles of
+  the two closed L2 distances (`diag.box_projection_distance_sq` and
+  `diag.oscillator_disk_distance_sq`): one global Gauss-Legendre rule each,
+  over the sine modes or the plain Laguerre sum.
 """
 
 import math
@@ -12,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eigen_oracle import gauss_legendre, truncated_operator_kernel
+from eigen_oracle import box_wavefunctions, gauss_legendre, truncated_operator_kernel
+from sum_oracle import oscillator_projection_sum
 
 from weylsym.basis import Model
 
@@ -118,3 +125,24 @@ def operator_symbol_quadrature(basis, coeff, hbar: float, x: float, p: float) ->
     return symbol_from_kernel_complex(
         lambda xa, ya: truncated_operator_kernel(coeff, basis, xa, ya), hbar, spec, x, p
     )
+
+
+def box_distance_x_space(N, mu, L, nodes):
+    """The box distance from the x-space form of the cross term,
+    int_{|x|<L, |p|<P} sigma = 2 hbar int int sum_k u_k(a) u_k(b) sin(c(b-a))/(b-a),
+    c = P / hbar, on a global Gauss-Legendre rule over the sine modes."""
+    hbar = mu / N
+    a, wa = gauss_legendre(nodes, -L, L)
+    c = math.pi * N / (2.0 * L)
+    D = a[None, :] - a[:, None]
+    S = np.where(D == 0, c, np.sin(c * D) / np.where(D == 0, 1.0, D))
+    V = box_wavefunctions(N, L, a) * wa[None, :]
+    return 4.0 * math.pi * mu - 4.0 * hbar * float(np.sum((V @ S) * V))
+
+
+def osc_distance_z_space(N, hbar, nodes):
+    """The disk distance as 4 pi mu - pi hbar int_0^{4N} sigma_N dz on one
+    global Gauss-Legendre rule in z, sigma_N from the plain Laguerre sum."""
+    z, wz = gauss_legendre(nodes, 0.0, 4.0 * N)
+    sigma = oscillator_projection_sum(N, hbar, np.sqrt(0.5 * hbar * z), 0.0)
+    return 4.0 * math.pi * hbar * N - math.pi * hbar * float(np.sum(wz * sigma))

@@ -9,16 +9,17 @@ import math
 
 import numpy as np
 import pytest
-from grid_oracle import l2_distance_with_tail, rectangle
-from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
-from matrix_oracle import box_momentum_matrix, dense_power, hs_norm_sq, ladder_matrices, rank_one_box_symbol
-from quadrature_oracle import box_quadrature_spec, box_y_support, symbol_from_kernel, symbol_from_kernel_complex
+from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum
+from matrix_oracle import box_momentum_matrix, dense_power, hs_norm_sq, ladder_power, rank_one_box_symbol
+from quadrature_oracle import box_distance_x_space, box_quadrature_spec, osc_distance_z_space, symbol_from_kernel_complex
+from sum_oracle import momentum_double_sum, projection_direct_sum
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.diag import (
     EXPERIMENTS,
     SweepConfig,
     band_norm_sq,
+    box_projection_distance_sq,
     catalan_limit_value,
     default_n_levels,
     run_sweep,
@@ -26,7 +27,6 @@ from weylsym.diag import (
 from weylsym.kernel import box_projection_kernel
 from weylsym.limits import bulk_profile_box, bulk_sup_constant, edge_profile_p, edge_profile_x
 from weylsym.moyal import FiniteRankOperator, direct_grid, moyal_direct, moyal_via_composition
-from weylsym.scale import PhaseGrid
 from weylsym.truncate import matrix_linear_power
 from weylsym.weyl import (
     projection_symbol_field,
@@ -54,20 +54,18 @@ def test_ac1_exact_norm_identity():
 
 
 def test_ac2_box_l2_convergence():
-    """Global distance^2 to chi_R decreases and is below 0.35 * 2 pi mu at N=80."""
+    """Global distance^2 to chi_R decreases and is below 0.35 * 2 pi mu at N=80,
+    against a global x-space rule."""
     mu = 1.0
     L = math.sqrt(math.pi / 2.0)
-    target = rectangle(mu, L)
-    grid = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, 800, 800)
     dist = {}
     for N in (10, 20, 40, 80):
-        hbar = mu / N
-        fld = projection_symbol_field(N, hbar, L, grid)
-        dist[N] = l2_distance_with_tail(fld, target, np.eye(N, dtype=complex), hbar)
+        dist[N] = box_projection_distance_sq(N, mu / N, L)
+        assert abs(dist[N] - box_distance_x_space(N, mu, L, 4 * N + 64)) <= 1e-12
     assert dist[40] < dist[20] and dist[80] < dist[40]
     assert dist[80] < 0.35 * 2 * math.pi * mu
     report(
-        "AC-2 box L2 convergence (windowed+tail distance^2 "
+        "AC-2 box L2 convergence (distance^2 "
         + " -> ".join(f"{dist[N]:.4f}" for N in (10, 20, 40, 80))
         + f", bound {0.35 * 2 * math.pi * mu:.4f}): PASS"
     )
@@ -217,17 +215,16 @@ def test_ac10_origin_parity():
 
 
 def test_ac11_oracle_equivalences():
-    """Path sums vs ladder powers; momentum entries vs derivative quadrature;
-    closed forms vs quadrature transform; kernel closed form vs eigenfunction sum."""
+    """Banded vs explicit ladder powers; momentum entries vs derivative
+    quadrature; closed forms vs their direct sums and the quadrature
+    transform; kernel closed form vs eigenfunction sum."""
     mu = 1.0
-    # (a) path-sum matrices vs ladder matrix powers
+    # (a) banded vs explicit ladder powers
     N = 16
     hbar = mu / N
     for (a, b) in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -1.0)):
-        X, P = ladder_matrices(hbar, N, pad=7)
-        A = a * X + b * P
         for n in range(0, 6):
-            want = np.linalg.matrix_power(A, n)[:N, :N]
+            want = ladder_power(a, b, n, hbar, N)[:N, :N]
             got = dense_power(matrix_linear_power(a, b, n, hbar, N))
             denom = max(np.linalg.norm(want), 1.0)
             assert np.linalg.norm(got - want) / denom <= 1e-10
@@ -243,31 +240,20 @@ def test_ac11_oracle_equivalences():
             want = -1j * hbar * float(np.sum(ws * U[j - 1] * du))
             assert abs(M[j - 1, k - 1] - want) <= 1e-10
 
-    # (c) closed-form symbols vs quadrature transform at 50 random points
+    # (c) closed-form symbols at 50 random points: the box projection and
+    # momentum symbols vs their direct sums, the rank-one operator symbol vs
+    # the quadrature transform
     rng = np.random.default_rng(11)
     N, L = 6, 1.0
     hbar = mu / N
-    mom = box_momentum_matrix(N, L, hbar)
     basis = EigenBasis(Model.BOX, hbar=hbar, box_half_width=L)
     worst = 0.0
     for _ in range(50):
         x = float(rng.uniform(-0.95 * L, 0.95 * L))
         p = float(rng.uniform(-4.0, 4.0))
         spec = box_quadrature_spec(hbar, L, x, p, mu)
-        worst = max(worst, abs(
-            symbol_from_kernel(
-                lambda xa, ya: box_projection_kernel(N, L, xa, ya),
-                hbar, spec, x, p, y_support=box_y_support(hbar, L, x),
-            )
-            - symbol_projection_box(N, hbar, L, x, p)
-        ))
-        worst = max(worst, abs(
-            symbol_from_kernel(
-                lambda xa, ya: truncated_operator_kernel(mom, basis, xa, ya),
-                hbar, spec, x, p, y_support=0.0,
-            )
-            - symbol_truncated_momentum_box(N, hbar, L, x, p)
-        ))
+        assert abs(symbol_projection_box(N, hbar, L, x, p) - projection_direct_sum(N, hbar, L, x, p)) <= 1e-12
+        assert abs(symbol_truncated_momentum_box(N, hbar, L, x, p) - momentum_double_sum(N, hbar, L, x, p)) <= 1e-12
         j, k = int(rng.integers(1, N + 1)), int(rng.integers(1, N + 1))
         q = symbol_from_kernel_complex(
             lambda xa, ya: box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1],
@@ -284,7 +270,7 @@ def test_ac11_oracle_equivalences():
             assert abs(
                 box_projection_kernel(N, L, x, y) - projection_kernel_sum(basis, N, x, y)
             ) <= 1e-12
-    report("AC-11 oracle equivalences (paths/ladder 1e-10; C_jk 1e-10; symbols 1e-7; kernels 1e-12): PASS")
+    report("AC-11 oracle equivalences (ladder 1e-10; C_jk 1e-10; symbols 1e-12, rank one 1e-7; kernels 1e-12): PASS")
 
 
 def test_ac12_moyal_layer():
@@ -323,13 +309,7 @@ def test_ac13_osc_disk_l2():
     assert rep.passed
     dist = dict(zip((10, 20, 40, 80), rep.values("distance_sq")))
     for N, got in dist.items():
-        # 4 pi mu - pi hbar int_0^{4N} sigma_N dz on 8N + 128 Gauss-Legendre nodes
-        hbar = mu / N
-        t, w = np.polynomial.legendre.leggauss(8 * N + 128)
-        z = 2.0 * N * (t + 1.0)
-        sigma = symbol_oscillator_projection(N, hbar, np.sqrt(0.5 * hbar * z), 0.0)
-        want = 4 * math.pi * mu - math.pi * hbar * float(np.sum(2.0 * N * w * sigma))
-        assert abs(got - want) <= 1e-10
+        assert abs(got - osc_distance_z_space(N, mu / N, 8 * N + 128)) <= 1e-10
     ratios = [dist[2 * N] / dist[N] for N in (10, 20, 40)]
     assert all(0.62 <= r <= 0.66 for r in ratios)
     assert dist[80] < 0.35 * 2 * math.pi * mu

@@ -426,7 +426,7 @@ class TestEdgeCommand:
 
     def test_x_edge_at_large_u(self, tmp_path):
         # Si at 2u(p -+ P) up to 4e12: a stopping continued fraction ran out
-        # of steps on this section and the command exited 4
+        # of steps on this section
         out = tmp_path / "edge.csv"
         assert run(["edge", "--kind", "x", "--u", "0:1e12:11", "--p", "0.3", "--N", "400",
                     "-o", str(out)]) == 0
@@ -527,18 +527,17 @@ class TestEdgeCommand:
                 )
             assert fin == want
 
-    def test_non_convergence_exits_four(self, tmp_path, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise RuntimeError("series truncation did not reach the requested tol")
-
-        monkeypatch.setattr(weylsym.diag, "edge_profile_p", fail)
+    @pytest.mark.parametrize("section, want", [
+        (["--kind", "x", "--u", "1e200", "--p", "1e200"], [1e200, 0.0, 0.0, 0.0]),
+        (["--kind", "p", "--v", "1e308", "--x", "0.3"], [1e308, 0.0, 0.0, 0.0]),
+        (["--kind", "p", "--v", "-1e308", "--x", "0.3"], [-1e308, 0.0, 1.0, 1.0]),
+    ])
+    def test_overflowing_sections_write_their_limits(self, tmp_path, section, want):
+        # u p = 1e400 wrote a NaN limit_value with exit 0; v = 1e308 exited 2
+        # on a "math domain error"; the symbol there gave NaN
         out = tmp_path / "e.csv"
-        code = run([
-            "edge", "--kind", "p", "--x", "0.999", "--v", "0.5", "--N", "1000", "-o", str(out),
-        ])
-        assert code == 4
-        assert capsys.readouterr().err.startswith("error: series truncation")
-        assert not out.exists()
+        assert run(["edge", *section, "--N", "10", "-o", str(out)]) == 0
+        assert np.loadtxt(out, delimiter=",", skiprows=1).tolist() == want
 
 
 class TestMoyalCheckCommand:

@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from eigen_oracle import box_wavefunctions
-from grid_oracle import TailDeficitWarning, l2_distance_with_tail, rectangle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from matrix_oracle import (
@@ -14,8 +12,10 @@ from matrix_oracle import (
     box_multiplication_matrix,
     dense_power,
     hs_norm_sq,
+    ladder_power,
     offdiag_block_norm_sq,
 )
+from quadrature_oracle import box_distance_x_space, osc_distance_z_space
 
 from weylsym.diag import (
     _TAIL_CUTOFF,
@@ -113,8 +113,8 @@ class TestOffdiagBlock:
             prev = B
 
 
-# The band norms and their dense definitions add the same squares in other
-# orders, and take |weight|^2 once instead of per entry.
+# The band norms and the dense definitions add the same squares in other
+# orders, and the band takes |weight|^2 once instead of per entry.
 BAND_NORM_RTOL = 1e-14
 
 
@@ -130,11 +130,11 @@ class TestBandNorms:
     def test_match_dense_oracle(self, a, b, n, N, hbar):
         assume(a * a + b * b > 1e-6)
         band = matrix_linear_power(a, b, n, hbar, N)
-        want = hs_norm_sq(dense_power(band), hbar)
+        power = ladder_power(a, b, n, hbar, N)
+        want = hs_norm_sq(power[:N, :N], hbar)
         assert band_norm_sq(band, 0, N) == pytest.approx(want, rel=BAND_NORM_RTOL)
         if n:
-            padded = dense_power(matrix_linear_power(a, b, n, hbar, N + n))
-            want = offdiag_block_norm_sq(padded, N, hbar)
+            want = offdiag_block_norm_sq(power, N, hbar)
             assert band_norm_sq(band, N, N + n) == pytest.approx(want, rel=BAND_NORM_RTOL)
 
     def test_catalan_sweep_builds_no_square_matrix(self):
@@ -147,13 +147,6 @@ class TestBandNorms:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
-
-
-def momentum_inner_oracle(N, L, hbar):
-    """Direct sum 2 pi hbar sum_{j,k<=N} |C_jk|^2 over the N x N momentum matrix."""
-    j = np.arange(1, N + 1, dtype=float)
-    entries = box_momentum_entry(j[:, None], j[None, :], L, hbar)
-    return 2.0 * math.pi * hbar * float(np.sum(np.abs(entries) ** 2))
 
 
 def momentum_tail_oracle(N, L, hbar):
@@ -173,7 +166,7 @@ class TestBoxMomentumNorms:
     def test_prefix_sums_match_direct_sums(self, N):
         mu, L = 1.01, 0.97
         hbar = mu / N
-        inner = momentum_inner_oracle(N, L, hbar)  # exactly 0 for N = 1
+        inner = hs_norm_sq(box_momentum_matrix(N, L, hbar), hbar)  # exactly 0 for N = 1
         assert _box_momentum_inner_norm_sq(N, L, hbar) == pytest.approx(inner, rel=1e-13, abs=0.0)
         tail = momentum_tail_oracle(N, L, hbar)
         assert box_momentum_tail_norm_sq(N, L, hbar) == pytest.approx(tail, rel=1e-13, abs=0.0)
@@ -183,83 +176,10 @@ class TestBoxMomentumNorms:
         rep = run_sweep(SweepConfig(experiment="box-momentum-norm", n_levels=(16, 32), mu=mu, L=L))
         for N in (16, 32):
             row = {r.metric: r.value for r in rep.rows if r.N == N}
-            inner, tail = momentum_inner_oracle(N, L, mu / N), momentum_tail_oracle(N, L, mu / N)
+            inner = hs_norm_sq(box_momentum_matrix(N, L, mu / N), mu / N)
+            tail = momentum_tail_oracle(N, L, mu / N)
             assert row["hs_norm_sq"] == pytest.approx(inner, rel=1e-13)
             assert row["offdiag_norm_sq"] == pytest.approx(tail, rel=1e-13)
-
-
-class TestDistanceWithTail:
-    def grid(self, L):
-        return PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, 200, 200)
-
-    def test_field_equal_target_is_small(self):
-        # field sampled from the target itself, matrix norm matched to the
-        # windowed mass: distance collapses to rounding
-        from weylsym.scale import SymbolField
-
-        g = PhaseGrid(-2.0, 2.0, -2.0, 2.0, 128, 128)
-        target = lambda x, p: np.maximum(0.0, 1.0 - (x**2 + p**2))  # support r <= 1
-        fld = SymbolField.sample(target, g)
-        hbar = 0.25
-        mass = float(np.sum(fld.values**2)) * g.dx * g.dp
-        amp = math.sqrt(mass / (2 * math.pi * hbar))
-        m = np.array([[amp]], dtype=complex)
-        d = l2_distance_with_tail(fld, target, m, hbar)
-        assert d == pytest.approx(0.0, abs=1e-12)
-
-    def test_distance_to_rectangle_decreases(self):
-        mu, L = 1.0, math.sqrt(math.pi / 2.0)
-        target = rectangle(mu, L)
-        g = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, 400, 400)
-        d = {}
-        for N in (20, 80):
-            hbar = mu / N
-            fld = projection_symbol_field(N, hbar, L, g)
-            d[N] = l2_distance_with_tail(fld, target, identity_matrix(N), hbar)
-        assert d[80] < d[20]
-
-    def test_target_support_must_fit(self):
-        mu, L = 1.0, 1.0
-        g = PhaseGrid(-0.9 * L, 0.9 * L, -2.0, 2.0, 64, 64)  # cuts the rectangle
-        target = rectangle(mu, L)
-        fld = projection_symbol_field(4, mu / 4, L, g)
-        with pytest.raises(ValueError, match="target support exceeds window"):
-            l2_distance_with_tail(fld, target, identity_matrix(4), mu / 4)
-
-    def test_tail_deficit_flagged(self):
-        # a field holding more mass than the matrix norm allows
-        g = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 32, 32)
-        from weylsym.scale import SymbolField
-
-        fld = SymbolField.sample(lambda x, p: np.ones_like(x * p), g)
-        target = lambda x, p: np.zeros(np.broadcast(x, p).shape)
-        tiny = np.eye(2, dtype=complex) * 1e-3
-        with pytest.warns(TailDeficitWarning):
-            l2_distance_with_tail(fld, target, tiny, 1e-3)
-
-
-def box_distance_x_space(N, mu, L, nodes):
-    """The box distance from the x-space form of the cross term,
-    int_{|x|<L, |p|<P} sigma = 2 hbar int int sum_k u_k(a) u_k(b) sin(c(b-a))/(b-a),
-    c = P / hbar, on a global Gauss-Legendre rule (independent of the
-    momentum-space Si/Ci route)."""
-    hbar = mu / N
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    a, wa = L * t, L * w
-    c = math.pi * N / (2.0 * L)
-    D = a[None, :] - a[:, None]
-    S = np.where(D == 0, c, np.sin(c * D) / np.where(D == 0, 1.0, D))
-    V = box_wavefunctions(N, L, a) * wa[None, :]
-    return 4.0 * math.pi * mu - 4.0 * hbar * float(np.sum((V @ S) * V))
-
-
-def osc_distance_z_space(N, hbar, nodes):
-    """The disk distance as 4 pi mu - pi hbar int_0^{4N} sigma_N dz on one
-    global Gauss-Legendre rule in z (independent of the closed Laguerre sum)."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    z, wz = 2.0 * N * (t + 1.0), 2.0 * N * w
-    sigma = symbol_oscillator_projection(N, hbar, np.sqrt(0.5 * hbar * z), 0.0)
-    return 4.0 * math.pi * hbar * N - math.pi * hbar * float(np.sum(wz * sigma))
 
 
 class TestExactDistances:
@@ -281,24 +201,6 @@ class TestExactDistances:
         # sigma_1 = 2 e^{-z/2}: d^2 = 4 pi hbar - 4 pi hbar (1 - e^{-2})
         want = 4.0 * math.pi * hbar * math.exp(-2.0)
         assert oscillator_disk_distance_sq(1, hbar) == pytest.approx(want, rel=1e-14)
-
-    @pytest.mark.parametrize("N", [10, 20])
-    def test_box_against_grid_oracle(self, N):
-        # the grid route's error is first order in the cell size, within the
-        # bound 2 P dx + 2 L dp of the benchmark checks, and halves with it
-        mu, L = 1.0, math.sqrt(math.pi / 2.0)
-        hbar = mu / N
-        exact = box_projection_distance_sq(N, hbar, L)
-        target = rectangle(mu, L)
-        P = math.pi * mu / (2.0 * L)
-        errs = []
-        for n in (800, 1600):
-            g = PhaseGrid(-1.5 * L, 1.5 * L, -3.0, 3.0, n, n)
-            fld = projection_symbol_field(N, hbar, L, g)
-            grid = l2_distance_with_tail(fld, target, identity_matrix(N), hbar)
-            errs.append(abs(grid - exact))
-            assert errs[-1] <= 2.0 * P * g.dx + 2.0 * L * g.dp
-        assert errs[1] < errs[0]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -418,6 +320,8 @@ class TestEdgeSection:
     @pytest.mark.parametrize("kind, coords, message", [
         ("x", [0.5, -0.1], "u must be >= 0"),
         ("q", [0.5], "edge kind must be"),
+        ("x", [math.nan], "u must be finite"),
+        ("p", [math.nan], "v must be finite"),
     ])
     def test_refusals(self, kind, coords, message):
         with pytest.raises(ValueError, match=message):

@@ -1,10 +1,11 @@
 import cmath
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from grid_oracle import rectangle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,50 +27,27 @@ from weylsym.weyl import symbol_projection_box
 limit_settings = settings(deadline=None, derandomize=True, max_examples=60)
 
 
-# --- slow oracles: pi-wide Gauss-Kronrod panels for Si, the direct series for
-# the momentum-edge profile -----------------------------------------------------
-
-# Gauss-Kronrod 15/7 on [-1, 1]: Kronrod nodes/weights plus embedded Gauss weights.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
-    -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691, 0.741531185599394,
-    0.864864423359769, 0.949107912342759, 0.991455371120813,
-])
-_GK_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+# --- slow oracles: 30-digit mpmath for Si, Ci and the hard-wall profile, the
+# direct series for the momentum-edge profile ----------------------------------
 
 
-def _gk_panel(a: float, b: float, depth: int = 0) -> float:
-    """Adaptive G7/K15 on one panel of sin(t)/t, t > 0."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    f = np.sin(mid + half * _GK_NODES) / (mid + half * _GK_NODES)
-    k15 = half * float(np.sum(_GK_WEIGHTS * f))
-    g7 = half * float(np.sum(_G7_WEIGHTS * f[1::2]))
-    if abs(k15 - g7) < 1e-14 * (1.0 + abs(k15)) or depth >= 20:
-        return k15
-    return _gk_panel(a, mid, depth + 1) + _gk_panel(mid, b, depth + 1)
+def si_ci_mpmath(x: float) -> tuple[float, float]:
+    """Si(x) and Ci(x) at 30 digits, rounded to doubles."""
+    with mpmath.workdps(30):
+        return float(mpmath.si(x)), float(mpmath.ci(x))
 
 
-def si_panel_oracle(x: float) -> float:
-    """Si(x) for x >= 0 from pi-wide G7/K15 panels of sin(t)/t on [0, x]
-    (no panel node sits at t = 0)."""
-    total = 0.0
-    a = 0.0
-    while a < x:
-        b = min(a + math.pi, x)
-        total += _gk_panel(a, b)
-        a = b
-    return total
+def edge_x_mpmath(u: float, p: float, mu: float, L: float) -> float:
+    """The hard-wall profile's closed form with 30-digit Si, sin and quotient,
+    at the double-rounded arguments 2u(p -+ P), pu and pi mu u / L."""
+    if u < 0:
+        return 0.0
+    half = math.pi * mu / (2.0 * L)
+    pu, phase = p * u, math.pi * mu * u / L
+    with mpmath.workdps(30):
+        sinc = mpmath.sin(2 * mpmath.mpf(pu)) / pu if pu else 2
+        diff = mpmath.si(2.0 * u * (p + half)) - mpmath.si(2.0 * u * (p - half))
+        return float((diff - sinc * mpmath.sin(phase)) / mpmath.pi)
 
 
 def edge_p_series_oracle(x: float, v: float, L: float, terms: int = 4096) -> float:
@@ -95,8 +73,15 @@ def edge_p_series_oracle(x: float, v: float, L: float, terms: int = 4096) -> flo
     return (head + tail.imag) / math.pi
 
 
+def rectangle(mu: float, L: float):
+    """The indicator of the closed box rectangle |x| <= L, |p| <= pi mu / 2L,
+    as a broadcasting callable (x, p) -> 0.0 or 1.0."""
+    p_half = math.pi * mu / (2.0 * L)
+    return lambda x, p: ((np.abs(x) <= L) & (np.abs(p) <= p_half)).astype(float)
+
+
 class TestClassicalRegion:
-    """The box rectangle that the grid oracle of the L2 distance targets."""
+    """The box rectangle, the classical region of the box symbols."""
 
     def test_rectangle_just_outside(self):
         mu = 1.0
@@ -188,24 +173,14 @@ class TestSineIntegral:
     def test_asymptote(self):
         assert abs(si(200.0) - math.pi / 2) <= 0.006
 
+    # the next two tests keep the names of the trapezoid rules they once
+    # compared with; their points now go to the 30-digit oracle
     def test_against_brute_force_trapezoid(self):
-        # 1e6-node trapezoid oracle on [0, pi]
-        n = 1_000_000
-        ts = np.linspace(0.0, math.pi, n + 1)
-        f = np.ones_like(ts)
-        f[1:] = np.sin(ts[1:]) / ts[1:]
-        want = float(np.trapezoid(f, ts))
-        assert si(math.pi) == pytest.approx(want, abs=1e-9)
-        assert si(math.pi) == pytest.approx(1.851937051982, abs=1e-9)
+        assert abs(si(math.pi) - si_ci_mpmath(math.pi)[0]) <= 4e-15
 
     @pytest.mark.parametrize("x", [0.5, 3.0, 5.9, 6.1, 9.5, 25.0])
     def test_series_and_panels_agree_with_trapezoid(self, x):
-        n = 400_000
-        ts = np.linspace(0.0, x, n + 1)
-        f = np.ones_like(ts)
-        f[1:] = np.sin(ts[1:]) / ts[1:]
-        want = float(np.trapezoid(f, ts))
-        assert si(x) == pytest.approx(want, abs=1e-9)
+        assert abs(si(x) - si_ci_mpmath(x)[0]) <= 4e-15
 
     def test_switchover_continuity(self):
         assert si(_SI_SWITCH - 1e-12) == pytest.approx(si(_SI_SWITCH + 1e-12), abs=1e-12)
@@ -226,8 +201,8 @@ class TestSineIntegral:
 
     @limit_settings
     @given(x=st.floats(6.0, 1000.0))
-    def test_matches_panel_oracle(self, x):
-        assert abs(si(x) - si_panel_oracle(x)) <= 1e-13
+    def test_matches_mpmath(self, x):
+        assert abs(si(x) - si_ci_mpmath(x)[0]) <= 4e-15
 
     def test_infinity(self):
         assert si(math.inf) == math.pi / 2
@@ -239,12 +214,11 @@ class TestSineIntegral:
             si(math.nan)
 
     def test_large_argument_in_one_step(self):
-        # Si(x) = pi/2 - cos(x)/x - sin(x)/x^2 + O(x^-3); at 716678418685.5199
-        # a continued fraction stopped by |c d - 1| <= 1e-16 never stopped
-        # (c d stays at 1 - 2^-53) and raised RuntimeError
+        # at 716678418685.5199 a continued fraction stopped by
+        # |c d - 1| <= 1e-16 never stopped (c d stays at 1 - 2^-53) and
+        # raised RuntimeError
         for x in (1e6, 1e9, 716678418685.5199, 1e15):
-            want = math.pi / 2 - math.cos(x) / x - math.sin(x) / x**2
-            assert abs(si(x) - want) <= 1e-15 + 2.0 / x**3
+            assert abs(si(x) - si_ci_mpmath(x)[0]) <= 1e-15
 
     def test_broadcasts(self):
         xs = np.array([[-7.5, 0.0], [3.0, 1e12]])
@@ -264,17 +238,14 @@ _SI_CI_POINTS = np.concatenate([
 
 
 class TestSiCi:
-    """`_si_ci` against 30-digit mpmath: Si and Ci, and E1(ix) = -Ci + i (Si - pi/2)."""
+    """`_si_ci` against 30-digit mpmath Si and Ci."""
 
     def test_against_mpmath(self):
         s, c = _si_ci(_SI_CI_POINTS)
-        with mpmath.workdps(30):
-            for x, s_x, c_x in zip(_SI_CI_POINTS, s, c):
-                e1 = mpmath.e1(1j * mpmath.mpf(x))
-                assert abs(-c_x - float(e1.real)) <= 4e-15, x
-                assert abs(s_x - 0.5 * math.pi - float(e1.imag)) <= 4e-15, x
-                assert abs(s_x - float(mpmath.si(x))) <= 4e-15, x
-                assert abs(c_x - float(mpmath.ci(x))) <= 4e-15, x
+        for x, s_x, c_x in zip(_SI_CI_POINTS, s, c):
+            s_want, c_want = si_ci_mpmath(x)
+            assert abs(s_x - s_want) <= 4e-15, x
+            assert abs(c_x - c_want) <= 4e-15, x
 
     def test_ends(self):
         s, c = _si_ci([0.0, math.inf, 1e200, np.finfo(float).max])
@@ -292,6 +263,26 @@ class TestSiCi:
 
 
 class TestEdgeProfileX:
+    @limit_settings
+    @given(
+        u=st.one_of(st.floats(-1.0, 50.0), st.floats(50.0, 1e12)), p=st.floats(-3.0, 3.0),
+        mu=st.floats(0.1, 4.0), L=st.floats(0.5, 2.0),
+    )
+    def test_matches_mpmath(self, u, p, mu, L):
+        assert abs(edge_profile_x(u, p, mu, L) - edge_x_mpmath(u, p, mu, L)) <= 1e-14
+
+    @pytest.mark.parametrize("u, p, want", [
+        (1e200, 1e200, 0.0), (1e200, -1e200, 0.0), (1e300, 1e10, 0.0), (1e200, 1e108, 0.0),
+        (1e308, 1e10, 0.0), (-1e308, 0.0, 0.0), (1e200, 1e-100, None),
+    ])
+    def test_overflowing_products_take_their_limits(self, u, p, want):
+        # 2u(p -+ P) and 2pu overflow: Si is +-pi/2 and sin(2pu)/(pu) is 0
+        # (its bound 1/|pu|); the profile was NaN with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = edge_profile_x(u, p, 1.0, 1.0)
+        assert got == (edge_x_mpmath(u, p, 1.0, 1.0) if want is None else want)
+
     def test_negative_u_is_zero(self):
         assert edge_profile_x(-0.5, 0.3, 1.0, 1.0) == 0.0
 
@@ -328,6 +319,7 @@ class TestEdgeProfileX:
         ((1.0, math.inf, 1.0, 1.0), "p must be finite"),  # was a math domain error
         ((math.inf, 0.3, 1.0, 1.0), "u must be finite"),
         ((np.array([0.5, -math.inf]), 0.3, 1.0, 1.0), "u must be finite"),
+        ((1e308, 0.0, 1.0, 1.0), "u is too large"),  # pi mu u / L = inf, pu finite
     ])
     def test_refuses_bad_input(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -413,6 +405,13 @@ class TestEdgeProfileP:
 
     def test_deep_outside_is_small(self):
         assert abs(edge_profile_p(0.0, 20.0, 1.0, 1.0)) <= 0.1
+
+    @pytest.mark.parametrize("v, want", [(1e308, 0.0), (sys.float_info.max, 0.0), (-1e308, 1.0)])
+    def test_v_whose_phase_overflows_takes_the_limit(self, v, want):
+        # c v = inf: |F| / pi < 1 / (c v) is below every normal double; the
+        # phase cos(c v) raised a bare "math domain error"
+        assert edge_profile_p(0.3, v, 1.0, 1.0) == want
+        assert abs(edge_profile_p(0.3, 5e307, 1.0, 1.0)) < 1e-300  # c v finite
 
     def test_near_wall_and_far_v_are_finite(self):
         assert edge_profile_p(0.999, 0.5, 1.0, 1.0) == 0.5

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from quadrature_oracle import operator_symbol_quadrature
 from matrix_oracle import box_momentum_matrix, box_multiplication_matrix
@@ -28,16 +28,17 @@ from weylsym.weyl import (
 
 def moyal_direct_pointwise(sigma1, sigma2, hbar, x, p):
     """The direct star product at one point in its unfactorized form: per
-    point, the two interpolated symbols S1, S2 and the two phase matrices
-    E1, E2, then sum(E2 * (S1 E1 S2)).  The oracle of the row form."""
+    point, the two symbols S1, S2 read by `rows_by_lagrange` and the two
+    phase matrices E1, E2, then sum(E2 * (S1 E1 S2)).  The oracle of the
+    row form."""
     g = sigma1.grid
     M = g.np
     q = g.p_centers()
     dy = 2.0 * math.pi / (M * g.dp)
     y = (np.arange(M) + 0.5 - M / 2.0) * dy
     shifted_x = x - hbar * y / 2.0
-    S1 = _rows_at(sigma1, shifted_x)
-    S2 = _rows_at(sigma2, shifted_x)
+    S1 = rows_by_lagrange(sigma1, shifted_x)
+    S2 = rows_by_lagrange(sigma2, shifted_x)
     E1 = np.exp(-1j * (p - q)[:, None] * y[None, :])
     E2 = np.exp(1j * (p - q)[None, :] * y[:, None])
     G = (S1 @ E1) @ S2
@@ -524,6 +525,7 @@ class TestBoxOperatorSymbol:
 
     @box_settings
     @given(point=box_points())
+    @example(point=(5, 0.2, 1.0, 0.1, 1e308))  # both 0 where their phases could overflow (was NaN)
     def test_identity_is_the_projection(self, point):
         N, hbar, L, x, p = point
         got = operator_symbol_complex(box_basis(hbar, L), np.eye(N), hbar, x, p)

@@ -14,7 +14,7 @@ from matrix_oracle import (
     box_multiplication_matrix,
     dense_power,
     ladder_matrices,
-    path_sum_matrix,
+    ladder_power,
 )
 
 import weylsym.truncate
@@ -91,12 +91,11 @@ class TestMatrixLinearPower:
         assert np.allclose(M.real, 0.0)
 
     def test_against_ladder_power_oracle(self):
-        # n = 3, (a, b) = (1, 2): path sum vs explicit matrix power built on
-        # padded dimension and truncated
+        # n = 3, (a, b) = (1, 2): the band vs the explicit power on the padded
+        # dimension, truncated
         N, n = 12, 3
         hbar = 0.25
-        X, P = ladder_matrices(hbar, N, pad=8)
-        want = np.linalg.matrix_power(1.0 * X + 2.0 * P, n)[:N, :N]
+        want = ladder_power(1.0, 2.0, n, hbar, N)[:N, :N]
         got = dense_power(matrix_linear_power(1.0, 2.0, n, hbar, N))
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err <= 1e-10
@@ -107,20 +106,20 @@ class TestMatrixLinearPower:
         a, b = ab
         N = 16
         hbar = 1.0 / N
-        X, P = ladder_matrices(hbar, N, pad=n + 2)
-        want = np.linalg.matrix_power(a * X + b * P, n)[:N, :N]
+        want = ladder_power(a, b, n, hbar, N)[:N, :N]
         got = dense_power(matrix_linear_power(a, b, n, hbar, N))
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_sign_sequence_path_sums(self, n):
-        # banded power against the 2^n sign-sequence enumeration, including
+        # banded power against the explicit power, whose n tridiagonal
+        # products sum the weights of every n-step sign sequence, including
         # the ground-state corner and N smaller than the band
         a, b = 0.6, -0.8
         for N in (1, 2, 5, 40):
             hbar = 1.3 / N
             got = dense_power(matrix_linear_power(a, b, n, hbar, N))
-            want = path_sum_matrix(a, b, n, hbar, N)
+            want = ladder_power(a, b, n, hbar, N)[:N, :N]
             np.testing.assert_array_equal(got == 0, want == 0)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -16,6 +18,13 @@ from quadrature_oracle import (
     oscillator_quadrature_spec,
     symbol_from_kernel,
     symbol_from_kernel_complex,
+)
+from sum_oracle import (
+    laguerre_direct,
+    level_sum_direct,
+    momentum_double_sum,
+    oscillator_projection_sum,
+    projection_direct_sum,
 )
 
 from weylsym.basis import EigenBasis, Model
@@ -36,11 +45,6 @@ from weylsym.weyl import (
     symbol_projection_box,
     symbol_truncated_momentum_box,
 )
-
-
-def box_kernel(N, L):
-    """The closed-form rank-N box projection kernel as a callable K(x, y)."""
-    return lambda xa, ya: box_projection_kernel(N, L, xa, ya)
 
 
 def summed_kernel(basis, N):
@@ -85,12 +89,16 @@ class TestSymbolFromKernel:
         assert symbol_from_kernel(kernel, hbar, spec, 1.4, 0.3, y_support=0.0) == 0.0
 
     def test_projection_quadrature_matches_closed_form(self):
+        # the quadrature checks the direct-sum oracle, which checks the program
         N, L, mu = 6, 1.0, 1.0
         hbar = mu / N
         x, p = 0.25, 1.1
         spec = box_quadrature_spec(hbar, L, x, p, mu)
-        got = symbol_from_kernel(box_kernel(N, L), hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
-        assert got == pytest.approx(symbol_projection_box(N, hbar, L, x, p), abs=1e-8)
+        ke = summed_kernel(EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L), N)
+        got = symbol_from_kernel(ke, hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
+        direct = float(projection_direct_sum(N, hbar, L, x, p))
+        assert got == pytest.approx(direct, abs=1e-8)
+        assert symbol_projection_box(N, hbar, L, x, p) == pytest.approx(direct, abs=1e-12)
 
     def test_non_hermitian_kernel_rejected(self):
         L, hbar = 1.0, 0.25
@@ -192,27 +200,6 @@ class TestProjectionSymbolBox:
         assert float(np.max(np.abs(fld.values[np.broadcast_to(exterior, fld.values.shape)]))) < 0.35
 
 
-def projection_direct_sum(N, hbar, L, x_arr, p_arr):
-    """Slow oracle of the box projection symbol: the three-sum closed form
-    with its 2N sin(A d)/d quotients taken directly, broadcasting x against
-    p.
-
-    The third sum is sin(A p)/p times sum_k cos(k pi (L + x) / L), which
-    depends on x alone, so the cosines are summed on x's own shape (a
-    field's x column) and the quotient is taken once.
-    """
-    A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
-    cos_sum = np.zeros(x_arr.shape)
-    for k in range(1, N + 1):
-        cos_sum = cos_sum + np.cos(math.pi * k * (L + x_arr) / L)
-    tot = -2.0 * cos_sum * _sin_ratio(A, p_arr)
-    for k in range(1, N + 1):
-        m = hbar * math.pi * k / (2.0 * L)
-        tot += _sin_ratio(A, m + p_arr) + _sin_ratio(A, m - p_arr)
-    tot *= hbar / (2.0 * L)
-    return np.where(np.abs(x_arr) > L, 0.0, tot)
-
-
 projection_settings = settings(deadline=None, derandomize=True, max_examples=80)
 projection_case = dict(
     N=st.integers(1, 128), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0), u=st.floats(-1.3, 1.3),
@@ -272,13 +259,6 @@ class TestProjectionAngleSplit:
             for cells in (1 << 15, 40, 1):
                 monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
                 assert build().values.tobytes() == scalar.tobytes()
-
-
-def level_sum_direct(coef, levels, parity, A, q):
-    """Slow oracle of `weyl._level_sum`: sum_j coef_j [S(m_j + q) + parity S(m_j - q)]
-    with every S(t) = sin(A t) / t taken directly, level by level."""
-    coef = np.broadcast_to(coef, levels.shape + A.shape)
-    return sum(w * (_sin_ratio(A, m + q) + parity * _sin_ratio(A, m - q)) for w, m in zip(coef, levels))
 
 
 class TestLevelSum:
@@ -432,32 +412,6 @@ class TestSinRatio:
             assert got == pytest.approx(math.sin(A * d) / d, rel=1e-15, abs=0.0)
 
 
-def momentum_double_sum(N, hbar, L, x, p):
-    """Slow oracle of the truncated box momentum symbol: the reduced real
-    form of the epsilon double sum over pairs j > k with j + k odd, pairing
-    (j, k) with (k, j) so that the complex prefactors become 2 Im C_jk
-    sin(...) factors; O(N^2) sin(A d)/d passes."""
-    x_arr = np.asarray(x, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    A = 2.0 * np.maximum(L - np.abs(x_arr), 0.0) / hbar
-    tot = np.zeros(np.broadcast(x_arr, p_arr).shape)
-    for jj in range(2, N + 1):
-        for kk in range(1, jj):
-            if (jj + kk) % 2 == 0:
-                continue
-            c_im = -hbar / L * 2.0 * jj * kk / (jj**2 - kk**2)  # Im C_jk
-            g1 = math.pi * hbar * (jj + kk) / (4.0 * L)
-            g2 = math.pi * hbar * (jj - kk) / (4.0 * L)
-            ph1 = (math.pi / (2.0 * L)) * (jj - kk) * (x_arr + L)
-            ph2 = (math.pi / (2.0 * L)) * (jj + kk) * (x_arr + L)
-            bracket = np.sin(ph1) * (_sin_ratio(A, p_arr - g1) - _sin_ratio(A, p_arr + g1)) - np.sin(
-                ph2
-            ) * (_sin_ratio(A, p_arr - g2) - _sin_ratio(A, p_arr + g2))
-            tot = tot - c_im * bracket
-    tot = tot * (hbar / (2.0 * L)) * 2.0
-    return np.where(np.abs(x_arr) > L, 0.0, tot)
-
-
 momentum_settings = settings(deadline=None, derandomize=True, max_examples=60)
 momentum_case = dict(
     N=st.integers(1, 64), mu=st.floats(0.5, 2.0), L=st.floats(0.5, 2.0),
@@ -568,6 +522,7 @@ class TestMomentumSymbolBox:
         assert symbol_truncated_momentum_box(5, 0.2, 1.0, 1.01, 0.7) == 0.0
 
     def test_matches_quadrature_oracle(self):
+        # the quadrature checks the double-sum oracle, which checks the program
         N, mu, L = 6, 1.0, 1.0
         hbar = mu / N
         basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
@@ -579,8 +534,9 @@ class TestMomentumSymbolBox:
         x, p = 0.3, 1.0
         spec = box_quadrature_spec(hbar, L, x, p, mu)
         got = symbol_from_kernel(kernel, hbar, spec, x, p, y_support=2 * (L - abs(x)) / hbar)
-        want = symbol_truncated_momentum_box(N, hbar, L, x, p)
-        assert got == pytest.approx(want, abs=1e-7)
+        direct = float(momentum_double_sum(N, hbar, L, x, p))
+        assert got == pytest.approx(direct, abs=1e-7)
+        assert symbol_truncated_momentum_box(N, hbar, L, x, p) == pytest.approx(direct, abs=1e-12)
 
 
 class TestRescaledKernel:
@@ -616,8 +572,8 @@ class TestRescaledKernel:
         tol = 1e-12 * (2 * N + 1)
         kernel = 2.0 * math.pi * hbar * box_projection_kernel(N, L, x1, y1)
         np.testing.assert_allclose(got, kernel, rtol=0, atol=tol)
-        modes = [box_wavefunctions(N, L, a.ravel()) for a in np.broadcast_arrays(x1, y1)]
-        mode_sum = 2.0 * math.pi * hbar * np.sum(modes[0] * modes[1], axis=0).reshape(got.shape)
+        basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
+        mode_sum = 2.0 * math.pi * hbar * projection_kernel_sum(basis, N, x1, y1)
         np.testing.assert_allclose(got, mode_sum, rtol=0, atol=tol)
         outside = (np.abs(x1) > L) | (np.abs(y1) > L)
         assert np.all(got[outside] == 0.0)
@@ -680,14 +636,16 @@ class TestNormIdentityOnGrid:
 
 class TestClosedFormsAgainstQuadrature:
     def test_fifty_random_points(self):
-        # every closed-form symbol vs the quadrature transform of its kernel
+        # the projection and momentum symbols against their direct sums, and
+        # those and the rank-one operator symbol against the quadrature
+        # transform of their kernels
         rng = np.random.default_rng(2024)
         mu, L = 1.0, 1.0
         N = 5
         hbar = mu / N
-        ke = box_kernel(N, L)
         mat = box_momentum_matrix(N, L, hbar)
         basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
+        ke = summed_kernel(basis, N)
 
         def mom_kernel(xa, ya):
             return truncated_operator_kernel(mat, basis, xa, ya)
@@ -698,9 +656,11 @@ class TestClosedFormsAgainstQuadrature:
             p = rng.uniform(-4.0, 4.0)
             spec = box_quadrature_spec(hbar, L, x, p, mu)
             q_proj = symbol_from_kernel(ke, hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
-            c_proj = symbol_projection_box(N, hbar, L, x, p)
+            c_proj = float(projection_direct_sum(N, hbar, L, x, p))
+            assert abs(symbol_projection_box(N, hbar, L, x, p) - c_proj) <= 1e-12
             q_mom = symbol_from_kernel(mom_kernel, hbar, spec, x, p, y_support=0.0)
-            c_mom = symbol_truncated_momentum_box(N, hbar, L, x, p)
+            c_mom = float(momentum_double_sum(N, hbar, L, x, p))
+            assert abs(symbol_truncated_momentum_box(N, hbar, L, x, p) - c_mom) <= 1e-12
             j, k = int(rng.integers(1, N + 1)), int(rng.integers(1, N + 1))
 
             def rank_kernel(xa, ya, j=j, k=k):
@@ -739,9 +699,11 @@ class TestOscillatorLaguerreSymbol:
     @osc_settings
     @given(N=st.integers(1, 24), mu=st.floats(0.5, 2.0), x=coord, p=coord)
     def test_matches_quadrature_oracle(self, N, mu, x, p):
+        # the quadrature checks the Laguerre-sum oracle, which checks the program
         hbar = mu / N
-        got = symbol_oscillator_projection(N, hbar, x, p)
-        assert abs(got - oscillator_quadrature_oracle(N, hbar, x, p)) <= 1e-10
+        direct = float(oscillator_projection_sum(N, hbar, x, p))
+        assert abs(oscillator_quadrature_oracle(N, hbar, x, p) - direct) <= 1e-10
+        assert abs(symbol_oscillator_projection(N, hbar, x, p) - direct) <= 1e-12
 
     @osc_settings
     @given(
@@ -791,23 +753,12 @@ class TestOscillatorLaguerreSymbol:
             symbol_oscillator_projection(N, 0.1, 0.0, 0.0)
 
 
-def laguerre_direct(d, z, count):
-    """l_n^(d)(z) in plain floats (no underflow guard), for moderate z."""
-    L = [1.0, 1.0 + d - z]
-    for n in range(1, count - 1):
-        L.append(((2 * n + 1 + d - z) * L[n] - (n + d) * L[n - 1]) / (n + 1))
-    return [
-        math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n + d + 1)) - 0.5 * z) * z ** (0.5 * d) * L[n]
-        for n in range(count)
-    ]
-
-
 class TestLaguerreFunctions:
     @pytest.mark.parametrize("d", [0, 1, 3])
     def test_yielded_at_true_scale(self, d):
         z = np.array([0.0, 0.5, 7.3, 40.0])
         got = np.array(list(_laguerre_functions(d, z, 30)))
-        want = np.array([laguerre_direct(d, float(v), 30) for v in z]).T
+        want = laguerre_direct(d, z, 30)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_far_tail_is_exact_zeros(self):
@@ -990,6 +941,22 @@ def test_rejects_fractional_rank_and_infinite_scale(call, name):
         RANK_SCALE_CALLS[call][0](*BAD_RANK_SCALE[name])
 
 
+@pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
+def test_momenta_whose_phases_overflow_give_zero(symbol):
+    # at p = 1e308 cos(A q) took an overflowed A q and gave NaN; every
+    # quotient sin(A t)/t there is below 1/q, so the symbol is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1e308, -1e308, sys.float_info.max):
+            assert symbol(5, 0.2, 1.0, 0.1, p) == 0.0
+        grid = symbol(5, 0.2, 1.0, np.array([[0.1], [1.0]]), np.array([1e308, 0.5]))
+    np.testing.assert_array_equal(grid, [[0.0, symbol(5, 0.2, 1.0, 0.1, 0.5)], [0.0, 0.0]])
+    # a NaN p raised IndexError, a NaN x gave NaN, or 0 beside p = 0
+    for x, p, name in ((0.1, math.nan, "p"), (np.array([0.1, math.nan]), 0.0, "x")):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            symbol(5, 0.2, 1.0, x, p)
+
+
 box_settings = settings(deadline=None, derandomize=True, max_examples=40)
 
 
@@ -1017,11 +984,7 @@ class TestBoxWallsAndResonances:
         p = sign * math.pi * hbar * k / (2.0 * L)
         got = symbol_projection_box(N, hbar, L, x, p)
         assert math.isfinite(got)
-        want = symbol_from_kernel(
-            box_kernel(N, L), hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p,
-            y_support=box_y_support(hbar, L, x),
-        )
-        assert abs(got - want) <= 1e-8
+        assert abs(got - float(projection_direct_sum(N, hbar, L, x, p))) <= 1e-12
 
     @box_settings
     @given(
