@@ -18,20 +18,17 @@ import argparse
 import json
 import math
 import sys
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from . import __version__
+from .basis import EigenBasis, Model
 from .diag import SweepConfig, default_n_levels, edge_section, run_sweep
 from .moyal import FiniteRankOperator, _check_direct_grid, direct_grid
 from .moyal import moyal_direct, moyal_via_composition
 from .scale import PhaseGrid, SymbolField
-from .weyl import (
-    momentum_symbol_field,
-    projection_symbol_field,
-    symbol_oscillator_projection,
-)
+from .weyl import _oscillator_projection_field, momentum_symbol_field, projection_symbol_field
 
 _EXIT_OK = 0
 _EXIT_VERDICT = 1
@@ -133,7 +130,7 @@ def _cmd_field(args: argparse.Namespace, argv: list[str]) -> int:
         else:
             fld = momentum_symbol_field(N, hbar, L, grid)
     elif args.observable == "projection":
-        fld = SymbolField.sample(partial(symbol_oscillator_projection, N, hbar), grid, levels=N)
+        fld = _oscillator_projection_field(N, hbar, grid)
     else:
         raise ValueError("the momentum field is box-only; --model osc renders the projection")
     if args.format == "csv":
@@ -220,8 +217,6 @@ def _cmd_moyal_check(args: argparse.Namespace, argv: list[str]) -> int:
     grid = direct_grid(N, mu, L)
     _check_direct_grid(N, grid)  # the moyal-idempotency guard
     fld = projection_symbol_field(N, hbar, L, grid)
-    from .basis import EigenBasis, Model
-
     basis = EigenBasis(Model.BOX, hbar=hbar, box_half_width=L)
     proj = FiniteRankOperator(basis=basis, coeff=np.eye(N, dtype=complex))
     rng = np.random.default_rng(args.seed)

@@ -180,6 +180,7 @@ def edge_profile_p(x: float, v: float, mu: float, L: float) -> float:
     for v < 0.  At v = 1/2, g = 0 and the profile is exactly 1/2.
     """
     _check_scales(mu, L, x=x, v=v)
+    x, v = float(x), float(v)  # numpy floats would warn where c v overflows
     if abs(x) >= L:
         return 0.0
     c = math.pi * (L - abs(x)) / L

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .basis import EigenBasis, Model
-from .scale import PhaseGrid, SymbolField, _check_budget, _point_arrays
+from .kernel import _check_levels
+from .scale import PhaseGrid, SymbolField, _at_points, _check_budget
 from .truncate import MAX_DIMENSION
 from .weyl import _box_operator_symbol, _oscillator_operator_symbol
 
@@ -62,20 +64,21 @@ class FiniteRankOperator:
 def operator_symbol_complex(basis: EigenBasis, coeff: np.ndarray, hbar: float, x, p):
     """Symbol of sum M_jk |u_j><u_k|; complex for non-Hermitian M.
 
-    Both models broadcast over arrays of points: the box by its rank-one
-    closed forms grouped by j + k and j - k, the oscillator by Groenewold's
-    associated-Laguerre form.  coeff must be a square matrix, and hbar the
-    basis's own.
+    Both models broadcast over arrays of points, in the blocks of
+    `scale._at_points`: the box by its rank-one closed forms grouped by
+    j + k and j - k, the oscillator by Groenewold's associated-Laguerre
+    form.  coeff must be a square matrix, hbar the basis's own, and no
+    coordinate NaN.
     """
     if hbar != basis.hbar:
         raise ValueError(f"hbar = {hbar!r} differs from the basis's hbar = {basis.hbar!r}")
     coeff = np.asarray(coeff)
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
         raise ValueError(f"coeff must be a square matrix, got shape {coeff.shape}")
-    x_arr, p_arr, unwrap = _point_arrays(x, p)
     if basis.model is Model.BOX:
-        return unwrap(_box_operator_symbol(coeff, hbar, basis.L, x_arr, p_arr))
-    return unwrap(_oscillator_operator_symbol(coeff, hbar, x_arr, p_arr))
+        fn = partial(_box_operator_symbol, coeff, hbar, basis.L)  # 2N - 1 entries per point
+        return _at_points(fn, *np.broadcast_arrays(x, p), 2 * coeff.shape[0] - 1)
+    return _at_points(partial(_oscillator_operator_symbol, coeff, hbar), x, p, 1)
 
 
 def moyal_via_composition_complex(
@@ -184,6 +187,7 @@ def moyal_direct(sigma1: SymbolField, sigma2: SymbolField, hbar: float, x: float
     conj(S1 F)), and O(M^2) per p.
     Returns a float for scalar p, else an array shaped like p.
     """
+    _check_levels(1, hbar)  # hbar alone: finite and > 0
     if sigma1.grid != sigma2.grid:
         raise ValueError("incompatible grids")
     g = sigma1.grid

@@ -1,26 +1,26 @@
-"""Phase-space grids and sampled symbol fields.
+"""Phase-space grids, sampled symbol fields, and the one block rule.
 
 The joint limit studied by this package couples the Planck constant to the
 truncation rank through hbar * N = mu; every caller passes hbar = mu / N
 as a plain float.  Phase-space data lives on midpoint-rule rectangular
 grids (:class:`PhaseGrid`) as plain real arrays (:class:`SymbolField`),
-each filled by `SymbolField.sample` in blocks of cells under the one work
-budget that every layer shares.
+under the one work budget that every layer shares.
 
-A block holds at most _BLOCK_CELLS = 2^15 cells (or one row) and at most 64
-_BLOCK_CELLS entries of each of its symbol's tables of one entry per level
-and x entry (the momentum's prefix sums, the level sum's sines) or per
-level and p entry (the level sum's reciprocals): `levels` entries per x row
-and per p column for a field, N per x entry and per p entry for a box point
-call, which the same loop (`_in_blocks`) cuts into blocks of points under
-the same rule.  Blocks take x rows and, on two or more axes, p columns.
-Cells are independent, so every blocking gives the same bits.  The CSV
-writer spells a field's values in numpy, in blocks of grid rows whose byte
-buffers hold at most 8 _BLOCK_CELLS bytes, the 256 KiB of one temporary.
+Every symbol evaluation, a field or a call at points, goes through
+`_at_points` in the blocks of one rule on the shapes alone (`_blocks`): a
+block holds at most _BLOCK_CELLS = 2^15 cells (or one leading row) and at
+most 64 _BLOCK_CELLS entries of each table of `levels` entries per x entry
+(the momentum's prefix sums, the level sum's sines) or per p entry (the
+level sum's reciprocals): N for the box symbols and the oscillator
+projection, 2N - 1 per point for the box operator symbol, whose x and p go
+in broadcast.  Blocks take leading rows and, on two or more axes, last-axis
+columns; cells are independent, so every blocking gives the same bits.  The
+CSV writer spells values in blocks of at most 8 _BLOCK_CELLS bytes of text.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,7 +29,7 @@ import numpy as np
 __all__ = ["PhaseGrid", "SymbolField"]
 
 _BUDGET = 2_000_000_000  # largest N * (grid cells or terms per level) of a request
-_BLOCK_CELLS = 1 << 15  # cells per block of a grid field (256 KiB per temporary)
+_BLOCK_CELLS = 1 << 15  # cells per block of a symbol evaluation (256 KiB per temporary)
 
 
 def _check_budget(N: int, points: int) -> None:
@@ -39,38 +39,10 @@ def _check_budget(N: int, points: int) -> None:
         raise ValueError(f"resource guard exceeded (N * points budget) at N = {N}")
 
 
-def _table_rows(entries: int) -> int:
-    """Rows of `entries` table entries each that fit in 64 _BLOCK_CELLS
-    entries, at least one: the table rule of fields and point calls."""
-    return max(1, 64 * _BLOCK_CELLS // max(entries, 1))
-
-
-def _in_blocks(fn, x: np.ndarray, p: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """fn(x, p) on arrays of one ndim that broadcast, called on blocks of at
-    most `rows` leading-axis rows and, with two or more axes, `cols`
-    last-axis columns, and written into one array of the broadcast shape.
-    An argument of length one on a cut axis goes whole to every block; an
-    empty block is never computed.  Cells are independent, so every
-    blocking is bit-identical to one call."""
-    out = np.empty(np.broadcast_shapes(x.shape, p.shape))  # raises on shapes that do not broadcast
-    for i in range(0, out.shape[0], rows):
-        r = slice(i, i + rows)
-        x_r, p_r = (a[r] if a.shape[0] > 1 else a for a in (x, p))
-        if out.ndim == 1:
-            out[r] = fn(x_r, p_r)
-            continue
-        for j in range(0, out.shape[-1], cols):
-            c = slice(j, j + cols)
-            out[r, ..., c] = fn(*(a[..., c] if a.shape[-1] > 1 else a for a in (x_r, p_r)))
-    return out
-
-
 def _point_arrays(x, y):
-    """Float arrays of two point coordinates, each of its own size with
-    leading unit axes up to one ndim (at least 1), and the function that
-    hands a result on their broadcast shape back in the caller's form: the
-    single element (float or complex, from the dtype) when both coordinates
-    were scalars, else the array."""
+    """Float arrays of two point coordinates, of one ndim (at least 1) by
+    leading unit axes, and the function that hands a result back as its one
+    element (float or complex) when both coordinates were scalars."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     nd = max(x_arr.ndim, y_arr.ndim)
@@ -78,6 +50,44 @@ def _point_arrays(x, y):
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return x_arr, y_arr, lambda out: out.item()
     return x_arr, y_arr, lambda out: out
+
+
+@lru_cache(maxsize=64)
+def _blocks(x_shape: tuple, p_shape: tuple, levels: int, cells: int) -> tuple:
+    """The one block rule (module docstring) on the shapes of x and p, of
+    one ndim: their broadcast shape, a block's leading rows and its columns."""
+    shape = np.broadcast_shapes(x_shape, p_shape)  # raises on shapes that do not broadcast
+    row = levels * max(math.prod(s[1:]) if s[0] > 1 else 1 for s in (x_shape, p_shape))
+    col = levels * max(math.prod(s[1:-1]) for s in (x_shape, p_shape))
+    rows = max(1, min(cells // max(math.prod(shape[1:]), 1), 64 * cells // max(row, 1)))
+    return shape, rows, max(1, 64 * cells // max(col, 1))
+
+
+def _at_points(fn, x, p, levels: int):
+    """fn(x, p) at x and p as float arrays (`_point_arrays`), a NaN refused,
+    in the blocks of `_blocks`: one block keeps fn's result if it has their
+    shape, others fill one array of it and fn's dtype; scalars give a scalar."""
+    x, p, unwrap = _point_arrays(x, p)
+    for name, a in (("x", x), ("p", p)):
+        # one element by `math.isnan`: numpy's call costs a few percent of a point
+        if math.isnan(a.item()) if a.size == 1 else np.isnan(a).any():
+            raise ValueError(f"{name} must be a number, not NaN")
+    shape, rows, cols = _blocks(x.shape, p.shape, levels, _BLOCK_CELLS)
+    wide = len(shape) > 1  # cut into columns as well
+    if rows >= shape[0] and (not wide or cols >= shape[-1]):
+        out = fn(x, p)
+        return unwrap(out if np.shape(out) == shape else np.broadcast_to(out, shape).copy())
+    out = None
+    for i in range(0, shape[0], rows):
+        x_r, p_r = (a[i : i + rows] if a.shape[0] > 1 else a for a in (x, p))
+        for j in range(0, shape[-1] if wide else 1, cols):
+            c = (..., slice(j, j + cols)) if wide else ()
+            block = fn(*(a[c] if a.shape[-1] > 1 else a for a in (x_r, p_r)))
+            if out is None:
+                out = np.empty(shape, dtype=np.result_type(block))
+            out[(slice(i, i + rows),) + c] = block
+            del block  # not alive beside the next block's temporaries
+    return unwrap(out)
 
 
 @dataclass(frozen=True)
@@ -168,19 +178,13 @@ class SymbolField:
 
     @classmethod
     def sample(cls, fn, grid: PhaseGrid, levels: int = 1) -> "SymbolField":
-        """Sample a broadcastable fn(x, p) on the grid, one call per block of cells.
-
-        fn makes `levels` passes over the cells, checked against the work
-        budget before fn is called.  A block holds at most _BLOCK_CELLS cells
-        (or one row), and at most 64 _BLOCK_CELLS entries of fn's tables of
-        `levels` doubles per x row and of those per p column: a grid row
-        longer than that goes in blocks of columns.  Cells are independent,
-        so every blocking is bit-identical to one call; the filled array is
-        adopted, not copied.
-        """
+        """Sample a broadcastable fn(x, p) of `levels` passes over the cells
+        on the grid, in the blocks of `_at_points`, after the budget check;
+        the filled array is adopted, not copied, but fn's own of a one-block
+        grid (256 KiB at most) is, since fn may keep it."""
         _check_budget(levels, grid.nx * grid.np)
-        rows = max(1, min(_BLOCK_CELLS // grid.np, _table_rows(levels)))
-        return cls._adopt(grid, _in_blocks(fn, *grid.meshgrid(), rows, _table_rows(levels)))
+        vals = _at_points(fn, *grid.meshgrid(), levels)
+        return cls._adopt(grid, np.array(vals) if np.size(vals) <= _BLOCK_CELLS else vals)
 
     def to_csv(self, path) -> None:
         """Write rows `x,p,value`, x outer ascending, p inner ascending, each

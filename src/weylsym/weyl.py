@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .kernel import _check_box, _check_levels, _sin_ratio, dirichlet_kernel
-from .scale import PhaseGrid, SymbolField, _in_blocks, _point_arrays, _table_rows
+from .scale import PhaseGrid, SymbolField, _at_points, _point_arrays
 
 __all__ = [
     "symbol_projection_box",
@@ -98,7 +98,7 @@ def _level_sum(coef, levels: np.ndarray, parity: float, A: np.ndarray, q: np.nda
             for a, b in ((sin_m, u), (cos_m, v))
         )
     else:
-        c = max(1, min(levels.size, _LEVEL_CHUNK // cells))
+        c = max(1, min(levels.size, _LEVEL_CHUNK // max(cells, 1)))
         # run[0] holds the (even, odd) sums and run[1:] a chunk's products; the
         # pair axis keeps the levels off the innermost axis, which numpy would
         # reduce pairwise.  One level per chunk adds in place, with no run.
@@ -154,30 +154,17 @@ def _projection_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np
     return np.where(far, 0.0, tot) if far.any() else tot
 
 
-def _box_symbol(values, N: int, hbar: float, L: float, x, p):
-    """A box closed form at points, in blocks of points whose tables of N
-    entries per x entry and per p entry stay under the field's table bound:
-    rows by x's entries per row, columns by p's per column of one row.
-    A NaN coordinate is refused."""
-    N = _check_box(L, hbar, N)
-    x_arr, p_arr, unwrap = _point_arrays(x, p)
-    for name, arr in (("x", x_arr), ("p", p_arr)):
-        if np.isnan(arr).any():
-            raise ValueError(f"{name} must be a number, not NaN")
-    rows = _table_rows(N * x_arr[:1].size)
-    cols = _table_rows(N * math.prod(p_arr.shape[1:-1]))
-    return unwrap(_in_blocks(partial(values, N, hbar, L), x_arr, p_arr, rows, cols))
-
-
 def symbol_projection_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the rank-N box projection; 0 for |x| > L."""
-    return _box_symbol(_projection_symbol_values, N, hbar, L, x, p)
+    N = _check_box(L, hbar, N)
+    return _at_points(partial(_projection_symbol_values, N, hbar, L), x, p, N)
 
 
 def symbol_truncated_momentum_box(N: int, hbar: float, L: float, x, p) -> np.ndarray | float:
     """Closed-form symbol of the truncated box momentum; odd in p, 0 for
     |x| >= L, O(N) per point."""
-    return _box_symbol(_momentum_symbol_values, N, hbar, L, x, p)
+    N = _check_box(L, hbar, N)
+    return _at_points(partial(_momentum_symbol_values, N, hbar, L), x, p, N)
 
 
 def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
@@ -316,11 +303,15 @@ def symbol_oscillator_projection(N: int, hbar: float, x, p) -> np.ndarray | floa
     operations per call; broadcasts x against p.
     """
     N = _check_levels(N, hbar)
-    x_arr, p_arr, unwrap = _point_arrays(x, p)
+    return _at_points(partial(_oscillator_projection_values, N, hbar), x, p, N)
+
+
+def _oscillator_projection_values(N: int, hbar: float, x_arr, p_arr) -> np.ndarray:
+    z = _oscillator_z(hbar, x_arr, p_arr)
     total = 0.0
-    for n, ell in enumerate(_laguerre_functions(0, _oscillator_z(hbar, x_arr, p_arr), N)):
+    for n, ell in enumerate(_laguerre_functions(0, z, N)):
         total = total - ell if n % 2 else total + ell
-    return unwrap(np.reshape(2.0 * total, np.broadcast_shapes(x_arr.shape, p_arr.shape)))
+    return np.reshape(2.0 * total, z.shape)  # a float at one point
 
 
 def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) -> np.ndarray:
@@ -354,7 +345,7 @@ def _oscillator_operator_symbol(coeff: np.ndarray, hbar: float, x_arr, p_arr) ->
 
 
 def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr) -> np.ndarray:
-    """Symbol of sum_{j,k} M_jk |u_j><u_k| for the box, x and p broadcasting.
+    """Symbol of sum_{j,k} M_jk |u_j><u_k| for the box, at x and p of one shape.
 
     With s = j + k, t = j - k, theta = pi (x + L) / 2L, g = pi hbar / 4L,
     A = 2 (L - |x|) / hbar and S(d) = sin(A d) / d, the symbol of |u_j><u_k| is
@@ -374,14 +365,13 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
     j, k = np.indices(coeff.shape)
     W = np.zeros((t.size, s.size), dtype=complex)
     W[j - k + N - 1, j + k] = coeff
-    x_arr, p_arr = np.broadcast_arrays(x_arr, p_arr)
     x = x_arr.reshape(-1, 1)
     p = p_arr.reshape(-1, 1)
     A = 2.0 * np.maximum(L - np.abs(x), 0.0) / hbar
     theta = math.pi * (x + L) / (2.0 * L)
     g = math.pi * hbar / (4.0 * L)
     # as for the projection symbol's q = |p| / 2g; A g <= pi / 2 keeps the rest finite
-    far = (np.abs(p[:, 0]) > _Q_FAR * 2.0 * g) & ~np.isnan(x[:, 0])
+    far = np.abs(p[:, 0]) > _Q_FAR * 2.0 * g
     p = np.where(far[:, None], 0.0, p)
     out = np.zeros(x.shape[0], dtype=complex)
     for e in (1, -1):
@@ -404,3 +394,9 @@ def momentum_symbol_field(N: int, hbar: float, L: float, grid: PhaseGrid) -> Sym
     """Truncated box momentum symbol sampled on a grid."""
     N = _check_box(L, hbar, N)
     return SymbolField.sample(partial(_momentum_symbol_values, N, hbar, L), grid, levels=N)
+
+
+def _oscillator_projection_field(N: int, hbar: float, grid: PhaseGrid) -> SymbolField:
+    """Oscillator projection symbol sampled on a grid (the CLI's osc field)."""
+    N = _check_levels(N, hbar)
+    return SymbolField.sample(partial(_oscillator_projection_values, N, hbar), grid, levels=N)

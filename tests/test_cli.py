@@ -174,23 +174,32 @@ class TestFieldCommand:
         assert not sampled[0].values.flags.writeable
 
     def test_oscillator_field_is_built_in_blocks(self, tmp_path):
-        # one unblocked call on the whole 300^2 grid peaked at 7.05 MB, and
-        # at 111 MB of VmHWM on 1000^2 against 39 MB for the box field
-        tracemalloc.start()
-        try:
-            code = run(["field", "--model", "osc", "--N", "60", "--grid", "-2:2:300,-2:2:300",
-                        "-o", str(tmp_path / "o.csv")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        # the field, and at most 16 block-sized temporaries
-        assert peak < 300 * 300 * 8 + 16 * (1 << 15) * 8
+        # the field and a point call on its grid's meshgrid take the same
+        # blocks of `scale._at_points`; one unblocked call on the whole 300^2
+        # grid peaked at 7.05 MB, and at 111 MB of VmHWM on 1000^2 against
+        # 39 MB for the box field
+        grid = PhaseGrid(-2.0, 2.0, -2.0, 2.0, 300, 300)
+        builds = (
+            (lambda: run(["field", "--model", "osc", "--N", "60", "--grid", "-2:2:300,-2:2:300",
+                          "-o", str(tmp_path / "o.csv")]), lambda out: out == 0),
+            (lambda: symbol_oscillator_projection(60, 1.0 / 60, *grid.meshgrid()),
+             lambda out: np.shape(out) == (300, 300)),
+        )
+        for build, built in builds:
+            tracemalloc.start()
+            try:
+                out = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert built(out)
+            # the field, and at most 16 block-sized temporaries
+            assert peak < 300 * 300 * 8 + 16 * (1 << 15) * 8
 
     @pytest.mark.parametrize("model,observable,patched", [
         ("box", "momentum", (weylsym.weyl, "_momentum_symbol_values")),
         ("box", "projection", (weylsym.weyl, "_projection_symbol_values")),
-        ("osc", "projection", (weylsym.cli, "symbol_oscillator_projection")),
+        ("osc", "projection", (weylsym.weyl, "_oscillator_projection_values")),
     ])
     def test_resource_guard_refuses_before_any_symbol(self, tmp_path, monkeypatch, capsys,
                                                       model, observable, patched):

@@ -65,3 +65,22 @@ def test_every_fast_route_names_one_oracle_defined_in_the_tests():
         module, name = oracles[0].split(".")
         tree = ast.parse((Path(__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
         assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, oracles
+
+
+def test_only_scale_reads_the_block_rule():
+    # one block rule for every symbol evaluation: a module that read the
+    # block size, the rule (`_blocks`) or a `_table_rows` table rule of its
+    # own could cut its calls by a second one
+    rule = {"_BLOCK_CELLS", "_blocks", "_table_rows"}
+    for path in sorted(Path(weylsym.__file__).parent.glob("*.py")):
+        if path.name == "scale.py":
+            continue
+        read = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+        assert sorted(read & rule) == [], path.name

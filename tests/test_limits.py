@@ -413,6 +413,13 @@ class TestEdgeProfileP:
         assert edge_profile_p(0.3, v, 1.0, 1.0) == want
         assert abs(edge_profile_p(0.3, 5e307, 1.0, 1.0)) < 1e-300  # c v finite
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v, want", [(np.finfo(float).max, 0.0), (-np.finfo(float).max, 1.0)])
+    def test_numpy_float_v_whose_phase_overflows_warns_nothing(self, v, want):
+        # as numpy floats, c abs(w) and c v overflowed with two RuntimeWarnings
+        assert isinstance(v, np.float64)
+        assert edge_profile_p(np.float64(0.3), v, 1.0, 1.0) == want
+
     def test_near_wall_and_far_v_are_finite(self):
         assert edge_profile_p(0.999, 0.5, 1.0, 1.0) == 0.5
         for x, v in [(0.999999999, 0.7), (0.0, 1e9), (0.3, -1e9), (0.999999999, 1e12)]:

@@ -336,6 +336,14 @@ class TestDirect:
         with pytest.raises(ValueError, match="incompatible grids"):
             moyal_direct(a, b, 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("hbar", [-1.0 / 8, 0.0, math.nan, math.inf])
+    def test_refuses_hbar_not_finite_and_positive(self, hbar):
+        # on the N = 8 grid at (0.1, 0.2), hbar = -1/8 gave 1.0901383597292273
+        # and 0 gave 1.189; NaN and inf gave NaN with a RuntimeWarning
+        f = projection_symbol_field(8, 1.0 / 8, 1.0, direct_grid(8, 1.0, 1.0))
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            moyal_direct(f, f, hbar, 0.1, 0.2)
+
 
 class TestDirectGrid:
     @pytest.mark.parametrize("N, mu, L", [

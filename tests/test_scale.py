@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylsym import scale
+from weylsym import moyal, scale, weyl
+from weylsym.basis import EigenBasis, Model
+from weylsym.moyal import operator_symbol_complex
 from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.weyl import (
     momentum_symbol_field,
     projection_symbol_field,
+    symbol_oscillator_projection,
     symbol_projection_box,
     symbol_truncated_momentum_box,
 )
@@ -76,6 +80,24 @@ class TestSymbolField:
         assert not np.shares_memory(f.values, vals)
         vals[0, 0] = 99.0
         assert f.values[0, 0] == 0.0
+
+    @pytest.mark.parametrize("cells", [1 << 15, 4])
+    def test_sample_spreads_a_result_that_only_broadcasts(self, monkeypatch, cells):
+        # at 16 cells the grid is one block, at a block of 4 cells four; a
+        # result of shape (nx, 1) or () was refused by the shape check when
+        # the whole grid went to fn in one call
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+        g = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 4, 4)
+        f = SymbolField.sample(lambda x, p: np.cos(x), g)
+        assert f.values.tobytes() == np.repeat(np.cos(g.x_centers())[:, None], 4, axis=1).tobytes()
+        assert (SymbolField.sample(lambda x, p: 1.0, g).values == 1.0).all()
+
+    def test_sample_never_freezes_the_array_fn_returns(self):
+        # a one-block grid hands fn's own result back; sample copies it
+        kept = np.arange(16.0).reshape(4, 4)
+        f = SymbolField.sample(lambda x, p: kept, unit_grid(4))
+        assert kept.flags.writeable and not np.shares_memory(f.values, kept)
+        assert f.values.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("builder", [projection_symbol_field, momentum_symbol_field])
     def test_box_builders_hand_their_array_over(self, monkeypatch, builder):
@@ -252,6 +274,92 @@ class TestCsvDigits:
         savetxt_oracle(f, tmp_path / "oracle.csv")
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+_N, _L = 12, 1.0
+_M = np.random.default_rng(5).standard_normal((_N, 2 * _N)).view(complex)
+# the five symbol evaluators at points, each with the (module, name) of the
+# function it hands to `scale._at_points`
+EVALUATORS = {
+    "projection": (partial(symbol_projection_box, _N, 1.0 / _N, _L), (weyl, "_projection_symbol_values")),
+    "momentum": (partial(symbol_truncated_momentum_box, _N, 1.0 / _N, _L), (weyl, "_momentum_symbol_values")),
+    "oscillator": (partial(symbol_oscillator_projection, _N, 1.0 / _N), (weyl, "_oscillator_projection_values")),
+    "box_operator": (
+        partial(operator_symbol_complex, EigenBasis(Model.BOX, hbar=1.0 / _N, box_half_width=_L), _M, 1.0 / _N),
+        (moyal, "_box_operator_symbol"),
+    ),
+    "osc_operator": (
+        partial(operator_symbol_complex, EigenBasis(Model.OSCILLATOR, hbar=1.0 / _N), _M, 1.0 / _N),
+        (moyal, "_oscillator_operator_symbol"),
+    ),
+}
+
+
+class TestOneBlockRule:
+    """`scale._at_points` cuts every symbol evaluation into blocks by one rule."""
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_blocks_give_the_bits_of_one_block(self, monkeypatch, name):
+        # an x column against a p row, and paired points; at 16 cells a block
+        # is one grid row or 16 points, at one cell one row cut into columns
+        # of 64 // levels (5 for N = 12, 2 for the box operator's 2N - 1 = 23)
+        # or one point.  BLAS rounds the box operator's matrix products by
+        # layout: its one-point blocks moved values by up to 2.7e-16 of the
+        # largest, so it agrees within 1e-15 of that, every other evaluator
+        # bit for bit
+        evaluate, (module, values) = EVALUATORS[name]
+        rng = np.random.default_rng(2)
+        calls = [
+            (rng.uniform(-1.2, 1.2, (7, 1)), rng.uniform(-3.0, 3.0, (1, 9))),
+            (rng.uniform(-1.2, 1.2, 40), rng.uniform(-3.0, 3.0, 40)),
+        ]
+        whole = [evaluate(x, p) for x, p in calls]
+        blocks = []
+        inner = getattr(module, values)
+        monkeypatch.setattr(module, values, lambda *args: blocks.append(1) or inner(*args))
+        for cells in (16, 1):
+            monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+            for (x, p), want in zip(calls, whole):
+                blocks.clear()
+                got = evaluate(x, p)
+                assert len(blocks) > 1
+                assert got.dtype == want.dtype
+                if name == "box_operator":
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+                else:
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize("bad", ["x", "p"])
+    def test_nan_coordinate_is_refused(self, name, bad):
+        # the box symbols refused one before; the oscillator symbols and the
+        # box operator symbol gave nan with a RuntimeWarning
+        evaluate = EVALUATORS[name][0]
+        point = {"x": np.array([0.1, 0.2]), "p": 0.3}
+        point[bad] = np.nan if bad == "p" else np.array([0.1, np.nan])
+        with pytest.raises(ValueError, match=f"{bad} must be a number, not NaN"):
+            evaluate(point["x"], point["p"])
+
+    def test_box_operator_symbol_on_a_grid_stays_within_its_block_tables(self, monkeypatch):
+        # tables of 2N - 1 = 127 complex entries per point: one block of the
+        # 64 x 64 grid holds 8 rows, 512 points; the whole grid in one piece
+        # held 8.3 MB per table
+        N = 64
+        basis = EigenBasis(Model.BOX, hbar=1.0 / N, box_half_width=1.0)
+        coeff = np.random.default_rng(4).standard_normal((N, N))
+        grid = PhaseGrid(-1.2, 1.2, -3.0, 3.0, 64, 64)
+        whole = operator_symbol_complex(basis, coeff, 1.0 / N, *grid.meshgrid())
+        cells = 1 << 10
+        monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
+        tracemalloc.start()
+        try:
+            blocked = operator_symbol_complex(basis, coeff, 1.0 / N, *grid.meshgrid())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 64 * cells * 16  # one block's table of complex entries
+        assert peak < 8 * table + blocked.nbytes  # 4.4 tables here
+        assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
 
 
 def savetxt_oracle(field, path):

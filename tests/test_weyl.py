@@ -319,9 +319,10 @@ class TestLevelSum:
         # call on its cells and each point alone by the chunked loop: the
         # same levels in the same order, so the same bits.  p sits on
         # resonances, one ulp either side of them and at +-0.  With
-        # _BLOCK_CELLS = cells the 7 x 16 grid goes in blocks of at most
-        # 64 cells // N = 3 rows and columns, so one-row, one-column and
-        # one-cell blocks all occur
+        # _BLOCK_CELLS = cells the 7 x 16 grid goes in blocks of one row and
+        # at most 64 cells // N = 3 columns, and a row of points in blocks
+        # of at most `cells` points, so one-row, one-column and one-cell
+        # blocks all occur
         hbar, L = 1.3 / N, 0.9
         g = math.pi * hbar / (2.0 * L)
         on = g * np.array([1.0, 2.0, 5.0, -3.0])
@@ -422,9 +423,10 @@ momentum_case = dict(
 class TestMomentumSymbolBox:
     @pytest.mark.parametrize("symbol", [symbol_truncated_momentum_box, symbol_projection_box])
     def test_point_chunks_are_bit_identical(self, monkeypatch, symbol):
-        # blocks hold 64 _BLOCK_CELLS table entries of N per x: a paired
-        # call, an x column against a p row, x against one p and one x
-        # against p, cut into blocks of 17 rows (64 * 16 // 60) and of 4 rows
+        # `scale._at_points` cuts a paired call, an x column against a p row,
+        # x against one p and one x against p into blocks of at most
+        # _BLOCK_CELLS points and 64 _BLOCK_CELLS table entries of N per x
+        # entry: 16 points (64 * 16 // 60 = 17 by the tables) and 4 points
         N, hbar, L = 60, 1.0 / 60, 1.0
         rng = np.random.default_rng(11)
         calls = [
