@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .scale import _point_arrays
+from .scale import _point_arrays, _refuse_nan
 
 __all__ = ["dirichlet_kernel", "sine_kernel", "box_projection_kernel"]
 
@@ -80,7 +80,8 @@ def sine_kernel(x) -> np.ndarray | float:
 
 
 def box_projection_kernel(N: int, L: float, x, y) -> np.ndarray | float:
-    """Kernel of the rank-N box projection at (x, y), 0 unless |x|, |y| <= L.
+    """Kernel of the rank-N box projection at (x, y), 0 unless |x|, |y| <= L;
+    a NaN x or y is refused.
 
     With u_k(x) = sin(k c (x + L)) / sqrt(L), c = pi / 2L,
 
@@ -88,7 +89,10 @@ def box_projection_kernel(N: int, L: float, x, y) -> np.ndarray | float:
     """
     N = _check_box(L, N=N)
     x_arr, y_arr, unwrap = _point_arrays(x, y)
+    _refuse_nan(x=x_arr, y=y_arr)
+    inside = (np.abs(x_arr) <= L) & (np.abs(y_arr) <= L)
+    # points outside, infinite ones too, are masked: 0 stands in for them
+    x_arr, y_arr = np.where(inside, x_arr, 0.0), np.where(inside, y_arr, 0.0)
     c = math.pi / (2.0 * L)
     out = (dirichlet_kernel(N, c * (x_arr - y_arr)) - dirichlet_kernel(N, c * (x_arr + y_arr + 2.0 * L))) / (4.0 * L)
-    inside = (np.abs(x_arr) <= L) & (np.abs(y_arr) <= L)
     return unwrap(np.where(inside, out, 0.0))

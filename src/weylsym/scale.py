@@ -52,6 +52,14 @@ def _point_arrays(x, y):
     return x_arr, y_arr, lambda out: out
 
 
+def _refuse_nan(**coords: np.ndarray) -> None:
+    """Refuse a NaN in any of the named coordinate arrays, by its name."""
+    for name, a in coords.items():
+        # one element by `math.isnan`: numpy's call costs a few percent of a point
+        if math.isnan(a.item()) if a.size == 1 else np.isnan(a).any():
+            raise ValueError(f"{name} must be a number, not NaN")
+
+
 @lru_cache(maxsize=64)
 def _blocks(x_shape: tuple, p_shape: tuple, levels: int, cells: int) -> tuple:
     """The one block rule (module docstring) on the shapes of x and p, of
@@ -68,10 +76,7 @@ def _at_points(fn, x, p, levels: int):
     in the blocks of `_blocks`: one block keeps fn's result if it has their
     shape, others fill one array of it and fn's dtype; scalars give a scalar."""
     x, p, unwrap = _point_arrays(x, p)
-    for name, a in (("x", x), ("p", p)):
-        # one element by `math.isnan`: numpy's call costs a few percent of a point
-        if math.isnan(a.item()) if a.size == 1 else np.isnan(a).any():
-            raise ValueError(f"{name} must be a number, not NaN")
+    _refuse_nan(x=x, p=p)
     shape, rows, cols = _blocks(x.shape, p.shape, levels, _BLOCK_CELLS)
     wide = len(shape) > 1  # cut into columns as well
     if rows >= shape[0] and (not wide or cols >= shape[-1]):

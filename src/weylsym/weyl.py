@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .kernel import _check_box, _check_levels, _sin_ratio, dirichlet_kernel
-from .scale import PhaseGrid, SymbolField, _at_points, _point_arrays
+from .scale import PhaseGrid, SymbolField, _at_points, _point_arrays, _refuse_nan
 
 __all__ = [
     "symbol_projection_box",
@@ -187,7 +187,8 @@ def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.n
     q = |p|, the sum over m is `_level_sum` in units of g_1; +0 at p = 0.
     """
     m = np.arange(1.0, 2 * N, 2).reshape((-1,) + (1,) * x_arr.ndim)  # m = 2i + 1
-    sines = np.sin(m * (math.pi * (x_arr + L) / (2.0 * L)))
+    outside = np.abs(x_arr) >= L  # masked, infinite x too: 0 stands in for them
+    sines = np.sin(m * (math.pi * (np.where(outside, 0.0, x_arr) + L) / (2.0 * L)))
     i = np.arange(N)
     n_d = np.minimum(i, N - i)  # odd d <= D
     hi, lo = N - i, np.minimum(i + 1, N - i)  # odd s in [m + 2, 2N - m], empty for m >= N
@@ -214,7 +215,7 @@ def _momentum_symbol_values(N: int, hbar: float, L: float, x_arr, p_arr) -> np.n
     q, far = _level_units(p_arr, 4.0 * L / (math.pi * hbar))
     tot = _level_sum(coef, m.ravel(), -1.0, alpha, q)
     tot *= np.sign(p_arr) * (-2.0 * hbar / (math.pi * L))
-    return np.where((np.abs(x_arr) >= L) | (p_arr == 0) | far, 0.0, tot)
+    return np.where(outside | (p_arr == 0) | far, 0.0, tot)
 
 
 def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | float:
@@ -227,12 +228,18 @@ def rescaled_kernel_f2(N: int, hbar: float, L: float, x, y) -> np.ndarray | floa
     alone and D_N(c (x1 + y1 + 2L)) = D_N(c (2x + 2L)) on x alone,
     c = pi / 2L.  Each is evaluated on its own coordinate's points; only
     their difference and the mask |x1|, |y1| <= L take the broadcast shape.
+    A NaN x or y is refused.
     """
     N = _check_box(L, hbar, N)
     x_arr, y_arr, unwrap = _point_arrays(x, y)
+    _refuse_nan(x=x_arr, y=y_arr)
+    # |x| > L or |hbar y / 2| > L puts a point outside; masked, infinite ones
+    # too, each axis takes 0 in their place
+    x_in, y_in = np.abs(x_arr) <= L, np.abs(hbar * y_arr / 2.0) <= L
+    x_arr, y_arr = np.where(x_in, x_arr, 0.0), np.where(y_in, y_arr, 0.0)
     shift = hbar * y_arr / 2.0
     c = math.pi / (2.0 * L)
-    inside = (np.abs(x_arr - shift) <= L) & (np.abs(x_arr + shift) <= L)
+    inside = x_in & y_in & (np.abs(x_arr - shift) <= L) & (np.abs(x_arr + shift) <= L)
     across = dirichlet_kernel(N, c * (hbar * y_arr))
     along = dirichlet_kernel(N, c * (2.0 * x_arr + 2.0 * L))
     out = (across - along) / (4.0 * L)
@@ -368,7 +375,8 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
     x = x_arr.reshape(-1, 1)
     p = p_arr.reshape(-1, 1)
     A = 2.0 * np.maximum(L - np.abs(x), 0.0) / hbar
-    theta = math.pi * (x + L) / (2.0 * L)
+    outside = np.abs(x[:, 0]) > L  # masked, infinite x too: 0 stands in for them
+    theta = math.pi * (np.where(outside[:, None], 0.0, x) + L) / (2.0 * L)
     g = math.pi * hbar / (4.0 * L)
     # as for the projection symbol's q = |p| / 2g; A g <= pi / 2 keeps the rest finite
     far = np.abs(p[:, 0]) > _Q_FAR * 2.0 * g
@@ -380,7 +388,7 @@ def _box_operator_symbol(coeff: np.ndarray, hbar: float, L: float, x_arr, p_arr)
         out += np.sum(a * _sin_ratio(A, g * s + e * p), axis=1)
         out -= np.sum(b * _sin_ratio(A, g * t + e * p), axis=1)
     out *= hbar / (2.0 * L)
-    out[(np.abs(x[:, 0]) > L) | far] = 0.0
+    out[outside | far] = 0.0
     return out.reshape(x_arr.shape)
 
 

@@ -103,13 +103,11 @@ def wavefunctions(basis: EigenBasis, k_max: int, x) -> np.ndarray:
     return box_wavefunctions(k_max, basis.L, x)
 
 
-def eigenvalue(basis: EigenBasis, k: int) -> float:
-    """Level k energy: hbar (k - 1/2) for the oscillator, (hbar^2/2)(k pi / 2L)^2 for the box."""
+def oscillator_eigenvalue(hbar: float, k: int) -> float:
+    """Level k energy of the oscillator, hbar (k - 1/2)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if basis.model is Model.OSCILLATOR:
-        return basis.hbar * (k - 0.5)
-    return 0.5 * basis.hbar**2 * (k * math.pi / (2.0 * basis.L)) ** 2
+    return hbar * (k - 0.5)
 
 
 def _kernel_sum(basis: EigenBasis, entries: np.ndarray, x, y):

@@ -1,7 +1,9 @@
 """Direct term-by-term sums of the closed forms, kept as the one slow oracle
 of the box level sum (`weyl._level_sum`), the box projection and momentum
-symbols, and the normalised Laguerre functions behind the oscillator
-projection symbol (`weyl._laguerre_functions`).
+symbols, the normalised Laguerre functions behind the oscillator
+projection symbol (`weyl._laguerre_functions`), the Dirichlet kernel
+(`kernel.dirichlet_kernel`, as its cosine sum) and the sin(A d)/d quotient
+(`kernel._sin_ratio`, as its Taylor series where A d is small).
 
 Every box quotient sin(A d)/d is taken here one by one, with its own
 removable point, in place of the program's angle-addition split; the
@@ -22,6 +24,17 @@ def sin_ratio(A, d):
     live = d != 0
     out[live] = np.sin(A[live] * d[live]) / d[live]
     return out
+
+
+def taylor_sin_ratio(A, d):
+    """4-term Taylor series of sin(A d) / d, exact to rounding for |A d| < 1e-3."""
+    z2 = (A * d) ** 2
+    return A * (1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0)
+
+
+def dirichlet_cosine_sum(N, x):
+    """D_N(x) = 1 + 2 sum_{k<=N} cos(k x) at one point, the cosines summed exactly."""
+    return 1.0 + 2.0 * math.fsum(np.cos(np.arange(1, N + 1) * x))
 
 
 def projection_direct_sum(N, hbar, L, x_arr, p_arr):

@@ -9,10 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum
-from matrix_oracle import box_momentum_matrix, dense_power, hs_norm_sq, ladder_power, rank_one_box_symbol
-from quadrature_oracle import box_distance_x_space, box_quadrature_spec, osc_distance_z_space, symbol_from_kernel_complex
-from sum_oracle import momentum_double_sum, projection_direct_sum
+from eigen_oracle import projection_kernel_sum
+from matrix_oracle import box_momentum_matrix, hs_norm_sq
+from quadrature_oracle import box_distance_x_space, osc_distance_z_space
+from test_truncate import assert_band_meets_ladder_power, assert_momentum_entries_match_quadrature
+from test_weyl import assert_box_symbols_match_quadrature, random_box_points
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.diag import (
@@ -33,7 +34,6 @@ from weylsym.weyl import (
     rescaled_kernel_f2,
     symbol_oscillator_projection,
     symbol_projection_box,
-    symbol_truncated_momentum_box,
 )
 
 
@@ -208,69 +208,35 @@ def test_ac10_origin_parity():
     """Oscillator symbol at the origin alternates between 0 and 2 with N."""
     mu = 1.0
     for N in (4, 5, 6, 7):
-        hbar = mu / N
-        got = symbol_oscillator_projection(N, hbar, 0.0, 0.0)
-        assert abs(got - (1 + (-1) ** (N + 1))) <= 1e-4
-    report("AC-10 origin parity (|sigma(0,0) - (1 + (-1)^(N+1))| <= 1e-4, N in 4..7): PASS")
+        assert symbol_oscillator_projection(N, mu / N, 0.0, 0.0) == 1 + (-1) ** (N + 1)
+    report("AC-10 origin parity (sigma(0,0) = 1 + (-1)^(N+1) exactly, N in 4..7): PASS")
 
 
 def test_ac11_oracle_equivalences():
     """Banded vs explicit ladder powers; momentum entries vs derivative
     quadrature; closed forms vs their direct sums and the quadrature
-    transform; kernel closed form vs eigenfunction sum."""
-    mu = 1.0
+    transform; kernel closed form vs eigenfunction sum.  Parts (a)-(c) run
+    the one check of their oracle family."""
     # (a) banded vs explicit ladder powers
-    N = 16
-    hbar = mu / N
     for (a, b) in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -1.0)):
         for n in range(0, 6):
-            want = ladder_power(a, b, n, hbar, N)[:N, :N]
-            got = dense_power(matrix_linear_power(a, b, n, hbar, N))
-            denom = max(np.linalg.norm(want), 1.0)
-            assert np.linalg.norm(got - want) / denom <= 1e-10
-
+            assert_band_meets_ladder_power(a, b, n, 1.0 / 16, 16)
     # (b) box momentum entries vs derivative quadrature
-    L, hbar = 1.0, 0.25
-    xs, ws = gauss_legendre(400, -L, L)
-    U = box_wavefunctions(12, L, xs)
-    M = box_momentum_matrix(12, L, hbar)
-    for j in range(1, 13):
-        for k in range(1, 13):
-            du = (k * math.pi / (2 * L)) * np.cos(k * math.pi * (xs + L) / (2 * L)) / math.sqrt(L)
-            want = -1j * hbar * float(np.sum(ws * U[j - 1] * du))
-            assert abs(M[j - 1, k - 1] - want) <= 1e-10
-
-    # (c) closed-form symbols at 50 random points: the box projection and
-    # momentum symbols vs their direct sums, the rank-one operator symbol vs
-    # the quadrature transform
-    rng = np.random.default_rng(11)
-    N, L = 6, 1.0
-    hbar = mu / N
-    basis = EigenBasis(Model.BOX, hbar=hbar, box_half_width=L)
-    worst = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(-0.95 * L, 0.95 * L))
-        p = float(rng.uniform(-4.0, 4.0))
-        spec = box_quadrature_spec(hbar, L, x, p, mu)
-        assert abs(symbol_projection_box(N, hbar, L, x, p) - projection_direct_sum(N, hbar, L, x, p)) <= 1e-12
-        assert abs(symbol_truncated_momentum_box(N, hbar, L, x, p) - momentum_double_sum(N, hbar, L, x, p)) <= 1e-12
-        j, k = int(rng.integers(1, N + 1)), int(rng.integers(1, N + 1))
-        q = symbol_from_kernel_complex(
-            lambda xa, ya: box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1],
-            hbar, spec, x, p,
-        )
-        worst = max(worst, abs(q - rank_one_box_symbol(j, k, hbar, L, x, p)))
-    assert worst <= 1e-7
-
+    assert_momentum_entries_match_quadrature(1.0, 0.25)
+    # (c) the box projection and momentum symbols vs their direct sums, and
+    # those and the rank-one operator symbol vs the quadrature transform, at
+    # 50 random points of N = 6
+    assert_box_symbols_match_quadrature(6, random_box_points(6, 11))
     # (d) kernel closed form vs eigenfunction sum
+    L = 1.0
+    basis = EigenBasis(Model.BOX, hbar=1.0 / 6, box_half_width=L)
     rng = np.random.default_rng(12)
     for N in (1, 5, 12):
         for _ in range(20):
             x, y = rng.uniform(-L, L, size=2)
-            assert abs(
-                box_projection_kernel(N, L, x, y) - projection_kernel_sum(basis, N, x, y)
-            ) <= 1e-12
-    report("AC-11 oracle equivalences (ladder 1e-10; C_jk 1e-10; symbols 1e-12, rank one 1e-7; kernels 1e-12): PASS")
+            assert abs(box_projection_kernel(N, L, x, y) - projection_kernel_sum(basis, N, x, y)) <= 1e-12
+    report("AC-11 oracle equivalences (ladder 1e-14 of the largest; C_jk 1e-10; symbols 1e-12, "
+           "quadrature and rank one 1e-8; kernels 1e-12): PASS")
 
 
 def test_ac12_moyal_layer():

@@ -260,9 +260,9 @@ class TestCatalanAndAngular:
 class TestOscillatorParitySpot:
     @pytest.mark.parametrize("N", [4, 5, 6, 7])
     def test_origin_value_tight(self, N):
+        # exact, as for every N of TestOscillatorLaguerreSymbol
         hbar = 1.0 / N
-        got = symbol_oscillator_projection(N, hbar, 0.0, 0.0)
-        assert abs(got - (1 + (-1) ** (N + 1))) <= 1e-6
+        assert symbol_oscillator_projection(N, hbar, 0.0, 0.0) == 1 + (-1) ** (N + 1)
 
 
 class TestConditionC1Bounded:

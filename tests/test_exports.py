@@ -2,7 +2,8 @@
 standard library and numpy.  The benchmark's span tracer wraps the names in
 each module's `__all__` and skips a missing one without a word, so a stale
 export would silently drop its spans.  The README's table of fast routes
-names routes that exist and oracles that the tests define."""
+names routes that exist and oracles that the tests define, and its table
+of claims names registered sweeps and defined acceptance tests."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import weylsym
+from weylsym.diag import EXPERIMENTS
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(weylsym.__path__))
 
@@ -41,18 +43,18 @@ def test_imports_only_stdlib_and_numpy():
     assert sorted(f for f in found if f[1] not in allowed) == []
 
 
-def oracle_table():
-    """(routes, oracles) of each row of the README's table of fast routes,
-    read from the backticked names of its second and third columns."""
+def readme_table(heading):
+    """The backticked names in each cell of each row of the table in the
+    README's section under `heading`."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    policy = readme[readme.index("## Numerical policy"):]
-    rows = [line.strip().split("|")[1:-1] for line in policy.splitlines() if line.strip().startswith("|")]
-    return [(re.findall(r"`([^`]+)`", r[1]), re.findall(r"`([^`]+)`", r[2])) for r in rows[2:]]
+    section = readme[readme.index(heading):].split("\n## ")[0]
+    rows = [re.split(r"(?<!\\)\|", line.strip())[1:-1] for line in section.splitlines() if line.strip().startswith("|")]
+    return [[re.findall(r"`([^`]+)`", cell) for cell in row] for row in rows[2:]]
 
 
 def test_every_fast_route_names_one_oracle_defined_in_the_tests():
-    table = oracle_table()
-    assert len(table) >= 17
+    table = [(row[1], row[2]) for row in readme_table("## Numerical policy")]
+    assert len(table) >= 19
     routes = [route for row_routes, _ in table for route in row_routes]
     assert len(routes) == len(set(routes))
     for row_routes, oracles in table:
@@ -65,6 +67,17 @@ def test_every_fast_route_names_one_oracle_defined_in_the_tests():
         module, name = oracles[0].split(".")
         tree = ast.parse((Path(__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
         assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, oracles
+
+
+def test_every_claim_names_registered_sweeps_and_defined_acceptance_tests():
+    # a fold of the tests must not drop the one acceptance test of a claim
+    table = [(row[1], row[2]) for row in readme_table("## Claims and their checks")]
+    assert len(table) >= 9
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for sweeps, tests in table:
+        assert sorted(set(sweeps) - set(EXPERIMENTS)) == [], sweeps
+        assert tests and sorted(set(tests) - defined) == [], tests
 
 
 def test_only_scale_reads_the_block_rule():
@@ -84,3 +97,17 @@ def test_only_scale_reads_the_block_rule():
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
         assert sorted(read & rule) == [], path.name
+
+
+def test_oracles_import_only_the_descriptors():
+    # an oracle that called a route of the program would share its code
+    # with what it checks; the descriptors name a model or hold a band
+    allowed = {"EigenBasis", "Model", "LadderBand"}
+    for path in sorted(Path(__file__).parent.glob("*_oracle.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names if a.name.split(".")[0] == "weylsym")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "weylsym":
+                imported.update(a.name for a in node.names)
+        assert sorted(imported - allowed) == [], path.name

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_su
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from matrix_oracle import box_momentum_matrix, box_multiplication_matrix
+from sum_oracle import dirichlet_cosine_sum
 
 from weylsym.basis import EigenBasis, Model
 from weylsym.diag import (
@@ -15,10 +17,12 @@ from weylsym.diag import (
     oscillator_disk_distance_sq,
 )
 from weylsym.kernel import box_projection_kernel, dirichlet_kernel, sine_kernel
+from weylsym.moyal import operator_symbol_complex
 from weylsym.scale import PhaseGrid
 from weylsym.weyl import (
     momentum_symbol_field,
     projection_symbol_field,
+    rescaled_kernel_f2,
     symbol_oscillator_projection,
     symbol_projection_box,
     symbol_truncated_momentum_box,
@@ -37,9 +41,7 @@ class TestDirichletKernel:
         assert dirichlet_kernel(3, 2 * math.pi) == pytest.approx(7.0, rel=1e-9)
 
     def test_matches_cosine_sum(self):
-        x = 0.73
-        want = 1.0 + 2.0 * sum(math.cos(k * x) for k in range(1, 5))
-        assert dirichlet_kernel(4, x) == pytest.approx(want, abs=1e-13)
+        assert dirichlet_kernel(4, 0.73) == pytest.approx(dirichlet_cosine_sum(4, 0.73), abs=1e-13)
 
     def test_even_and_bounded(self):
         xs = np.linspace(-8.0, 8.0, 1000)
@@ -58,11 +60,9 @@ class TestDirichletKernel:
         # errors up to 1e-8 (2N + 1) just outside its cosine-sum fallback
         deltas = np.concatenate([-np.logspace(-15, math.log10(3e-5), 25), [0.0],
                                  np.logspace(-15, -4, 25)])
-        k = np.arange(1, N + 1)
         for delta in deltas:
             x = 2 * math.pi * m + delta
-            want = 1.0 + 2.0 * math.fsum(np.cos(k * x))
-            assert abs(dirichlet_kernel(N, x) - want) <= 1e-13 * (2 * N + 1)
+            assert abs(dirichlet_kernel(N, x) - dirichlet_cosine_sum(N, x)) <= 1e-13 * (2 * N + 1)
 
 
 class TestSineKernel:
@@ -157,6 +157,43 @@ class TestProjectionKernel:
     def test_rejects_invalid(self, N, L):
         with pytest.raises(ValueError):
             box_projection_kernel(N, L, 0.1, 0.2)
+
+
+# the box kernels at (x, y) and the box symbols whose tables read x alone
+_BOX_POINT_CALLS = {
+    "box_projection_kernel": (lambda x, y: box_projection_kernel(8, 1.0, x, y), "xy"),
+    "rescaled_kernel_f2": (lambda x, y: rescaled_kernel_f2(8, 1.0 / 8, 1.0, x, y), "xy"),
+    "symbol_truncated_momentum_box": (lambda x, p: symbol_truncated_momentum_box(8, 1.0 / 8, 1.0, x, p), "x"),
+    "box_operator_symbol": (
+        lambda x, p: operator_symbol_complex(box_basis(1.0, 1.0 / 8), np.eye(8) + 0.5j * np.eye(8, k=1), 1.0 / 8, x, p),
+        "x",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name", [
+    (call, name) for call, (_, names) in sorted(_BOX_POINT_CALLS.items()) for name in names
+])
+@pytest.mark.parametrize("far", [math.inf, -math.inf, 1e308])
+def test_coordinates_far_outside_give_zero_with_no_warning(call, name, far):
+    # 0.0 as before, where the kernels' Dirichlet factors and the symbols'
+    # sines of an infinite or overflowing phase emitted RuntimeWarnings
+    f = _BOX_POINT_CALLS[call][0]
+    point = [far, 0.2] if name == "x" else [0.3, far]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f(*point) == 0.0
+        assert f(*(np.array([c, 0.1]) for c in point))[0] == 0.0
+
+
+@pytest.mark.parametrize("call", ["box_projection_kernel", "rescaled_kernel_f2"])
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_nan_coordinate_is_refused(call, name):
+    # both kernels gave 0.0 at a NaN x or y, their in-box masks being false
+    point = {"x": np.array([0.1, 0.2]), "y": 0.3}
+    point[name] = np.array([0.1, math.nan]) if name == "x" else math.nan
+    with pytest.raises(ValueError, match=f"{name} must be a number, not NaN"):
+        _BOX_POINT_CALLS[call][0](point["x"], point["y"])
 
 
 class TestTruncatedOperatorKernel:

@@ -73,50 +73,9 @@ def edge_p_series_oracle(x: float, v: float, L: float, terms: int = 4096) -> flo
     return (head + tail.imag) / math.pi
 
 
-def rectangle(mu: float, L: float):
-    """The indicator of the closed box rectangle |x| <= L, |p| <= pi mu / 2L,
-    as a broadcasting callable (x, p) -> 0.0 or 1.0."""
-    p_half = math.pi * mu / (2.0 * L)
-    return lambda x, p: ((np.abs(x) <= L) & (np.abs(p) <= p_half)).astype(float)
-
-
-class TestClassicalRegion:
-    """The box rectangle, the classical region of the box symbols."""
-
-    def test_rectangle_just_outside(self):
-        mu = 1.0
-        L = math.sqrt(math.pi / 2.0)
-        R = rectangle(mu, L)
-        p_half = math.pi * mu / (2 * L)
-        assert R(0.0, p_half + 0.01) == 0
-        assert R(0.0, p_half) == 1
-        assert R(L, 0.0) == 1
-
-    def test_indicator_broadcasts(self):
-        R = rectangle(1.0, 1.0)
-        xs = np.linspace(-2, 2, 9)[:, None]
-        ps = np.linspace(-3, 3, 7)[None, :]
-        vals = R(xs, ps)
-        assert vals.shape == (9, 7)
-        assert vals.max() == 1 and vals.min() == 0
-
-
-def limit_symbol(f, region, x, p):
-    """f(x, p) cut off on the region: the macroscopic limit of truncations of f."""
-    return f(np.asarray(x, dtype=float), np.asarray(p, dtype=float)) * region(x, p)
-
-
 class TestLimitSymbol:
-    def test_constant_one_is_indicator(self):
-        R = rectangle(1.0, 1.0)
-        for (x, p) in [(0.0, 0.0), (2.0, 2.0), (0.9, 1.5)]:
-            assert limit_symbol(lambda x_, p_: np.ones_like(x_), R, x, p) == R(x, p)
-
-    def test_momentum_cutoff_is_odd(self):
-        R = rectangle(1.0, 1.0)
-        f = lambda x_, p_: p_
-        for p in (0.3, 1.2, 2.0):
-            assert limit_symbol(f, R, 0.2, -p) == -limit_symbol(f, R, 0.2, p)
+    """The oscillator limit symbol (a x + b p)^2n on the disk, by polar
+    quadrature, against its Catalan closed form."""
 
     @pytest.mark.parametrize("n,a,b", [(1, 0.0, 1.0), (2, 1.0, 1.0), (3, 2.0, -1.0)])
     def test_squared_mass_on_disk_matches_catalan(self, n, a, b):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from quadrature_oracle import operator_symbol_quadrature
 from matrix_oracle import box_momentum_matrix, box_multiplication_matrix
 
+from test_scale import BlockCase, assert_blocks_give_the_bits_of_one_block
+
 from weylsym.basis import EigenBasis, Model
 from weylsym.moyal import (
     FiniteRankOperator,
@@ -451,11 +453,8 @@ class TestOscillatorOperatorSymbol:
         ps=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=4),
     )
     def test_broadcast_is_bit_identical_to_scalar_calls(self, m, hbar, xs, ps):
-        basis = osc_basis(hbar)
-        grid = operator_symbol_complex(basis, m, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
-        assert grid.shape == (len(xs), len(ps))
-        scalar = np.array([[operator_symbol_complex(basis, m, hbar, x, p) for p in ps] for x in xs])
-        assert grid.tobytes() == scalar.tobytes()
+        case = BlockCase(m.shape[0], hbar, 1.0, m, [(np.array(xs)[:, None], np.array(ps)[None, :])], ())
+        assert_blocks_give_the_bits_of_one_block("osc_operator", case)
 
     def test_large_rank_corners_finite_with_exact_zeros_far_out(self):
         # |u_M><u_1| and |u_1><u_M| at M = 4096: a single d = M - 1 Laguerre
@@ -578,14 +577,8 @@ class TestBoxOperatorSymbol:
     def test_broadcast_matches_scalar_calls(self, m, mu, L, xs, ps):
         # the points share one BLAS product, whose rounding may differ from a
         # one-point product in the last bits; reruns repeat every bit
-        hbar = mu / m.shape[0]
-        basis = box_basis(hbar, L)
-        grid = operator_symbol_complex(basis, m, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
-        assert grid.shape == (len(xs), len(ps))
-        scalar = np.array([[operator_symbol_complex(basis, m, hbar, x, p) for p in ps] for x in xs])
-        assert np.max(np.abs(grid - scalar)) <= 1e-14 * np.sum(np.abs(m))
-        again = operator_symbol_complex(basis, m, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
-        assert again.tobytes() == grid.tobytes()
+        case = BlockCase(m.shape[0], mu / m.shape[0], L, m, [(np.array(xs)[:, None], np.array(ps)[None, :])], ())
+        assert_blocks_give_the_bits_of_one_block("box_operator", case)
 
 
 class TestOperatorSymbolValidation:

@@ -1,11 +1,13 @@
+import math
 import tempfile
 import tracemalloc
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylsym import moyal, scale, weyl
@@ -276,65 +278,147 @@ class TestCsvDigits:
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+def evaluators(N, hbar, L, m):
+    """The five symbol evaluators at points, at rank N (the operators at the
+    coefficients m), each with the (module, name) of the function it hands
+    to `scale._at_points` and, where it has one, its field."""
+    box, osc = EigenBasis(Model.BOX, hbar=hbar, box_half_width=L), EigenBasis(Model.OSCILLATOR, hbar=hbar)
+    return {
+        "projection": (
+            partial(symbol_projection_box, N, hbar, L), (weyl, "_projection_symbol_values"),
+            partial(projection_symbol_field, N, hbar, L),
+        ),
+        "momentum": (
+            partial(symbol_truncated_momentum_box, N, hbar, L), (weyl, "_momentum_symbol_values"),
+            partial(momentum_symbol_field, N, hbar, L),
+        ),
+        "oscillator": (
+            partial(symbol_oscillator_projection, N, hbar), (weyl, "_oscillator_projection_values"),
+            partial(weyl._oscillator_projection_field, N, hbar),
+        ),
+        "box_operator": (partial(operator_symbol_complex, box, m, hbar), (moyal, "_box_operator_symbol"), None),
+        "osc_operator": (partial(operator_symbol_complex, osc, m, hbar), (moyal, "_oscillator_operator_symbol"), None),
+    }
+
+
+class BlockCase(NamedTuple):
+    """Calls (x, p) of every evaluator at rank N in the box [-L, L], the
+    operators at the coefficients m, under each patched block size of
+    `cells`; a grid also samples the fields."""
+
+    N: int
+    hbar: float
+    L: float
+    m: np.ndarray
+    calls: list
+    cells: tuple = (16, 1)
+    grid: PhaseGrid | None = None
+
+
+@st.composite
+def block_cases(draw):
+    """An x column against a p row and both rows against one coordinate,
+    with walls, signed zeros, the momenta p = k pi hbar / 4L that put a box
+    quotient on its removable point and their ulp neighbours, in blocks of
+    one size."""
+    N, mu, L = draw(st.integers(1, 40)), draw(st.floats(0.05, 12.0)), draw(st.floats(0.5, 2.0))
+    hbar = mu / N
+    g = math.pi * hbar / (4.0 * L)
+    resonance = st.builds(
+        lambda k, side: float(np.nextafter(k * g, side * math.inf)) if side else k * g,
+        st.integers(-4 * N - 4, 4 * N + 4), st.sampled_from((-1, 0, 1)),
+    )
+    x = st.one_of(st.floats(-2.5, 2.5), st.sampled_from((0.0, -0.0, L, -L)))
+    xs = np.array(draw(st.lists(x, min_size=1, max_size=7)))
+    ps = np.array(draw(st.lists(st.one_of(st.floats(-4.0, 4.0), st.just(-0.0), resonance), min_size=1, max_size=5)))
+    size, seed = draw(st.integers(1, 24)), draw(st.integers(0, 2**32 - 1))
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, (size, 2 * size)).view(complex)
+    cells = (draw(st.sampled_from((1, 3, 16))),)
+    return BlockCase(N, hbar, L, m, [(xs[:, None], ps[None, :]), (xs, ps[0]), (xs[0], ps)], cells)
+
+
 _N, _L = 12, 1.0
 _M = np.random.default_rng(5).standard_normal((_N, 2 * _N)).view(complex)
-# the five symbol evaluators at points, each with the (module, name) of the
-# function it hands to `scale._at_points`
-EVALUATORS = {
-    "projection": (partial(symbol_projection_box, _N, 1.0 / _N, _L), (weyl, "_projection_symbol_values")),
-    "momentum": (partial(symbol_truncated_momentum_box, _N, 1.0 / _N, _L), (weyl, "_momentum_symbol_values")),
-    "oscillator": (partial(symbol_oscillator_projection, _N, 1.0 / _N), (weyl, "_oscillator_projection_values")),
-    "box_operator": (
-        partial(operator_symbol_complex, EigenBasis(Model.BOX, hbar=1.0 / _N, box_half_width=_L), _M, 1.0 / _N),
-        (moyal, "_box_operator_symbol"),
-    ),
-    "osc_operator": (
-        partial(operator_symbol_complex, EigenBasis(Model.OSCILLATOR, hbar=1.0 / _N), _M, 1.0 / _N),
-        (moyal, "_oscillator_operator_symbol"),
-    ),
-}
+
+
+def rng_calls(seed, x_max, *shapes):
+    """Calls whose x and p are uniform in [-x_max, x_max] and [-3, 3] (a
+    float shape is that fixed coordinate) from one generator, drawn in turn."""
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(s if isinstance(s, float) else rng.uniform(-b, b, s) for s, b in zip(pair, (x_max, 3.0)))
+        for pair in shapes
+    ]
+
+
+def assert_blocks_give_the_bits_of_one_block(name, case):
+    """Every call of the evaluator `name` equals the paired call on its
+    broadcast cells, and the first one its points called one by one.  Every
+    block size gives the bits of the default one, which holds each of these
+    calls whole, and refuses shapes that do not broadcast; a field has the
+    bits of its grid's call.  BLAS rounds the box operator's matrix products
+    by layout: against single points it agrees within 1e-14 of the sum of
+    |m|, and its one-point blocks moved values by up to 2.7e-16 of the
+    largest, so across blocks it agrees within 1e-15 of that (or of 1)."""
+    evaluate, (module, values), field = evaluators(case.N, case.hbar, case.L, case.m)[name]
+    if name == "box_operator":
+        bound = 1e-14 * np.sum(np.abs(case.m))
+        same = lambda got, want: np.max(np.abs(got - want), initial=0.0) <= bound
+    else:
+        same = lambda got, want: got.tobytes() == want.tobytes()
+    whole = [evaluate(x, p) for x, p in case.calls]
+    for i, ((x, p), want) in enumerate(zip(case.calls, whole)):
+        assert np.shape(want) == np.broadcast_shapes(np.shape(x), np.shape(p))
+        cells = [np.ravel(a) for a in np.broadcast_arrays(x, p)]
+        assert same(np.ravel(want), evaluate(*cells))
+        if i == 0:
+            ones = [evaluate(float(a), float(b)) for a, b in zip(*cells)]
+            assert all(type(one) is type(ones[0]) in (float, complex) for one in ones)
+            assert same(np.ravel(want), np.array(ones))
+    blocks = []
+    inner = getattr(module, values)
+    default = scale._BLOCK_CELLS
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, values, lambda *args: blocks.append(1) or inner(*args))
+        for cells in (default, *case.cells):
+            patch.setattr(scale, "_BLOCK_CELLS", cells)
+            for (x, p), want in zip(case.calls, whole):
+                blocks.clear()
+                got = evaluate(x, p)
+                shape = np.broadcast_shapes(np.shape(x), np.shape(p))
+                if math.prod(shape) > cells and shape[0] > 1:
+                    assert len(blocks) > 1
+                assert got.dtype == want.dtype
+                if name == "box_operator" and cells != default:
+                    assert np.max(np.abs(got - want)) <= 1e-15 * max(np.max(np.abs(want)), 1.0)
+                else:
+                    assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):  # blocks would broadcast where the whole does not
+                evaluate(np.zeros(18), np.ones(17))
+            if case.grid is not None and field is not None:
+                assert field(case.grid).values.tobytes() == whole[0].tobytes()
 
 
 class TestOneBlockRule:
     """`scale._at_points` cuts every symbol evaluation into blocks by one rule."""
 
-    @pytest.mark.parametrize("name", sorted(EVALUATORS))
-    def test_blocks_give_the_bits_of_one_block(self, monkeypatch, name):
-        # an x column against a p row, and paired points; at 16 cells a block
-        # is one grid row or 16 points, at one cell one row cut into columns
-        # of 64 // levels (5 for N = 12, 2 for the box operator's 2N - 1 = 23)
-        # or one point.  BLAS rounds the box operator's matrix products by
-        # layout: its one-point blocks moved values by up to 2.7e-16 of the
-        # largest, so it agrees within 1e-15 of that, every other evaluator
-        # bit for bit
-        evaluate, (module, values) = EVALUATORS[name]
-        rng = np.random.default_rng(2)
-        calls = [
-            (rng.uniform(-1.2, 1.2, (7, 1)), rng.uniform(-3.0, 3.0, (1, 9))),
-            (rng.uniform(-1.2, 1.2, 40), rng.uniform(-3.0, 3.0, 40)),
-        ]
-        whole = [evaluate(x, p) for x, p in calls]
-        blocks = []
-        inner = getattr(module, values)
-        monkeypatch.setattr(module, values, lambda *args: blocks.append(1) or inner(*args))
-        for cells in (16, 1):
-            monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
-            for (x, p), want in zip(calls, whole):
-                blocks.clear()
-                got = evaluate(x, p)
-                assert len(blocks) > 1
-                assert got.dtype == want.dtype
-                if name == "box_operator":
-                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-                else:
-                    assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("name", ["box_operator", "momentum", "osc_operator", "oscillator", "projection"])
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(case=block_cases())
+    # an x column against a p row and paired points; at 16 cells a block is
+    # one grid row or 16 points, at one cell one row cut into columns of
+    # 64 // levels (5 for N = 12, 2 for the box operator's 2N - 1 = 23) or
+    # one point.  The routes' own tests hand their inputs to the same check
+    @example(case=BlockCase(_N, 1.0 / _N, _L, _M, rng_calls(2, 1.2, ((7, 1), (1, 9)), (40, 40))))
+    def test_blocks_give_the_bits_of_one_block(self, name, case):
+        assert_blocks_give_the_bits_of_one_block(name, case)
 
-    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize("name", ["box_operator", "momentum", "osc_operator", "oscillator", "projection"])
     @pytest.mark.parametrize("bad", ["x", "p"])
     def test_nan_coordinate_is_refused(self, name, bad):
         # the box symbols refused one before; the oscillator symbols and the
         # box operator symbol gave nan with a RuntimeWarning
-        evaluate = EVALUATORS[name][0]
+        evaluate = evaluators(_N, 1.0 / _N, _L, _M)[name][0]
         point = {"x": np.array([0.1, 0.2]), "p": 0.3}
         point[bad] = np.nan if bad == "p" else np.array([0.1, np.nan])
         with pytest.raises(ValueError, match=f"{bad} must be a number, not NaN"):

@@ -77,6 +77,28 @@ class TestLadderMatrices:
             assert comm[k, k] == pytest.approx(1j * hbar, abs=1e-12)
 
 
+def assert_band_meets_ladder_power(a, b, n, hbar, N):
+    """The banded power against the explicit one, whose n tridiagonal
+    products sum the weights of every n-step sign sequence: the same zero
+    pattern, and entries within 1e-14 of the largest."""
+    got = dense_power(matrix_linear_power(a, b, n, hbar, N))
+    want = ladder_power(a, b, n, hbar, N)[:N, :N]
+    np.testing.assert_array_equal(got == 0, want == 0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (a, b, n, hbar, N)
+
+
+def assert_momentum_entries_match_quadrature(L, hbar):
+    """C_jk = -i hbar int u_j u_k' dx within 1e-10, every pair of 12 levels."""
+    xs, ws = gauss_legendre(400, -L, L)
+    U = box_wavefunctions(12, L, xs)
+    M = box_momentum_matrix(12, L, hbar)
+    for k in range(1, 13):
+        du_k = (k * math.pi / (2 * L)) * np.cos(k * math.pi * (xs + L) / (2 * L)) / math.sqrt(L)
+        for j in range(1, 13):
+            want = -1j * hbar * float(np.sum(ws * U[j - 1] * du_k))
+            assert abs(M[j - 1, k - 1] - want) <= 1e-10, (L, hbar, j, k)
+
+
 class TestMatrixLinearPower:
     def test_zero_power_is_identity(self):
         hbar = 1.0 / 5
@@ -93,35 +115,18 @@ class TestMatrixLinearPower:
     def test_against_ladder_power_oracle(self):
         # n = 3, (a, b) = (1, 2): the band vs the explicit power on the padded
         # dimension, truncated
-        N, n = 12, 3
-        hbar = 0.25
-        want = ladder_power(1.0, 2.0, n, hbar, N)[:N, :N]
-        got = dense_power(matrix_linear_power(1.0, 2.0, n, hbar, N))
-        err = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert err <= 1e-10
+        assert_band_meets_ladder_power(1.0, 2.0, 3, 0.25, 12)
 
     @pytest.mark.parametrize("ab", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -1.0)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_oracle_equivalence_grid(self, ab, n):
-        a, b = ab
-        N = 16
-        hbar = 1.0 / N
-        want = ladder_power(a, b, n, hbar, N)[:N, :N]
-        got = dense_power(matrix_linear_power(a, b, n, hbar, N))
-        assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+        assert_band_meets_ladder_power(*ab, n, 1.0 / 16, 16)
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_sign_sequence_path_sums(self, n):
-        # banded power against the explicit power, whose n tridiagonal
-        # products sum the weights of every n-step sign sequence, including
         # the ground-state corner and N smaller than the band
-        a, b = 0.6, -0.8
         for N in (1, 2, 5, 40):
-            hbar = 1.3 / N
-            got = dense_power(matrix_linear_power(a, b, n, hbar, N))
-            want = ladder_power(a, b, n, hbar, N)[:N, :N]
-            np.testing.assert_array_equal(got == 0, want == 0)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert_band_meets_ladder_power(0.6, -0.8, n, 1.3 / N, N)
 
     def test_finite_band_exact(self):
         hbar = 1.0 / 10
@@ -240,15 +245,7 @@ class TestBoxMomentumMatrix:
                     assert M[j, k] == 0.0
 
     def test_against_derivative_quadrature(self):
-        # C_jk = -i hbar int u_j u_k' dx
-        L, hbar = 2.0, 0.3
-        xs, ws = gauss_legendre(400, -L, L)
-        U = box_wavefunctions(12, L, xs)
-        M = box_momentum_matrix(12, L, hbar)
-        for (j, k) in [(2, 5), (1, 2), (3, 8), (7, 12)]:
-            du_k = (k * math.pi / (2 * L)) * np.cos(k * math.pi * (xs + L) / (2 * L)) / math.sqrt(L)
-            want = -1j * hbar * float(np.sum(ws * U[j - 1] * du_k))
-            assert M[j - 1, k - 1] == pytest.approx(want, abs=1e-10)
+        assert_momentum_entries_match_quadrature(2.0, 0.3)
 
     def test_antisymmetric_imaginary_hermitian(self):
         M = box_momentum_matrix(9, 1.4, 0.7)

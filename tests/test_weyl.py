@@ -2,14 +2,13 @@ import math
 import sys
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 from eigen_oracle import box_wavefunctions, gauss_legendre, projection_kernel_sum, truncated_operator_kernel
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from matrix_oracle import box_momentum_matrix, dense_power, rank_one_box_symbol
+from matrix_oracle import box_momentum_matrix, dense_power
 from quadrature_oracle import (
     CoverageWarning,
     WeylQuadratureSpec,
@@ -25,7 +24,10 @@ from sum_oracle import (
     momentum_double_sum,
     oscillator_projection_sum,
     projection_direct_sum,
+    taylor_sin_ratio,
 )
+
+from test_scale import BlockCase, assert_blocks_give_the_bits_of_one_block, rng_calls
 
 from weylsym.basis import EigenBasis, Model
 from weylsym import scale, weyl
@@ -33,7 +35,7 @@ from weylsym.diag import box_momentum_tail_norm_sq, box_projection_distance_sq, 
 from weylsym.moyal import operator_symbol_complex
 from weylsym.truncate import matrix_linear_power
 from weylsym.kernel import _sin_ratio, box_projection_kernel, dirichlet_kernel
-from weylsym.scale import PhaseGrid, SymbolField
+from weylsym.scale import PhaseGrid
 from weylsym.weyl import (
     _laguerre_functions,
     _oscillator_operator_symbol,
@@ -47,9 +49,39 @@ from weylsym.weyl import (
 )
 
 
+def rank_one_box_symbol(j, k, hbar, L, x, p):
+    """The box operator symbol (`moyal.operator_symbol_complex`) of |u_j><u_k|."""
+    coeff = np.zeros((max(j, k), max(j, k)))
+    coeff[j - 1, k - 1] = 1.0
+    return operator_symbol_complex(EigenBasis(Model.BOX, hbar=hbar, box_half_width=L), coeff, hbar, x, p)
+
+
+def assert_rank_one_matches_quadrature(j, k, hbar, L, x, p):
+    """The box operator symbol of |u_j><u_k| is finite and within 1e-8 of the
+    quadrature transform of its kernel."""
+    got = rank_one_box_symbol(j, k, hbar, L, x, p)
+    assert math.isfinite(got.real) and math.isfinite(got.imag)
+
+    def kernel(xa, ya):
+        return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
+
+    spec = box_quadrature_spec(hbar, L, x, p, hbar * max(j, k))
+    assert abs(got - symbol_from_kernel_complex(kernel, hbar, spec, x, p)) <= 1e-8, (j, k, hbar, L, x, p)
+
+
 def summed_kernel(basis, N):
     """The rank-N projection kernel as the oracle's eigenfunction sum."""
     return lambda xa, ya: projection_kernel_sum(basis, N, xa, ya)
+
+
+# the `test_scale.evaluators` name of each box symbol
+ROUTE = {symbol_projection_box: "projection", symbol_truncated_momentum_box: "momentum"}
+
+
+def field_case(N, hbar, L, grid):
+    """The grid's call of the symbols at rank N and their fields, in blocks
+    of 40 cells and of one."""
+    return BlockCase(N, hbar, L, None, [(grid.x_centers()[:, None], grid.p_centers()[None, :])], (40, 1), grid)
 
 
 class TestQuadratureSpec:
@@ -90,15 +122,7 @@ class TestSymbolFromKernel:
 
     def test_projection_quadrature_matches_closed_form(self):
         # the quadrature checks the direct-sum oracle, which checks the program
-        N, L, mu = 6, 1.0, 1.0
-        hbar = mu / N
-        x, p = 0.25, 1.1
-        spec = box_quadrature_spec(hbar, L, x, p, mu)
-        ke = summed_kernel(EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L), N)
-        got = symbol_from_kernel(ke, hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
-        direct = float(projection_direct_sum(N, hbar, L, x, p))
-        assert got == pytest.approx(direct, abs=1e-8)
-        assert symbol_projection_box(N, hbar, L, x, p) == pytest.approx(direct, abs=1e-12)
+        assert_box_symbols_match_quadrature(6, [(0.25, 1.1, None, None)])
 
     def test_non_hermitian_kernel_rejected(self):
         L, hbar = 1.0, 0.25
@@ -127,17 +151,7 @@ class TestRankOneBox:
         assert got == pytest.approx(want, rel=1e-2)
 
     def test_matches_quadrature_complex(self):
-        j, k, hbar, L = 2, 5, 0.2, 1.0
-        x, p = 0.4, 0.7
-
-        def kernel(xa, ya):
-            return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
-
-        spec = box_quadrature_spec(hbar, L, x, p, hbar * max(j, k))
-        got = symbol_from_kernel_complex(kernel, hbar, spec, x, p)
-        want = rank_one_box_symbol(j, k, hbar, L, x, p)
-        assert got.real == pytest.approx(want.real, abs=1e-8)
-        assert got.imag == pytest.approx(want.imag, abs=1e-8)
+        assert_rank_one_matches_quadrature(2, 5, 0.2, 1.0, 0.4, 0.7)
 
     def test_diagonal_is_real(self):
         for k in (1, 3, 6):
@@ -240,25 +254,16 @@ class TestProjectionAngleSplit:
         hbar, x, p = mu / N, u * L, v * math.pi * mu / (2.0 * L)
         assert symbol_projection_box(N, hbar, L, x, p) == symbol_projection_box(N, hbar, L, x, -p)
 
-    def test_field_equals_scalar_calls_for_any_block_size(self, monkeypatch):
+    def test_field_equals_scalar_calls_for_any_block_size(self):
+        # p centers 0, +-g, +-2g, ...: every box momentum sits on a
+        # resonance; the box field, and the oscillator field as the CLI
+        # samples it
         N, mu, L = 13, 1.1, 0.9
         hbar = mu / N
         g = math.pi * hbar / (2.0 * L)
-        # p centers 0, +-g, +-2g, ...: every box momentum sits on a resonance
         grid = PhaseGrid(-1.2 * L, 1.2 * L, -9.5 * g, 9.5 * g, 11, 19)
-        xs, ps = grid.x_centers(), grid.p_centers()
-        box = partial(symbol_projection_box, N, hbar, L)
-        osc = partial(symbol_oscillator_projection, N, hbar)
-        # the box builder, and the oscillator field as the CLI samples it
-        builders = (
-            (box, lambda: projection_symbol_field(N, hbar, L, grid)),
-            (osc, lambda: SymbolField.sample(osc, grid, levels=N)),
-        )
-        for point, build in builders:
-            scalar = np.array([[point(x, p) for p in ps] for x in xs])
-            for cells in (1 << 15, 40, 1):
-                monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
-                assert build().values.tobytes() == scalar.tobytes()
+        for name in ("projection", "oscillator"):
+            assert_blocks_give_the_bits_of_one_block(name, field_case(N, hbar, L, grid))
 
 
 class TestLevelSum:
@@ -314,7 +319,7 @@ class TestLevelSum:
 
     @pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
     @pytest.mark.parametrize("N, cells", [(17, 1), (60, 3)])
-    def test_grid_contraction_equals_point_calls(self, monkeypatch, symbol, N, cells):
+    def test_grid_contraction_equals_point_calls(self, symbol, N, cells):
         # an x column against a p row sums by the contraction, the paired
         # call on its cells and each point alone by the chunked loop: the
         # same levels in the same order, so the same bits.  p sits on
@@ -324,20 +329,12 @@ class TestLevelSum:
         # of at most `cells` points, so one-row, one-column and one-cell
         # blocks all occur
         hbar, L = 1.3 / N, 0.9
-        g = math.pi * hbar / (2.0 * L)
-        on = g * np.array([1.0, 2.0, 5.0, -3.0])
-        ps = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf), [0.0, -0.0, 0.37, -1.1]])
-        xs = np.array([-1.0, -0.9, -0.5, 0.0, 0.2, 0.81, 0.95]) * L
-        X, P = (a.ravel() for a in np.broadcast_arrays(xs[:, None], ps[None, :]))
-        points = np.array([symbol(N, hbar, L, x, p) for x, p in zip(X, P)])
-        assert symbol(N, hbar, L, X, P).tobytes() == points.tobytes()
-        for block_cells in (1 << 15, cells):
-            monkeypatch.setattr(scale, "_BLOCK_CELLS", block_cells)
-            for x, p in ((xs[:, None], ps[None, :]), (xs, ps[4]), (xs[3], ps)):
-                got = symbol(N, hbar, L, x, p)
-                want = symbol(N, hbar, L, *np.broadcast_arrays(x, p))
-                assert got.tobytes() == want.tobytes()
-            assert symbol(N, hbar, L, xs[:, None], ps[None, :]).ravel().tobytes() == points.tobytes()
+        on = math.pi * hbar / (2.0 * L) * np.array([1.0, 2.0, 5.0, -3.0])
+        ps = np.concatenate([np.nextafter(on[:1], np.inf), on, np.nextafter(on[1:], np.inf),
+                             np.nextafter(on, -np.inf), [0.0, -0.0, 0.37, -1.1]])
+        xs = np.array([0.0, -1.0, -0.9, -0.5, 0.2, 0.81, 0.95]) * L
+        calls = [(xs[:, None], ps[None, :]), (xs, ps[0]), (xs[0], ps)]
+        assert_blocks_give_the_bits_of_one_block(ROUTE[symbol], BlockCase(N, hbar, L, None, calls, (cells,)))
 
     @pytest.mark.parametrize("symbol", [symbol_projection_box, symbol_truncated_momentum_box])
     @pytest.mark.parametrize("x, p", [
@@ -381,12 +378,6 @@ class TestLevelSum:
             assert unit.tobytes() == _level_sum(1.0, levels, 1.0, A, q).tobytes()
 
 
-def taylor_sin_ratio(A, d):
-    """4-term Taylor series of sin(A d) / d, exact to rounding for |A d| < 1e-3."""
-    z2 = (A * d) ** 2
-    return A * (1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0)
-
-
 class TestSinRatio:
     def test_removable_point(self):
         assert _sin_ratio(3.5, 0.0) == 3.5
@@ -422,26 +413,15 @@ momentum_case = dict(
 
 class TestMomentumSymbolBox:
     @pytest.mark.parametrize("symbol", [symbol_truncated_momentum_box, symbol_projection_box])
-    def test_point_chunks_are_bit_identical(self, monkeypatch, symbol):
+    def test_point_chunks_are_bit_identical(self, symbol):
         # `scale._at_points` cuts a paired call, an x column against a p row,
         # x against one p and one x against p into blocks of at most
         # _BLOCK_CELLS points and 64 _BLOCK_CELLS table entries of N per x
-        # entry: 16 points (64 * 16 // 60 = 17 by the tables) and 4 points
-        N, hbar, L = 60, 1.0 / 60, 1.0
-        rng = np.random.default_rng(11)
-        calls = [
-            (rng.uniform(-1.1, 1.1, 500), rng.uniform(-3.0, 3.0, 500)),
-            (rng.uniform(-1.1, 1.1, (40, 1)), rng.uniform(-3.0, 3.0, (1, 9))),
-            (rng.uniform(-1.1, 1.1, 300), 0.7),
-            (0.4, rng.uniform(-3.0, 3.0, 300)),
-        ]
-        whole = [symbol(N, hbar, L, x, p) for x, p in calls]
-        for cells in (16, 4):
-            monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
-            for (x, p), want in zip(calls, whole):
-                assert symbol(N, hbar, L, x, p).tobytes() == want.tobytes()
-            with pytest.raises(ValueError):  # blocks would broadcast where the whole does not
-                symbol(N, hbar, L, np.zeros(18), np.ones(17))
+        # entry: 16 points (64 * 16 // 60 = 17 by the tables) and 4 points.
+        # The 40 x 9 grid goes first, so its points are also called one by one
+        paired, grid, *rows = rng_calls(11, 1.1, (500, 500), ((40, 1), (1, 9)), (300, 0.7), (0.4, 300))
+        case = BlockCase(60, 1.0 / 60, 1.0, None, [grid, paired, *rows], (16, 4))
+        assert_blocks_give_the_bits_of_one_block(ROUTE[symbol], case)
 
     def test_paired_call_tables_stay_under_the_row_table_bound(self, monkeypatch):
         # one block's tables hold at most 64 _BLOCK_CELLS entries each, and
@@ -501,13 +481,10 @@ class TestMomentumSymbolBox:
         assert abs(got - float(momentum_double_sum(N, hbar, L, x, p))) <= 1e-12
 
     def test_broadcast_matches_scalar_calls(self):
-        N, hbar, L = 9, 0.12, 1.1
         xs = np.array([-1.2, -0.7, 0.0, 0.4, 1.1])
         ps = np.array([-2.0, 0.0, 0.3, 1.7])
-        grid = symbol_truncated_momentum_box(N, hbar, L, xs[:, None], ps[None, :])
-        assert grid.shape == (5, 4)
-        scalar = [[symbol_truncated_momentum_box(N, hbar, L, x, p) for p in ps] for x in xs]
-        np.testing.assert_array_equal(grid, np.array(scalar))
+        case = BlockCase(9, 0.12, 1.1, None, [(xs[:, None], ps[None, :])])
+        assert_blocks_give_the_bits_of_one_block("momentum", case)
 
     def test_odd_in_p(self):
         N, mu, L = 6, 1.0, 1.0
@@ -525,20 +502,7 @@ class TestMomentumSymbolBox:
 
     def test_matches_quadrature_oracle(self):
         # the quadrature checks the double-sum oracle, which checks the program
-        N, mu, L = 6, 1.0, 1.0
-        hbar = mu / N
-        basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
-        mat = box_momentum_matrix(N, L, hbar)
-
-        def kernel(xa, ya):
-            return truncated_operator_kernel(mat, basis, xa, ya)
-
-        x, p = 0.3, 1.0
-        spec = box_quadrature_spec(hbar, L, x, p, mu)
-        got = symbol_from_kernel(kernel, hbar, spec, x, p, y_support=2 * (L - abs(x)) / hbar)
-        direct = float(momentum_double_sum(N, hbar, L, x, p))
-        assert got == pytest.approx(direct, abs=1e-7)
-        assert symbol_truncated_momentum_box(N, hbar, L, x, p) == pytest.approx(direct, abs=1e-12)
+        assert_box_symbols_match_quadrature(6, [(0.3, 1.0, None, None)])
 
 
 class TestRescaledKernel:
@@ -636,55 +600,55 @@ class TestNormIdentityOnGrid:
         assert windowed >= total * 0.99  # tails hold < 1% of the mass here
 
 
+def random_box_points(N, seed):
+    """50 points (x, p, j, k) of the box [-1, 1]: |x| < 0.95, |p| < 4 and two
+    levels up to N, drawn in turn."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(50):
+        x, p = float(rng.uniform(-0.95, 0.95)), float(rng.uniform(-4.0, 4.0))
+        points.append((x, p, int(rng.integers(1, N + 1)), int(rng.integers(1, N + 1))))
+    return points
+
+
+def assert_box_symbols_match_quadrature(N, points):
+    """At hbar = 1 / N in the box [-1, 1] and each (x, p, j, k) of the points:
+    the projection and momentum symbols within 1e-12 of their direct sums,
+    the sums within 1e-8 of the quadrature transform of their kernels, and,
+    unless j is None, `assert_rank_one_matches_quadrature` for |u_j><u_k|."""
+    hbar, L = 1.0 / N, 1.0
+    mat = box_momentum_matrix(N, L, hbar)
+    basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
+    ke = summed_kernel(basis, N)
+
+    def mom_kernel(xa, ya):
+        return truncated_operator_kernel(mat, basis, xa, ya)
+
+    for x, p, j, k in points:
+        spec = box_quadrature_spec(hbar, L, x, p, 1.0)
+        c_proj = float(projection_direct_sum(N, hbar, L, x, p))
+        assert abs(symbol_projection_box(N, hbar, L, x, p) - c_proj) <= 1e-12
+        q_proj = symbol_from_kernel(ke, hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
+        assert abs(q_proj - c_proj) <= 1e-8
+        c_mom = float(momentum_double_sum(N, hbar, L, x, p))
+        assert abs(symbol_truncated_momentum_box(N, hbar, L, x, p) - c_mom) <= 1e-12
+        q_mom = symbol_from_kernel(mom_kernel, hbar, spec, x, p, y_support=0.0)
+        assert abs(q_mom - c_mom) <= 1e-8
+        if j is not None:
+            assert_rank_one_matches_quadrature(j, k, hbar, L, x, p)
+
+
 class TestClosedFormsAgainstQuadrature:
     def test_fifty_random_points(self):
-        # the projection and momentum symbols against their direct sums, and
-        # those and the rank-one operator symbol against the quadrature
-        # transform of their kernels
-        rng = np.random.default_rng(2024)
-        mu, L = 1.0, 1.0
-        N = 5
-        hbar = mu / N
-        mat = box_momentum_matrix(N, L, hbar)
-        basis = EigenBasis(model=Model.BOX, hbar=hbar, box_half_width=L)
-        ke = summed_kernel(basis, N)
-
-        def mom_kernel(xa, ya):
-            return truncated_operator_kernel(mat, basis, xa, ya)
-
-        worst = 0.0
-        for _ in range(50):
-            x = rng.uniform(-0.95 * L, 0.95 * L)
-            p = rng.uniform(-4.0, 4.0)
-            spec = box_quadrature_spec(hbar, L, x, p, mu)
-            q_proj = symbol_from_kernel(ke, hbar, spec, x, p, y_support=box_y_support(hbar, L, x))
-            c_proj = float(projection_direct_sum(N, hbar, L, x, p))
-            assert abs(symbol_projection_box(N, hbar, L, x, p) - c_proj) <= 1e-12
-            q_mom = symbol_from_kernel(mom_kernel, hbar, spec, x, p, y_support=0.0)
-            c_mom = float(momentum_double_sum(N, hbar, L, x, p))
-            assert abs(symbol_truncated_momentum_box(N, hbar, L, x, p) - c_mom) <= 1e-12
-            j, k = int(rng.integers(1, N + 1)), int(rng.integers(1, N + 1))
-
-            def rank_kernel(xa, ya, j=j, k=k):
-                return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
-
-            q_rank = symbol_from_kernel_complex(rank_kernel, hbar, spec, x, p)
-            c_rank = rank_one_box_symbol(j, k, hbar, L, x, p)
-            worst = max(
-                worst,
-                abs(q_proj - c_proj),
-                abs(q_mom - c_mom),
-                abs(q_rank - c_rank),
-            )
-        assert worst <= 1e-7
+        assert_box_symbols_match_quadrature(5, random_box_points(5, 2024))
 
 
 class TestOscillatorQuadratureSymbol:
     @pytest.mark.parametrize("N", [4, 5, 6, 7])
     def test_origin_parity(self, N):
+        # exact, as for every N of TestOscillatorLaguerreSymbol
         hbar = 1.0 / N
-        got = symbol_oscillator_projection(N, hbar, 0.0, 0.0)
-        assert got == pytest.approx(1.0 + (-1.0) ** (N + 1), abs=1e-6)
+        assert symbol_oscillator_projection(N, hbar, 0.0, 0.0) == 1.0 + (-1.0) ** (N + 1)
 
 
 def oscillator_quadrature_oracle(N, hbar, x, p):
@@ -742,12 +706,8 @@ class TestOscillatorLaguerreSymbol:
         xs=st.lists(coord, min_size=1, max_size=7), ps=st.lists(coord, min_size=1, max_size=5),
     )
     def test_broadcast_is_bit_identical_to_scalar_calls(self, N, mu, xs, ps):
-        hbar = mu / N
-        grid = symbol_oscillator_projection(N, hbar, np.array(xs)[:, None], np.array(ps)[None, :])
-        assert grid.shape == (len(xs), len(ps))
-        scalar = [[symbol_oscillator_projection(N, hbar, x, p) for p in ps] for x in xs]
-        assert all(isinstance(v, float) for row in scalar for v in row)
-        np.testing.assert_array_equal(grid, np.array(scalar))
+        case = BlockCase(N, mu / N, 1.0, None, [(np.array(xs)[:, None], np.array(ps)[None, :])], ())
+        assert_blocks_give_the_bits_of_one_block("oscillator", case)
 
     @pytest.mark.parametrize("N", [0, -3])
     def test_rejects_rank_below_one(self, N):
@@ -871,17 +831,8 @@ class TestOnePointRoute:
 
 class TestFields:
     def test_momentum_field_matches_pointwise(self):
-        N, mu, L = 4, 1.0, 1.0
-        hbar = mu / N
         grid = PhaseGrid(-1.2, 1.2, -2.0, 2.0, 8, 6)
-        fld = momentum_symbol_field(N, hbar, L, grid)
-        xs, ps = grid.x_centers(), grid.p_centers()
-        for i in (0, 3, 7):
-            for j in (0, 5):
-                assert fld.values[i, j] == pytest.approx(
-                    symbol_truncated_momentum_box(N, hbar, L, float(xs[i]), float(ps[j])),
-                    abs=1e-14,
-                )
+        assert_blocks_give_the_bits_of_one_block("momentum", field_case(4, 0.25, 1.0, grid))
 
 
 _grid = PhaseGrid(-1.2, 1.2, -2.0, 2.0, 4, 3)
@@ -996,17 +947,8 @@ class TestBoxWallsAndResonances:
     def test_rank_one_at_resonant_momenta(self, j, k, mu, L, u, m, sign):
         # p = hbar pi m / 4L hits (pi hbar / 4L)(j -+ k) -+ p = 0 for either
         # parity of j + k; hbar pi m / 2L are the even m
-        N = max(j, k)
-        hbar, x = mu / N, u * L
-        p = sign * math.pi * hbar * m / (4.0 * L)
-        got = rank_one_box_symbol(j, k, hbar, L, x, p)
-        assert math.isfinite(got.real) and math.isfinite(got.imag)
-
-        def kernel(xa, ya):
-            return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
-
-        want = symbol_from_kernel_complex(kernel, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
-        assert abs(got - want) <= 1e-8
+        hbar = mu / max(j, k)
+        assert_rank_one_matches_quadrature(j, k, hbar, L, u * L, sign * math.pi * hbar * m / (4.0 * L))
 
     @box_settings
     @given(
@@ -1014,11 +956,4 @@ class TestBoxWallsAndResonances:
         u=st.floats(-0.95, 0.95), v=st.floats(-3.0, 3.0),
     )
     def test_rank_one_matches_quadrature(self, j, k, mu, L, u, v):
-        N = max(j, k)
-        hbar, x, p = mu / N, u * L, v * math.pi * mu / (2.0 * L)
-
-        def kernel(xa, ya):
-            return box_wavefunctions(j, L, xa)[j - 1] * box_wavefunctions(k, L, ya)[k - 1]
-
-        want = symbol_from_kernel_complex(kernel, hbar, box_quadrature_spec(hbar, L, x, p, mu), x, p)
-        assert abs(rank_one_box_symbol(j, k, hbar, L, x, p) - want) <= 1e-8
+        assert_rank_one_matches_quadrature(j, k, mu / max(j, k), L, u * L, v * math.pi * mu / (2.0 * L))
