@@ -137,11 +137,10 @@ def edge_section(
     kind "x" crosses the hard wall, x = L - hbar u for u = coords >= 0 at
     momentum p = fixed; kind "p" crosses the momentum edge,
     p = pi mu / 2L + hbar pi v / 2L for v = coords at position x = fixed.
-    coords and fixed broadcast against each other, and one symbol call
-    covers every point; the profile, which does not depend on N, takes one
-    call for kind "x", one per point for kind "p".  N is checked first (an
-    integer-valued float is taken as its integer), then its levels against
-    the work budget.
+    coords and fixed broadcast against each other; one symbol call and one
+    profile call, which does not depend on N, cover every point.  N is
+    checked first (an integer-valued float is taken as its integer), then
+    its levels against the work budget.
     """
     N = _check_levels(N)
     coords = np.asarray(coords, dtype=float)
@@ -167,11 +166,9 @@ def _edge_symbol(kind: str, N: int, mu: float, L: float, coords, fixed) -> np.nd
 
 def _edge_profile(kind: str, mu: float, L: float, coords, fixed) -> np.ndarray:
     """The profile half of `edge_section`, on checked float arrays: no N
-    enters it, so a sweep evaluates it once."""
-    points = np.broadcast(coords, fixed)
-    if kind == "x":
-        return np.reshape(edge_profile_x(coords, fixed, mu, L), points.shape)
-    return np.reshape([edge_profile_p(float(x), float(v), mu, L) for v, x in points], points.shape)
+    enters it, so a sweep evaluates it once, in one call."""
+    prof = edge_profile_x(coords, fixed, mu, L) if kind == "x" else edge_profile_p(fixed, coords, mu, L)
+    return np.reshape(prof, np.broadcast(coords, fixed).shape)
 
 
 _TAIL_CUTOFF = 64

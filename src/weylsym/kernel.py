@@ -65,17 +65,22 @@ def dirichlet_kernel(N: int, x) -> np.ndarray | float:
 
     Both sines are taken at h = r/2, r = x - 2 pi rint(x / 2 pi): D_N has
     period 2 pi, and at x itself sin(x/2) loses its digits near 2 pi Z.
+    An infinite x, where D_N has no limit, is refused.
     """
     N = _check_count(N, "N")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isinf(x_arr).any():
+        raise ValueError(f"x must not be infinite: D_N has no limit there, got x = {x!r}")
     h = 0.5 * (x_arr - 2.0 * math.pi * np.rint(x_arr / (2.0 * math.pi)))
     out = _sin_ratio(2 * N + 1, h) / _sin_ratio(1.0, h)
     return out if np.ndim(x) else float(out[0])
 
 
 def sine_kernel(x) -> np.ndarray | float:
-    """S(x) = sin(x/2) / (x/2) with S(0) = 1."""
-    out = _sin_ratio(1.0, 0.5 * np.atleast_1d(np.asarray(x, dtype=float)))
+    """S(x) = sin(x/2) / (x/2) with S(0) = 1 and its limit S(+-inf) = 0."""
+    half = 0.5 * np.atleast_1d(np.asarray(x, dtype=float))
+    inf = np.isinf(half)
+    out = np.where(inf, 0.0, _sin_ratio(1.0, np.where(inf, 1.0, half)))
     return out if np.ndim(x) else float(out[0])
 
 

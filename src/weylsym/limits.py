@@ -26,10 +26,12 @@ __all__ = [
 
 
 def bulk_profile_box(mu: float, L: float, y) -> np.ndarray | float:
-    """(pi mu / L) S(pi mu y / L): bulk limit of the rescaled box kernel."""
+    """(pi mu / L) S(pi mu y / L): bulk limit of the rescaled box kernel;
+    where the phase pi mu y / L overflows, S takes its limit 0."""
     _check_scales(mu, L, y=y)
     c = math.pi * mu / L
-    return c * sine_kernel(c * np.asarray(y) if np.ndim(y) else c * y)
+    with np.errstate(over="ignore"):
+        return c * sine_kernel(c * np.asarray(y, dtype=float))
 
 
 def bulk_sup_constant(mu: float, L: float, c_u: float, c_v: float) -> float:
@@ -129,41 +131,75 @@ def edge_profile_x(u, p, mu: float, L: float) -> np.ndarray | float:
 _EDGE_P_SWITCH = 64.0  # c |v - 1/2| above which the Laplace form takes over
 
 
+def _gauss_rule(a: np.ndarray, b: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """The a.size-node Gauss rule of a weight of mass `total` whose orthonormal
+    polynomials satisfy b_{k+1} q_{k+1} = (x - a_k) q_k - b_k q_{k-1}, from its
+    symmetric Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969): the nodes
+    are the eigenvalues, polished by one Newton step on the monic recurrence
+    p_{k+1} = (x - a_k) p_k - b_k^2 p_{k-1}; the weights are the Christoffel
+    numbers 1 / sum_{k<n} q_k(x)^2, scaled to sum to `total`."""
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b, -1))
+    b = [0.0] + b.tolist()
+    p_prev, p, dp_prev, dp = 0.0, 1.0, 0.0, 0.0
+    for t, bk in zip(x - a[:, None], b):
+        p_prev, p, dp_prev, dp = p, t * p - bk * bk * p_prev, dp, p + t * dp - bk * bk * dp_prev
+    x = x - p / dp
+    q_prev, q, christoffel = 0.0, 1.0, 1.0
+    for t, bk, b_next in zip(x - a[:-1, None], b, b[1:]):
+        q_prev, q = q, (t * q - bk * q_prev) / b_next
+        christoffel = christoffel + q * q
+    w = 1.0 / christoffel
+    return x, w * (total / np.sum(w))
+
+
 @lru_cache(maxsize=1)
-def _leggauss32() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(32)
+def _legendre32() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [-1, 1]: a_k = 0, b_k = k / sqrt(4 k^2 - 1)."""
+    k = np.arange(1.0, 32.0)
+    return _gauss_rule(np.zeros(32), k / np.sqrt(4.0 * k * k - 1.0), 2.0)
 
 
 @lru_cache(maxsize=1)
 def _laguerre48() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(48)
+    """Gauss-Laguerre for e^{-u} on [0, inf): a_k = 2k + 1, b_k = k."""
+    return _gauss_rule(2.0 * np.arange(48.0) + 1.0, np.arange(1.0, 48.0), 1.0)
 
 
-def _edge_p_legendre(c: float, w: float) -> float:
-    """(1/pi) int_0^c -sin(w s) / (2 sin(s/2)) ds by 32-node Gauss-Legendre on
-    ceil(c (|w| + 1) / 8) panels: at most ~8 radians of sin(w s) per panel,
-    and the integrand is analytic on |s| < 2 pi."""
-    panels = math.ceil(c * (abs(w) + 1.0) / 8.0)
-    t, wt = _leggauss32()
+def _edge_p_legendre(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1/pi) int_0^c -sin(w s) / (2 sin(s/2)) ds for arrays c, w of one shape
+    (m,), each by 32-node Gauss-Legendre on its own ceil(c (|w| + 1) / 8)
+    panels: at most ~8 radians of sin(w s) per panel, and the integrand is
+    analytic on |s| < 2 pi.  Every element sums its 32 nodes per panel, then
+    its panels in order, so it gets the bits of its one-element call."""
+    panels = np.ceil(c * (np.abs(w) + 1.0) / 8.0)
+    t, wt = _legendre32()
     h = c / panels
-    s = (np.arange(panels)[:, None] + 0.5 * (t + 1.0)) * h
-    return -0.25 * h * float(np.sum(wt * (np.sin(w * s) / np.sin(0.5 * s)))) / math.pi
+    k = np.arange(panels.max(initial=1.0))
+    # panels past an element's own count repeat its last one and are dropped
+    s = (np.minimum(k, panels[:, None] - 1.0)[..., None] + 0.5 * (t + 1.0)) * h[:, None, None]
+    per_panel = np.sum(wt * (np.sin(w[:, None, None] * s) / np.sin(0.5 * s)), axis=-1)
+    total = np.cumsum(np.where(k < panels[:, None], per_panel, 0.0), axis=-1)[:, -1]
+    return -0.25 * h * total / math.pi
 
 
-def _edge_p_laguerre(c: float, v: float) -> float:
-    """F(c, v) / pi for v > 0 by 48-node Gauss-Laguerre on the Laplace form
+def _edge_p_laguerre(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """F(c, v) / pi for arrays c, v > 0 of one shape (m,), by 48-node
+    Gauss-Laguerre on the Laplace form
     F = (1/v) int_0^inf e^{-u} Im[e^{icv} / (1 - e^{ic - u/v})] du, whose
-    nearest pole lies c v from the real u axis."""
-    if c * v == math.inf:
-        # |F| / pi < 1 / (pi v sin(c/2)) <= 1 / (c v) < 6e-309 (Abel summation)
-        return 0.0
+    nearest pole lies c v from the real u axis.  Where c v overflows,
+    |F| / pi < 1 / (pi v sin(c/2)) <= 1 / (c v) < 6e-309 (Abel summation)
+    and the value is 0."""
     u, wt = _laguerre48()
-    # 1 - e^{ic - u/v} by expm1, which keeps its digits as c, u/v -> 0
-    vals = (-complex(math.cos(c * v), math.sin(c * v)) / np.expm1(1j * c - u / v)).imag
-    return float(np.sum(wt * vals)) / (v * math.pi)
+    with np.errstate(over="ignore"):
+        cv = c * v
+        finite = cv < math.inf
+        cv = np.where(finite, cv, 0.0)[:, None]
+        # 1 - e^{ic - u/v} by expm1, which keeps its digits as c, u/v -> 0
+        vals = (-(np.cos(cv) + 1j * np.sin(cv)) / np.expm1(1j * c[:, None] - u / v[:, None])).imag
+        return np.where(finite, np.sum(wt * vals, axis=-1) / (v * math.pi), 0.0)
 
 
-def edge_profile_p(x: float, v: float, mu: float, L: float) -> float:
+def edge_profile_p(x, v, mu: float, L: float) -> np.ndarray | float:
     """Momentum-edge profile: limit of the symbol at p = pi mu/2L + hbar pi v/2L.
 
     With c = pi (L - |x|)/L in (0, pi], it is F(c, v) / pi for the series
@@ -174,19 +210,28 @@ def edge_profile_p(x: float, v: float, mu: float, L: float) -> float:
         g(s) = [cos(sv) - sin(sv) cot(s/2)] / 2 = -sin((v - 1/2) s) / (2 sin(s/2)),
 
     with g analytic on |s| < 2 pi (g(0) = 1/2 - v).  It is continuous in v,
-    so every finite v is allowed.  O(1) per call: Gauss-Legendre panels for
-    c |v - 1/2| <= 64, else the Gauss-Laguerre Laplace form for v > 0 and
-    the reflection F(c, v) + F(c, 1 - v) = pi (exact: g_v + g_{1-v} = 0)
-    for v < 0.  At v = 1/2, g = 0 and the profile is exactly 1/2.
+    so every finite v is allowed; it is 0 for |x| >= L.  x and v broadcast
+    as the kernel functions' points do (a float for two scalars), and every
+    element takes fixed steps, so an array call gives the bits of its
+    one-element calls: Gauss-Legendre panels for c |v - 1/2| <= 64, else the
+    Gauss-Laguerre Laplace form for v > 0 and the reflection
+    F(c, v) + F(c, 1 - v) = pi (exact: g_v + g_{1-v} = 0) for v < 0.  At
+    v = 1/2, g = 0 and the profile is exactly 1/2.
     """
     _check_scales(mu, L, x=x, v=v)
-    x, v = float(x), float(v)  # numpy floats would warn where c v overflows
-    if abs(x) >= L:
-        return 0.0
-    c = math.pi * (L - abs(x)) / L
-    w = v - 0.5
-    if c * abs(w) <= _EDGE_P_SWITCH:
-        return 0.5 + _edge_p_legendre(c, w)
-    if w > 0:
-        return _edge_p_laguerre(c, v)
-    return 1.0 - _edge_p_laguerre(c, 1.0 - v)
+    x_arr, v_arr, unwrap = _point_arrays(x, v)
+    x_arr, v_arr = np.broadcast_arrays(x_arr, v_arr)
+    inside = np.abs(x_arr) < L
+    c = math.pi * (L - np.minimum(np.abs(x_arr), L)) / L
+    w = v_arr - 0.5
+    with np.errstate(over="ignore"):  # c |w| = inf takes the Laplace form
+        near = inside & (c * np.abs(w) <= _EDGE_P_SWITCH)
+    far = inside & ~near
+    out = np.zeros(x_arr.shape)
+    if near.any():  # each rule is built on its first use
+        out[near] = 0.5 + _edge_p_legendre(c[near], w[near])
+    if far.any():
+        up = w[far] > 0
+        laplace = _edge_p_laguerre(c[far], np.where(up, v_arr[far], 1.0 - v_arr[far]))
+        out[far] = np.where(up, laplace, 1.0 - laplace)
+    return unwrap(out)

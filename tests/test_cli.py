@@ -683,6 +683,30 @@ def test_import_leaves_concurrent_futures_unloaded():
     assert_cli_import_leaves_unloaded("concurrent.futures")
 
 
+def test_p_edge_runs_leave_numpy_polynomial_unloaded(tmp_path):
+    # the p-edge profile's Gauss rules come from their Jacobi matrices by
+    # numpy.linalg, on first use, so importing builds neither, and a p-edge
+    # section over both branches and the p-edge sweep never import
+    # numpy.polynomial
+    code = (
+        "import sys, numpy\n"
+        "if 'numpy.polynomial' in sys.modules: sys.exit(3)\n"
+        "from weylsym.cli import main\n"
+        "from weylsym.limits import _laguerre48, _legendre32\n"
+        "assert _legendre32.cache_info().currsize == _laguerre48.cache_info().currsize == 0\n"
+        "assert main(['edge', '--kind', 'p', '--x', '0.3', '--v', '-200:200:9', '--N', '100',"
+        " '-o', 'p.csv']) == 0\n"
+        "assert main(['sweep', '--exp', 'box-edge-p', '--N', '50,100', '-o', 'sweep']) == 0\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(weylsym.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("import numpy alone loads numpy.polynomial")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_leaves_numpy_fft_unloaded():
     # numpy loads numpy.fft on first use; moyal_direct reaches it as np.fft,
     # so importing the CLI does not pay for it

@@ -508,8 +508,8 @@ class TestSweepsHoistNIndependentWork:
         ("x", (100, 400), 242), ("p", (250, 1000, 4000), 6),
     ])
     def test_edge_profiles_once_per_sweep(self, monkeypatch, kind, n_levels, calls):
-        # counts the points evaluated: the x profile takes a whole section
-        # set per call, the p profile one point
+        # counts the points evaluated: either profile takes a whole section
+        # set per call
         name = f"edge_profile_{kind}"
         count = []
         profile = getattr(diag, name)

@@ -53,6 +53,12 @@ class TestDirichletKernel:
     def test_degenerate_rank(self):
         assert dirichlet_kernel(0, 0.3) == pytest.approx(1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, np.array([0.3, -math.inf])])
+    def test_infinite_x_is_refused(self, x):
+        # gave nan with "invalid value encountered in subtract": D_N has no limit there
+        with pytest.raises(ValueError, match="x must not be infinite"):
+            dirichlet_kernel(4, x)
+
     @pytest.mark.parametrize("N", [40, 400])
     @pytest.mark.parametrize("m", [-1, 1, 2])
     def test_near_multiples_of_two_pi(self, N, m):
@@ -68,6 +74,12 @@ class TestDirichletKernel:
 class TestSineKernel:
     def test_removable_singularity(self):
         assert sine_kernel(0.0) == 1.0
+
+    def test_limit_at_infinity(self):
+        # gave nan with "invalid value encountered in sin"
+        assert sine_kernel(math.inf) == 0.0
+        assert sine_kernel(-math.inf) == 0.0
+        assert sine_kernel(np.array([-math.inf, 0.0, math.inf])).tolist() == [0.0, 1.0, 0.0]
 
     def test_at_pi(self):
         assert sine_kernel(math.pi) == pytest.approx(2.0 / math.pi, rel=1e-15)

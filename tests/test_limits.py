@@ -14,6 +14,8 @@ from weylsym.limits import (
     _SI_SWITCH,
     _edge_p_laguerre,
     _edge_p_legendre,
+    _laguerre48,
+    _legendre32,
     _si_ci,
     bulk_profile_box,
     bulk_sup_constant,
@@ -28,7 +30,15 @@ limit_settings = settings(deadline=None, derandomize=True, max_examples=60)
 
 
 # --- slow oracles: 30-digit mpmath for Si, Ci and the hard-wall profile, the
-# direct series for the momentum-edge profile ----------------------------------
+# direct series for the momentum-edge profile, numpy.polynomial for its two
+# Gauss rules ------------------------------------------------------------------
+
+
+def numpy_gauss_rules() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """32-node Gauss-Legendre and 48-node Gauss-Laguerre from numpy.polynomial:
+    companion-matrix eigenvalues, one Newton step on the Clenshaw sums of the
+    series, weights from the series and its derivative."""
+    return np.polynomial.legendre.leggauss(32), np.polynomial.laguerre.laggauss(48)
 
 
 def si_ci_mpmath(x: float) -> tuple[float, float]:
@@ -93,6 +103,13 @@ class TestLimitSymbol:
 
 
 class TestBulkProfile:
+    def test_phase_overflow_takes_the_limit(self):
+        # pi mu y / L = inf at a finite y gave nan with "invalid value
+        # encountered in sin"; the sine kernel's limit there is 0
+        assert bulk_profile_box(1.0, 1.0, 1e308) == 0.0
+        got = bulk_profile_box(1.0, 1.0, np.array([-1e308, 0.0, 1e308]))
+        assert got.tolist() == [0.0, bulk_profile_box(1.0, 1.0, 0.0), 0.0]
+
     def test_peak(self):
         assert bulk_profile_box(1.0, 1.0, 0.0) == pytest.approx(math.pi, rel=1e-15)
         assert bulk_profile_box(2.0, 0.5, 0.0) == pytest.approx(4 * math.pi, rel=1e-15)
@@ -306,9 +323,22 @@ class TestEdgeProfileX:
         assert below == pytest.approx(above, abs=1e-9)
 
 
+class TestGaussRules:
+    @pytest.mark.parametrize("index", [0, 1], ids=["legendre32", "laguerre48"])
+    def test_match_numpy_polynomial(self, index):
+        nodes, weights = (_legendre32, _laguerre48)[index]()
+        want_nodes, want_weights = numpy_gauss_rules()[index]
+        # to 1e-15 of the node's size, or absolute below 1; numpy's own
+        # weights are off the 40-digit ones by up to 5e-13 relative
+        assert np.all(np.abs(nodes - want_nodes) <= 1e-15 * np.maximum(1.0, np.abs(want_nodes)))
+        assert np.all(np.abs(weights / want_weights - 1.0) <= 1e-12)
+
+
 class TestEdgeProfileP:
     def test_outside_box_is_zero(self):
         assert edge_profile_p(1.2, 0.5, 1.0, 1.0) == 0.0
+        # c = pi (L - |x|) / L is taken at |x| capped to L: it overflowed here
+        assert edge_profile_p(np.array([1.2, -1e308]), 0.5, 1.0, 1.0).tolist() == [0.0, 0.0]
 
     def test_at_wall_is_zero(self):
         assert edge_profile_p(1.0, 0.5, 1.0, 1.0) == 0.0
@@ -413,4 +443,28 @@ class TestEdgeProfileP:
     @given(c=st.floats(1e-9, math.pi))
     def test_branches_agree_at_switch(self, c):
         w = _EDGE_P_SWITCH / c
-        assert abs(0.5 + _edge_p_legendre(c, w) - _edge_p_laguerre(c, w + 0.5)) <= 1e-14
+        legendre = _edge_p_legendre(np.array([c]), np.array([w]))[0]
+        assert abs(0.5 + legendre - _edge_p_laguerre(np.array([c]), np.array([w + 0.5]))[0]) <= 1e-14
+
+    @limit_settings
+    @given(
+        xs=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=4),
+        vs=st.lists(st.one_of(st.floats(-3.0, 4.0), st.floats(-1e4, 1e4)), min_size=1, max_size=10),
+        L=st.floats(0.5, 2.0),
+    )
+    def test_section_equals_its_one_element_calls_bit_for_bit(self, xs, vs, L):
+        # both branches: c |v - 1/2| <= 64 on Legendre panels, beyond it Laguerre
+        x, v = np.array(xs)[:, None] * L, np.array(vs)
+        prof = edge_profile_p(x, v, 1.0, L)
+        assert prof.shape == (len(xs), len(vs))
+        for i, x_i in enumerate(x[:, 0]):
+            for j, v_j in enumerate(vs):
+                one = edge_profile_p(float(x_i), v_j, 1.0, L)
+                assert type(one) is float
+                assert np.float64(one).tobytes() == prof[i, j].tobytes()
+
+    def test_section_takes_both_branches_and_the_overflow_limit(self):
+        v = np.array([0.5, 2.0, 200.0, -200.0, 1e308, -1e308])
+        prof = edge_profile_p(0.3, v, 1.0, 1.0)
+        assert [edge_profile_p(0.3, float(v_j), 1.0, 1.0) for v_j in v] == prof.tolist()
+        assert prof[0] == 0.5 and prof[4] == 0.0 and prof[5] == 1.0
