@@ -31,6 +31,8 @@ class EigenBasis:
     def __post_init__(self) -> None:
         if self.model is not Model.BOX:
             _check_levels(1, self.hbar)
+            if self.box_half_width is not None:
+                raise ValueError(f"box_half_width is for the box model only, got {self.box_half_width!r}")
         elif self.box_half_width is None:
             raise ValueError("the box model needs its half width L")
         else:

@@ -17,6 +17,8 @@ from .scale import _point_arrays, _refuse_nan
 
 __all__ = ["dirichlet_kernel", "sine_kernel", "box_projection_kernel"]
 
+_PHASE_MAX = 2.0**52  # from here on, adjacent doubles are a radian or more apart
+
 
 def _sin_ratio(amplitude, d):
     """sin(A d) / d, and A at d = 0; amplitude and d broadcast, amplitude >= 0.
@@ -65,12 +67,13 @@ def dirichlet_kernel(N: int, x) -> np.ndarray | float:
 
     Both sines are taken at h = r/2, r = x - 2 pi rint(x / 2 pi): D_N has
     period 2 pi, and at x itself sin(x/2) loses its digits near 2 pi Z.
-    An infinite x, where D_N has no limit, is refused.
+    An |x| beyond 2^52 is refused: adjacent doubles there are a radian or
+    more apart, so x fixes no phase, and at infinity D_N has no limit.
     """
     N = _check_count(N, "N")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.isinf(x_arr).any():
-        raise ValueError(f"x must not be infinite: D_N has no limit there, got x = {x!r}")
+    if (np.abs(x_arr) > _PHASE_MAX).any():  # NaN passes, as it always has
+        raise ValueError(f"x must not be infinite or beyond 2^52 in size, where it fixes no phase: got x = {x!r}")
     h = 0.5 * (x_arr - 2.0 * math.pi * np.rint(x_arr / (2.0 * math.pi)))
     out = _sin_ratio(2 * N + 1, h) / _sin_ratio(1.0, h)
     return out if np.ndim(x) else float(out[0])

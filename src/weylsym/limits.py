@@ -30,6 +30,8 @@ def bulk_profile_box(mu: float, L: float, y) -> np.ndarray | float:
     where the phase pi mu y / L overflows, S takes its limit 0."""
     _check_scales(mu, L, y=y)
     c = math.pi * mu / L
+    if not math.isfinite(c):
+        raise ValueError(f"pi mu / L must be finite, got mu = {mu!r}, L = {L!r}")
     with np.errstate(over="ignore"):
         return c * sine_kernel(c * np.asarray(y, dtype=float))
 

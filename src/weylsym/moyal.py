@@ -1,10 +1,10 @@
 """Moyal (star) products: exact finite-rank composition vs direct quadrature.
 
 Composition is exact for finite-rank operators (matrix product of the
-coefficient matrices, then one closed-form symbol evaluation: the rank-one
-closed forms grouped by j + k and j - k for the box, Groenewold's
-associated-Laguerre form for the oscillator) and
-serves as ground truth.  The direct route discretizes the 4-fold
+coefficient matrices, then one closed-form symbol evaluation by
+`FiniteRankOperator.symbol`: the rank-one closed forms grouped by j + k and
+j - k for the box, Groenewold's associated-Laguerre form for the
+oscillator) and serves as ground truth.  The direct route discretizes the 4-fold
 star-product integral in its y/p pairing form by two successive 2-fold
 midpoint sums.  Its momentum shifts fall on the grid's own p-centres, so
 the sampled symbols are interpolated along x only: cubically (4-point
@@ -32,27 +32,29 @@ from .weyl import _box_operator_symbol, _oscillator_operator_symbol
 __all__ = [
     "FiniteRankOperator",
     "moyal_via_composition",
-    "moyal_via_composition_complex",
     "moyal_direct",
     "direct_grid",
-    "operator_symbol_complex",
 ]
 
 
 @dataclass(frozen=True)
 class FiniteRankOperator:
-    """Operator sum_{j,k} M_jk |u_j><u_k| over the first dim(M) levels."""
+    """Operator sum_{j,k} M_jk |u_j><u_k| over the first dim(M) levels of
+    `basis`, which gives hbar and, for the box, L.  M is kept as a read-only
+    copy in its own dtype (bool, integer, real or complex): an int8 or real
+    matrix is not widened."""
 
     basis: EigenBasis
     coeff: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.coeff, dtype=complex)
+        m = np.array(self.coeff)
+        if m.dtype.kind not in "biufc":
+            raise ValueError(f"coeff must be a bool or numeric matrix, got dtype {m.dtype}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("coeff must be a square matrix")
+            raise ValueError(f"coeff must be a square matrix, got shape {m.shape}")
         if m.shape[0] > MAX_DIMENSION:
             raise ValueError(f"rank {m.shape[0]} exceeds the {MAX_DIMENSION} cap")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "coeff", m)
 
@@ -60,49 +62,39 @@ class FiniteRankOperator:
     def n(self) -> int:
         return self.coeff.shape[0]
 
-
-def operator_symbol_complex(basis: EigenBasis, coeff: np.ndarray, hbar: float, x, p):
-    """Symbol of sum M_jk |u_j><u_k|; complex for non-Hermitian M.
-
-    Both models broadcast over arrays of points, in the blocks of
-    `scale._at_points`: the box by its rank-one closed forms grouped by
-    j + k and j - k, the oscillator by Groenewold's associated-Laguerre
-    form.  coeff must be a square matrix, hbar the basis's own, and no
-    coordinate NaN.
-    """
-    if hbar != basis.hbar:
-        raise ValueError(f"hbar = {hbar!r} differs from the basis's hbar = {basis.hbar!r}")
-    coeff = np.asarray(coeff)
-    if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1]:
-        raise ValueError(f"coeff must be a square matrix, got shape {coeff.shape}")
-    if basis.model is Model.BOX:
-        fn = partial(_box_operator_symbol, coeff, hbar, basis.L)  # 2N - 1 entries per point
-        return _at_points(fn, *np.broadcast_arrays(x, p), 2 * coeff.shape[0] - 1)
-    return _at_points(partial(_oscillator_operator_symbol, coeff, hbar), x, p, 1)
-
-
-def moyal_via_composition_complex(
-    A: FiniteRankOperator, B: FiniteRankOperator, hbar: float, x: float, p: float
-) -> complex:
-    """Star product via the operator product: symbol of the operator with
-    coefficient matrix M_A M_B.  Exact up to symbol-evaluation error."""
-    if A.basis != B.basis:
-        raise ValueError("operators live in different bases")
-    if A.n != B.n:
-        raise ValueError("operator dimensions differ")
-    return operator_symbol_complex(A.basis, A.coeff @ B.coeff, hbar, x, p)
+    def symbol(self, x, p):
+        """The complex symbol at points (x, p), broadcast, in the blocks of
+        `scale._at_points`: the box by its rank-one closed forms grouped by
+        j + k and j - k (x and p go in broadcast, with tables of 2N - 1
+        entries per point), the oscillator by Groenewold's
+        associated-Laguerre form.  A NaN coordinate is refused."""
+        b = self.basis
+        if b.model is Model.BOX:
+            fn = partial(_box_operator_symbol, self.coeff, b.hbar, b.L)
+            return _at_points(fn, *np.broadcast_arrays(x, p), 2 * self.n - 1)
+        return _at_points(partial(_oscillator_operator_symbol, self.coeff, b.hbar), x, p, 1)
 
 
 def moyal_via_composition(
     A: FiniteRankOperator, B: FiniteRankOperator, hbar: float, x: float, p: float
 ) -> float:
-    """Real part of the composed symbol.
+    """Star product via the operator product: the real part of the symbol of
+    the operator with coefficient matrix M_A M_B, exact up to symbol
+    evaluation.  hbar must be the bases' own.
 
     Equals the full star product when A B is Hermitian (e.g. projections,
     A = B*); for non-commuting Hermitian factors the symbol of A B acquires
-    an imaginary part, available from moyal_via_composition_complex.
+    an imaginary part, which `FiniteRankOperator.symbol` of the product keeps.
     """
-    return moyal_via_composition_complex(A, B, hbar, x, p).real
+    if A.basis != B.basis:
+        raise ValueError("operators live in different bases")
+    if A.n != B.n:
+        raise ValueError("operator dimensions differ")
+    if hbar != A.basis.hbar:
+        raise ValueError(f"hbar = {hbar!r} differs from the basis's hbar = {A.basis.hbar!r}")
+    # an integer or bool product is taken in floats, where it cannot wrap or saturate
+    prod = np.matmul(A.coeff, B.coeff, dtype=np.result_type(A.coeff, B.coeff, float))
+    return FiniteRankOperator(A.basis, prod).symbol(x, p).real
 
 
 def direct_grid(N: int, mu: float, L: float) -> PhaseGrid:

@@ -27,7 +27,9 @@ __all__ = [
 MAX_MATRIX_POWER = 12
 # The bound on N, which also comes from the command line: the banded power
 # holds (2n + 1) x N doubles, 0.8 MB at n = 12, N = 4096, and without the
-# bound `sweep --N` would size that allocation.
+# bound `sweep --N` would size that allocation.  It also caps the rank of a
+# `moyal.FiniteRankOperator`, whose box symbol holds a (2N - 1)^2 complex
+# array W (`weyl._box_operator_symbol`): 1.07 GB at N = 4096.
 MAX_DIMENSION = 4096
 
 

@@ -3,7 +3,7 @@
 Box: the projection and truncated momentum symbols share one level sum,
 sum_j c_j [S(m_j + q) +- S(m_j - q)] with S = sin(A d)/d from `kernel`,
 split by angle addition; the symbol of any finite-rank operator (the box
-branch of `moyal.operator_symbol_complex`) groups its rank-one terms by
+branch of `moyal.FiniteRankOperator.symbol`) groups its rank-one terms by
 j + k and j - k.  On an outer product of more than one cell (an x column
 against a p row: a field block, a grid or a row of points) the level sum
 is two in-order contractions of a (levels x rows) table from x with a
@@ -15,7 +15,7 @@ keeps the bytes of point calls for every block size.  Oscillator:
 Groenewold's associated-Laguerre form, one recurrence yielding the
 normalised Laguerre functions at their true scale (on Python floats at one
 point), summed by the projection symbol, the operator symbol (the
-oscillator branch of `moyal.operator_symbol_complex`) and
+oscillator branch of `moyal.FiniteRankOperator.symbol`) and
 `diag.oscillator_disk_distance_sq`.
 """
 

@@ -2,7 +2,7 @@
 
 - The y-quadrature of Weyl symbols is the one oracle of both operator
   symbols (`weyl._box_operator_symbol` and `weyl._oscillator_operator_symbol`,
-  the two branches of `moyal.operator_symbol_complex`), and checks the
+  the two branches of `moyal.FiniteRankOperator.symbol`), and checks the
   direct sums of `sum_oracle` at some points.  It integrates
   hbar * K(x - hbar y/2, x + hbar y/2) e^{ipy} over a Gauss-Legendre rule on
   a window [-Y, Y], one cold quadrature per point.

@@ -225,6 +225,13 @@ class TestEigenBasis:
         with pytest.raises(ValueError, match="L must be positive and finite"):
             EigenBasis(model=Model.BOX, hbar=0.25, box_half_width=bad)
 
+    @pytest.mark.parametrize("width", [1.0, math.nan])
+    def test_oscillator_refuses_a_width(self, width):
+        # a NaN width was accepted, and two oscillator operators at one hbar
+        # were then refused as "operators live in different bases"
+        with pytest.raises(ValueError, match="box_half_width"):
+            EigenBasis(model=Model.OSCILLATOR, hbar=0.5, box_half_width=width)
+
     def test_oscillator_has_no_width(self):
         with pytest.raises(ValueError):
             _ = osc(1.0).L

@@ -99,6 +99,27 @@ def test_only_scale_reads_the_block_rule():
         assert sorted(read & rule) == [], path.name
 
 
+def test_only_the_operator_type_calls_the_operator_routes():
+    # one entry for the operator symbol, `FiniteRankOperator.symbol`: a
+    # second caller of a route could hand it its own hbar, L or block rule
+    routes = {"_box_operator_symbol", "_oscillator_operator_symbol"}
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+            if name in routes:
+                found.add((path.name, ".".join(scope), name))
+            visit(child, scope)
+
+    for path in sorted(Path(weylsym.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert sorted(found) == [("moyal.py", "FiniteRankOperator.symbol", name) for name in sorted(routes)]
+
+
 def test_oracles_import_only_the_descriptors():
     # an oracle that called a route of the program would share its code
     # with what it checks; the descriptors name a model or hold a band

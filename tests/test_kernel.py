@@ -17,7 +17,7 @@ from weylsym.diag import (
     oscillator_disk_distance_sq,
 )
 from weylsym.kernel import box_projection_kernel, dirichlet_kernel, sine_kernel
-from weylsym.moyal import operator_symbol_complex
+from weylsym.moyal import FiniteRankOperator
 from weylsym.scale import PhaseGrid
 from weylsym.weyl import (
     momentum_symbol_field,
@@ -58,6 +58,14 @@ class TestDirichletKernel:
         # gave nan with "invalid value encountered in subtract": D_N has no limit there
         with pytest.raises(ValueError, match="x must not be infinite"):
             dirichlet_kernel(4, x)
+
+    @pytest.mark.parametrize("x", [1e308, 2.0**60, np.array([0.3, -(2.0**52) * (1 + 2**-52)])])
+    def test_x_beyond_two_to_the_52_is_refused(self, x):
+        # 1e308 and 2^60 both gave 9.0 = 2N + 1: the reduction to [-pi, pi]
+        # kept no digits, and adjacent doubles there fix no phase
+        with pytest.raises(ValueError, match=r"beyond 2\^52.*got x ="):
+            dirichlet_kernel(4, x)
+        assert np.isfinite(dirichlet_kernel(4, 2.0**52))
 
     @pytest.mark.parametrize("N", [40, 400])
     @pytest.mark.parametrize("m", [-1, 1, 2])
@@ -177,7 +185,7 @@ _BOX_POINT_CALLS = {
     "rescaled_kernel_f2": (lambda x, y: rescaled_kernel_f2(8, 1.0 / 8, 1.0, x, y), "xy"),
     "symbol_truncated_momentum_box": (lambda x, p: symbol_truncated_momentum_box(8, 1.0 / 8, 1.0, x, p), "x"),
     "box_operator_symbol": (
-        lambda x, p: operator_symbol_complex(box_basis(1.0, 1.0 / 8), np.eye(8) + 0.5j * np.eye(8, k=1), 1.0 / 8, x, p),
+        lambda x, p: FiniteRankOperator(box_basis(1.0, 1.0 / 8), np.eye(8) + 0.5j * np.eye(8, k=1)).symbol(x, p),
         "x",
     ),
 }

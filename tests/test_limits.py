@@ -110,6 +110,15 @@ class TestBulkProfile:
         got = bulk_profile_box(1.0, 1.0, np.array([-1e308, 0.0, 1e308]))
         assert got.tolist() == [0.0, bulk_profile_box(1.0, 1.0, 0.0), 0.0]
 
+    @pytest.mark.parametrize("y", [0.0, 0.5])
+    def test_refuses_a_scale_pi_mu_over_L_that_overflows(self, y):
+        # mu and L each finite: y = 0 raised "invalid value encountered in
+        # multiply" under -W error (inf * 0), y = 0.5 returned nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"mu = 1e\+308, L = 0.001"):
+                bulk_profile_box(1e308, 1e-3, y)
+
     def test_peak(self):
         assert bulk_profile_box(1.0, 1.0, 0.0) == pytest.approx(math.pi, rel=1e-15)
         assert bulk_profile_box(2.0, 0.5, 0.0) == pytest.approx(4 * math.pi, rel=1e-15)

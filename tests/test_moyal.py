@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from weylsym.moyal import (
     direct_grid,
     moyal_direct,
     moyal_via_composition,
-    moyal_via_composition_complex,
-    operator_symbol_complex,
 )
 from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.weyl import (
@@ -91,7 +90,7 @@ class TestComposition:
         basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
         A = rank_one(basis, 2, 1)
         got = moyal_via_composition(A, A, hbar, 0.0, 0.0)
-        want = operator_symbol_complex(basis, A.coeff, hbar, 0.0, 0.0).real
+        want = FiniteRankOperator(basis, A.coeff).symbol(0.0, 0.0).real
         assert got == pytest.approx(want, rel=1e-10)
         assert got == pytest.approx(2.0, rel=1e-8)  # ground projector peak value
 
@@ -116,7 +115,7 @@ class TestComposition:
         # symbol of A A* on a window, midpoint integral
         grid = PhaseGrid(-L, L, -14.0, 14.0, 120, 240)
         x, p = grid.meshgrid()
-        vals = operator_symbol_complex(basis, prod, hbar, x, p).real
+        vals = FiniteRankOperator(basis, prod).symbol(x, p).real
         integral = float(np.sum(vals)) * grid.dx * grid.dp
         want = float(np.sum(np.abs(m) ** 2))
         assert integral / (2 * math.pi * hbar) == pytest.approx(want, rel=0.01)
@@ -130,17 +129,15 @@ class TestComposition:
         B = box_momentum_matrix(N, L, hbar)
         xs = np.linspace(-0.8, 0.8, 9)[:, None]
         ps = np.linspace(-2.0, 2.0, 9)[None, :]
-        ab = operator_symbol_complex(basis, A @ B, hbar, xs, ps)
-        ba = operator_symbol_complex(basis, B @ A, hbar, xs, ps)
+        ab = FiniteRankOperator(basis, A @ B).symbol(xs, ps)
+        ba = FiniteRankOperator(basis, B @ A).symbol(xs, ps)
         # AB and BA are mutual adjoints: symbols are conjugates
         np.testing.assert_allclose(ab, np.conj(ba), atol=1e-10)
         assert float(np.max(np.abs(ab - ba))) > 1e-3
-        # spot check through the public composition route
+        # spot check through the public composition route, which keeps the real part
         opA = FiniteRankOperator(basis=basis, coeff=A)
         opB = FiniteRankOperator(basis=basis, coeff=B)
-        assert moyal_via_composition_complex(opA, opB, hbar, 0.4, 1.0) == pytest.approx(
-            complex(ab[6, 6]), abs=1e-12
-        )
+        assert moyal_via_composition(opA, opB, hbar, 0.4, 1.0) == pytest.approx(ab[6, 6].real, abs=1e-12)
 
 
 def rows_by_lagrange(field, X):
@@ -413,7 +410,7 @@ class TestOscillatorOperatorSymbol:
     @osc_settings
     @given(m=complex_matrices(), **osc_point)
     def test_matches_quadrature_oracle(self, m, hbar, x, p):
-        got = operator_symbol_complex(osc_basis(hbar), m, hbar, x, p)
+        got = FiniteRankOperator(osc_basis(hbar), m).symbol(x, p)
         assert isinstance(got, complex)
         want = operator_symbol_quadrature(osc_basis(hbar), m, hbar, x, p)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
@@ -421,20 +418,20 @@ class TestOscillatorOperatorSymbol:
     @osc_settings
     @given(m=complex_matrices(), **osc_point)
     def test_hermitian_coeff_gives_real_symbol(self, m, hbar, x, p):
-        got = operator_symbol_complex(osc_basis(hbar), m + m.conj().T, hbar, x, p)
+        got = FiniteRankOperator(osc_basis(hbar), m + m.conj().T).symbol(x, p)
         assert abs(got.imag) <= 1e-13 * max(1.0, abs(got.real))
 
     @osc_settings
     @given(m=complex_matrices(), **osc_point)
     def test_adjoint_gives_conjugate(self, m, hbar, x, p):
-        got = operator_symbol_complex(osc_basis(hbar), m.conj().T, hbar, x, p)
-        want = operator_symbol_complex(osc_basis(hbar), m, hbar, x, p).conjugate()
+        got = FiniteRankOperator(osc_basis(hbar), m.conj().T).symbol(x, p)
+        want = FiniteRankOperator(osc_basis(hbar), m).symbol(x, p).conjugate()
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     @osc_settings
     @given(N=st.integers(1, 300), **osc_point)
     def test_identity_is_the_projection(self, N, hbar, x, p):
-        got = operator_symbol_complex(osc_basis(hbar), np.eye(N), hbar, x, p)
+        got = FiniteRankOperator(osc_basis(hbar), np.eye(N)).symbol(x, p)
         assert got.imag == 0.0
         assert abs(got.real - symbol_oscillator_projection(N, hbar, x, p)) <= 1e-14
 
@@ -442,7 +439,7 @@ class TestOscillatorOperatorSymbol:
     @given(m=complex_matrices(), hbar=st.floats(0.05, 1.0))
     def test_origin_is_alternating_trace(self, m, hbar):
         # z = 0: l_n^(0) = L_n(0) = 1 and l_n^(d) = 0 for d > 0
-        got = operator_symbol_complex(osc_basis(hbar), m, hbar, 0.0, 0.0)
+        got = FiniteRankOperator(osc_basis(hbar), m).symbol(0.0, 0.0)
         want = 2.0 * sum((-1) ** n * m[n, n] for n in range(m.shape[0]))
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
@@ -459,16 +456,26 @@ class TestOscillatorOperatorSymbol:
     def test_large_rank_corners_finite_with_exact_zeros_far_out(self):
         # |u_M><u_1| and |u_1><u_M| at M = 4096: a single d = M - 1 Laguerre
         # function, l_0 = z^{d/2} e^{-z/2} / sqrt(d!), peaked at z = d.  An
-        # int8 matrix keeps the 4096^2 coefficients at 16 MB.
+        # int8 matrix keeps the 4096^2 coefficients at 16 MB, and the
+        # operator keeps their dtype: widened to complex they took 256 MB,
+        # and building the operator peaked at 512 MB
         M = 4096
         hbar = 1.0 / M
         basis = osc_basis(hbar)
         for corner in ((M - 1, 0), (0, M - 1)):
             m = np.zeros((M, M), dtype=np.int8)
             m[corner] = 1
+            tracemalloc.start()
+            try:
+                op = FiniteRankOperator(basis, m)
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert op.coeff.dtype == np.int8
+            assert peak_bytes < 64 * 2**20
             peak = math.sqrt(0.5 * hbar * (M - 1))  # z = d
             rs = np.array([0.0, 0.5 * peak, peak, 2.0 * peak, 10.0, 1e200])
-            vals = operator_symbol_complex(basis, m, hbar, rs, 0.0)
+            vals = op.symbol(rs, 0.0)
             assert np.all(np.isfinite(vals))
             assert np.all(np.abs(vals) <= 2.0)
             assert vals[0] == 0.0  # l^(d)(0) = 0 for d > 0
@@ -479,9 +486,9 @@ class TestOscillatorOperatorSymbol:
         x, p = peak * math.cos(theta), peak * math.sin(theta)
         m = np.zeros((M, M), dtype=np.int8)
         m[M - 1, 0] = 1
-        low = operator_symbol_complex(basis, m, hbar, x, p)
+        low = FiniteRankOperator(basis, m).symbol(x, p)
         m[M - 1, 0], m[0, M - 1] = 0, 1
-        high = operator_symbol_complex(basis, m, hbar, x, p)
+        high = FiniteRankOperator(basis, m).symbol(x, p)
         assert high == pytest.approx(low.conjugate(), abs=1e-15)
 
     def test_projection_star_projection_at_rank_256(self):
@@ -526,7 +533,7 @@ class TestBoxOperatorSymbol:
     def test_matches_quadrature_oracle(self, point, data):
         N, hbar, L, x, p = point
         m = data.draw(sparse_matrices(N))
-        got = operator_symbol_complex(box_basis(hbar, L), m, hbar, x, p)
+        got = FiniteRankOperator(box_basis(hbar, L), m).symbol(x, p)
         assert isinstance(got, complex)
         assert abs(got - operator_symbol_quadrature(box_basis(hbar, L), m, hbar, x, p)) <= 1e-8
 
@@ -535,14 +542,14 @@ class TestBoxOperatorSymbol:
     @example(point=(5, 0.2, 1.0, 0.1, 1e308))  # both 0 where their phases could overflow (was NaN)
     def test_identity_is_the_projection(self, point):
         N, hbar, L, x, p = point
-        got = operator_symbol_complex(box_basis(hbar, L), np.eye(N), hbar, x, p)
+        got = FiniteRankOperator(box_basis(hbar, L), np.eye(N)).symbol(x, p)
         assert abs(got - symbol_projection_box(N, hbar, L, x, p)) <= 1e-12
 
     @box_settings
     @given(point=box_points())
     def test_momentum_matrix_is_the_momentum_symbol(self, point):
         N, hbar, L, x, p = point
-        got = operator_symbol_complex(box_basis(hbar, L), box_momentum_matrix(N, L, hbar), hbar, x, p)
+        got = FiniteRankOperator(box_basis(hbar, L), box_momentum_matrix(N, L, hbar)).symbol(x, p)
         want = symbol_truncated_momentum_box(N, hbar, L, x, p)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
@@ -556,8 +563,8 @@ class TestBoxOperatorSymbol:
         m = data.draw(complex_matrices(max_dim=N))
         basis = box_basis(hbar, L)
         for x in (sign * L, sign * u * L):
-            assert operator_symbol_complex(basis, m, hbar, x, p) == 0.0
-        vals = operator_symbol_complex(basis, m, hbar, np.array([L, -L, sign * u * L]), p)
+            assert FiniteRankOperator(basis, m).symbol(x, p) == 0.0
+        vals = FiniteRankOperator(basis, m).symbol(np.array([L, -L, sign * u * L]), p)
         np.testing.assert_array_equal(vals, 0.0)
 
     @box_settings
@@ -565,7 +572,7 @@ class TestBoxOperatorSymbol:
     def test_hermitian_coeff_gives_real_symbol(self, point, data):
         N, hbar, L, x, p = point
         m = data.draw(complex_matrices(max_dim=N))
-        got = operator_symbol_complex(box_basis(hbar, L), m + m.conj().T, hbar, x, p)
+        got = FiniteRankOperator(box_basis(hbar, L), m + m.conj().T).symbol(x, p)
         assert abs(got.imag) <= 1e-14 * np.sum(np.abs(m))
 
     @box_settings
@@ -585,18 +592,39 @@ class TestOperatorSymbolValidation:
     @pytest.mark.parametrize("basis", [box_basis(0.25), osc_basis(0.25)])
     def test_empty_coeff_gives_zero(self, basis):
         empty = np.zeros((0, 0))
-        assert operator_symbol_complex(basis, empty, 0.25, 0.1, 0.2) == 0.0
-        np.testing.assert_array_equal(operator_symbol_complex(basis, empty, 0.25, np.zeros(3), 0.2), 0.0)
+        assert FiniteRankOperator(basis, empty).symbol(0.1, 0.2) == 0.0
+        np.testing.assert_array_equal(FiniteRankOperator(basis, empty).symbol(np.zeros(3), 0.2), 0.0)
 
     @pytest.mark.parametrize("coeff", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
     def test_box_rejects_non_square_coeff(self, coeff):
         with pytest.raises(ValueError, match="square"):
-            operator_symbol_complex(box_basis(0.25), coeff, 0.25, 0.1, 0.2)
+            FiniteRankOperator(box_basis(0.25), coeff).symbol(0.1, 0.2)
 
     @pytest.mark.parametrize("coeff", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
     def test_oscillator_rejects_non_square_coeff(self, coeff):
         with pytest.raises(ValueError, match="square"):
-            operator_symbol_complex(osc_basis(0.25), coeff, 0.25, np.zeros(3), np.ones(3))
+            FiniteRankOperator(osc_basis(0.25), coeff).symbol(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64, np.complex128])
+    def test_coeff_keeps_its_dtype_in_a_read_only_copy(self, dtype):
+        m = np.eye(3, dtype=dtype)
+        op = FiniteRankOperator(box_basis(0.25), m)
+        assert op.coeff.dtype == dtype and not op.coeff.flags.writeable
+        m[0, 0] = 0
+        assert op.coeff[0, 0] == 1
+
+    @pytest.mark.parametrize("coeff", [np.array([["a"]]), np.array([[1, None]] * 2)])
+    def test_rejects_non_numeric_coeff(self, coeff):
+        with pytest.raises(ValueError, match="numeric"):
+            FiniteRankOperator(osc_basis(0.25), coeff)
+
+    def test_composition_of_integer_and_bool_coefficients_is_taken_in_floats(self):
+        # 100 * 100 does not fit in int8, and a bool product would add by "or"
+        basis = osc_basis(0.25)
+        for m, square in ((np.full((1, 1), 100, dtype=np.int8), 10000.0), (np.ones((2, 2), dtype=bool), 2.0)):
+            a = FiniteRankOperator(basis, m)
+            want = FiniteRankOperator(basis, np.full(m.shape, square)).symbol(0.1, 0.2).real
+            assert moyal_via_composition(a, a, 0.25, 0.1, 0.2) == want
 
     @pytest.mark.parametrize("basis", [box_basis(0.1), osc_basis(0.1)])
     def test_rejects_hbar_other_than_the_basis(self, basis):
@@ -605,8 +633,4 @@ class TestOperatorSymbolValidation:
         proj = FiniteRankOperator(basis=basis, coeff=np.eye(10, dtype=complex))
         with pytest.raises(ValueError, match="basis's hbar"):
             moyal_via_composition(proj, proj, 0.5, 0.1, 0.2)
-        with pytest.raises(ValueError, match="basis's hbar"):
-            operator_symbol_complex(basis, proj.coeff, 0.5, 0.1, 0.2)
-        assert moyal_via_composition(proj, proj, 0.1, 0.1, 0.2) == operator_symbol_complex(
-            basis, proj.coeff, 0.1, 0.1, 0.2
-        ).real
+        assert moyal_via_composition(proj, proj, 0.1, 0.1, 0.2) == proj.symbol(0.1, 0.2).real

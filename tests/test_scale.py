@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weylsym import moyal, scale, weyl
 from weylsym.basis import EigenBasis, Model
-from weylsym.moyal import operator_symbol_complex
+from weylsym.moyal import FiniteRankOperator
 from weylsym.scale import PhaseGrid, SymbolField
 from weylsym.weyl import (
     momentum_symbol_field,
@@ -296,8 +296,8 @@ def evaluators(N, hbar, L, m):
             partial(symbol_oscillator_projection, N, hbar), (weyl, "_oscillator_projection_values"),
             partial(weyl._oscillator_projection_field, N, hbar),
         ),
-        "box_operator": (partial(operator_symbol_complex, box, m, hbar), (moyal, "_box_operator_symbol"), None),
-        "osc_operator": (partial(operator_symbol_complex, osc, m, hbar), (moyal, "_oscillator_operator_symbol"), None),
+        "box_operator": (lambda x, p: FiniteRankOperator(box, m).symbol(x, p), (moyal, "_box_operator_symbol"), None),
+        "osc_operator": (lambda x, p: FiniteRankOperator(osc, m).symbol(x, p), (moyal, "_oscillator_operator_symbol"), None),
     }
 
 
@@ -429,15 +429,15 @@ class TestOneBlockRule:
         # 64 x 64 grid holds 8 rows, 512 points; the whole grid in one piece
         # held 8.3 MB per table
         N = 64
-        basis = EigenBasis(Model.BOX, hbar=1.0 / N, box_half_width=1.0)
-        coeff = np.random.default_rng(4).standard_normal((N, N))
+        op = FiniteRankOperator(EigenBasis(Model.BOX, hbar=1.0 / N, box_half_width=1.0),
+                                np.random.default_rng(4).standard_normal((N, N)))
         grid = PhaseGrid(-1.2, 1.2, -3.0, 3.0, 64, 64)
-        whole = operator_symbol_complex(basis, coeff, 1.0 / N, *grid.meshgrid())
+        whole = op.symbol(*grid.meshgrid())
         cells = 1 << 10
         monkeypatch.setattr(scale, "_BLOCK_CELLS", cells)
         tracemalloc.start()
         try:
-            blocked = operator_symbol_complex(basis, coeff, 1.0 / N, *grid.meshgrid())
+            blocked = op.symbol(*grid.meshgrid())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,7 +32,7 @@ from test_scale import BlockCase, assert_blocks_give_the_bits_of_one_block, rng_
 from weylsym.basis import EigenBasis, Model
 from weylsym import scale, weyl
 from weylsym.diag import box_momentum_tail_norm_sq, box_projection_distance_sq, oscillator_disk_distance_sq
-from weylsym.moyal import operator_symbol_complex
+from weylsym.moyal import FiniteRankOperator
 from weylsym.truncate import matrix_linear_power
 from weylsym.kernel import _sin_ratio, box_projection_kernel, dirichlet_kernel
 from weylsym.scale import PhaseGrid
@@ -50,10 +50,10 @@ from weylsym.weyl import (
 
 
 def rank_one_box_symbol(j, k, hbar, L, x, p):
-    """The box operator symbol (`moyal.operator_symbol_complex`) of |u_j><u_k|."""
+    """The box operator symbol (`moyal.FiniteRankOperator.symbol`) of |u_j><u_k|."""
     coeff = np.zeros((max(j, k), max(j, k)))
     coeff[j - 1, k - 1] = 1.0
-    return operator_symbol_complex(EigenBasis(Model.BOX, hbar=hbar, box_half_width=L), coeff, hbar, x, p)
+    return FiniteRankOperator(EigenBasis(Model.BOX, hbar=hbar, box_half_width=L), coeff).symbol(x, p)
 
 
 def assert_rank_one_matches_quadrature(j, k, hbar, L, x, p):
@@ -822,10 +822,10 @@ class TestOnePointRoute:
             assert got.item() == symbol_oscillator_projection(N, hbar, 0.3, 0.4)
         basis = EigenBasis(model=Model.OSCILLATOR, hbar=hbar)
         m = np.eye(N) + 0.5j * np.eye(N, k=1)
-        scalar = operator_symbol_complex(basis, m, hbar, 0.3, 0.4)
+        scalar = FiniteRankOperator(basis, m).symbol(0.3, 0.4)
         assert type(scalar) is complex
         for x, p, shape in (([0.3], [0.4], (1,)), ([[0.3]], [[0.4]], (1, 1))):
-            got = operator_symbol_complex(basis, m, hbar, x, p)
+            got = FiniteRankOperator(basis, m).symbol(x, p)
             assert isinstance(got, np.ndarray) and got.shape == shape and got.item() == scalar
 
 
